@@ -14,6 +14,7 @@ import sys
 
 from .diffop import (
     DiffOp,
+    _is_int,
     chart_from_doc,
     diffop_from_doc,
     diffop_to_doc,
@@ -152,18 +153,26 @@ def cmd_laplacian(args) -> int:
     if not isinstance(doc, dict) or set(doc) != {"chart", "gamma"}:
         raise DocumentError("gamma document must have exactly the keys chart, gamma")
     chart = chart_from_doc(doc["chart"])
+    if not isinstance(doc["gamma"], list):
+        raise DocumentError("gamma must be a list of entries")
     table = {}
     for entry in doc["gamma"]:
         if not isinstance(entry, dict) or set(entry) != {"k", "i", "j", "coeff"}:
             raise DocumentError("gamma entries need exactly the keys k, i, j, coeff")
-        coeff = parse_poly(entry["coeff"], chart, Space.E)
-        table[(entry["k"], entry["i"], entry["j"])] = coeff
+        index = (entry["k"], entry["i"], entry["j"])
+        if not all(_is_int(i) for i in index):
+            raise DocumentError("gamma indices k, i, j must be integers")
+        if not isinstance(entry["coeff"], str):
+            raise DocumentError("coeff must be a polynomial string")
+        table[index] = parse_poly(entry["coeff"], chart, Space.E)
     _print_op(fwl_metric_laplacian(chart, table))
     return 0
 
 
 def cmd_verify(args) -> int:
-    bounds = Bounds.parse(args.bounds) if args.bounds else Bounds()
+    if args.trials < 1:
+        raise DocumentError(f"--trials must be a positive integer, got {args.trials}")
+    bounds = Bounds() if args.bounds is None else Bounds.parse(args.bounds)
     if args.suite == "all":
         reports = run_all(args.trials, args.seed, bounds)
     else:

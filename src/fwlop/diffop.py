@@ -400,16 +400,21 @@ def chart_to_doc(chart: Chart) -> dict:
     return {"base_dim": chart.base_dim, "fiber_rank": chart.fiber_rank}
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; JSON booleans load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def chart_from_doc(doc) -> Chart:
     _require_keys(doc, ("base_dim", "fiber_rank"), "chart")
     n, m = doc["base_dim"], doc["fiber_rank"]
-    if not (isinstance(n, int) and isinstance(m, int)):
+    if not (_is_int(n) and _is_int(m)):
         raise DocumentError("chart dimensions must be integers")
     return Chart(n, m)
 
 
 def _indices_from_doc(entry, what: str) -> MultiIndex:
-    if not isinstance(entry, list) or not all(isinstance(i, int) for i in entry):
+    if not isinstance(entry, list) or not all(_is_int(i) for i in entry):
         raise DocumentError(f"{what} must be a list of integers")
     return MultiIndex(entry)
 

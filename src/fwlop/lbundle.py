@@ -588,7 +588,7 @@ def a_inverse(d: LDerivation, q: int) -> DiffOp:
 def _split_dual(p: Poly) -> dict:
     """Split a dual-space polynomial by its v-monomial, keeping x-parts on E."""
     out = {}
-    for mono, coeff in p.terms.items():
+    for mono, coeff in p.monomials().items():
         v_letters = []
         x_part = []
         for var, exp in mono:

@@ -115,7 +115,7 @@ class SymMultivector:
         """
         if len(args) != self.q:
             raise ArityMismatch(f"expected {self.q} arguments, got {len(args)}")
-        key = tuple(sorted(args, key=_poly_sort_key))
+        key = tuple(sorted(args, key=Poly.sort_key))
         cached = self._eval_cache.get(key)
         if cached is not None:
             return cached
@@ -592,9 +592,7 @@ def fwl_metric_laplacian(chart: Chart, gamma) -> DiffOp:
         g[n + i][i] = one
 
     det = _det(g)
-    if det.is_zero() or not det.is_base_only() or det != Poly.const(
-        chart, Space.E, det.terms.get((), 0)
-    ):
+    if det.is_zero() or det != Poly.const(chart, Space.E, det.constant_term()):
         raise NonConstantDeterminant(f"det(g) = {det!r}")
 
     ginv = [[zero for _ in range(size)] for _ in range(size)]
@@ -639,9 +637,3 @@ def fwl_metric_laplacian(chart: Chart, gamma) -> DiffOp:
         raise AssertionError("metric Laplacian failed the FWL postcondition")
     return result
 
-
-def _poly_sort_key(p: Poly):
-    return tuple(sorted(
-        (tuple((v.kind, v.index, e) for v, e in mono), coeff)
-        for mono, coeff in p.terms.items()
-    ))

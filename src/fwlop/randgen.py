@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import DocumentError
 from .lbundle import LDerivation, LPair
 from .diffop import DiffOp
 from .multivec import PolyVectorField, Section, SectionRole, SymMultivector
@@ -38,7 +39,14 @@ class Bounds:
 
     @classmethod
     def parse(cls, text: str) -> "Bounds":
-        n, m, q = (int(part) for part in text.split(","))
+        """Read an "n,m,q" triple of positive integers."""
+        message = f"bounds must be three positive integers n,m,q, got {text!r}"
+        try:
+            n, m, q = (int(part) for part in text.split(","))
+        except ValueError:
+            raise DocumentError(message) from None
+        if min(n, m, q) < 1:
+            raise DocumentError(message)
         return cls(n_max=n, m_max=m, order_max=q)
 
 
@@ -244,7 +252,7 @@ def rand_second_order_function(rng, chart, bounds) -> Poly:
     p = rand_poly(rng, chart, Space.AMBIENT, bounds)
     kept = {
         mono: coeff
-        for mono, coeff in p.terms.items()
+        for mono, coeff in p.monomials().items()
         if sum(e for v, e in mono if v.kind is fk) >= 2
     }
     return Poly(chart, Space.AMBIENT, kept)

@@ -1,10 +1,15 @@
 """Exact sparse polynomial arithmetic over the rationals, in tagged variables.
 
-A polynomial is a dictionary mapping monomials to nonzero Fractions.  A
-monomial is a tuple of (Var, exponent) pairs sorted by variable, exponents
->= 1; the empty tuple is the constant monomial.  The zero polynomial stores
-no terms.  This exact representation makes every identity test in the
-package a literal dictionary comparison.
+A polynomial is stored packed: a dictionary mapping monomials to nonzero
+integer numerators over one common denominator.  A monomial is a tuple of
+exponents of fixed length, x1..xn first and then the fiber-type variables
+of the polynomial's space, so multiplication adds tuples slot by slot and
+a partial derivative decrements one slot.  The denominator is positive and
+shares no factor with every numerator; the zero polynomial stores no terms
+over 1.  This exact canonical form makes every identity test in the package
+a literal comparison.  Only `Poly` reads the layout: other code uses its
+methods, and `Poly.monomials()` gives the terms keyed by (Var, exponent)
+tuples with Fraction coefficients.
 
 Variables are tagged by kind: base coordinates x1..xn, fiber coordinates
 u1..um on the total space (or transverse coordinates on an ambient chart),
@@ -21,11 +26,13 @@ tuples; they index iterated partial derivatives everywhere downstream.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
+from operator import add
 
 from .errors import (
     ChartMismatch,
@@ -82,23 +89,12 @@ class Space(Enum):
         raise SpaceMismatch(f"unknown space {name!r}")
 
 
-# Variable kinds admitted on each space.  The fiber-type kind is the one
-# whose exponents define the fiber degree used by all grading logic.
-_ALLOWED = {
-    Space.E: frozenset({VarKind.BASE, VarKind.FIBER}),
-    Space.ESTAR: frozenset({VarKind.BASE, VarKind.DUAL_FIBER}),
-    Space.AMBIENT: frozenset({VarKind.BASE, VarKind.FIBER}),
-}
-
-_FIBER_KIND = {
-    Space.E: VarKind.FIBER,
-    Space.ESTAR: VarKind.DUAL_FIBER,
-    Space.AMBIENT: VarKind.FIBER,
-}
-
-
 def fiber_kind(space: Space) -> VarKind:
-    return _FIBER_KIND[space]
+    """The fiber-type variable kind of a space: base and this kind are the
+    variables admitted there, and its exponents define the fiber degree."""
+    # An identity test, not a dict keyed by the enum: this runs on the hot
+    # paths and Enum hashing is Python-level.
+    return VarKind.DUAL_FIBER if space is Space.ESTAR else VarKind.FIBER
 
 
 @dataclass(frozen=True)
@@ -109,13 +105,6 @@ class Chart:
     def __post_init__(self):
         if self.base_dim < 1 or self.fiber_rank < 1:
             raise ChartMismatch("chart dimensions must be >= 1")
-
-    def check_var(self, v: Var, space: Space):
-        if v.kind not in _ALLOWED[space]:
-            raise UnknownVariable(f"variable {v} not allowed on space {space.value}")
-        bound = self.base_dim if v.kind is VarKind.BASE else self.fiber_rank
-        if not 1 <= v.index <= bound:
-            raise IndexOutOfRange(f"variable {v} out of range for chart {self}")
 
     def vars_of(self, kind: VarKind):
         bound = self.base_dim if kind is VarKind.BASE else self.fiber_rank
@@ -186,18 +175,24 @@ class MultiIndex:
             entries.remove(letter)
         return MultiIndex(entries)
 
-    def sub_multisets(self):
-        """Yield (S, multiset binomial of self over S) for all S <= self."""
-        items = sorted(self.multiplicities().items())
-        letters = [letter for letter, _ in items]
-        ranges = [range(mult + 1) for _, mult in items]
-        for picks in itertools.product(*ranges):
-            coeff = 1
-            chosen = []
-            for letter, mult, k in zip(letters, (m for _, m in items), picks):
-                coeff *= comb(mult, k)
-                chosen.extend([letter] * k)
-            yield MultiIndex(chosen), coeff
+    def sub_multisets(self) -> tuple:
+        """(S, multiset binomial of self over S) for all S <= self."""
+        return _sub_multisets(self.entries)
+
+
+@functools.cache
+def _sub_multisets(entries: tuple) -> tuple:
+    """MultiIndex.sub_multisets, memoised on the sorted entries."""
+    items = sorted(MultiIndex(entries).multiplicities().items())
+    out = []
+    for picks in itertools.product(*(range(mult + 1) for _, mult in items)):
+        coeff = 1
+        chosen = []
+        for (letter, mult), k in zip(items, picks):
+            coeff *= comb(mult, k)
+            chosen.extend([letter] * k)
+        out.append((MultiIndex(chosen), coeff))
+    return tuple(out)
 
 
 EMPTY_MI = MultiIndex()
@@ -227,40 +222,80 @@ def unshuffles(k: int, h: int):
         yield first, second
 
 
-Monomial = tuple  # tuple[(Var, int), ...] sorted by Var, exponents >= 1
+Monomial = tuple  # exponents of x1..xn, then of the space's fiber-type variables
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    exps = dict(m1)
-    for v, e in m2:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
+def _slot(chart: Chart, space: Space, v: Var) -> int:
+    """Position of v in the exponent tuples of chart/space; validates v."""
+    kind, index = v.kind, v.index
+    if kind is VarKind.BASE:
+        if 1 <= index <= chart.base_dim:
+            return index - 1
+    elif kind is fiber_kind(space):
+        if 1 <= index <= chart.fiber_rank:
+            return chart.base_dim + index - 1
+    else:
+        raise UnknownVariable(f"variable {v} not allowed on space {space.value}")
+    raise IndexOutOfRange(f"variable {v} out of range for chart {chart}")
 
 
-def _mono_fiber_degree(m: Monomial, kind: VarKind) -> int:
-    return sum(e for v, e in m if v.kind is kind)
+def _slot_var(chart: Chart, space: Space, slot: int) -> Var:
+    n = chart.base_dim
+    if slot < n:
+        return Var(VarKind.BASE, slot + 1)
+    return Var(fiber_kind(space), slot - n + 1)
+
+
+@functools.cache
+def _slot_names(base_dim: int, fiber_rank: int, dual: bool) -> tuple:
+    letter = "v" if dual else "u"
+    return tuple(f"x{i}" for i in range(1, base_dim + 1)) + tuple(
+        f"{letter}{a}" for a in range(1, fiber_rank + 1)
+    )
+
+
+def _mono_pairs(mono: Monomial) -> tuple:
+    """(slot, exponent) pairs of the nonzero exponents: the printing order."""
+    return tuple((i, e) for i, e in enumerate(mono) if e)
 
 
 class Poly:
-    """Immutable multivariate polynomial over Q on a tagged chart/space."""
+    """Immutable multivariate polynomial over Q on a tagged chart/space.
 
-    __slots__ = ("chart", "space", "terms")
+    `terms` maps exponent tuples to nonzero integer numerators over the one
+    common denominator `den`.  Canonical form: den > 0 and
+    gcd(den, *numerators) == 1; the zero polynomial is {} over 1.  This
+    class is the only code that reads the layout; everything else goes
+    through the methods (`monomials()` gives Var-keyed Fractions).
+    """
+
+    __slots__ = ("chart", "space", "terms", "den")
 
     def __init__(self, chart: Chart, space: Space, terms=None):
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "space", space)
-        canon = {}
+        """Build from {((Var, exp), ...): coeff}; equal monomials add up."""
+        width = chart.base_dim + chart.fiber_rank
+        coeffs = {}
         for mono, coeff in (terms or {}).items():
             coeff = Fraction(coeff)
             if coeff == 0:
                 continue
-            mono = tuple(sorted(mono))
-            for v, e in mono:
+            exps = [0] * width
+            for v, e in sorted(mono):
                 if e < 1:
                     raise ValueError("monomial exponents must be >= 1")
-                chart.check_var(v, space)
-            canon[mono] = coeff
-        object.__setattr__(self, "terms", canon)
+                exps[_slot(chart, space, v)] += e
+            key = tuple(exps)
+            coeffs[key] = coeffs.get(key, 0) + coeff
+        coeffs = {mono: c for mono, c in coeffs.items() if c}
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(
+            self,
+            "terms",
+            {mono: c.numerator * (den // c.denominator) for mono, c in coeffs.items()},
+        )
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -268,73 +303,132 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _raw(cls, chart, space, terms):
+    def _raw(cls, chart, space, terms, den=1):
         """Bypass validation for terms already in canonical form (internal)."""
         self = object.__new__(cls)
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "den", den)
         return self
 
     @classmethod
+    def _reduced(cls, chart, space, terms, den):
+        """Canonicalise integer numerators (nonzero) over a positive den."""
+        if den != 1:
+            if not terms:
+                den = 1
+            else:
+                g = gcd(den, *terms.values())
+                if g != 1:
+                    terms = {mono: c // g for mono, c in terms.items()}
+                    den //= g
+        return cls._raw(chart, space, terms, den)
+
+    @classmethod
     def zero(cls, chart, space):
-        return cls(chart, space, {})
+        return cls._raw(chart, space, {})
 
     @classmethod
     def const(cls, chart, space, value):
-        return cls(chart, space, {(): Fraction(value)})
+        value = Fraction(value)
+        if not value:
+            return cls._raw(chart, space, {})
+        mono = (0,) * (chart.base_dim + chart.fiber_rank)
+        return cls._raw(chart, space, {mono: value.numerator}, value.denominator)
 
     @classmethod
     def var(cls, chart, space, v: Var):
-        return cls(chart, space, {((v, 1),): Fraction(1)})
+        return cls._power(chart, space, _slot(chart, space, v), 1)
+
+    @classmethod
+    def _power(cls, chart, space, slot: int, exp: int):
+        mono = [0] * (chart.base_dim + chart.fiber_rank)
+        mono[slot] = exp
+        return cls._raw(chart, space, {tuple(mono): 1})
 
     def _check_compatible(self, other: "Poly"):
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise ChartMismatch(f"{self.chart} vs {other.chart}")
-        if self.space != other.space:
+        if self.space is not other.space:
             raise SpaceMismatch(f"{self.space.value} vs {other.space.value}")
+
+    # -- reading -----------------------------------------------------------
+
+    def monomials(self) -> dict:
+        """{((Var, exp), ...): Fraction} with Vars sorted, exponents >= 1."""
+        chart, space, den = self.chart, self.space, self.den
+        return {
+            tuple((_slot_var(chart, space, i), e) for i, e in _mono_pairs(mono)):
+            Fraction(c, den)
+            for mono, c in self.terms.items()
+        }
+
+    def constant_term(self) -> Fraction:
+        """Coefficient of the constant monomial (0 if absent)."""
+        mono = (0,) * (self.chart.base_dim + self.chart.fiber_rank)
+        return Fraction(self.terms.get(mono, 0), self.den)
+
+    def sort_key(self) -> tuple:
+        """Total order on polynomials of one chart/space: sorted (monomial
+        in printing order, coefficient) pairs."""
+        den = self.den
+        return tuple(sorted(
+            (_mono_pairs(mono), Fraction(c, den)) for mono, c in self.terms.items()
+        ))
 
     # -- ring structure ----------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other over the least common denominator."""
         self._check_compatible(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            terms = dict(self.terms)
+            f2 = sign
+        else:
+            g = gcd(d1, d2)
+            f1, f2 = d2 // g, sign * (d1 // g)
+            terms = {mono: c * f1 for mono, c in self.terms.items()}
+            d1 *= f1
+        for mono, c in other.terms.items():
             acc = terms.get(mono)
-            total = coeff if acc is None else acc + coeff
-            if total:
-                terms[mono] = total
-            elif acc is not None:
-                del terms[mono]
-        return Poly._raw(self.chart, self.space, terms)
+            if acc is None:
+                terms[mono] = c * f2
+            else:
+                total = acc + c * f2
+                if total:
+                    terms[mono] = total
+                else:
+                    del terms[mono]
+        return Poly._reduced(self.chart, self.space, terms, d1)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = terms.get(mono)
-            total = -coeff if acc is None else acc - coeff
-            if total:
-                terms[mono] = total
-            elif acc is not None:
-                del terms[mono]
-        return Poly._raw(self.chart, self.space, terms)
+        return self._combine(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
         terms = {}
+        get = terms.get
+        other_items = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                acc = terms.get(mono)
-                total = c1 * c2 if acc is None else acc + c1 * c2
-                if total:
-                    terms[mono] = total
-                elif acc is not None:
-                    del terms[mono]
-        return Poly._raw(self.chart, self.space, terms)
+            for m2, c2 in other_items:
+                mono = tuple(map(add, m1, m2))
+                acc = get(mono)
+                if acc is None:
+                    terms[mono] = c1 * c2
+                else:
+                    total = acc + c1 * c2
+                    if total:
+                        terms[mono] = total
+                    else:
+                        del terms[mono]
+        return Poly._reduced(self.chart, self.space, terms, self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -342,26 +436,36 @@ class Poly:
         return NotImplemented
 
     def __neg__(self):
-        return self.scale(-1)
+        return Poly._raw(
+            self.chart, self.space, {m: -c for m, c in self.terms.items()}, self.den
+        )
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        if c == 0:
+        if type(c) is not int:
+            c = Fraction(c)
+            numer, denom = c.numerator, c.denominator
+        else:
+            numer, denom = c, 1
+        if numer == 0:
             return Poly._raw(self.chart, self.space, {})
-        return Poly._raw(
-            self.chart, self.space, {m: c * v for m, v in self.terms.items()}
+        return Poly._reduced(
+            self.chart,
+            self.space,
+            {m: v * numer for m, v in self.terms.items()},
+            self.den * denom,
         )
 
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
-            and self.chart == other.chart
-            and self.space == other.space
+            and (self.chart is other.chart or self.chart == other.chart)
+            and self.space is other.space
+            and self.den == other.den
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.chart, self.space, tuple(sorted(self.terms.items()))))
+        return hash((self.chart, self.space, self.den, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"Poly({poly_to_str(self)!r}, space={self.space.value})"
@@ -373,24 +477,17 @@ class Poly:
 
     def partial(self, v: Var) -> "Poly":
         """Exact formal partial derivative with respect to v."""
-        if v.kind not in _ALLOWED[self.space]:
+        if v.kind is not VarKind.BASE and v.kind is not fiber_kind(self.space):
             raise SpaceMismatch(
                 f"cannot differentiate by {v} on space {self.space.value}"
             )
-        self.chart.check_var(v, self.space)
+        slot = _slot(self.chart, self.space, v)
         terms = {}
-        for mono, coeff in self.terms.items():
-            exps = dict(mono)
-            e = exps.get(v, 0)
-            if e == 0:
-                continue
-            if e == 1:
-                del exps[v]
-            else:
-                exps[v] = e - 1
-            new = tuple(sorted(exps.items()))
-            terms[new] = terms.get(new, Fraction(0)) + coeff * e
-        return Poly._raw(self.chart, self.space, terms)
+        for mono, c in self.terms.items():
+            e = mono[slot]
+            if e:
+                terms[mono[:slot] + (e - 1,) + mono[slot + 1 :]] = c * e
+        return Poly._reduced(self.chart, self.space, terms, self.den)
 
     def partial_multi(self, mi: MultiIndex, kind: VarKind) -> "Poly":
         out = self
@@ -400,21 +497,19 @@ class Poly:
 
     def fiber_degree_decompose(self) -> dict:
         """Split into fiber-degree homogeneous parts; zero maps to {}."""
-        kind = fiber_kind(self.space)
+        n = self.chart.base_dim
         parts = {}
-        for mono, coeff in self.terms.items():
-            deg = _mono_fiber_degree(mono, kind)
-            parts.setdefault(deg, {})[mono] = coeff
+        for mono, c in self.terms.items():
+            parts.setdefault(sum(mono[n:]), {})[mono] = c
         return {
-            deg: Poly._raw(self.chart, self.space, terms)
+            deg: Poly._reduced(self.chart, self.space, terms, self.den)
             for deg, terms in sorted(parts.items())
         }
 
     def fiber_degree(self):
         """Degree if homogeneous in fiber degree, else None; zero gives None."""
-        degs = {
-            _mono_fiber_degree(m, fiber_kind(self.space)) for m in self.terms
-        }
+        n = self.chart.base_dim
+        degs = {sum(mono[n:]) for mono in self.terms}
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -423,38 +518,45 @@ class Poly:
         """Set all fiber variables to zero (evaluation on the base)."""
         if self.space is Space.ESTAR:
             raise SpaceMismatch("restriction to the zero section needs E or Ambient")
-        kind = fiber_kind(self.space)
-        terms = {
-            mono: coeff
-            for mono, coeff in self.terms.items()
-            if _mono_fiber_degree(mono, kind) == 0
-        }
-        return Poly._raw(self.chart, self.space, terms)
+        n = self.chart.base_dim
+        terms = {mono: c for mono, c in self.terms.items() if not any(mono[n:])}
+        return Poly._reduced(self.chart, self.space, terms, self.den)
 
     def scale_fiber(self, t) -> "Poly":
         """Substitute u -> t*u (the fiber-rescaling pull-back on functions)."""
-        kind = fiber_kind(self.space)
         t = Fraction(t)
+        n = self.chart.base_dim
+        degs = {mono: sum(mono[n:]) for mono in self.terms}
+        top = max(degs.values(), default=0)
+        numer, denom = t.numerator, t.denominator
         terms = {}
-        for mono, coeff in self.terms.items():
-            scaled = coeff * t ** _mono_fiber_degree(mono, kind)
+        for mono, c in self.terms.items():
+            scaled = c * numer ** degs[mono] * denom ** (top - degs[mono])
             if scaled:
                 terms[mono] = scaled
-        return Poly._raw(self.chart, self.space, terms)
+        return Poly._reduced(self.chart, self.space, terms, self.den * denom**top)
 
     def is_base_only(self) -> bool:
-        return all(
-            v.kind is VarKind.BASE for mono in self.terms for v, _ in mono
-        )
+        n = self.chart.base_dim
+        return not any(any(mono[n:]) for mono in self.terms)
 
     def with_space(self, space: Space) -> "Poly":
         """Re-tag onto another space; every variable must stay legal."""
-        return Poly(self.chart, space, dict(self.terms))
+        if (space is Space.ESTAR) is not (self.space is Space.ESTAR):
+            n = self.chart.base_dim
+            for mono in self.terms:
+                for slot in range(n, len(mono)):
+                    if mono[slot]:
+                        v = _slot_var(self.chart, self.space, slot)
+                        raise UnknownVariable(
+                            f"variable {v} not allowed on space {space.value}"
+                        )
+        return Poly._raw(self.chart, space, self.terms, self.den)
 
     def substitute(self, mapping: dict) -> "Poly":
         """Replace variables by polynomials (all on the result's chart/space)."""
         result = None
-        for mono, coeff in self.terms.items():
+        for mono, coeff in self.monomials().items():
             term = None
             for v, e in mono:
                 factor = mapping.get(v)
@@ -569,12 +671,11 @@ class _Parser:
             self.pos += 1
             kind = _LETTER_KIND[ch]
             index = self.nat()
-            v = Var(kind, index)
-            self.chart.check_var(v, self.space)
+            slot = _slot(self.chart, self.space, Var(kind, index))
             exp = 1
             if self.take("^"):
                 exp = self.nat()
-            return Poly(self.chart, self.space, {((v, exp),): Fraction(1)})
+            return Poly._power(self.chart, self.space, slot, exp)
         if ch.isdigit() or ch == "-":
             negate = self.take("-")
             numer = self.digits()
@@ -590,28 +691,29 @@ def parse_poly(text: str, chart: Chart, space: Space) -> Poly:
     return _Parser(text, chart, space).parse()
 
 
-def _mono_to_str(mono: Monomial) -> str:
-    return "*".join(
-        str(v) if e == 1 else f"{v}^{e}" for v, e in mono
-    )
-
-
 def poly_to_str(p: Poly) -> str:
-    """Canonical rendering; parse(poly_to_str(p)) == p."""
+    """Canonical rendering; parse(poly_to_str(p)) == p.
+
+    Terms are sorted by their (slot, exponent) pairs, which is the order of
+    the variables x1..xn before the fiber-type ones; no Var is built.
+    """
     if not p.terms:
         return "0"
+    names = _slot_names(p.chart.base_dim, p.chart.fiber_rank, p.space is Space.ESTAR)
+    den = p.den
     pieces = []
-    for mono in sorted(p.terms):
-        coeff = p.terms[mono]
-        body = _mono_to_str(mono)
-        mag = abs(coeff)
+    for pairs, c in sorted((_mono_pairs(mono), c) for mono, c in p.terms.items()):
+        body = "*".join(names[i] if e == 1 else f"{names[i]}^{e}" for i, e in pairs)
+        g = gcd(c, den)
+        numer, denom = abs(c) // g, den // g
+        mag = str(numer) if denom == 1 else f"{numer}/{denom}"
         if not body:
-            text = str(mag)
-        elif mag == 1:
+            text = mag
+        elif numer == 1 and denom == 1:
             text = body
         else:
             text = f"{mag}*{body}"
-        pieces.append((coeff < 0, text))
+        pieces.append((c < 0, text))
     first_neg, first = pieces[0]
     out = ("-" if first_neg else "") + first
     for neg, text in pieces[1:]:

@@ -198,3 +198,90 @@ def test_output_documents_reload(op_file, capsys):
     reloaded = diffop_from_doc(json.loads(out))
     assert json.loads(out) == json.loads(out)
     assert reloaded.order() == 4
+
+
+def _gamma_doc(gamma):
+    return {"chart": {"base_dim": 1, "fiber_rank": 1}, "gamma": gamma}
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [
+        [{"k": 1, "i": 1, "j": 1, "coeff": 5}],
+        [{"k": 1, "i": 1, "j": 1, "coeff": None}],
+        [{"k": "1", "i": 1, "j": 1, "coeff": "x1"}],
+        [{"k": 1, "i": 1.0, "j": 1, "coeff": "x1"}],
+        [{"k": 1, "i": 1, "j": True, "coeff": "x1"}],
+        [{"k": 1, "i": 1, "j": [1], "coeff": "x1"}],
+        {"k": 1, "i": 1, "j": 1, "coeff": "x1"},
+        "x1",
+        7,
+    ],
+    ids=[
+        "int-coeff", "null-coeff", "str-k", "float-i", "bool-j", "list-j",
+        "gamma-object", "gamma-string", "gamma-int",
+    ],
+)
+def test_laplacian_wrong_types_are_document_errors(op_file, capsys, gamma):
+    code, out, err = run(capsys, "laplacian", op_file(_gamma_doc(gamma)))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("DocumentError: ")
+
+
+@pytest.mark.parametrize(
+    "chart",
+    [
+        {"base_dim": True, "fiber_rank": 1},
+        {"base_dim": 1, "fiber_rank": False},
+    ],
+)
+def test_boolean_chart_dimensions_rejected(op_file, capsys, chart):
+    doc = dict(OP_CORE2, chart=chart)
+    code, out, err = run(capsys, "symbol", op_file(doc))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("DocumentError: ")
+    code, _, err = run(capsys, "laplacian", op_file(dict(_gamma_doc([]), chart=chart)))
+    assert code == 3
+    assert err.startswith("DocumentError: ")
+
+
+@pytest.mark.parametrize("field", ["dx", "du"])
+def test_boolean_index_letters_rejected(op_file, capsys, field):
+    term = {"coeff": "1", "dx": [], "du": [1]}
+    term[field] = [True]
+    doc = dict(OP_CORE2, terms=[term])
+    code, out, err = run(capsys, "symbol", op_file(doc))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("DocumentError: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--trials", "-5"],
+        ["--trials", "0"],
+        ["--bounds", "1,1"],
+        ["--bounds", "0,0,0"],
+        ["--bounds", "2,2,0"],
+        ["--bounds", "1,1,1,1"],
+        ["--bounds", "1.5,1,1"],
+        ["--bounds", "a,b,c"],
+        ["--bounds", ""],
+    ],
+)
+def test_verify_bad_arguments_are_document_errors(capsys, argv):
+    code, out, err = run(capsys, "verify", "--suite", "recovery", *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("DocumentError: ")
+
+
+def test_verify_accepts_small_bounds(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--suite", "recovery", "--trials", "2", "--bounds", "1,1,1"
+    )
+    assert code == 0
+    assert "failures: 0" in out

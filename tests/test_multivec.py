@@ -223,7 +223,7 @@ def test_multiderivation_D_example():
     p = mv(CH1, 2, {(EMPTY_MI, MultiIndex([1, 1])): P("u1")})
     eps = Section.basis(CH1, SectionRole.OF_ESTAR, 1)
     d = multiderivation_D(p, eps, eps)
-    assert [str(c.terms) for c in d.components] == [str(P("2").terms)]
+    assert [c.monomials() for c in d.components] == [P("2").monomials()]
 
 
 def test_multiderivation_l_examples():

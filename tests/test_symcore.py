@@ -89,7 +89,7 @@ def test_fwl_function_is_degree_one():
 
 def test_parse_two_term():
     p = P("3/2*x1^2*u2 - x1")
-    assert p.terms == {
+    assert p.monomials() == {
         ((base_var(1), 2), (fiber_var(2), 1)): Fraction(3, 2),
         ((base_var(1), 1),): Fraction(-1),
     }
