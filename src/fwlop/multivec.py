@@ -592,7 +592,9 @@ def fwl_metric_laplacian(chart: Chart, gamma) -> DiffOp:
         g[n + i][i] = one
 
     det = _det(g)
-    if det.is_zero() or det != Poly.const(chart, Space.E, det.constant_term()):
+    if det.is_zero() or not det.is_base_only() or det != Poly.const(
+        chart, Space.E, det.constant_term()
+    ):
         raise NonConstantDeterminant(f"det(g) = {det!r}")
 
     ginv = [[zero for _ in range(size)] for _ in range(size)]
