@@ -2,8 +2,8 @@
 
 Each subcommand reads operator or derivation documents (JSON), runs one
 library construction, and prints a canonical document on standard output.
-Exit codes: 0 success, 1 domain error, 2 verification failure, 3 parse
-error.
+Exit codes: 0 success, 1 domain error, 2 verification failure or broken
+internal invariant, 3 parse error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .diffop import (
     diffop_from_doc,
     diffop_to_doc,
 )
-from .errors import DocumentError, FwlopError, SpaceMismatch
+from .errors import DocumentError, FwlopError, InvariantViolation, SpaceMismatch
 from .lbundle import (
     a_inverse,
     a_iso,
@@ -116,14 +116,6 @@ def cmd_symbol(args) -> int:
     return 0
 
 
-def cmd_ad(args) -> int:
-    op = _load_op(args.operator)
-    image = a_iso(op, args.order)
-    doc = lderivation_to_doc(image)
-    print(_dumps({"chart": doc["chart"], "field": doc["field"]}))
-    return 0
-
-
 def cmd_poisson(args) -> int:
     p1, p2 = _load_multivector(args.left), _load_multivector(args.right)
     _print_op(poisson(p1, p2).to_operator())
@@ -131,8 +123,12 @@ def cmd_poisson(args) -> int:
 
 
 def cmd_a_iso(args) -> int:
+    """a-iso prints the derivation document; ad prints its field part only."""
     op = _load_op(args.operator)
-    print(_dumps(lderivation_to_doc(a_iso(op, args.order))))
+    doc = lderivation_to_doc(a_iso(op, args.order))
+    if args.command == "ad":
+        del doc["mult"]
+    print(_dumps(doc))
     return 0
 
 
@@ -227,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         space=True,
     )
     op_command("symbol", cmd_symbol, "top-order table of an operator", space=True)
-    op_command("ad", cmd_ad, "adjoint vector field on the dual space", order=True)
+    op_command("ad", cmd_a_iso, "adjoint vector field on the dual space", order=True)
 
     p = sub.add_parser("poisson", help="bracket of two symmetric multivectors")
     p.add_argument("left")
@@ -268,6 +264,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except InvariantViolation as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except DocumentError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -25,6 +25,7 @@ from fractions import Fraction
 from .errors import (
     ChartMismatch,
     DocumentError,
+    InvariantViolation,
     SpaceMismatch,
     ZeroOperator,
 )
@@ -36,13 +37,12 @@ from .symcore import (
     Space,
     Var,
     VarKind,
+    add_into,
     all_multi_indices,
     fiber_kind,
     parse_poly,
     poly_to_str,
 )
-
-GradedWeight = int  # weight of a homogeneous operator under fiber rescaling
 
 
 class DiffOp:
@@ -218,7 +218,7 @@ class DiffOp:
         out = self.compose(other) - other.compose(self)
         orders = [self.order(), other.order(), out.order()]
         if None not in orders and orders[2] > orders[0] + orders[1] - 1:
-            raise AssertionError("commutator order bound q+r-1 violated")
+            raise InvariantViolation("commutator order bound q+r-1 violated")
         return out
 
     # -- grading and classification -------------------------------------------
@@ -228,15 +228,11 @@ class DiffOp:
         if self.space is Space.AMBIENT:
             raise SpaceMismatch("weight grading lives on the bundle spaces")
         parts = {}
-        for (mi_b, mi_f), coeff in self.terms.items():
+        for key, coeff in self.terms.items():
+            # Distinct degrees of one coefficient give distinct weights, so
+            # each (weight, key) slot is filled once.
             for deg, piece in coeff.fiber_degree_decompose().items():
-                weight = deg - len(mi_f)
-                bucket = parts.setdefault(weight, {})
-                key = (mi_b, mi_f)
-                if key in bucket:
-                    bucket[key] = bucket[key] + piece
-                else:
-                    bucket[key] = piece
+                parts.setdefault(deg - len(key[1]), {})[key] = piece
         return {
             w: DiffOp._raw(self.chart, self.space, terms)
             for w, terms in sorted(parts.items())
@@ -260,7 +256,8 @@ class DiffOp:
             for (mi_b, mi_f), coeff in self.terms.items()
         )
         by_weight = self.order() == q and self.weight() == -q
-        assert by_shape == by_weight
+        if by_shape != by_weight:
+            raise InvariantViolation("core shape and weight tests disagree")
         return by_shape
 
     def is_core_sum(self) -> bool:
@@ -274,7 +271,7 @@ class DiffOp:
         """Order at most q and homogeneous of weight 1-q.
 
         The zero operator passes at every q.  The weight test and the
-        normal-form shape test are both computed and asserted equal.
+        normal-form shape test are both computed and checked equal.
         """
         if self.space is not Space.E:
             raise SpaceMismatch("FWL classification lives on space E")
@@ -287,7 +284,8 @@ class DiffOp:
             for key, coeff in self.terms.items()
             for part in coeff.fiber_degree_decompose().values()
         )
-        assert by_weight == by_shape
+        if by_weight != by_shape:
+            raise InvariantViolation("FWL weight and shape tests disagree")
         return by_weight
 
     @staticmethod
@@ -315,25 +313,17 @@ class DiffOp:
         order = self.order()
         if order is None:
             return {}
-        fk = fiber_kind(self.space)
         one = Poly.const(self.chart, self.space, 1)
         out = {}
         for total in range(order + 1):
-            for nb in range(total + 1):
-                for mi_b in all_multi_indices(self.chart.base_dim, nb):
-                    for mi_f in all_multi_indices(self.chart.fiber_rank, total - nb):
-                        op = self
-                        for letter in mi_b:
-                            z = Poly.var(self.chart, self.space, Var(VarKind.BASE, letter))
-                            op = op.commutator(DiffOp.mult(z))
-                        for letter in mi_f:
-                            z = Poly.var(self.chart, self.space, Var(fk, letter))
-                            op = op.commutator(DiffOp.mult(z))
-                        value = op.apply(one)
-                        if value.is_zero():
-                            continue
-                        scale = Fraction(1, mi_b.factorial() * mi_f.factorial())
-                        out[(mi_b, mi_f)] = value.scale(scale)
+            out.update(
+                _recover_table(
+                    self.chart,
+                    self.space,
+                    total,
+                    lambda args: nested_commutator(self, args).apply(one),
+                )
+            )
         return out
 
     def top_table(self, q: int) -> dict:
@@ -378,6 +368,29 @@ def nested_commutator(op: DiffOp, factors) -> DiffOp:
     for f in factors:
         out = out.commutator(DiffOp.mult(f))
     return out
+
+
+def _recover_table(chart, space, q, value_fn) -> dict:
+    """Build an order-q table from symmetric evaluations on coordinates.
+
+    value_fn(args) must return the value on the q coordinate functions of
+    each key, base letters before fiber letters; division by I!B! undoes
+    the multiplicities.
+    """
+    fk = fiber_kind(space)
+    terms = {}
+    for nb in range(q + 1):
+        for mi_b in all_multi_indices(chart.base_dim, nb):
+            for mi_f in all_multi_indices(chart.fiber_rank, q - nb):
+                args = [
+                    Poly.var(chart, space, Var(VarKind.BASE, i)) for i in mi_b
+                ] + [Poly.var(chart, space, Var(fk, a)) for a in mi_f]
+                value = value_fn(args)
+                if value.is_zero():
+                    continue
+                scale = Fraction(1, mi_b.factorial() * mi_f.factorial())
+                terms[(mi_b, mi_f)] = value.scale(scale)
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +467,7 @@ def diffop_from_doc(doc) -> DiffOp:
             _indices_from_doc(entry["dx"], "dx"),
             _indices_from_doc(entry["du"], "du"),
         )
-        if key in terms:
-            terms[key] = terms[key] + coeff
-        else:
-            terms[key] = coeff
+        add_into(terms, key, coeff)
     return DiffOp(chart, space, terms)
 
 

@@ -2,7 +2,8 @@
 
 Every domain error derives from FwlopError so the CLI can map any of them
 to exit code 1, while parse-level errors derive from DocumentError (exit
-code 3).
+code 3) and broken internal invariants raise InvariantViolation (exit
+code 2).
 """
 
 
@@ -84,3 +85,8 @@ class NonConstantDeterminant(FwlopError):
 
 class UnknownSuite(FwlopError):
     """Verification suite name not in the registry."""
+
+
+class InvariantViolation(FwlopError):
+    """An internal consistency check failed: a defect in fwlop, not in the
+    input.  Raised explicitly, so it survives `python -O`."""

@@ -15,7 +15,7 @@ table gives the vector field, and the nested-commutator values
 
 combined with the trace action of the contracted symbol give the
 multiplication part.  Both that construction and an independent closed
-coordinate formula are computed on every call and asserted equal.
+coordinate formula are computed on every call and checked equal.
 
 Rank-1 bundle multivectors are pairs (P, rho) of symmetric multivectors of
 orders q and q-1, acting by D(f_1,...,f_{q-1} | g Vol) = (P(f's, g) +
@@ -28,11 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffop import DiffOp, nested_commutator
+from .diffop import DiffOp, _recover_table, nested_commutator
 from .errors import (
     ChartMismatch,
     DocumentError,
     IncompatiblePair,
+    InvariantViolation,
     NotFWL,
     NotHomogeneous,
     RankMismatch,
@@ -43,6 +44,7 @@ from .multivec import (
     Section,
     SectionRole,
     SymMultivector,
+    _dual_monomial,
     core_to_dualpoly,
     fwl_check_multivector,
     hamiltonian_field,
@@ -58,8 +60,8 @@ from .symcore import (
     Space,
     Var,
     VarKind,
+    add_into,
     all_multi_indices,
-    dual_var,
     parse_poly,
     poly_to_str,
     unshuffles,
@@ -147,14 +149,6 @@ class FrameDerivation:
                 row.append(entry)
             matrix.append(tuple(row))
         return FrameDerivation(self.chart, size, symbol, tuple(matrix))
-
-
-def dual_derivation(d: FrameDerivation) -> FrameDerivation:
-    return d.dual()
-
-
-def top_power_action(d: FrameDerivation) -> FrameDerivation:
-    return d.top_power()
 
 
 class LDerivation:
@@ -339,8 +333,6 @@ def _symbol_field_on_basis(p: SymMultivector, c_idx: MultiIndex) -> tuple:
 
 def _recover_pair(chart, q: int, apply_fn) -> LPair:
     """Rebuild (P, rho) tables of orders q, q-1 from an action functional."""
-    from .multivec import _recover_table
-
     one = Poly.const(chart, Space.E, 1)
 
     def rho_value(args):
@@ -441,7 +433,7 @@ def psi_values(op: DiffOp, sections) -> Poly:
         Poly.const(op.chart, op.space, 1)
     )
     if not value.is_base_only():
-        raise AssertionError("nested-commutator value is not base-only")
+        raise InvariantViolation("nested-commutator value is not base-only")
     return value
 
 
@@ -506,18 +498,11 @@ def _closed_form_mult(op: DiffOp, q: int) -> Poly:
     return out
 
 
-def _dual_monomial(chart: Chart, mi: MultiIndex) -> Poly:
-    mono = Poly.const(chart, Space.ESTAR, 1)
-    for a in mi:
-        mono = mono * Poly.var(chart, Space.ESTAR, dual_var(a))
-    return mono
-
-
 def a_iso(op: DiffOp, q: int) -> LDerivation:
     """FWL operator of order q to a derivation of the pulled-back line.
 
     Computes both the bundle-map path (nested commutators plus trace
-    action) and the closed coordinate formula, asserts they agree, and
+    action) and the closed coordinate formula, checks they agree, and
     returns the result; homogeneous of degree q-1.
     """
     if op.space is not Space.E:
@@ -533,9 +518,12 @@ def a_iso(op: DiffOp, q: int) -> LDerivation:
         pair = _a_iso_pair(op, q)
         result = pair_to_lderivation(pair)
         closed = LDerivation(hamiltonian_field(op.symbol_at(q)), _closed_form_mult(op, q))
-    assert result == closed, "bundle-map path and closed coordinate path disagree"
+    if result != closed:
+        raise InvariantViolation(
+            "bundle-map path and closed coordinate path disagree"
+        )
     if not result.is_homogeneous(q - 1):
-        raise AssertionError("image derivation is not homogeneous of degree q-1")
+        raise InvariantViolation("image derivation is not homogeneous of degree q-1")
     return result
 
 
@@ -551,18 +539,9 @@ def a_inverse(d: LDerivation, q: int) -> DiffOp:
     if not d.is_homogeneous(q - 1):
         raise NotHomogeneous(f"derivation is not homogeneous of degree {q - 1}")
     terms = {}
-
-    def add_term(key, coeff):
-        if coeff.is_zero():
-            return
-        if key in terms:
-            terms[key] = terms[key] + coeff
-        else:
-            terms[key] = coeff
-
     for i, comp in enumerate(d.field.base_coeffs, start=1):
         for mi, base_part in _split_dual(comp).items():
-            add_term((MultiIndex([i]), mi), base_part)
+            add_into(terms, (MultiIndex([i]), mi), base_part)
 
     fiber_coeffs = {}
     for alpha, comp in enumerate(d.field.dual_coeffs, start=1):
@@ -570,7 +549,7 @@ def a_inverse(d: LDerivation, q: int) -> DiffOp:
             coeff = -base_part
             fiber_coeffs[(mi, alpha)] = coeff
             u_alpha = Poly.var(chart, Space.E, Var(VarKind.FIBER, alpha))
-            add_term((EMPTY_MI, mi), coeff * u_alpha)
+            add_into(terms, (EMPTY_MI, mi), coeff * u_alpha)
 
     mult_parts = _split_dual(d.mult)
     for mi in all_multi_indices(chart.fiber_rank, q - 1):
@@ -580,7 +559,7 @@ def a_inverse(d: LDerivation, q: int) -> DiffOp:
             top = fiber_coeffs.get((mi.concat(MultiIndex([beta])), beta))
             if top is not None:
                 correction = correction + top.scale(mi.multiplicity(beta) + 1)
-        add_term((EMPTY_MI, mi), base_part + correction)
+        add_into(terms, (EMPTY_MI, mi), base_part + correction)
 
     return DiffOp(chart, Space.E, terms)
 
@@ -596,12 +575,8 @@ def _split_dual(p: Poly) -> dict:
                 v_letters.extend([var.index] * exp)
             else:
                 x_part.append((var, exp))
-        mi = MultiIndex(v_letters)
         piece = Poly(p.chart, Space.E, {tuple(x_part): coeff})
-        if mi in out:
-            out[mi] = out[mi] + piece
-        else:
-            out[mi] = piece
+        add_into(out, MultiIndex(v_letters), piece)
     return out
 
 
@@ -634,6 +609,8 @@ def lderivation_from_doc(doc) -> LDerivation:
         raise DocumentError("field components must be lists of polynomials")
     if len(dx) != chart.base_dim or len(dv) != chart.fiber_rank:
         raise DocumentError("field component counts must match the chart")
+    if not all(isinstance(s, str) for s in dx + dv):
+        raise DocumentError("field components must be polynomial strings")
     base = tuple(parse_poly(s, chart, Space.ESTAR) for s in dx)
     dual = tuple(parse_poly(s, chart, Space.ESTAR) for s in dv)
     if not isinstance(doc["mult"], str):

@@ -18,36 +18,25 @@ values on the transverse coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .diffop import DiffOp, nested_commutator
-from .errors import NotLinearizable, OrderExceeded, SpaceMismatch
+from .errors import (
+    InvariantViolation,
+    NotLinearizable,
+    OrderExceeded,
+    SpaceMismatch,
+)
 from .multivec import SymMultivector
 from .symcore import (
     EMPTY_MI,
-    Chart,
     Poly,
     Space,
     Var,
     VarKind,
+    add_into,
     all_multi_indices,
 )
-
-
-@dataclass(frozen=True)
-class AmbientContext:
-    """Chart convention tying an ambient chart to its normal bundle."""
-
-    chart: Chart
-
-    @property
-    def ambient_space(self):
-        return Space.AMBIENT
-
-    @property
-    def bundle_space(self):
-        return Space.E
 
 
 def linearize_function(f: Poly) -> Poly:
@@ -87,17 +76,11 @@ def linearize_multivector(p: SymMultivector) -> SymMultivector:
     if not is_linearizable_multivector(p):
         raise NotLinearizable("a pure-fiber top coefficient survives at u = 0")
     terms = {}
-
-    def add(key, coeff):
-        if coeff.is_zero():
-            return
-        terms[key] = terms.get(key, Poly.zero(p.chart, Space.E)) + coeff
-
-    for (mi_b, mi_f), coeff in p.terms.items():
-        if len(mi_b) == 1:
-            add((mi_b, mi_f), coeff.restrict_fiber_zero().with_space(Space.E))
-        elif len(mi_b) == 0:
-            add((mi_b, mi_f), linearize_function(coeff))
+    for key, coeff in p.terms.items():
+        if len(key[0]) == 1:
+            terms[key] = coeff.restrict_fiber_zero().with_space(Space.E)
+        elif len(key[0]) == 0:
+            terms[key] = linearize_function(coeff)
     return SymMultivector(p.chart, Space.E, p.q, terms)
 
 
@@ -149,12 +132,9 @@ def linearize_do(op: DiffOp, q: int) -> DiffOp:
         coeff = (psi.with_space(Space.E) - psi_top).scale(
             Fraction(1, c_idx.factorial())
         )
-        if coeff.is_zero():
-            continue
-        key = (EMPTY_MI, c_idx)
-        terms[key] = terms.get(key, Poly.zero(chart, Space.E)) + coeff
+        add_into(terms, (EMPTY_MI, c_idx), coeff)
 
     result = DiffOp(chart, Space.E, terms)
     if not result.is_fwl(q):
-        raise AssertionError("linearization failed the FWL postcondition")
+        raise InvariantViolation("linearization failed the FWL postcondition")
     return result

@@ -18,15 +18,16 @@ operator commutator is a genuine cross-check between two code paths.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
-from .diffop import DiffOp
+from .diffop import DiffOp, _recover_table
 from .errors import (
     ArityMismatch,
     AsymmetricGamma,
     ChartMismatch,
+    InvariantViolation,
     NonConstantDeterminant,
     NotCore,
     NotFWL,
@@ -41,9 +42,8 @@ from .symcore import (
     Space,
     Var,
     VarKind,
-    all_multi_indices,
+    add_into,
     dual_var,
-    fiber_kind,
     unshuffles,
 )
 
@@ -126,34 +126,6 @@ class SymMultivector:
         self._eval_cache[key] = value
         return value
 
-    def coordinate_functions(self, mi_base: MultiIndex, mi_fiber: MultiIndex):
-        fk = fiber_kind(self.space)
-        return [
-            Poly.var(self.chart, self.space, Var(VarKind.BASE, i)) for i in mi_base
-        ] + [Poly.var(self.chart, self.space, Var(fk, a)) for a in mi_fiber]
-
-
-def _recover_table(chart, space, q, value_fn) -> dict:
-    """Build an order-q table from symmetric evaluations on coordinates.
-
-    value_fn(args) must return the multivector value on the q coordinate
-    functions of each key; division by I!B! undoes the multiplicities.
-    """
-    fk = fiber_kind(space)
-    terms = {}
-    for nb in range(q + 1):
-        for mi_b in all_multi_indices(chart.base_dim, nb):
-            for mi_f in all_multi_indices(chart.fiber_rank, q - nb):
-                args = [
-                    Poly.var(chart, space, Var(VarKind.BASE, i)) for i in mi_b
-                ] + [Poly.var(chart, space, Var(fk, a)) for a in mi_f]
-                value = value_fn(args)
-                if value.is_zero():
-                    continue
-                scale = Fraction(1, mi_b.factorial() * mi_f.factorial())
-                terms[(mi_b, mi_f)] = value.scale(scale)
-    return terms
-
 
 def poisson(p1: SymMultivector, p2: SymMultivector) -> SymMultivector:
     """Gerstenhaber-type bracket via the literal unshuffle double sum.
@@ -223,10 +195,7 @@ def fwl_check_multivector(p: SymMultivector) -> bool:
 
 def is_core_multivector(p: SymMultivector) -> bool:
     """True iff every term is pure-fiber with base-only coefficient."""
-    return all(
-        len(mi_b) == 0 and coeff.is_base_only()
-        for (mi_b, mi_f), coeff in p.terms.items()
-    )
+    return p.to_operator().is_core_sum()
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +294,9 @@ def multiderivation_D(p: SymMultivector, *phis: Section) -> Section:
     value = p.eval(*(phi.ell() for phi in phis))
     parts = value.fiber_degree_decompose()
     if set(parts) - {1}:
-        raise AssertionError("evaluation on fiber-linear functions is not fiber-linear")
+        raise InvariantViolation(
+            "evaluation on fiber-linear functions is not fiber-linear"
+        )
     comps = tuple(
         value.partial(Var(VarKind.FIBER, a))
         for a in range(1, p.chart.fiber_rank + 1)
@@ -344,8 +315,14 @@ def multiderivation_l(p: SymMultivector, *args) -> Poly:
         raise SpaceMismatch("the function argument must be fiber-independent")
     value = p.eval(*(phi.ell() for phi in phis), f.with_space(Space.E))
     if not value.is_base_only():
-        raise AssertionError("symbol value is not a base function")
+        raise InvariantViolation("symbol value is not a base function")
     return value
+
+
+def _dual_monomial(chart: Chart, mi: MultiIndex) -> Poly:
+    """The dual-space monomial v_mi (1 for the empty multi-index)."""
+    mono = tuple((dual_var(a), e) for a, e in mi.multiplicities().items())
+    return Poly(chart, Space.ESTAR, {mono: 1})
 
 
 def core_to_dualpoly(p: SymMultivector) -> Poly:
@@ -354,10 +331,7 @@ def core_to_dualpoly(p: SymMultivector) -> Poly:
     for (mi_b, mi_f), coeff in p.terms.items():
         if len(mi_b) != 0 or not coeff.is_base_only():
             raise NotCore("table has a non-core term")
-        mono = coeff.with_space(Space.ESTAR)
-        for a in mi_f:
-            mono = mono * Poly.var(p.chart, Space.ESTAR, dual_var(a))
-        out = out + mono
+        out = out + coeff.with_space(Space.ESTAR) * _dual_monomial(p.chart, mi_f)
     return out
 
 
@@ -472,18 +446,6 @@ class PolyVectorField:
                 return False
         return True
 
-    def degree(self):
-        if self.is_zero():
-            return None
-        degs = set()
-        for c in self.base_coeffs:
-            degs.update(c.fiber_degree_decompose())
-        for c in self.dual_coeffs:
-            degs.update(d - 1 for d in c.fiber_degree_decompose())
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
 
 def hamiltonian_field(p: SymMultivector) -> PolyVectorField:
     """Derivation {P, -} of the core algebra, as a field on the dual space.
@@ -499,9 +461,7 @@ def hamiltonian_field(p: SymMultivector) -> PolyVectorField:
     base = [zero] * chart.base_dim
     dual = [zero] * chart.fiber_rank
     for (mi_b, mi_f), coeff in p.terms.items():
-        v_mono = Poly.const(chart, Space.ESTAR, 1)
-        for a in mi_f:
-            v_mono = v_mono * Poly.var(chart, Space.ESTAR, dual_var(a))
+        v_mono = _dual_monomial(chart, mi_f)
         if len(mi_b) == 1:
             i = mi_b.entries[0]
             base[i - 1] = base[i - 1] + coeff.with_space(Space.ESTAR) * v_mono
@@ -522,8 +482,6 @@ def hamiltonian_field(p: SymMultivector) -> PolyVectorField:
 
 def _det(matrix):
     """Exact determinant by permutation expansion (small matrices only)."""
-    import itertools
-
     size = len(matrix)
     chart, space = matrix[0][0].chart, matrix[0][0].space
     out = Poly.zero(chart, space)
@@ -610,7 +568,8 @@ def fwl_metric_laplacian(chart: Chart, gamma) -> DiffOp:
                 start=zero,
             )
             expected = one if row == col else zero
-            assert entry == expected, "blockwise inverse failed verification"
+            if entry != expected:
+                raise InvariantViolation("blockwise inverse failed verification")
 
     def coord(mu: int) -> Var:
         if mu < n:
@@ -623,19 +582,13 @@ def fwl_metric_laplacian(chart: Chart, gamma) -> DiffOp:
         return (mi_b, mi_f)
 
     terms = {}
-
-    def accumulate(key, coeff):
-        if coeff.is_zero():
-            return
-        terms[key] = terms.get(key, zero) + coeff
-
     for mu in range(size):
         for nu in range(size):
-            accumulate(key_for((coord(mu), coord(nu))), ginv[mu][nu])
-            accumulate(key_for((coord(nu),)), ginv[mu][nu].partial(coord(mu)))
+            add_into(terms, key_for((coord(mu), coord(nu))), ginv[mu][nu])
+            add_into(terms, key_for((coord(nu),)), ginv[mu][nu].partial(coord(mu)))
 
     result = DiffOp(chart, Space.E, terms)
     if not result.is_fwl(2):
-        raise AssertionError("metric Laplacian failed the FWL postcondition")
+        raise InvariantViolation("metric Laplacian failed the FWL postcondition")
     return result
 

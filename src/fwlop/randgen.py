@@ -24,6 +24,7 @@ from .symcore import (
     Space,
     Var,
     VarKind,
+    add_into,
     fiber_kind,
 )
 
@@ -105,6 +106,11 @@ def rand_fiber_multi_index(rng, chart, length) -> MultiIndex:
     return MultiIndex(rng.randint(1, chart.fiber_rank) for _ in range(length))
 
 
+def rand_key(rng, chart, nb: int, nf: int) -> tuple:
+    """Operator-table key of nb base and nf fiber letters, base drawn first."""
+    return rand_base_multi_index(rng, chart, nb), rand_fiber_multi_index(rng, chart, nf)
+
+
 def rand_diffop(
     rng: random.Random,
     chart: Chart,
@@ -118,15 +124,8 @@ def rand_diffop(
     for _ in range(rng.randint(1, max_keys)):
         total = rng.randint(0, top)
         nb = rng.randint(0, total)
-        key = (
-            rand_base_multi_index(rng, chart, nb),
-            rand_fiber_multi_index(rng, chart, total - nb),
-        )
-        coeff = rand_poly(rng, chart, space, bounds)
-        if key in terms:
-            terms[key] = terms[key] + coeff
-        else:
-            terms[key] = coeff
+        key = rand_key(rng, chart, nb, total - nb)
+        add_into(terms, key, rand_poly(rng, chart, space, bounds))
     return DiffOp(chart, space, terms)
 
 
@@ -136,11 +135,7 @@ def rand_core_op(rng, chart, bounds, q: int) -> DiffOp:
         terms = {}
         for _ in range(rng.randint(1, 2)):
             key = (EMPTY_MI, rand_fiber_multi_index(rng, chart, q))
-            coeff = rand_poly(rng, chart, Space.E, bounds, base_only=True)
-            if key in terms:
-                terms[key] = terms[key] + coeff
-            else:
-                terms[key] = coeff
+            add_into(terms, key, rand_poly(rng, chart, Space.E, bounds, base_only=True))
         op = DiffOp(chart, Space.E, terms)
         if not op.is_zero():
             return op
@@ -149,29 +144,17 @@ def rand_core_op(rng, chart, bounds, q: int) -> DiffOp:
 def rand_fwl_op(rng, chart, bounds, q: int) -> DiffOp:
     """Operator in the order-q FWL normal form (possibly with zero parts)."""
     terms = {}
-
-    def add(key, coeff):
-        if coeff.is_zero():
-            return
-        if key in terms:
-            terms[key] = terms[key] + coeff
-        else:
-            terms[key] = coeff
-
     for _ in range(rng.randint(0, 2)):
         if q >= 1:
-            key = (
-                rand_base_multi_index(rng, chart, 1),
-                rand_fiber_multi_index(rng, chart, q - 1),
-            )
-            add(key, rand_poly(rng, chart, Space.E, bounds, base_only=True))
+            key = rand_key(rng, chart, 1, q - 1)
+            add_into(terms, key, rand_poly(rng, chart, Space.E, bounds, base_only=True))
     for _ in range(rng.randint(0, 2)):
         key = (EMPTY_MI, rand_fiber_multi_index(rng, chart, q))
-        add(key, rand_poly(rng, chart, Space.E, bounds, fiber_degree=1))
+        add_into(terms, key, rand_poly(rng, chart, Space.E, bounds, fiber_degree=1))
     for _ in range(rng.randint(0, 2)):
         if q >= 1:
             key = (EMPTY_MI, rand_fiber_multi_index(rng, chart, q - 1))
-            add(key, rand_poly(rng, chart, Space.E, bounds, base_only=True))
+            add_into(terms, key, rand_poly(rng, chart, Space.E, bounds, base_only=True))
     return DiffOp(chart, Space.E, terms)
 
 
@@ -179,15 +162,8 @@ def rand_multivector(rng, chart, space, bounds, q: int, max_keys=2) -> SymMultiv
     terms = {}
     for _ in range(rng.randint(1, max_keys)):
         nb = rng.randint(0, q)
-        key = (
-            rand_base_multi_index(rng, chart, nb),
-            rand_fiber_multi_index(rng, chart, q - nb),
-        )
-        coeff = rand_poly(rng, chart, space, bounds)
-        if key in terms:
-            terms[key] = terms[key] + coeff
-        else:
-            terms[key] = coeff
+        key = rand_key(rng, chart, nb, q - nb)
+        add_into(terms, key, rand_poly(rng, chart, space, bounds))
     return SymMultivector(chart, space, q, terms)
 
 
@@ -214,11 +190,7 @@ def rand_fwl_pair(rng, chart, bounds, q: int) -> LPair:
     rho_terms = {}
     for _ in range(rng.randint(0, 2)):
         key = (EMPTY_MI, rand_fiber_multi_index(rng, chart, q - 1))
-        coeff = rand_poly(rng, chart, Space.E, bounds, base_only=True)
-        if key in rho_terms:
-            rho_terms[key] = rho_terms[key] + coeff
-        else:
-            rho_terms[key] = coeff
+        add_into(rho_terms, key, rand_poly(rng, chart, Space.E, bounds, base_only=True))
     rho = SymMultivector(chart, Space.E, q - 1, rho_terms)
     return LPair(p, rho)
 
@@ -263,19 +235,11 @@ def rand_linearizable_multivector(rng, chart, bounds, q: int) -> SymMultivector:
     terms = {}
     for _ in range(rng.randint(1, 2)):
         nb = rng.randint(0, q)
-        key = (
-            rand_base_multi_index(rng, chart, nb),
-            rand_fiber_multi_index(rng, chart, q - nb),
-        )
+        key = rand_key(rng, chart, nb, q - nb)
         coeff = rand_poly(rng, chart, Space.AMBIENT, bounds)
         if nb == 0:
             coeff = coeff - coeff.restrict_fiber_zero()
-        if coeff.is_zero():
-            continue
-        if key in terms:
-            terms[key] = terms[key] + coeff
-        else:
-            terms[key] = coeff
+        add_into(terms, key, coeff)
     return SymMultivector(chart, Space.AMBIENT, q, terms)
 
 
@@ -286,17 +250,8 @@ def rand_order_q_linearizable_op(rng, chart, bounds, q: int) -> DiffOp:
     for _ in range(rng.randint(0, 2)):
         total = rng.randint(0, q - 1) if q > 0 else 0
         nb = rng.randint(0, total)
-        key = (
-            rand_base_multi_index(rng, chart, nb),
-            rand_fiber_multi_index(rng, chart, total - nb),
-        )
-        coeff = rand_poly(rng, chart, Space.AMBIENT, bounds)
-        if coeff.is_zero():
-            continue
-        if key in terms:
-            terms[key] = terms[key] + coeff
-        else:
-            terms[key] = coeff
+        key = rand_key(rng, chart, nb, total - nb)
+        add_into(terms, key, rand_poly(rng, chart, Space.AMBIENT, bounds))
     return DiffOp(chart, Space.AMBIENT, terms)
 
 
@@ -310,9 +265,47 @@ def rand_linear_field_op(rng, chart, bounds) -> DiffOp:
     for a in range(1, chart.fiber_rank + 1):
         coeff = rand_poly(rng, chart, Space.E, bounds, fiber_degree=1)
         if not coeff.is_zero():
-            key = (EMPTY_MI, MultiIndex([a]))
-            terms[key] = terms.get(key, Poly.zero(chart, Space.E)) + coeff
+            terms[(EMPTY_MI, MultiIndex([a]))] = coeff
     return DiffOp(chart, Space.E, terms)
+
+
+def rand_core_generators(rng, chart, bounds) -> list:
+    """The coordinate multiplications x_i, the vertical fields d/du_a, and
+    one random core operator: operators whose commutators with a FWL
+    operator stay core."""
+    gens = []
+    for i in range(1, chart.base_dim + 1):
+        gens.append(DiffOp.mult(Poly.var(chart, Space.E, Var(VarKind.BASE, i))))
+    one = Poly.const(chart, Space.E, 1)
+    for a in range(1, chart.fiber_rank + 1):
+        gens.append(DiffOp.monomial(one, EMPTY_MI, MultiIndex([a])))
+    gens.append(rand_core_op(rng, chart, bounds, rng.randint(1, bounds.order_max)))
+    return gens
+
+
+def rand_fwl_violation(rng, chart, bounds, op: DiffOp, q: int) -> DiffOp:
+    """Add one term breaking the FWL normal form (graded parts cannot cancel)."""
+    kind = rng.randrange(3)
+    u1 = Poly.var(chart, Space.E, Var(VarKind.FIBER, 1))
+    if kind == 0:
+        # Not rand_key: the fiber length must be drawn after the base letters.
+        key = (
+            rand_base_multi_index(rng, chart, 2),
+            rand_fiber_multi_index(rng, chart, rng.randint(0, 1)),
+        )
+        coeff = rand_poly(rng, chart, Space.E, bounds, base_only=True)
+        fallback = Poly.const(chart, Space.E, 1)
+    elif kind == 1:
+        key = (EMPTY_MI, rand_fiber_multi_index(rng, chart, max(q, 1)))
+        coeff = rand_poly(rng, chart, Space.E, bounds, fiber_degree=2)
+        fallback = u1 * u1
+    else:
+        key = rand_key(rng, chart, 1, max(q - 1, 0))
+        coeff = rand_poly(rng, chart, Space.E, bounds, fiber_degree=1)
+        fallback = u1
+    if coeff.is_zero():
+        coeff = fallback
+    return op + DiffOp.monomial(coeff, *key)
 
 
 def rand_gamma(rng, chart, bounds) -> dict:

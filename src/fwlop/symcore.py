@@ -199,7 +199,10 @@ EMPTY_MI = MultiIndex()
 
 
 def all_multi_indices(alphabet_size: int, length: int):
-    """All sorted words of the given length over 1..alphabet_size."""
+    """All sorted words of the given length over 1..alphabet_size (none
+    when the length is negative)."""
+    if length < 0:
+        return
     for combo in itertools.combinations_with_replacement(
         range(1, alphabet_size + 1), length
     ):
@@ -577,14 +580,15 @@ class Poly:
         return result
 
 
-def poly_arith(a: Poly, b: Poly, op: str) -> Poly:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
+def add_into(table: dict, key, coeff) -> None:
+    """Add coeff to table[key], a missing entry counting as zero; the entry
+    is dropped when the sum is zero.  Values are Poly-like (`is_zero()`)."""
+    acc = table.get(key)
+    total = coeff if acc is None else acc + coeff
+    if total.is_zero():
+        table.pop(key, None)
+    else:
+        table[key] = total
 
 
 # ---------------------------------------------------------------------------
@@ -719,6 +723,3 @@ def poly_to_str(p: Poly) -> str:
     for neg, text in pieces[1:]:
         out += (" - " if neg else " + ") + text
     return out
-
-
-print_poly = poly_to_str

@@ -19,6 +19,7 @@ from .lbundle import (
     FrameDerivation,
     LDerivation,
     LPair,
+    _base_field_apply,
     a_inverse,
     a_iso,
     lderiv_commutator,
@@ -40,16 +41,19 @@ from .multivec import (
     Section,
     SectionRole,
     SymMultivector,
+    _det,
+    _dual_monomial,
     core_to_dualpoly,
     fwl_check_multivector,
     fwl_metric_laplacian,
     hamiltonian_field,
     multiderivation_D,
     multiderivation_l,
+    pairing,
     poisson,
     sym_product,
 )
-from .errors import NotLinearizable, UnknownSuite
+from .errors import InvariantViolation, NotLinearizable, UnknownSuite
 from .symcore import (
     EMPTY_MI,
     Chart,
@@ -140,13 +144,11 @@ def _doc(obj):
 
 def _dualpoly_of_core_sum(op: DiffOp) -> Poly:
     """Core span of operators to polynomials on the dual space."""
+    if not op.is_core_sum():
+        raise InvariantViolation("operator is not in the span of core operators")
     out = Poly.zero(op.chart, Space.ESTAR)
     for (mi_b, mi_f), coeff in op.terms.items():
-        assert len(mi_b) == 0 and coeff.is_base_only()
-        mono = coeff.with_space(Space.ESTAR)
-        for a in mi_f:
-            mono = mono * Poly.var(op.chart, Space.ESTAR, dual_var(a))
-        out = out + mono
+        out = out + coeff.with_space(Space.ESTAR) * _dual_monomial(op.chart, mi_f)
     return out
 
 
@@ -279,44 +281,6 @@ def _suite_symbol_bracket(s: _Session, trials: int):
         s.check("hamiltonian-lie-morphism", lhs == rhs, p1=pa, p2=pb)
 
 
-def _core_generators(rng, chart, bounds):
-    gens = []
-    for i in range(1, chart.base_dim + 1):
-        gens.append(DiffOp.mult(Poly.var(chart, Space.E, Var(VarKind.BASE, i))))
-    one = Poly.const(chart, Space.E, 1)
-    for a in range(1, chart.fiber_rank + 1):
-        gens.append(DiffOp.monomial(one, EMPTY_MI, MultiIndex([a])))
-    gens.append(rg.rand_core_op(rng, chart, bounds, rng.randint(1, bounds.order_max)))
-    return gens
-
-
-def _violate(rng, chart, bounds, op: DiffOp, q: int) -> DiffOp:
-    """Add one term breaking the FWL normal form (graded parts cannot cancel)."""
-    kind = rng.randrange(3)
-    u1 = Poly.var(chart, Space.E, Var(VarKind.FIBER, 1))
-    if kind == 0:
-        key = (
-            rg.rand_base_multi_index(rng, chart, 2),
-            rg.rand_fiber_multi_index(rng, chart, rng.randint(0, 1)),
-        )
-        coeff = rg.rand_poly(rng, chart, Space.E, bounds, base_only=True)
-        fallback = Poly.const(chart, Space.E, 1)
-    elif kind == 1:
-        key = (EMPTY_MI, rg.rand_fiber_multi_index(rng, chart, max(q, 1)))
-        coeff = rg.rand_poly(rng, chart, Space.E, bounds, fiber_degree=2)
-        fallback = u1 * u1
-    else:
-        key = (
-            rg.rand_base_multi_index(rng, chart, 1),
-            rg.rand_fiber_multi_index(rng, chart, max(q - 1, 0)),
-        )
-        coeff = rg.rand_poly(rng, chart, Space.E, bounds, fiber_degree=1)
-        fallback = u1
-    if coeff.is_zero():
-        coeff = fallback
-    return op + DiffOp.monomial(coeff, *key)
-
-
 def _suite_stabilizer(s: _Session, trials: int):
     """Stabilizer characterization, abelian core, generation of FWL operators."""
     rng, bounds = s.rng, s.bounds
@@ -324,15 +288,17 @@ def _suite_stabilizer(s: _Session, trials: int):
         chart = rg.rand_chart(rng, bounds)
         q = rng.randint(1, bounds.order_max)
         op = rg.rand_fwl_op(rng, chart, bounds, q)
-        gens = _core_generators(rng, chart, bounds)
+        gens = rg.rand_core_generators(rng, chart, bounds)
         s.check(
             "fwl-stabilizes-core",
             all(op.commutator(F).is_core_sum() for F in gens),
             op=op,
         )
 
-        bad = _violate(rng, chart, bounds, op, q)
-        witnesses = _core_generators(rng, chart, bounds)[: chart.base_dim + chart.fiber_rank]
+        bad = rg.rand_fwl_violation(rng, chart, bounds, op, q)
+        witnesses = rg.rand_core_generators(rng, chart, bounds)[
+            : chart.base_dim + chart.fiber_rank
+        ]
         s.check(
             "violation-witnessed",
             any(not bad.commutator(F).is_core_sum() for F in witnesses),
@@ -650,9 +616,7 @@ def _suite_dual_deriv(s: _Session, trials: int):
         phi = rg.rand_section(rng, chart, bounds, SectionRole.OF_ESTAR)
         e = rg.rand_section(rng, chart, bounds, SectionRole.OF_E)
 
-        paired = Poly.zero(chart, Space.E)
-        for pa, ea in zip(phi.components, e.components):
-            paired = paired + pa * ea
+        paired = pairing(phi, e)
         dual = d.dual()
         d_phi = dual.act(phi.components)
         d_e = d.act(e.components)
@@ -663,7 +627,7 @@ def _suite_dual_deriv(s: _Session, trials: int):
             (a * b for a, b in zip(phi.components, d_e)),
             start=Poly.zero(chart, Space.E),
         )
-        rhs = _apply_base_field(chart, d.symbol_field, paired)
+        rhs = _base_field_apply(chart, d.symbol_field, paired)
         s.check("duality-pairing", lhs == rhs, d=d)
         s.check("duality-involutive", dual.dual() == d, d=d)
         s.check(
@@ -686,7 +650,7 @@ def _suite_dual_deriv(s: _Session, trials: int):
         g = rg.rand_poly(rng, chart, Space.E, bounds, base_only=True)
         lhs_leib = d.act(tuple(g * c for c in fsec))
         rhs_leib = tuple(
-            g * c + _apply_base_field(chart, d.symbol_field, g) * sc
+            g * c + _base_field_apply(chart, d.symbol_field, g) * sc
             for c, sc in zip(d.act(fsec), fsec)
         )
         s.check("frame-leibniz", lhs_leib == rhs_leib, d=d, g=g)
@@ -715,13 +679,6 @@ def _rand_frame_derivation(rng, chart, bounds) -> FrameDerivation:
     return FrameDerivation(chart, m, symbol, matrix)
 
 
-def _apply_base_field(chart, field, f):
-    out = Poly.zero(chart, f.space)
-    for i, coeff in enumerate(field, start=1):
-        out = out + coeff.with_space(f.space) * f.partial(Var(VarKind.BASE, i))
-    return out
-
-
 def _wedge_coefficient(d: FrameDerivation, slot: int) -> Poly:
     """Coefficient of the basis volume in e_1 ^ ... ^ D(e_slot) ^ ... ^ e_m."""
     m = d.rank
@@ -732,28 +689,7 @@ def _wedge_coefficient(d: FrameDerivation, slot: int) -> Poly:
         for b in range(m)
     ]
     image = d.act(basis[slot])
-    vectors = [image if i == slot else basis[i] for i in range(m)]
-    total = Poly.zero(d.chart, Space.E)
-    import itertools
-
-    for perm in itertools.permutations(range(m)):
-        sign = 1
-        seen = [False] * m
-        for start in range(m):
-            if seen[start]:
-                continue
-            length, j = 0, start
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        term = Poly.const(d.chart, Space.E, sign)
-        for i in range(m):
-            term = term * vectors[i][perm[i]]
-        total = total + term
-    return total
+    return _det([image if i == slot else basis[i] for i in range(m)])
 
 
 def _suite_laplacian(s: _Session, trials: int):

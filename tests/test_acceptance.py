@@ -43,7 +43,6 @@ from fwlop.symcore import (
     Var,
     VarKind,
 )
-from fwlop.verify import _core_generators, _violate
 
 BOUNDS = rg.Bounds()
 CH22 = Chart(2, 2)
@@ -94,10 +93,10 @@ def test_criterion_03_stabilizer_characterization():
         chart = rg.rand_chart(rng, BOUNDS)
         q = rng.randint(1, 3)
         op = rg.rand_fwl_op(rng, chart, BOUNDS, q)
-        gens = _core_generators(rng, chart, BOUNDS)
+        gens = rg.rand_core_generators(rng, chart, BOUNDS)
         ok = ok and all(op.commutator(g).is_core_sum() for g in gens)
-        bad = _violate(rng, chart, BOUNDS, op, q)
-        witnesses = _core_generators(rng, chart, BOUNDS)
+        bad = rg.rand_fwl_violation(rng, chart, BOUNDS, op, q)
+        witnesses = rg.rand_core_generators(rng, chart, BOUNDS)
         ok = ok and any(not bad.commutator(g).is_core_sum() for g in witnesses)
     _report("3. stabilizer characterization, 200 instances, both directions", ok, started)
 

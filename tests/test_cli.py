@@ -285,3 +285,50 @@ def test_verify_accepts_small_bounds(capsys):
     )
     assert code == 0
     assert "failures: 0" in out
+
+
+# Inputs the CLI fuzz test found escaping `main` as Python exceptions.
+
+
+@pytest.mark.parametrize(
+    "dv", [[True], [None], [1]], ids=["bool", "null", "int"]
+)
+def test_derivation_components_must_be_strings(op_file, capsys, dv):
+    doc = {
+        "chart": {"base_dim": 1, "fiber_rank": 1},
+        "field": {"dx": ["x1*v1^2"], "dv": dv},
+        "mult": "v1",
+    }
+    code, out, err = run(capsys, "a-inv", "--order", "1", op_file(doc))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("DocumentError: ")
+
+
+def test_linearize_at_order_zero(op_file, capsys):
+    ambient = {
+        "chart": {"base_dim": 2, "fiber_rank": 1},
+        "space": "Ambient",
+        "terms": [{"coeff": "0*x1^2*u1", "dx": [], "du": []}],
+    }
+    code, out, _ = run(capsys, "linearize", "--order", "0", op_file(ambient))
+    assert code == 0
+    assert json.loads(out)["terms"] == []
+    ambient["terms"][0]["coeff"] = "x1*u1 + u1^2"
+    code, out, _ = run(capsys, "linearize", "--order", "0", op_file(ambient))
+    assert code == 0
+    assert json.loads(out)["terms"] == [{"coeff": "x1*u1", "dx": [], "du": []}]
+
+
+def test_a_inv_at_order_zero_inverts_a_iso(op_file, capsys):
+    op = {
+        "chart": {"base_dim": 1, "fiber_rank": 1},
+        "space": "E",
+        "terms": [{"coeff": "-x1*u1", "dx": [], "du": []}],
+    }
+    code, out, _ = run(capsys, "a-iso", "--order", "0", op_file(op, "op.json"))
+    assert code == 0
+    assert json.loads(out)["field"] == {"dx": ["0"], "dv": ["x1"]}
+    code, out, _ = run(capsys, "a-inv", "--order", "0", op_file(json.loads(out), "d.json"))
+    assert code == 0
+    assert json.loads(out) == op

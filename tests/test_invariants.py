@@ -1,0 +1,68 @@
+"""Internal invariants raise InvariantViolation, which survives `python -O`."""
+
+import ast
+import json
+from pathlib import Path
+
+import pytest
+
+from fwlop import lbundle
+from fwlop.cli import main
+from fwlop.diffop import diffop_from_doc
+from fwlop.errors import FwlopError, InvariantViolation
+from fwlop.symcore import Poly, Space
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "fwlop"
+
+OP_FWL2 = {
+    "chart": {"base_dim": 1, "fiber_rank": 1},
+    "space": "E",
+    "terms": [
+        {"coeff": "1", "dx": [], "du": [1]},
+        {"coeff": "u1", "dx": [], "du": [1, 1]},
+    ],
+}
+
+
+def test_invariant_violation_is_a_domain_error():
+    assert issubclass(InvariantViolation, FwlopError)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_or_assertion_error_in_the_package(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    names = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "AssertionError"
+    ]
+    assert asserts == [] and names == []
+
+
+def _wrong_closed_form(monkeypatch):
+    right = lbundle._closed_form_mult
+
+    def wrong(op, q):
+        return right(op, q) + Poly.const(op.chart, Space.ESTAR, 1)
+
+    monkeypatch.setattr(lbundle, "_closed_form_mult", wrong)
+
+
+def test_a_iso_path_disagreement_raises(monkeypatch):
+    op = diffop_from_doc(OP_FWL2)
+    lbundle.a_iso(op, 2)
+    _wrong_closed_form(monkeypatch)
+    with pytest.raises(InvariantViolation, match="disagree"):
+        lbundle.a_iso(op, 2)
+
+
+def test_cli_maps_invariant_violation_to_exit_2(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(OP_FWL2))
+    _wrong_closed_form(monkeypatch)
+    code = main(["a-iso", "--order", "2", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("InvariantViolation: ")

@@ -12,7 +12,6 @@ from fwlop.lbundle import (
     LPair,
     a_inverse,
     a_iso,
-    dual_derivation,
     lderiv_commutator,
     lderivation_from_doc,
     lderivation_to_doc,
@@ -20,7 +19,6 @@ from fwlop.lbundle import (
     pair_product,
     pair_to_lderivation,
     psi_values,
-    top_power_action,
 )
 from fwlop.multivec import (
     PolyVectorField,
@@ -73,13 +71,13 @@ def _frame(chart, symbol, matrix):
 
 def test_dual_of_zero_matrix():
     d = _frame(CH1, [P("x1")], [[P("0")]])
-    assert dual_derivation(d).matrix == ((P("0"),),)
-    assert dual_derivation(d).symbol_field == d.symbol_field
+    assert d.dual().matrix == ((P("0"),),)
+    assert d.dual().symbol_field == d.symbol_field
 
 
 def test_dual_single_entry():
     d = _frame(CH, [P("0", CH), P("0", CH)], [[P("0", CH), P("1", CH)], [P("0", CH), P("0", CH)]])
-    dual = dual_derivation(d)
+    dual = d.dual()
     assert dual.matrix == (
         (P("0", CH), P("0", CH)),
         (P("-1", CH), P("0", CH)),
@@ -93,14 +91,14 @@ def test_dual_involutive_and_pairing():
     for _ in range(25):
         chart = rand_chart(rng, BOUNDS)
         d = _rand_frame_derivation(rng, chart, BOUNDS)
-        assert dual_derivation(dual_derivation(d)) == d
+        assert d.dual().dual() == d
         phi = rand_section(rng, chart, BOUNDS, SectionRole.OF_ESTAR)
         e = rand_section(rng, chart, BOUNDS, SectionRole.OF_E)
         paired = Poly.zero(chart, Space.E)
         for a, b in zip(phi.components, e.components):
             paired = paired + a * b
         lhs = Poly.zero(chart, Space.E)
-        for a, b in zip(dual_derivation(d).act(phi.components), e.components):
+        for a, b in zip(d.dual().act(phi.components), e.components):
             lhs = lhs + a * b
         for a, b in zip(phi.components, d.act(e.components)):
             lhs = lhs + a * b
@@ -123,12 +121,12 @@ def test_dual_is_lie_map():
 
 def test_top_power_identity_matrix():
     ident = _frame(CH, [P("0", CH), P("0", CH)], [[P("1", CH), P("0", CH)], [P("0", CH), P("1", CH)]])
-    assert top_power_action(ident).matrix[0][0] == P("2", CH)
+    assert ident.top_power().matrix[0][0] == P("2", CH)
 
 
 def test_top_power_traceless():
     d = _frame(CH, [P("0", CH), P("0", CH)], [[P("x1", CH), P("1", CH)], [P("0", CH), P("-x1", CH)]])
-    assert top_power_action(d).matrix[0][0].is_zero()
+    assert d.top_power().matrix[0][0].is_zero()
 
 
 def test_lderiv_commutator():
