@@ -151,7 +151,7 @@ ORDERS = st.integers(-1, 4).map(str)
 
 @st.composite
 def cli_cases(draw):
-    """(argv with documents as placeholders, {placeholder: document})."""
+    """(argv naming document i as "@i", [documents])."""
     command = draw(st.sampled_from([
         "eval", "compose", "bracket", "grade", "classify", "symbol", "ad",
         "poisson", "a-iso", "a-inv", "linearize", "laplacian",
