@@ -19,8 +19,9 @@ coordinate formula are computed on every call and checked equal.
 
 Rank-1 bundle multivectors are pairs (P, rho) of symmetric multivectors of
 orders q and q-1, acting by D(f_1,...,f_{q-1} | g Vol) = (P(f's, g) +
-g rho(f's)) Vol; their Poisson-algebra product and bracket are implemented
-by the literal unshuffle formulas on evaluations.
+g rho(f's)) Vol; their Poisson-algebra product and bracket are built
+componentwise from `poisson` and `sym_product`.  The literal unshuffle
+formulas on evaluations are the oracles of the `verify` suites.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffop import DiffOp, _recover_table, nested_commutator
+from .diffop import DiffOp, nested_commutator
 from .errors import (
+    ArityMismatch,
     ChartMismatch,
     DocumentError,
     IncompatiblePair,
@@ -51,6 +53,8 @@ from .multivec import (
     is_core_multivector,
     multiderivation_D,
     multiderivation_l,
+    poisson,
+    sym_product,
 )
 from .symcore import (
     EMPTY_MI,
@@ -64,7 +68,6 @@ from .symcore import (
     all_multi_indices,
     parse_poly,
     poly_to_str,
-    unshuffles,
 )
 
 
@@ -331,75 +334,19 @@ def _symbol_field_on_basis(p: SymMultivector, c_idx: MultiIndex) -> tuple:
     return tuple(comps)
 
 
-def _recover_pair(chart, q: int, apply_fn) -> LPair:
-    """Rebuild (P, rho) tables of orders q, q-1 from an action functional."""
-    one = Poly.const(chart, Space.E, 1)
-
-    def rho_value(args):
-        return apply_fn(args, one)
-
-    def p_value(args):
-        *fs, g = args
-        return apply_fn(fs, g) - g * apply_fn(fs, one)
-
-    rho = SymMultivector(chart, Space.E, q - 1, _recover_table(chart, Space.E, q - 1, rho_value))
-    p = SymMultivector(chart, Space.E, q, _recover_table(chart, Space.E, q, p_value))
-    return LPair(p, rho)
-
-
 def pair_bracket(p1: LPair, p2: LPair) -> LPair:
-    """Poisson-Lie bracket of rank-1 bundle multivectors.
-
-    {D1, D2} = D1*D2 - D2*D1 where, on (f_1, ..., f_{k1+k2} | v),
-
-      D1*D2 = sum over (k1, k2)-unshuffles   of D1(block1 | D2(block2 | v))
-            + sum over (k1-1, k2+1)-unshuffles of D1(block1, P2(block2) | v).
-    """
-    if p1.chart != p2.chart:
-        raise ChartMismatch("pair operands on different charts")
-    k1, k2 = p1.q - 1, p2.q - 1
-
-    def bullet(a: LPair, b: LPair, ka: int, kb: int, fs, g: Poly):
-        out = Poly.zero(a.chart, Space.E)
-        for first, second in unshuffles(ka, kb):
-            inner = b.apply([fs[i] for i in second], g)
-            out = out + a.apply([fs[i] for i in first], inner)
-        for first, second in unshuffles(ka - 1, kb + 1):
-            symbol_arg = b.p.eval(*(fs[i] for i in second))
-            out = out + a.apply([fs[i] for i in first] + [symbol_arg], g)
-        return out
-
-    def apply_fn(fs, g):
-        return bullet(p1, p2, k1, k2, fs, g) - bullet(p2, p1, k2, k1, fs, g)
-
-    return _recover_pair(p1.chart, p1.q + p2.q - 1, apply_fn)
+    """Poisson-Lie bracket: ({P1, P2}, {P1, rho2} - {P2, rho1})."""
+    return LPair(
+        poisson(p1.p, p2.p), poisson(p1.p, p2.rho) - poisson(p2.p, p1.rho)
+    )
 
 
 def pair_product(p1: LPair, p2: LPair) -> LPair:
-    """Associative product: symbols multiply against complementary actions.
-
-    On (f_1, ..., f_{k1+k2+1} | v),
-
-      D1.D2 = sum over (k1+1, k2)-unshuffles of P1(block1) D2(block2 | v)
-            + sum over (k2+1, k1)-unshuffles of P2(block1) D1(block2 | v).
-    """
-    if p1.chart != p2.chart:
-        raise ChartMismatch("pair operands on different charts")
-    k1, k2 = p1.q - 1, p2.q - 1
-
-    def apply_fn(fs, g):
-        out = Poly.zero(p1.chart, Space.E)
-        for first, second in unshuffles(k1 + 1, k2):
-            out = out + p1.p.eval(*(fs[i] for i in first)) * p2.apply(
-                [fs[i] for i in second], g
-            )
-        for first, second in unshuffles(k2 + 1, k1):
-            out = out + p2.p.eval(*(fs[i] for i in first)) * p1.apply(
-                [fs[i] for i in second], g
-            )
-        return out
-
-    return _recover_pair(p1.chart, p1.q + p2.q, apply_fn)
+    """Associative product: (P1 P2, P1 rho2 + P2 rho1)."""
+    return LPair(
+        sym_product(p1.p, p2.p),
+        sym_product(p1.p, p2.rho) + sym_product(p2.p, p1.rho),
+    )
 
 
 def pair_to_lderivation(pair: LPair) -> LDerivation:
@@ -437,12 +384,12 @@ def psi_values(op: DiffOp, sections) -> Poly:
     return value
 
 
-def _contract_trace(p: SymMultivector, c_idx: MultiIndex) -> Poly:
+def _contract_trace(p: SymMultivector, phis, symbol: tuple) -> Poly:
     """Multiplication part, in the Vol_u frame, of the action on the
-    determinant line of the derivation P(dual basis of C, ..., -)."""
+    determinant line of the derivation P(phis, -) whose symbol field is
+    `symbol`, for phis the dual basis sections of some C."""
     chart = p.chart
     m = chart.fiber_rank
-    phis = [Section.basis(chart, SectionRole.OF_ESTAR, a) for a in c_idx]
     columns = [
         multiderivation_D(p, *phis, Section.basis(chart, SectionRole.OF_ESTAR, beta))
         for beta in range(1, m + 1)
@@ -451,7 +398,6 @@ def _contract_trace(p: SymMultivector, c_idx: MultiIndex) -> Poly:
         tuple(columns[beta].components[alpha] for beta in range(m))
         for alpha in range(m)
     )
-    symbol = _symbol_field_on_basis(p, c_idx)
     deriv_on_dual = FrameDerivation(chart, m, symbol, matrix)
     return deriv_on_dual.dual().top_power().matrix[0][0]
 
@@ -468,9 +414,9 @@ def _a_iso_pair(op: DiffOp, q: int) -> LPair:
     phi_table = {}
     for c_idx in all_multi_indices(chart.fiber_rank, q - 1):
         sections = [Section.basis(chart, SectionRole.OF_ESTAR, a) for a in c_idx]
-        psi = psi_values(op, sections)
-        mult = _contract_trace(p, c_idx) + psi
-        phi_table[c_idx] = (_symbol_field_on_basis(p, c_idx), mult)
+        symbol = _symbol_field_on_basis(p, c_idx)
+        mult = _contract_trace(p, sections, symbol) + psi_values(op, sections)
+        phi_table[c_idx] = (symbol, mult)
     return LPair.from_phi_table(p, phi_table)
 
 
@@ -498,6 +444,11 @@ def _closed_form_mult(op: DiffOp, q: int) -> Poly:
     return out
 
 
+def _check_order(q: int):
+    if q < 0:
+        raise ArityMismatch(f"order must be >= 0, got {q}")
+
+
 def a_iso(op: DiffOp, q: int) -> LDerivation:
     """FWL operator of order q to a derivation of the pulled-back line.
 
@@ -505,6 +456,7 @@ def a_iso(op: DiffOp, q: int) -> LDerivation:
     action) and the closed coordinate formula, checks they agree, and
     returns the result; homogeneous of degree q-1.
     """
+    _check_order(q)
     if op.space is not Space.E:
         raise SpaceMismatch("the operator side lives on the total space")
     if not op.is_fwl(q):
@@ -535,6 +487,7 @@ def a_inverse(d: LDerivation, q: int) -> DiffOp:
     pure-fiber coefficients off the multiplication part after adding back
     the dual-fiber divergence of the field.
     """
+    _check_order(q)
     chart = d.chart
     if not d.is_homogeneous(q - 1):
         raise NotHomogeneous(f"derivation is not homogeneous of degree {q - 1}")

@@ -11,9 +11,10 @@ the coefficient recovery formula the single extraction oracle: for a pure
 top table, evaluating on the coordinate functions of a multi-index J and
 dividing by J! returns the stored coefficient.
 
-The Poisson bracket is implemented directly from the unshuffle double sum
-(never through operator commutators), so its compatibility with the
-operator commutator is a genuine cross-check between two code paths.
+The Poisson bracket and the symmetric product are read off the tables and
+never form an operator commutator, so the bracket's compatibility with the
+commutator is a genuine cross-check.  Their defining unshuffle sums over
+evaluations are the oracles of the `verify` suites.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .diffop import DiffOp, _recover_table
+from .diffop import DiffOp
 from .errors import (
     ArityMismatch,
     AsymmetricGamma,
@@ -44,7 +45,7 @@ from .symcore import (
     VarKind,
     add_into,
     dual_var,
-    unshuffles,
+    fiber_kind,
 )
 
 
@@ -128,58 +129,47 @@ class SymMultivector:
 
 
 def poisson(p1: SymMultivector, p2: SymMultivector) -> SymMultivector:
-    """Gerstenhaber-type bracket via the literal unshuffle double sum.
+    """Gerstenhaber-type bracket, read off the tables J -> c_J, J = (I, B).
 
-    For orders k1+1 and k2+1 the value on k1+k2+1 functions is
-
-        sum over (k2+1, k1)-unshuffles  of  p1(p2(block1), block2)
-      - sum over (k1+1, k2)-unshuffles  of  p2(p1(block1), block2)
-
-    and the order k1+k2+1 result table is recovered from evaluations on
-    coordinate functions.  Deliberately independent of the operator
-    commutator.
+    Adds J1[z] c1 d_z c2 at key J1 - z + J2 for every pair of terms and every
+    letter z of J1 (x letters and the fiber letters of the space), minus the
+    same sum with p1 and p2 swapped.  It forms no operator commutator, so its
+    compatibility with the commutator is a cross-check of two code paths.
     """
     if p1.chart != p2.chart:
         raise ChartMismatch("poisson operands on different charts")
     if p1.space != p2.space:
         raise SpaceMismatch("poisson operands on different spaces")
-    k1, k2 = p1.q - 1, p2.q - 1
-    q = k1 + k2 + 1
+    q = p1.q + p2.q - 1
     if q < 0:
         return SymMultivector.zero(p1.chart, p1.space, 0)
-
-    def value(args):
-        out = Poly.zero(p1.chart, p1.space)
-        for first, second in unshuffles(k2 + 1, k1):
-            inner = p2.eval(*(args[i] for i in first))
-            out = out + p1.eval(inner, *(args[i] for i in second))
-        for first, second in unshuffles(k1 + 1, k2):
-            inner = p1.eval(*(args[i] for i in first))
-            out = out - p2.eval(inner, *(args[i] for i in second))
-        return out
-
-    terms = _recover_table(p1.chart, p1.space, q, value)
+    fk = fiber_kind(p1.space)
+    terms = {}
+    for a, b, sign in ((p1, p2, 1), (p2, p1, -1)):
+        for (ia, ba), ca in a.terms.items():
+            for (ib, bb), cb in b.terms.items():
+                for z, mult in ia.multiplicities().items():
+                    key = (ia.remove(z).concat(ib), ba.concat(bb))
+                    dz = cb.partial(Var(VarKind.BASE, z))
+                    add_into(terms, key, (ca * dz).scale(sign * mult))
+                for z, mult in ba.multiplicities().items():
+                    key = (ia.concat(ib), ba.remove(z).concat(bb))
+                    dz = cb.partial(Var(fk, z))
+                    add_into(terms, key, (ca * dz).scale(sign * mult))
     return SymMultivector(p1.chart, p1.space, q, terms)
 
 
 def sym_product(p1: SymMultivector, p2: SymMultivector) -> SymMultivector:
-    """Symmetric product: unshuffle-split evaluations, coefficients recovered."""
+    """Symmetric product: c1 c2 at key J1 + J2 for every pair of terms."""
     if p1.chart != p2.chart:
         raise ChartMismatch("product operands on different charts")
     if p1.space != p2.space:
         raise SpaceMismatch("product operands on different spaces")
-    q = p1.q + p2.q
-
-    def value(args):
-        out = Poly.zero(p1.chart, p1.space)
-        for first, second in unshuffles(p1.q, p2.q):
-            out = out + p1.eval(*(args[i] for i in first)) * p2.eval(
-                *(args[i] for i in second)
-            )
-        return out
-
-    terms = _recover_table(p1.chart, p1.space, q, value)
-    return SymMultivector(p1.chart, p1.space, q, terms)
+    terms = {}
+    for (i1, b1), c1 in p1.terms.items():
+        for (i2, b2), c2 in p2.terms.items():
+            add_into(terms, (i1.concat(i2), b1.concat(b2)), c1 * c2)
+    return SymMultivector(p1.chart, p1.space, p1.q + p2.q, terms)
 
 
 def fwl_check_multivector(p: SymMultivector) -> bool:

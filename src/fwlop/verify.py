@@ -14,12 +14,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import randgen as rg
-from .diffop import DiffOp, diffop_to_doc, nested_commutator
+from .diffop import DiffOp, _recover_table, diffop_to_doc, nested_commutator
 from .lbundle import (
     FrameDerivation,
     LDerivation,
     LPair,
     _base_field_apply,
+    _symbol_field_on_basis,
     a_inverse,
     a_iso,
     lderiv_commutator,
@@ -66,6 +67,7 @@ from .symcore import (
     dual_var,
     parse_poly,
     poly_to_str,
+    unshuffles,
 )
 
 
@@ -153,6 +155,115 @@ def _dualpoly_of_core_sum(op: DiffOp) -> Poly:
 
 
 # ---------------------------------------------------------------------------
+# Unshuffle oracles: the defining sums of the brackets and products, evaluated
+# on coordinate functions and recovered into tables.  The library reads the
+# same results off the tables directly.
+# ---------------------------------------------------------------------------
+
+
+def _unshuffle_poisson(p1: SymMultivector, p2: SymMultivector) -> SymMultivector:
+    """For orders k1+1, k2+1: the sum over (k2+1, k1)-unshuffles of
+    p1(p2(block1), block2) minus the sum over (k1+1, k2)-unshuffles of
+    p2(p1(block1), block2)."""
+    k1, k2 = p1.q - 1, p2.q - 1
+    q = k1 + k2 + 1
+    if q < 0:
+        return SymMultivector.zero(p1.chart, p1.space, 0)
+
+    def value(args):
+        out = Poly.zero(p1.chart, p1.space)
+        for first, second in unshuffles(k2 + 1, k1):
+            inner = p2.eval(*(args[i] for i in first))
+            out = out + p1.eval(inner, *(args[i] for i in second))
+        for first, second in unshuffles(k1 + 1, k2):
+            inner = p1.eval(*(args[i] for i in first))
+            out = out - p2.eval(inner, *(args[i] for i in second))
+        return out
+
+    terms = _recover_table(p1.chart, p1.space, q, value)
+    return SymMultivector(p1.chart, p1.space, q, terms)
+
+
+def _unshuffle_sym_product(p1: SymMultivector, p2: SymMultivector) -> SymMultivector:
+    """Sum over (q1, q2)-unshuffles of p1(block1) p2(block2)."""
+    q = p1.q + p2.q
+
+    def value(args):
+        out = Poly.zero(p1.chart, p1.space)
+        for first, second in unshuffles(p1.q, p2.q):
+            out = out + p1.eval(*(args[i] for i in first)) * p2.eval(
+                *(args[i] for i in second)
+            )
+        return out
+
+    terms = _recover_table(p1.chart, p1.space, q, value)
+    return SymMultivector(p1.chart, p1.space, q, terms)
+
+
+def _recover_pair(chart, q: int, apply_fn) -> LPair:
+    """Rebuild (P, rho) tables of orders q, q-1 from an action functional."""
+    one = Poly.const(chart, Space.E, 1)
+
+    def rho_value(args):
+        return apply_fn(args, one)
+
+    def p_value(args):
+        *fs, g = args
+        return apply_fn(fs, g) - g * apply_fn(fs, one)
+
+    rho = SymMultivector(chart, Space.E, q - 1, _recover_table(chart, Space.E, q - 1, rho_value))
+    p = SymMultivector(chart, Space.E, q, _recover_table(chart, Space.E, q, p_value))
+    return LPair(p, rho)
+
+
+def _unshuffle_pair_bracket(p1: LPair, p2: LPair) -> LPair:
+    """D1*D2 - D2*D1 where, on (f_1, ..., f_{k1+k2} | v),
+
+      D1*D2 = sum over (k1, k2)-unshuffles   of D1(block1 | D2(block2 | v))
+            + sum over (k1-1, k2+1)-unshuffles of D1(block1, P2(block2) | v).
+    """
+    k1, k2 = p1.q - 1, p2.q - 1
+
+    def bullet(a: LPair, b: LPair, ka: int, kb: int, fs, g: Poly):
+        out = Poly.zero(a.chart, Space.E)
+        for first, second in unshuffles(ka, kb):
+            inner = b.apply([fs[i] for i in second], g)
+            out = out + a.apply([fs[i] for i in first], inner)
+        for first, second in unshuffles(ka - 1, kb + 1):
+            symbol_arg = b.p.eval(*(fs[i] for i in second))
+            out = out + a.apply([fs[i] for i in first] + [symbol_arg], g)
+        return out
+
+    def apply_fn(fs, g):
+        return bullet(p1, p2, k1, k2, fs, g) - bullet(p2, p1, k2, k1, fs, g)
+
+    return _recover_pair(p1.chart, p1.q + p2.q - 1, apply_fn)
+
+
+def _unshuffle_pair_product(p1: LPair, p2: LPair) -> LPair:
+    """On (f_1, ..., f_{k1+k2+1} | v),
+
+      D1.D2 = sum over (k1+1, k2)-unshuffles of P1(block1) D2(block2 | v)
+            + sum over (k2+1, k1)-unshuffles of P2(block1) D1(block2 | v).
+    """
+    k1, k2 = p1.q - 1, p2.q - 1
+
+    def apply_fn(fs, g):
+        out = Poly.zero(p1.chart, Space.E)
+        for first, second in unshuffles(k1 + 1, k2):
+            out = out + p1.p.eval(*(fs[i] for i in first)) * p2.apply(
+                [fs[i] for i in second], g
+            )
+        for first, second in unshuffles(k2 + 1, k1):
+            out = out + p2.p.eval(*(fs[i] for i in first)) * p1.apply(
+                [fs[i] for i in second], g
+            )
+        return out
+
+    return _recover_pair(p1.chart, p1.q + p2.q, apply_fn)
+
+
+# ---------------------------------------------------------------------------
 # Suites.
 # ---------------------------------------------------------------------------
 
@@ -234,7 +345,10 @@ def _suite_symbol_bracket(s: _Session, trials: int):
         if q1 is None or q2 is None:
             continue
         bracket = d1.commutator(d2)
-        lhs = poisson(d1.symbol(), d2.symbol())
+        sym1, sym2 = d1.symbol(), d2.symbol()
+        lhs = poisson(sym1, sym2)
+        oracle = _unshuffle_poisson(sym1, sym2)
+        s.check("poisson-oracle", lhs == oracle, d1=d1, d2=d2)
         if q1 + q2 == 0:
             s.check(
                 "symbol-poisson-compat",
@@ -385,26 +499,12 @@ def _suite_exact_seq(s: _Session, trials: int):
 
         qm = rng.randint(1, bounds.order_max)
         pm = rg.rand_fwl_multivector(rng, chart, bounds, qm)
-        symbol_zero = all(
-            multiderivation_l(pm, *phis, Poly.var(chart, Space.E, Var(VarKind.BASE, i))).is_zero()
-            for c_idx in all_multi_indices(chart.fiber_rank, qm - 1)
-            for phis in [[Section.basis(chart, SectionRole.OF_ESTAR, a) for a in c_idx]]
-            for i in range(1, chart.base_dim + 1)
-        )
         pure_fiber = all(len(mi_b) == 0 for mi_b, _ in pm.terms)
-        s.check("ses-kernel-shape", symbol_zero == pure_fiber, p=pm)
+        s.check("ses-kernel-shape", _symbol_vanishes(pm) == pure_fiber, p=pm)
 
         phi = rg.rand_section(rng, chart, bounds)
         qs = rng.randint(1, 2)
-        cores = [
-            SymMultivector(
-                chart,
-                Space.E,
-                1,
-                rg.rand_core_op(rng, chart, bounds, 1).terms,
-            )
-            for _ in range(qs)
-        ]
+        cores = [rg.rand_core_multivector(rng, chart, bounds, 1) for _ in range(qs)]
         prod = cores[0]
         for extra in cores[1:]:
             prod = sym_product(prod, extra)
@@ -415,19 +515,21 @@ def _suite_exact_seq(s: _Session, trials: int):
             qs,
             {key: ell * coeff for key, coeff in prod.terms.items()},
         )
-        sym_still_zero = all(
-            multiderivation_l(
-                injected, *phis, Poly.var(chart, Space.E, Var(VarKind.BASE, i))
-            ).is_zero()
-            for c_idx in all_multi_indices(chart.fiber_rank, qs - 1)
-            for phis in [[Section.basis(chart, SectionRole.OF_ESTAR, a) for a in c_idx]]
-            for i in range(1, chart.base_dim + 1)
-        )
+        sym_still_zero = _symbol_vanishes(injected)
         s.check(
             "ses-injection",
             fwl_check_multivector(injected) and sym_still_zero,
             p=injected,
         )
+
+
+def _symbol_vanishes(p: SymMultivector) -> bool:
+    """l_P is zero on every tuple of dual basis sections and coordinate."""
+    return all(
+        f.is_zero()
+        for c_idx in all_multi_indices(p.chart.fiber_rank, p.q - 1)
+        for f in _symbol_field_on_basis(p, c_idx)
+    )
 
 
 def _suite_iso_a(s: _Session, trials: int):
@@ -544,9 +646,11 @@ def _suite_pair_bracket(s: _Session, trials: int):
         p1 = rg.rand_fwl_pair(rng, chart, bounds, q1)
         p2 = rg.rand_fwl_pair(rng, chart, bounds, q2)
         bracket = pair_bracket(p1, p2)
+        oracle = _unshuffle_pair_bracket(p1, p2)
+        s.check("pair-bracket-oracle", bracket == oracle, p1=p1, p2=p2)
         s.check(
             "bracket-projection-poisson",
-            bracket.p == poisson(p1.p, p2.p),
+            oracle.p == poisson(p1.p, p2.p),
             p1=p1,
             p2=p2,
         )
@@ -564,9 +668,11 @@ def _suite_pair_bracket(s: _Session, trials: int):
             p1=p1,
         )
         product = pair_product(p1, p2)
+        oracle = _unshuffle_pair_product(p1, p2)
+        s.check("pair-product-oracle", product == oracle, p1=p1, p2=p2)
         s.check(
             "product-projection",
-            product.p == sym_product(p1.p, p2.p),
+            oracle.p == sym_product(p1.p, p2.p),
             p1=p1,
             p2=p2,
         )
@@ -588,11 +694,7 @@ def _suite_pair_bracket(s: _Session, trials: int):
         f = rg.rand_poly(rng, chart, Space.E, bounds, base_only=True)
         lhs = multiderivation_D(pd, *phis[:-1], phis[-1].scale(f))
         first = multiderivation_D(pd, *phis)
-        symbol = (
-            multiderivation_l(pd, *phis[:-1], f)
-            if qd >= 1
-            else Poly.zero(chart, Space.E)
-        )
+        symbol = multiderivation_l(pd, *phis[:-1], f)
         rhs_components = tuple(
             f * c1 + symbol * c2
             for c1, c2 in zip(first.components, phis[-1].components)
@@ -620,12 +722,8 @@ def _suite_dual_deriv(s: _Session, trials: int):
         dual = d.dual()
         d_phi = dual.act(phi.components)
         d_e = d.act(e.components)
-        lhs = sum(
-            (a * b for a, b in zip(d_phi, e.components)),
-            start=Poly.zero(chart, Space.E),
-        ) + sum(
-            (a * b for a, b in zip(phi.components, d_e)),
-            start=Poly.zero(chart, Space.E),
+        lhs = pairing(Section(SectionRole.OF_ESTAR, chart, d_phi), e) + pairing(
+            phi, Section(SectionRole.OF_E, chart, d_e)
         )
         rhs = _base_field_apply(chart, d.symbol_field, paired)
         s.check("duality-pairing", lhs == rhs, d=d)

@@ -332,3 +332,23 @@ def test_a_inv_at_order_zero_inverts_a_iso(op_file, capsys):
     code, out, _ = run(capsys, "a-inv", "--order", "0", op_file(json.loads(out), "d.json"))
     assert code == 0
     assert json.loads(out) == op
+
+
+ZERO_DERIVATION = {
+    "chart": {"base_dim": 1, "fiber_rank": 1},
+    "field": {"dx": ["0"], "dv": ["0"]},
+    "mult": "0",
+}
+ZERO_OP = {"chart": {"base_dim": 1, "fiber_rank": 1}, "space": "E", "terms": []}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [("a-inv", ZERO_DERIVATION), ("a-iso", ZERO_OP), ("ad", ZERO_OP)],
+    ids=["a-inv", "a-iso", "ad"],
+)
+def test_negative_order_is_refused(op_file, capsys, command, doc):
+    code, out, err = run(capsys, command, "--order", "-1", op_file(doc))
+    assert code == 1
+    assert out == ""
+    assert err == "ArityMismatch: order must be >= 0, got -1\n"

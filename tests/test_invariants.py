@@ -40,6 +40,35 @@ def test_no_assert_or_assertion_error_in_the_package(path):
     assert asserts == [] and names == []
 
 
+# The unshuffle recovery is the verify oracle of the bracket and product
+# table formulas; a second recovery path in the library would duplicate them.
+REFERENCE_HOMES = {
+    "unshuffles": {"verify.py"},
+    "_recover_table": {"diffop.py", "verify.py"},
+}
+
+
+def _referenced_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_recovery_helpers_are_referenced_only_from_their_homes(path):
+    names = set(_referenced_names(ast.parse(path.read_text(encoding="utf-8"))))
+    strays = [
+        name
+        for name, homes in sorted(REFERENCE_HOMES.items())
+        if name in names and path.name not in homes
+    ]
+    assert strays == []
+
+
 def _wrong_closed_form(monkeypatch):
     right = lbundle._closed_form_mult
 

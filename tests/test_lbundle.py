@@ -38,6 +38,7 @@ from fwlop.randgen import (
     rand_fwl_pair,
     rand_homogeneous_lderivation,
     rand_linear_field_op,
+    rand_multivector,
     rand_poly,
     rand_section,
 )
@@ -51,6 +52,7 @@ from fwlop.symcore import (
     VarKind,
     parse_poly,
 )
+from fwlop.verify import _unshuffle_pair_bracket, _unshuffle_pair_product
 
 CH1 = Chart(1, 1)
 CH = Chart(2, 2)
@@ -211,6 +213,24 @@ def test_pair_bracket_and_product_projections():
         assert bracket.is_fwl_pair()
         product = pair_product(pr1, pr2)
         assert product.p == sym_product(pr1.p, pr2.p)
+
+
+def test_non_fwl_pairs_match_unshuffle_oracles():
+    # general P of order q with general rho of order q-1: the verify suites
+    # draw FWL pairs only
+    rng = random.Random(47)
+    non_fwl = 0
+    for _ in range(12):
+        chart = rand_chart(rng, BOUNDS)
+        prs = []
+        for q in (rng.randint(1, 2), rng.randint(1, 2)):
+            p = rand_multivector(rng, chart, Space.E, BOUNDS, q)
+            rho = rand_multivector(rng, chart, Space.E, BOUNDS, q - 1)
+            prs.append(LPair(p, rho))
+            non_fwl += not prs[-1].is_fwl_pair()
+        assert pair_bracket(*prs) == _unshuffle_pair_bracket(*prs)
+        assert pair_product(*prs) == _unshuffle_pair_product(*prs)
+    assert non_fwl > 12
 
 
 def test_pair_to_lderivation_intertwines_bracket():

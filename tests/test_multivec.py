@@ -46,6 +46,7 @@ from fwlop.symcore import (
     Space,
     parse_poly,
 )
+from fwlop.verify import _unshuffle_poisson, _unshuffle_sym_product
 
 CH1 = Chart(1, 1)
 CH = Chart(2, 2)
@@ -143,6 +144,30 @@ def test_poisson_graded_jacobi():
             ps[1], poisson(ps[0], ps[2])
         )
         assert lhs == rhs
+
+
+def test_order_zero_operands_match_unshuffle_oracles():
+    # an order-0 operand in every case; the verify suites draw them rarely
+    rng = random.Random(41)
+    for _ in range(20):
+        chart = rand_chart(rng, BOUNDS)
+        space = rng.choice([Space.E, Space.ESTAR])
+        f = rand_multivector(rng, chart, space, BOUNDS, 0)
+        p = rand_multivector(rng, chart, space, BOUNDS, rng.randint(0, 2))
+        for a, b in ((f, p), (p, f)):
+            assert poisson(a, b) == _unshuffle_poisson(a, b)
+            assert sym_product(a, b) == _unshuffle_sym_product(a, b)
+
+
+def test_estar_brackets_and_products_match_unshuffle_oracles():
+    # the verify suites take symmetric products on E only
+    rng = random.Random(43)
+    for _ in range(15):
+        chart = rand_chart(rng, BOUNDS)
+        p1 = rand_multivector(rng, chart, Space.ESTAR, BOUNDS, rng.randint(1, 2))
+        p2 = rand_multivector(rng, chart, Space.ESTAR, BOUNDS, rng.randint(1, 2))
+        assert sym_product(p1, p2) == _unshuffle_sym_product(p1, p2)
+        assert poisson(p1, p2) == _unshuffle_poisson(p1, p2)
 
 
 def test_order_zero_multivector_is_its_coefficient():
