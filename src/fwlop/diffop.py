@@ -8,8 +8,12 @@ coordinates, B over fiber coordinates) to a nonzero polynomial coefficient:
 On the dual space the B indices refer to d/dv derivatives instead.  The
 representation is unique once multi-indices are canonical, so equality is
 table equality.  Composition expands derivative-past-coefficient by the
-multiset Leibniz rule; the nested-commutator coefficient recovery provides
-an independent oracle for the whole representation.
+multiset Leibniz rule.  A commutator [A, f] with a multiplication operator
+is one pass of the same expansion of A∘f without its S = ∅ terms, which
+are f∘A; any other commutator is A∘B - B∘A.  The nested-commutator
+coefficient recovery provides an independent oracle for the whole
+representation: it reads the table only through those expansions, and it
+builds each nested commutator once, from the one of its prefix.
 
 The weight of a homogeneous term is (fiber degree of the coefficient)
 minus |B|; it matches the exponent picked up under conjugation by the
@@ -37,6 +41,7 @@ from .symcore import (
     Space,
     Var,
     VarKind,
+    _sub_multisets,
     add_into,
     all_multi_indices,
     fiber_kind,
@@ -189,37 +194,60 @@ class DiffOp:
         """self after other; derivatives expand past coefficients by the
         multiset Leibniz rule with multinomial(J, S) = prod_i C(J[i], S[i])."""
         self._check_compatible(other)
+        return self._leibniz(other, False)
+
+    def commutator(self, other: "DiffOp") -> "DiffOp":
+        if other.order() == 0:
+            # [A, f] for multiplication by f: f∘A is exactly the S = ∅ part
+            # of the Leibniz expansion of A∘f (coefficients commute), so the
+            # commutator is that expansion without it.
+            self._check_compatible(other)
+            out = self._leibniz(other, True)
+        else:
+            out = self.compose(other) - other.compose(self)
+        orders = [self.order(), other.order(), out.order()]
+        if None not in orders and orders[2] > orders[0] + orders[1] - 1:
+            raise InvariantViolation("commutator order bound q+r-1 violated")
+        return out
+
+    def _leibniz(self, other: "DiffOp", skip_empty: bool) -> "DiffOp":
+        """Sum of binom(J1, S) c1 (d^S c2) d^(J1 - S + J2) over the terms
+        c1 d^J1 of self, c2 d^J2 of other and S <= J1, leaving out S = ∅ if
+        skip_empty.  Terms accumulate on sorted entry tuples, which hash in C."""
         fk = fiber_kind(self.space)
         terms = {}
         for (i1, b1), c1 in self.terms.items():
+            subs_base = _sub_multisets(i1.entries)
+            subs_fib = _sub_multisets(b1.entries)
             for (i2, b2), c2 in other.terms.items():
-                for s_base, n_base in i1.sub_multisets():
+                e2_base, e2_fib = i2.entries, b2.entries
+                for s_base, n_base, rest_base in subs_base:
                     dc = c2.partial_multi(s_base, VarKind.BASE)
                     if dc.is_zero():
                         continue
-                    for s_fib, n_fib in b1.sub_multisets():
+                    key_base = tuple(sorted(rest_base + e2_base))
+                    fibs = subs_fib
+                    if skip_empty and not s_base.entries:
+                        fibs = fibs[1:]
+                    for s_fib, n_fib, rest_fib in fibs:
                         dcf = dc.partial_multi(s_fib, fk)
                         if dcf.is_zero():
                             continue
-                        key = (
-                            i1.difference(s_base).concat(i2),
-                            b1.difference(s_fib).concat(b2),
-                        )
-                        piece = (c1 * dcf).scale(n_base * n_fib)
+                        key = (key_base, tuple(sorted(rest_fib + e2_fib)))
+                        piece = c1 * dcf
+                        if n_base * n_fib != 1:
+                            piece = piece.scale(n_base * n_fib)
                         acc = terms.get(key)
                         total = piece if acc is None else acc + piece
                         if total.is_zero():
                             terms.pop(key, None)
                         else:
                             terms[key] = total
-        return DiffOp._raw(self.chart, self.space, terms)
-
-    def commutator(self, other: "DiffOp") -> "DiffOp":
-        out = self.compose(other) - other.compose(self)
-        orders = [self.order(), other.order(), out.order()]
-        if None not in orders and orders[2] > orders[0] + orders[1] - 1:
-            raise InvariantViolation("commutator order bound q+r-1 violated")
-        return out
+        return DiffOp._raw(
+            self.chart,
+            self.space,
+            {(MultiIndex(eb), MultiIndex(ef)): c for (eb, ef), c in terms.items()},
+        )
 
     # -- grading and classification -------------------------------------------
 
@@ -308,22 +336,26 @@ class DiffOp:
         coeff_{I,B} = [...[op, z_{j1}], ..., z_{jk}](1) / (I! * B!), the
         letters z running over the I and B coordinate functions.  This is
         the independent oracle for the representation; it never reads the
-        stored table directly (only through composition).
+        stored table directly, only through the Leibniz expansion of each
+        [A, z].  Keys come base letters first, so every proper prefix of a
+        key's letters is a shorter key: each nested commutator is one
+        commutator of a prefix's, and the prefixes live for this call only.
         """
         order = self.order()
         if order is None:
             return {}
         one = Poly.const(self.chart, self.space, 1)
+        nested = {(): self}
+
+        def value(args):
+            key = tuple(args)
+            if key:
+                nested[key] = nested[key[:-1]].commutator(DiffOp.mult(key[-1]))
+            return nested[key].apply(one)
+
         out = {}
         for total in range(order + 1):
-            out.update(
-                _recover_table(
-                    self.chart,
-                    self.space,
-                    total,
-                    lambda args: nested_commutator(self, args).apply(one),
-                )
-            )
+            out.update(_recover_table(self.chart, self.space, total, value))
         return out
 
     def top_table(self, q: int) -> dict:

@@ -47,12 +47,13 @@ from .multivec import (
     SectionRole,
     SymMultivector,
     _dual_monomial,
+    _multiderivation_D,
+    _multiderivation_l,
+    _require_fwl,
     core_to_dualpoly,
     fwl_check_multivector,
     hamiltonian_field,
     is_core_multivector,
-    multiderivation_D,
-    multiderivation_l,
     poisson,
     sym_product,
 )
@@ -324,13 +325,14 @@ class LPair:
 
 
 def _symbol_field_on_basis(p: SymMultivector, c_idx: MultiIndex) -> tuple:
-    """l_P contracted with the dual basis sections of C, as components."""
+    """l_P contracted with the dual basis sections of C, as components;
+    p must already be known to be FWL."""
     chart = p.chart
     phis = [Section.basis(chart, SectionRole.OF_ESTAR, a) for a in c_idx]
     comps = []
     for i in range(1, chart.base_dim + 1):
         xi = Poly.var(chart, Space.E, Var(VarKind.BASE, i))
-        comps.append(multiderivation_l(p, *phis, xi))
+        comps.append(_multiderivation_l(p, *phis, xi))
     return tuple(comps)
 
 
@@ -387,11 +389,11 @@ def psi_values(op: DiffOp, sections) -> Poly:
 def _contract_trace(p: SymMultivector, phis, symbol: tuple) -> Poly:
     """Multiplication part, in the Vol_u frame, of the action on the
     determinant line of the derivation P(phis, -) whose symbol field is
-    `symbol`, for phis the dual basis sections of some C."""
+    `symbol`, for phis the dual basis sections of some C and P FWL."""
     chart = p.chart
     m = chart.fiber_rank
     columns = [
-        multiderivation_D(p, *phis, Section.basis(chart, SectionRole.OF_ESTAR, beta))
+        _multiderivation_D(p, *phis, Section.basis(chart, SectionRole.OF_ESTAR, beta))
         for beta in range(1, m + 1)
     ]
     matrix = tuple(
@@ -407,10 +409,11 @@ def _a_iso_pair(op: DiffOp, q: int) -> LPair:
 
     Per basis multi-index C the multiplication part of the bundle map is
     the trace action of the contracted symbol plus the nested-commutator
-    value Psi(C).
+    value Psi(C).  P is checked FWL once, here.
     """
     chart = op.chart
     p = op.symbol_at(q)
+    _require_fwl(p)
     phi_table = {}
     for c_idx in all_multi_indices(chart.fiber_rank, q - 1):
         sections = [Section.basis(chart, SectionRole.OF_ESTAR, a) for a in c_idx]

@@ -277,8 +277,23 @@ def pairing(phi: Section, e: Section) -> Poly:
 
 def multiderivation_D(p: SymMultivector, *phis: Section) -> Section:
     """D with ell(D(phi_1, ..., phi_q)) = P(ell(phi_1), ..., ell(phi_q))."""
+    _require_fwl(p)
+    return _multiderivation_D(p, *phis)
+
+
+def multiderivation_l(p: SymMultivector, *args) -> Poly:
+    """Symbol part: value on q-1 dual sections and one base function."""
+    _require_fwl(p)
+    return _multiderivation_l(p, *args)
+
+
+def _require_fwl(p: SymMultivector):
     if not fwl_check_multivector(p):
         raise NotFWL("multiderivation pair needs a FWL multivector")
+
+
+def _multiderivation_D(p: SymMultivector, *phis: Section) -> Section:
+    """multiderivation_D for a p already known to be FWL."""
     if len(phis) != p.q:
         raise ArityMismatch(f"expected {p.q} sections, got {len(phis)}")
     value = p.eval(*(phi.ell() for phi in phis))
@@ -294,11 +309,9 @@ def multiderivation_D(p: SymMultivector, *phis: Section) -> Section:
     return Section(SectionRole.OF_ESTAR, p.chart, comps)
 
 
-def multiderivation_l(p: SymMultivector, *args) -> Poly:
-    """Symbol part: value on q-1 dual sections and one base function."""
+def _multiderivation_l(p: SymMultivector, *args) -> Poly:
+    """multiderivation_l for a p already known to be FWL."""
     *phis, f = args
-    if not fwl_check_multivector(p):
-        raise NotFWL("multiderivation pair needs a FWL multivector")
     if len(phis) != p.q - 1:
         raise ArityMismatch(f"expected {p.q - 1} sections, got {len(phis)}")
     if not f.is_base_only():

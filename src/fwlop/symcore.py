@@ -169,29 +169,27 @@ class MultiIndex:
         entries.remove(letter)
         return MultiIndex(entries)
 
-    def difference(self, other: "MultiIndex") -> "MultiIndex":
-        entries = list(self.entries)
-        for letter in other:
-            entries.remove(letter)
-        return MultiIndex(entries)
-
     def sub_multisets(self) -> tuple:
         """(S, multiset binomial of self over S) for all S <= self."""
-        return _sub_multisets(self.entries)
+        return tuple((sub, coeff) for sub, coeff, _ in _sub_multisets(self.entries))
 
 
 @functools.cache
 def _sub_multisets(entries: tuple) -> tuple:
-    """MultiIndex.sub_multisets, memoised on the sorted entries."""
+    """(S, multiset binomial, sorted entries of the remainder J - S) for all
+    S <= J, J the multi-index with these sorted entries; the empty S comes
+    first.  Memoised on the entries."""
     items = sorted(MultiIndex(entries).multiplicities().items())
     out = []
     for picks in itertools.product(*(range(mult + 1) for _, mult in items)):
         coeff = 1
         chosen = []
+        rest = []
         for (letter, mult), k in zip(items, picks):
             coeff *= comb(mult, k)
             chosen.extend([letter] * k)
-        out.append((MultiIndex(chosen), coeff))
+            rest.extend([letter] * (mult - k))
+        out.append((MultiIndex(chosen), coeff, tuple(rest)))
     return tuple(out)
 
 
@@ -307,12 +305,15 @@ class Poly:
 
     @classmethod
     def _raw(cls, chart, space, terms, den=1):
-        """Bypass validation for terms already in canonical form (internal)."""
+        """Bypass validation for terms already in canonical form (internal).
+
+        The slots are set through their descriptors, which is about twice
+        as fast as `object.__setattr__` with its lookup by name."""
         self = object.__new__(cls)
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "den", den)
+        _set_chart(self, chart)
+        _set_space(self, space)
+        _set_terms(self, terms)
+        _set_den(self, den)
         return self
 
     @classmethod
@@ -578,6 +579,12 @@ class Poly:
             some = next(iter(mapping.values()))
             return Poly.zero(some.chart, some.space)
         return result
+
+
+_set_chart = Poly.chart.__set__
+_set_space = Poly.space.__set__
+_set_terms = Poly.terms.__set__
+_set_den = Poly.den.__set__
 
 
 def add_into(table: dict, key, coeff) -> None:

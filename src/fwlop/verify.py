@@ -44,6 +44,7 @@ from .multivec import (
     SymMultivector,
     _det,
     _dual_monomial,
+    _require_fwl,
     core_to_dualpoly,
     fwl_check_multivector,
     fwl_metric_laplacian,
@@ -204,14 +205,12 @@ def _recover_pair(chart, q: int, apply_fn) -> LPair:
     """Rebuild (P, rho) tables of orders q, q-1 from an action functional."""
     one = Poly.const(chart, Space.E, 1)
 
-    def rho_value(args):
-        return apply_fn(args, one)
-
     def p_value(args):
         *fs, g = args
         return apply_fn(fs, g) - g * apply_fn(fs, one)
 
-    rho = SymMultivector(chart, Space.E, q - 1, _recover_table(chart, Space.E, q - 1, rho_value))
+    rho_table = _recover_table(chart, Space.E, q - 1, lambda fs: apply_fn(fs, one))
+    rho = SymMultivector(chart, Space.E, q - 1, rho_table)
     p = SymMultivector(chart, Space.E, q, _recover_table(chart, Space.E, q, p_value))
     return LPair(p, rho)
 
@@ -313,11 +312,7 @@ def _suite_recovery(s: _Session, trials: int):
         s.check("coefficient-recovery", recovered == op.terms, op=op)
 
         graded_space = space if space is not Space.AMBIENT else Space.E
-        graded = (
-            op
-            if space is not Space.AMBIENT
-            else op.with_space(Space.E)
-        )
+        graded = op.with_space(graded_space)
         f = rg.rand_poly(rng, chart, graded_space, bounds)
         t = rng.choice([Fraction(2), Fraction(-3), Fraction(1, 2)])
         grades = graded.grade_decompose()
@@ -525,6 +520,7 @@ def _suite_exact_seq(s: _Session, trials: int):
 
 def _symbol_vanishes(p: SymMultivector) -> bool:
     """l_P is zero on every tuple of dual basis sections and coordinate."""
+    _require_fwl(p)
     return all(
         f.is_zero()
         for c_idx in all_multi_indices(p.chart.fiber_rank, p.q - 1)

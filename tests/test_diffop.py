@@ -14,8 +14,15 @@ from fwlop.diffop import (
     diffop_to_doc,
     nested_commutator,
 )
-from fwlop.errors import DocumentError, SpaceMismatch, ZeroOperator
-from fwlop.randgen import Bounds, rand_chart, rand_core_op, rand_diffop, rand_fwl_op
+from fwlop.errors import DocumentError, InvariantViolation, SpaceMismatch, ZeroOperator
+from fwlop.randgen import (
+    Bounds,
+    rand_chart,
+    rand_core_op,
+    rand_diffop,
+    rand_fwl_op,
+    rand_poly,
+)
 from fwlop.symcore import (
     EMPTY_MI,
     Chart,
@@ -58,8 +65,6 @@ def test_apply_is_linear():
     for _ in range(50):
         chart = rand_chart(rng, bounds)
         op = rand_diffop(rng, chart, Space.E, bounds)
-        from fwlop.randgen import rand_poly
-
         f = rand_poly(rng, chart, Space.E, bounds)
         g = rand_poly(rng, chart, Space.E, bounds)
         assert op.apply(f + g) == op.apply(f) + op.apply(g)
@@ -99,8 +104,6 @@ def test_compose_matches_apply_oracle():
         space = rng.choice([Space.E, Space.ESTAR])
         d1 = rand_diffop(rng, chart, space, bounds, max_keys=2)
         d2 = rand_diffop(rng, chart, space, bounds, max_keys=2)
-        from fwlop.randgen import rand_poly
-
         f = rand_poly(rng, chart, space, bounds)
         assert d1.compose(d2).apply(f) == d1.apply(d2.apply(f))
 
@@ -151,6 +154,69 @@ def test_commutator_jacobi_randomized():
         assert jac.is_zero()
 
 
+SPACES = [Space.E, Space.ESTAR, Space.AMBIENT]
+
+
+def test_commutator_with_function_matches_two_compositions():
+    # [A, f] is one Leibniz pass without its S = empty part; the reference
+    # is the difference of the two compositions
+    rng = random.Random(71)
+    bounds = Bounds()
+    for space in SPACES:
+        for order in range(4):
+            for _ in range(8):
+                chart = rand_chart(rng, bounds)
+                a = rand_diffop(rng, chart, space, bounds, order=order)
+                m = DiffOp.mult(rand_poly(rng, chart, space, bounds))
+                assert a.commutator(m) == a.compose(m) - m.compose(a)
+
+
+def test_commutator_with_zero_constant_and_order_zero_operands():
+    rng = random.Random(73)
+    bounds = Bounds()
+    for space in SPACES:
+        for _ in range(8):
+            chart = rand_chart(rng, bounds)
+            a = rand_diffop(rng, chart, space, bounds, order=3)
+            zero = DiffOp.mult(Poly.zero(chart, space))
+            const = DiffOp.mult(Poly.const(chart, space, Fraction(-3, 4)))
+            assert a.commutator(zero).is_zero()
+            assert a.commutator(const).is_zero()
+            g = DiffOp.mult(rand_poly(rng, chart, space, bounds))
+            m = DiffOp.mult(rand_poly(rng, chart, space, bounds))
+            assert g.commutator(m).is_zero()
+
+
+def test_commutator_with_function_runs_one_leibniz_pass(monkeypatch):
+    passes = []
+    leibniz = DiffOp._leibniz
+
+    def counting(self, other, skip_empty):
+        passes.append(skip_empty)
+        return leibniz(self, other, skip_empty)
+
+    monkeypatch.setattr(DiffOp, "_leibniz", counting)
+    assert op_du(1).commutator(DiffOp.mult(P("u1"))) == DiffOp.identity(CH1, Space.E)
+    assert passes == [True]
+    passes.clear()
+    assert op_du(1).commutator(op_du(2, "u1")) == op_du(2)
+    assert passes == [False, False]
+
+
+def test_function_commutator_keeps_the_order_bound_check(monkeypatch):
+    # a Leibniz result of order 3 breaks the bound 2 + 0 - 1 for [d^2/du^2, u1]
+    monkeypatch.setattr(DiffOp, "_leibniz", lambda self, other, skip: op_du(3))
+    with pytest.raises(InvariantViolation, match="order bound"):
+        op_du(2).commutator(DiffOp.mult(P("u1")))
+
+
+def test_sub_multisets_returns_pairs():
+    subs = MultiIndex([1, 1, 2]).sub_multisets()
+    assert all(len(item) == 2 for item in subs)
+    assert subs[0] == (EMPTY_MI, 1)
+    assert (MultiIndex([1, 2]), 2) in subs
+
+
 def test_order_of_zero_is_none():
     assert DiffOp.zero(CH, Space.E).order() is None
 
@@ -175,8 +241,6 @@ def test_grade_decompose_examples():
 def test_grade_conjugation_rational_t():
     rng = random.Random(41)
     bounds = Bounds()
-    from fwlop.randgen import rand_poly
-
     for _ in range(60):
         chart = rand_chart(rng, bounds)
         op = rand_diffop(rng, chart, Space.E, bounds)
@@ -244,6 +308,23 @@ def test_recover_random_operators():
         space = rng.choice([Space.E, Space.ESTAR, Space.AMBIENT])
         op = rand_diffop(rng, chart, space, bounds)
         assert op.recover_coefficients() == op.terms
+
+
+def test_recovery_shares_nested_commutator_prefixes(monkeypatch):
+    # order 3 on chart (3,3): 84 keys, each one commutator past the key of
+    # its first letters, 83 in all (216 if every key rebuilt its chain)
+    op = rand_diffop(random.Random(0), Chart(3, 3), Space.E, Bounds(), order=3)
+    assert op.order() == 3
+    calls = []
+    commutator = DiffOp.commutator
+
+    def counting(self, other):
+        calls.append(other)
+        return commutator(self, other)
+
+    monkeypatch.setattr(DiffOp, "commutator", counting)
+    assert op.recover_coefficients() == op.terms
+    assert len(calls) == 83
 
 
 def test_symbol_extracts_top_order():

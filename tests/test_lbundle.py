@@ -27,8 +27,6 @@ from fwlop.multivec import (
     SymMultivector,
     core_to_dualpoly,
     multiderivation_l,
-    poisson,
-    sym_product,
 )
 from fwlop.randgen import (
     Bounds,
@@ -198,7 +196,7 @@ def test_pair_bracket_of_vector_field_pairs():
         SymMultivector(CH1, Space.E, 0, {}),
     )
     out = pair_bracket(p1, p2)
-    assert out.p == poisson(p1.p, p2.p)
+    assert out.p == _unshuffle_pair_bracket(p1, p2).p
     assert out.rho.is_zero()
 
 
@@ -208,11 +206,13 @@ def test_pair_bracket_and_product_projections():
         chart = rand_chart(rng, BOUNDS)
         pr1 = rand_fwl_pair(rng, chart, BOUNDS, rng.randint(1, 2))
         pr2 = rand_fwl_pair(rng, chart, BOUNDS, rng.randint(1, 2))
+        # the library pair's P is built from poisson/sym_product, so compare
+        # with the P of the unshuffle oracles
         bracket = pair_bracket(pr1, pr2)
-        assert bracket.p == poisson(pr1.p, pr2.p)
+        assert bracket.p == _unshuffle_pair_bracket(pr1, pr2).p
         assert bracket.is_fwl_pair()
         product = pair_product(pr1, pr2)
-        assert product.p == sym_product(pr1.p, pr2.p)
+        assert product.p == _unshuffle_pair_product(pr1, pr2).p
 
 
 def test_non_fwl_pairs_match_unshuffle_oracles():
@@ -315,6 +315,28 @@ def test_a_iso_worked_instance():
 def test_a_iso_requires_fwl():
     with pytest.raises(NotFWL):
         a_iso(DiffOp.monomial(P("u1^2"), EMPTY_MI, MultiIndex([1])), 1)
+
+
+def test_a_iso_pair_checks_fwl_once(monkeypatch):
+    import fwlop.lbundle as lb
+    import fwlop.multivec as mv
+
+    with pytest.raises(NotFWL):
+        lb._a_iso_pair(DiffOp.monomial(P("1"), EMPTY_MI, MultiIndex([1, 1])), 2)
+    # once up front and once in from_phi_table, whatever the number of
+    # basis indices (3 at chart (2,2) and q = 3)
+    calls = []
+    check = mv.fwl_check_multivector
+
+    def counting(p):
+        calls.append(p)
+        return check(p)
+
+    monkeypatch.setattr(mv, "fwl_check_multivector", counting)
+    monkeypatch.setattr(lb, "fwl_check_multivector", counting)
+    op = rand_fwl_op(random.Random(5), CH, BOUNDS, 3)
+    lb._a_iso_pair(op, 3)
+    assert len(calls) == 2
 
 
 def test_a_inverse_examples():
