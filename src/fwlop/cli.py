@@ -2,13 +2,19 @@
 
 Each subcommand reads operator or derivation documents (JSON), runs one
 library construction, and prints a canonical document on standard output.
-Exit codes: 0 success, 1 domain error, 2 verification failure or broken
-internal invariant, 3 parse error.
+Exit codes: 0 success, 1 domain error or a request over a size cap,
+2 verification failure or broken internal invariant, 3 parse, document or
+usage error.  Every nonzero exit prints one `ErrorType: message` line on
+standard error; `-h`/`--help` prints help and exits 0.
+
+The argument parser is built on the first `main` call and reused by every
+later call in the process; `parse_args` returns a fresh namespace each time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -19,7 +25,13 @@ from .diffop import (
     diffop_from_doc,
     diffop_to_doc,
 )
-from .errors import DocumentError, FwlopError, InvariantViolation, SpaceMismatch
+from .errors import (
+    DocumentError,
+    FwlopError,
+    InvariantViolation,
+    SpaceMismatch,
+    UsageError,
+)
 from .lbundle import (
     a_inverse,
     a_iso,
@@ -179,8 +191,17 @@ def cmd_verify(args) -> int:
     return 0 if all(report.ok for report in reports) else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise UsageError instead of
+    exiting; its subparsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fwlop",
         description="Exact calculus for fiber-wise polynomial differential operators",
     )
@@ -260,9 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except InvariantViolation as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

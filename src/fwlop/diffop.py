@@ -27,11 +27,14 @@ import json
 from fractions import Fraction
 
 from .errors import (
+    MAX_CHART_DIM,
+    MAX_TABLE_KEYS,
     ChartMismatch,
     DocumentError,
     InvariantViolation,
     SpaceMismatch,
     ZeroOperator,
+    refuse_over,
 )
 from .symcore import (
     EMPTY_MI,
@@ -45,6 +48,7 @@ from .symcore import (
     add_into,
     all_multi_indices,
     fiber_kind,
+    multi_index_count,
     parse_poly,
     poly_to_str,
 )
@@ -409,6 +413,12 @@ def _recover_table(chart, space, q, value_fn) -> dict:
     each key, base letters before fiber letters; division by I!B! undoes
     the multiplicities.
     """
+    n, m = chart.base_dim, chart.fiber_rank
+    refuse_over(
+        f"the table key count C(n+m+q-1, q) at n={n}, m={m}, q={q}",
+        multi_index_count(n + m, q, MAX_TABLE_KEYS),
+        MAX_TABLE_KEYS,
+    )
     fk = fiber_kind(space)
     terms = {}
     for nb in range(q + 1):
@@ -455,6 +465,7 @@ def chart_from_doc(doc) -> Chart:
     n, m = doc["base_dim"], doc["fiber_rank"]
     if not (_is_int(n) and _is_int(m)):
         raise DocumentError("chart dimensions must be integers")
+    refuse_over(f"the chart dimension {max(n, m)}", max(n, m), MAX_CHART_DIM)
     return Chart(n, m)
 
 

@@ -1,9 +1,14 @@
 """Exception hierarchy shared by all fwlop modules.
 
 Every domain error derives from FwlopError so the CLI can map any of them
-to exit code 1, while parse-level errors derive from DocumentError (exit
-code 3) and broken internal invariants raise InvariantViolation (exit
-code 2).
+to exit code 1, while parse-level and usage errors derive from
+DocumentError (exit code 3) and broken internal invariants raise
+InvariantViolation (exit code 2).
+
+The size caps at the end bound the enumerations a request can start; an
+over-cap request raises RequestTooLarge (exit code 1) before it enumerates
+anything.  Each cap sits at least 10x above every input of the tests, the
+golden corpus, the verify defaults and the benchmark.
 """
 
 
@@ -21,6 +26,11 @@ class SpaceMismatch(FwlopError):
 
 class DocumentError(FwlopError):
     """Malformed input document (bad JSON schema, unknown keys, ...)."""
+
+
+class UsageError(DocumentError):
+    """Command line the argument parser rejects (unknown subcommand or flag,
+    missing or ill-typed argument)."""
 
 
 class PolySyntaxError(DocumentError):
@@ -90,3 +100,27 @@ class UnknownSuite(FwlopError):
 class InvariantViolation(FwlopError):
     """An internal consistency check failed: a defect in fwlop, not in the
     input.  Raised explicitly, so it survives `python -O`."""
+
+
+class RequestTooLarge(FwlopError):
+    """Request over a size cap, refused before it enumerates anything."""
+
+
+# Base dimension and fiber rank of a document's chart.
+MAX_CHART_DIM = 64
+# Basis multi-indices C(m+q-2, q-1) that a_iso, a_inverse and linearize_do
+# walk at order q on fiber rank m.
+MAX_BASIS_INDICES = 100
+# Keys C(n+m+q-1, q) of an order-q table recovered by evaluation.
+MAX_TABLE_KEYS = 1000
+# The same key count at the verify bounds n,m,q; lower, because the suites
+# build tables up to order 2q-1.
+MAX_VERIFY_TABLE_KEYS = 200
+# Rows of a determinant expanded over all permutations: 8! = 40320 terms,
+# which lets the metric Laplacian run up to chart (4,4).
+MAX_DET_SIZE = 8
+
+
+def refuse_over(what: str, count: int, cap: int):
+    if count > cap:
+        raise RequestTooLarge(f"{what} exceeds the cap of {cap}")

@@ -31,6 +31,7 @@ from fractions import Fraction
 
 from .diffop import DiffOp, nested_commutator
 from .errors import (
+    MAX_BASIS_INDICES,
     ArityMismatch,
     ChartMismatch,
     DocumentError,
@@ -40,6 +41,7 @@ from .errors import (
     NotHomogeneous,
     RankMismatch,
     SpaceMismatch,
+    refuse_over,
 )
 from .multivec import (
     PolyVectorField,
@@ -67,6 +69,7 @@ from .symcore import (
     VarKind,
     add_into,
     all_multi_indices,
+    multi_index_count,
     parse_poly,
     poly_to_str,
 )
@@ -447,9 +450,21 @@ def _closed_form_mult(op: DiffOp, q: int) -> Poly:
     return out
 
 
-def _check_order(q: int):
+def _check_order(q: int, chart: Chart):
     if q < 0:
         raise ArityMismatch(f"order must be >= 0, got {q}")
+    _check_basis_size(chart, q)
+
+
+def _check_basis_size(chart: Chart, q: int):
+    """Refuse an order whose basis multi-indices C over the fiber rank,
+    |C| = q-1, are too many to walk."""
+    m = chart.fiber_rank
+    refuse_over(
+        f"the basis multi-index count C(m+q-2, q-1) at m={m}, q={q}",
+        multi_index_count(m, q - 1, MAX_BASIS_INDICES),
+        MAX_BASIS_INDICES,
+    )
 
 
 def a_iso(op: DiffOp, q: int) -> LDerivation:
@@ -459,7 +474,7 @@ def a_iso(op: DiffOp, q: int) -> LDerivation:
     action) and the closed coordinate formula, checks they agree, and
     returns the result; homogeneous of degree q-1.
     """
-    _check_order(q)
+    _check_order(q, op.chart)
     if op.space is not Space.E:
         raise SpaceMismatch("the operator side lives on the total space")
     if not op.is_fwl(q):
@@ -490,8 +505,8 @@ def a_inverse(d: LDerivation, q: int) -> DiffOp:
     pure-fiber coefficients off the multiplication part after adding back
     the dual-fiber divergence of the field.
     """
-    _check_order(q)
     chart = d.chart
+    _check_order(q, chart)
     if not d.is_homogeneous(q - 1):
         raise NotHomogeneous(f"derivation is not homogeneous of degree {q - 1}")
     terms = {}

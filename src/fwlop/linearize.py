@@ -27,6 +27,7 @@ from .errors import (
     OrderExceeded,
     SpaceMismatch,
 )
+from .lbundle import _check_basis_size
 from .multivec import SymMultivector
 from .symcore import (
     EMPTY_MI,
@@ -111,6 +112,7 @@ def linearize_do(op: DiffOp, q: int) -> DiffOp:
     corrected by the same value of the already-built top part and divided
     by C!.  The result is checked to be FWL of order q.
     """
+    _check_basis_size(op.chart, q)
     if not is_order_q_linearizable(op, q):
         raise NotLinearizable(f"operator is not order-{q} linearizable")
     chart = op.chart

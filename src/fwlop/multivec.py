@@ -25,6 +25,7 @@ from enum import Enum
 
 from .diffop import DiffOp
 from .errors import (
+    MAX_DET_SIZE,
     ArityMismatch,
     AsymmetricGamma,
     ChartMismatch,
@@ -34,6 +35,7 @@ from .errors import (
     NotFWL,
     RankMismatch,
     SpaceMismatch,
+    refuse_over,
 )
 from .symcore import (
     EMPTY_MI,
@@ -486,6 +488,7 @@ def hamiltonian_field(p: SymMultivector) -> PolyVectorField:
 def _det(matrix):
     """Exact determinant by permutation expansion (small matrices only)."""
     size = len(matrix)
+    refuse_over(f"the determinant size {size}", size, MAX_DET_SIZE)
     chart, space = matrix[0][0].chart, matrix[0][0].space
     out = Poly.zero(chart, space)
     for perm in itertools.permutations(range(size)):
@@ -525,6 +528,8 @@ def fwl_metric_laplacian(chart: Chart, gamma) -> DiffOp:
     n = chart.base_dim
     if chart.fiber_rank != n:
         raise RankMismatch("the fiber-wise linear metric needs fiber rank = base dim")
+    # The same cap as _det's, checked before the 2n x 2n metric is built.
+    refuse_over(f"the determinant size {2 * n}", 2 * n, MAX_DET_SIZE)
     table = {}
     for (k, i, j), coeff in dict(gamma).items():
         if not (1 <= k <= n and 1 <= i <= n and 1 <= j <= n):

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DocumentError
+from .errors import MAX_VERIFY_TABLE_KEYS, DocumentError, refuse_over
 from .lbundle import LDerivation, LPair
 from .diffop import DiffOp
 from .multivec import PolyVectorField, Section, SectionRole, SymMultivector
@@ -26,6 +26,7 @@ from .symcore import (
     VarKind,
     add_into,
     fiber_kind,
+    multi_index_count,
 )
 
 
@@ -40,7 +41,7 @@ class Bounds:
 
     @classmethod
     def parse(cls, text: str) -> "Bounds":
-        """Read an "n,m,q" triple of positive integers."""
+        """Read an "n,m,q" triple of positive integers within the size cap."""
         message = f"bounds must be three positive integers n,m,q, got {text!r}"
         try:
             n, m, q = (int(part) for part in text.split(","))
@@ -48,6 +49,11 @@ class Bounds:
             raise DocumentError(message) from None
         if min(n, m, q) < 1:
             raise DocumentError(message)
+        refuse_over(
+            f"the table key count C(n+m+q-1, q) at bounds {n},{m},{q}",
+            multi_index_count(n + m, q, MAX_VERIFY_TABLE_KEYS),
+            MAX_VERIFY_TABLE_KEYS,
+        )
         return cls(n_max=n, m_max=m, order_max=q)
 
 

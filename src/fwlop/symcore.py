@@ -207,6 +207,26 @@ def all_multi_indices(alphabet_size: int, length: int):
         yield MultiIndex(combo)
 
 
+def multi_index_count(alphabet_size: int, length: int, limit: int) -> int:
+    """How many words all_multi_indices yields, C(alphabet_size+length-1,
+    length), or limit + 1 when that is more than limit.
+
+    With M = max(length, alphabet_size-1) the count is built as the running
+    product C(M+i, i), i = 1..min(length, alphabet_size-1), which only
+    grows; it stops once past the limit, so huge arguments cost a step or
+    two.
+    """
+    if length < 0:
+        return 0
+    big = max(length, alphabet_size - 1)
+    count = 1
+    for i in range(1, min(length, alphabet_size - 1) + 1):
+        count = count * (big + i) // i
+        if count > limit:
+            return limit + 1
+    return count
+
+
 def unshuffles(k: int, h: int):
     """(k, h)-unshuffles of 0..k+h-1 as (first block, second block) pairs.
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fwlop import cli
 from fwlop.cli import main
 
 OP_FWL2 = {
@@ -152,8 +153,110 @@ def test_verify_ok_and_deterministic(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    with pytest.raises(SystemExit):
-        main(["verify", "--suite", "bogus"])
+    code, out, err = run(capsys, "verify", "--suite", "bogus")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("UsageError: fwlop verify: argument --suite: invalid choice: 'bogus'")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "x.json"], "fwlop classify: the following arguments are required: --order"),
+        (["classify", "--order", "x", "x.json"], "fwlop classify: argument --order: invalid int value: 'x'"),
+        (["frobnicate", "x.json"], "fwlop: argument command: invalid choice: 'frobnicate'"),
+        (["grade", "x.json", "--bogus"], "fwlop: unrecognized arguments: --bogus"),
+        (["compose", "x.json"], "fwlop compose: the following arguments are required: right"),
+        ([], "fwlop: the following arguments are required: command"),
+    ],
+    ids=["missing-order", "non-integer-order", "unknown-command", "unknown-flag",
+         "missing-positional", "no-command"],
+)
+def test_usage_errors_exit_3_with_one_typed_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"UsageError: {message}")
+    assert err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--help"])
+    assert exc.value.code == 0
+    assert "--order" in capsys.readouterr().out
+
+
+DERIVATION = {
+    "chart": {"base_dim": 1, "fiber_rank": 1},
+    "field": {"dx": ["x1*v1"], "dv": ["-v1^2"]},
+    "mult": "-v1",
+}
+GAMMA = {"chart": {"base_dim": 1, "fiber_rank": 1}, "gamma": [{"k": 1, "i": 1, "j": 1, "coeff": "x1"}]}
+AMBIENT = {
+    "chart": {"base_dim": 1, "fiber_rank": 1},
+    "space": "Ambient",
+    "terms": [{"coeff": "u1", "dx": [], "du": [1, 1]}],
+}
+
+
+def test_parser_is_built_once_across_calls(op_file, capsys, monkeypatch):
+    """One parser build serves 20 calls over every subcommand, usage
+    errors included: no call constructs a parser again.  The parser may
+    already exist from an earlier test, so at most one build is seen."""
+    built = []
+    construct = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    fwl, core = op_file(OP_FWL2, "fwl.json"), op_file(OP_CORE2, "core.json")
+    deriv, gamma = op_file(DERIVATION, "d.json"), op_file(GAMMA, "g.json")
+    ambient = op_file(AMBIENT, "amb.json")
+    calls = [
+        ["eval", core, "--fn", "u1^3"],
+        ["compose", core, fwl],
+        ["bracket", core, fwl],
+        ["grade", fwl],
+        ["classify", "--order", "2", fwl],
+        ["symbol", fwl],
+        ["ad", "--order", "2", fwl],
+        ["poisson", core, core],
+        ["a-iso", "--order", "2", fwl],
+        ["a-inv", "--order", "2", deriv],
+        ["linearize", "--order", "2", ambient],
+        ["laplacian", gamma],
+        ["verify", "--suite", "laplacian", "--trials", "1"],
+        ["classify", fwl],
+        ["frobnicate"],
+        ["eval", core, "--fn", "u1", "--space", "E"],
+        ["a-iso", "--order", "1", core],
+        ["grade", "--space", "Estar", core],
+        ["symbol", fwl, "--bogus"],
+        ["classify", "--order", "2", core],
+    ]
+    codes = [main(argv) for argv in calls]
+    capsys.readouterr()
+    assert codes == [0] * 13 + [3, 3, 0, 1, 1, 3, 0]
+    assert built.count("fwlop") <= 1
+    assert len(built) == len(set(built))
+
+
+def test_reused_parser_carries_no_state(op_file, capsys):
+    estar = dict(OP_CORE2, space="Estar", terms=[{"coeff": "1", "dx": [], "du": [1]}])
+    code, out, _ = run(capsys, "eval", op_file(OP_CORE2, "e.json"), "--fn", "u1^3", "--space", "E")
+    assert (code, out) == (0, "6*u1\n")
+    code, out, err = run(capsys, "eval", op_file(estar, "s.json"), "--fn", "v1^2")
+    assert (code, out, err) == (0, "2*v1\n", "")
+    code, out, _ = run(capsys, "a-iso", "--order", "2", op_file(OP_FWL2))
+    assert code == 0
+    assert "mult" in json.loads(out)
+    code, out, _ = run(capsys, "ad", "--order", "2", op_file(OP_FWL2))
+    assert code == 0
+    assert set(json.loads(out)) == {"chart", "field"}
 
 
 def test_domain_error_exit_code(op_file, capsys):

@@ -6,16 +6,25 @@ from bounded strategies (charts up to 2x2, derivative orders up to 3,
 `tmp_path` and run through `cli.main` in-process.  Each case must end with
 exit 0 (success), 1 (domain error) or 3 (parse error); an exception that
 escapes `main`, or exit 2 (an internal invariant violation), fails it.
+
+The argv layer is fuzzed the same way: a generated case with one usage
+defect (unknown subcommand or flag, missing or non-integer `--order`,
+missing positional) must exit 3 with one `UsageError` line, and a request
+over a size cap (chart, basis, Laplacian or verify bounds) must exit 1 with
+one `RequestTooLarge` line in under 0.5 s.  Nothing spawns a process.
 """
 
 import contextlib
 import io
 import json
+import time
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fwlop import cli
+from fwlop.errors import MAX_BASIS_INDICES, MAX_CHART_DIM, MAX_VERIFY_TABLE_KEYS
+from fwlop.symcore import multi_index_count
 
 # Values that break a document field of any type.
 BAD_VALUES = [None, True, False, -1, 0, 7, 1.5, "x", "", [], {}, [True], "x1 +", "w1"]
@@ -177,14 +186,17 @@ def cli_cases(draw):
 
 
 def _run(argv, docs, directory):
+    """(exit code, stdout, stderr) of `cli.main` on argv naming document i as "@i"."""
     paths = []
     for index, doc in enumerate(docs):
         path = directory / f"doc{index}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         paths.append(str(path))
     argv = [paths[int(a[1:])] if a.startswith("@") else a for a in argv]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return cli.main(argv)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(
@@ -197,4 +209,147 @@ def _run(argv, docs, directory):
 @given(case=cli_cases())
 def test_cli_inputs_end_with_a_documented_exit_code(case, tmp_path):
     argv, docs = case
-    assert _run(argv, docs, tmp_path) in (0, 1, 3)
+    code, _, _ = _run(argv, docs, tmp_path)
+    assert code in (0, 1, 3)
+
+
+# -- the argv layer ------------------------------------------------------------
+# Usage errors end before any document is read, with exit 3; requests over a
+# size cap end before any enumeration, with exit 1.  Both run in process.
+
+ORDER_COMMANDS = ("classify", "ad", "a-iso", "a-inv", "linearize")
+
+
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def malformed_argv(draw):
+    """(argv, [documents]): a generated case with one usage defect."""
+    argv, docs = draw(cli_cases())
+    defects = ["unknown-command", "unknown-flag", "missing-positional"]
+    if argv[0] in ORDER_COMMANDS:
+        defects += ["missing-order", "non-integer-order"]
+    defect = draw(st.sampled_from(defects))
+    if defect == "unknown-command":
+        argv[0] = draw(st.sampled_from(["frobnicate", "Eval", "a_iso", "verify2", ""]))
+    elif defect == "unknown-flag":
+        flag = draw(st.sampled_from(["--bogus", "--orderx", "-z", "--trials=1"]))
+        argv.insert(draw(st.integers(1, len(argv))), flag)
+    elif defect == "missing-positional":
+        argv.remove(draw(st.sampled_from([a for a in argv if a.startswith("@")])))
+    else:
+        at = argv.index("--order")
+        if defect == "missing-order":
+            del argv[at:at + 2]
+        else:
+            argv[at + 1] = draw(st.text(alphabet="x0123.-e ", max_size=4).filter(_not_an_int))
+    return argv, docs
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(case=malformed_argv())
+def test_malformed_argv_exits_3_with_one_typed_line(case, tmp_path):
+    argv, docs = case
+    code, out, err = _run(argv, docs, tmp_path)
+    assert (code, out) == (3, "")
+    assert err.startswith("UsageError: ") and err.count("\n") == 1
+
+
+def _first_order_over_basis_cap(m):
+    q = 1
+    while multi_index_count(m, q - 1, MAX_BASIS_INDICES) <= MAX_BASIS_INDICES:
+        q += 1
+    return q
+
+
+@st.composite
+def over_cap_cases(draw):
+    """(argv, [documents]) of a request over one of the size caps."""
+    kind = draw(st.sampled_from(["basis", "chart", "laplacian", "bounds"]))
+    if kind == "bounds":
+        n, m, q = draw(
+            st.tuples(st.integers(1, 300), st.integers(1, 300), st.integers(1, 40)).filter(
+                lambda b: multi_index_count(b[0] + b[1], b[2], MAX_VERIFY_TABLE_KEYS)
+                > MAX_VERIFY_TABLE_KEYS
+            )
+        )
+        return ["verify", "--suite", "all", "--trials", "1", "--bounds", f"{n},{m},{q}"], []
+    if kind == "laplacian":
+        n = draw(st.integers(5, MAX_CHART_DIM))
+        entry = {"k": 1, "i": 1, "j": n, "coeff": "x1"}
+        gamma = {"chart": _chart_doc(n, n), "gamma": [entry, dict(entry, i=n, j=1)]}
+        return ["laplacian", "@0"], [gamma]
+    if kind == "basis":
+        n, m = draw(st.integers(1, 3)), draw(st.integers(2, MAX_CHART_DIM))
+        low = _first_order_over_basis_cap(m)
+        q = draw(st.one_of(st.integers(low, low + 3), st.just(10**6)))
+    else:
+        big = draw(st.integers(MAX_CHART_DIM + 1, 10**9))
+        n, m = draw(st.sampled_from([(big, 1), (1, big), (big, big)]))
+        q = 1
+    command = draw(st.sampled_from(
+        ["a-iso", "ad", "a-inv", "linearize"] if kind == "basis" else list(ORDER_COMMANDS) + [
+            "eval", "compose", "grade", "symbol", "laplacian",
+        ]
+    ))
+    if command == "a-inv":
+        # An over-cap chart is refused before the component counts are read.
+        dx, dv = (["0"] * d if d <= MAX_CHART_DIM else [] for d in (n, m))
+        doc = {"chart": _chart_doc(n, m), "field": {"dx": dx, "dv": dv}, "mult": "0"}
+    elif command == "laplacian":
+        doc = {"chart": _chart_doc(n, m), "gamma": []}
+    else:
+        space = "Ambient" if command == "linearize" else "E"
+        doc = {"chart": _chart_doc(n, m), "space": space,
+               "terms": [{"coeff": "1", "dx": [], "du": [1]}]}
+    argv = [command, "@0"]
+    if command in ORDER_COMMANDS:
+        argv += ["--order", str(q)]
+    if command == "eval":
+        argv.append("--fn=1")
+    if command == "compose":
+        argv.append("@0")
+    return argv, [doc]
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(case=over_cap_cases())
+def test_over_cap_requests_are_refused_quickly(case, tmp_path):
+    argv, docs = case
+    start = time.perf_counter()
+    code, out, err = _run(argv, docs, tmp_path)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err.startswith("RequestTooLarge: ") and err.count("\n") == 1
+
+
+def test_a_iso_at_order_6_on_chart_40_is_refused(tmp_path):
+    """C(44, 5), about 1.1M basis multi-indices: once minutes of work."""
+    doc = {"chart": _chart_doc(40, 40), "space": "E",
+           "terms": [{"coeff": "1", "dx": [], "du": [1] * 6}]}
+    start = time.perf_counter()
+    code, out, err = _run(["a-iso", "--order", "6", "@0"], [doc], tmp_path)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err == (
+        "RequestTooLarge: the basis multi-index count C(m+q-2, q-1) at m=40, q=6 "
+        "exceeds the cap of 100\n"
+    )

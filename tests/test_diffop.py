@@ -14,7 +14,13 @@ from fwlop.diffop import (
     diffop_to_doc,
     nested_commutator,
 )
-from fwlop.errors import DocumentError, InvariantViolation, SpaceMismatch, ZeroOperator
+from fwlop.errors import (
+    DocumentError,
+    InvariantViolation,
+    RequestTooLarge,
+    SpaceMismatch,
+    ZeroOperator,
+)
 from fwlop.randgen import (
     Bounds,
     rand_chart,
@@ -293,6 +299,14 @@ def test_recover_coefficients_dxx():
     x1 = Poly.var(CH, Space.E, Var(VarKind.BASE, 1))
     twice = nested_commutator(dxx, [x1, x1]).apply(Poly.const(CH, Space.E, 1))
     assert twice == Poly.const(CH, Space.E, 2)
+
+
+def test_recovery_refuses_an_over_cap_table():
+    # C(61, 2) = 1830 order-2 keys on chart (30,30), over the cap of 1000.
+    chart = Chart(30, 30)
+    op = DiffOp.monomial(Poly.const(chart, Space.E, 1), MultiIndex([1]), MultiIndex([2]))
+    with pytest.raises(RequestTooLarge, match="table key count .* n=30, m=30, q=2"):
+        op.recover_coefficients()
 
 
 def test_recover_identity():

@@ -12,9 +12,11 @@ from fwlop.errors import (
     NotCore,
     NotFWL,
     RankMismatch,
+    RequestTooLarge,
 )
 from fwlop.multivec import (
     Section,
+    _det,
     SectionRole,
     SymMultivector,
     core_to_dualpoly,
@@ -422,6 +424,14 @@ def test_vertical_lift():
     e = Section(SectionRole.OF_E, CH1, (P("x1"),))
     lift = e.vertical_lift()
     assert lift.apply(P("u1^2")) == P("2*x1*u1")
+
+
+def test_permutation_determinants_are_capped():
+    one = Poly.const(CH1, Space.E, 1)
+    with pytest.raises(RequestTooLarge, match="determinant size 9 exceeds the cap of 8"):
+        _det([[one] * 9 for _ in range(9)])
+    with pytest.raises(RequestTooLarge, match="determinant size 10"):
+        fwl_metric_laplacian(Chart(5, 5), {})
 
 
 def test_flat_laplacian():

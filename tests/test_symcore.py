@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -19,9 +20,11 @@ from fwlop.symcore import (
     Space,
     Var,
     VarKind,
+    all_multi_indices,
     base_var,
     dual_var,
     fiber_var,
+    multi_index_count,
     parse_poly,
     poly_to_str,
     unshuffles,
@@ -172,6 +175,17 @@ def test_unshuffles_are_splits():
     assert ((0, 1), (2,)) in pairs and len(pairs) == 3
     assert list(unshuffles(-1, 2)) == []
     assert list(unshuffles(0, 0)) == [((), ())]
+
+
+def test_multi_index_count_matches_the_enumeration():
+    for alphabet in range(1, 6):
+        for length in range(-1, 6):
+            listed = len(list(all_multi_indices(alphabet, length)))
+            assert multi_index_count(alphabet, length, 10**6) == listed
+            assert multi_index_count(alphabet, length, 7) == min(listed, 8)
+    # Past the limit the running product stops: huge arguments are cheap.
+    assert multi_index_count(10**4000, 10**4000, 200) == 201
+    assert multi_index_count(40, 5, 10**9) == comb(44, 5)
 
 
 def test_scale_fiber():
