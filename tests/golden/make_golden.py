@@ -23,7 +23,7 @@ from pathlib import Path
 
 from fwlop import cli
 from fwlop import randgen as rg
-from fwlop.diffop import chart_to_doc, diffop_to_doc
+from fwlop.diffop import DiffOp, chart_to_doc, diffop_to_doc
 from fwlop.lbundle import a_iso, lderivation_to_doc
 from fwlop.symcore import Chart, Space, poly_to_str
 
@@ -104,6 +104,13 @@ def _fixtures():
         yield name, diffop_to_doc(op)
         yield "deriv_" + name, lderivation_to_doc(a_iso(op, q))
 
+    # Order 0: multiplication by a fiber-linear function.
+    rng = random.Random(3500)
+    phi = rg.rand_section(rng, Chart(2, 2), bounds)
+    yield "fwl_q0_22.json", diffop_to_doc(DiffOp.mult(phi.ell()))
+    rng = random.Random(3541)
+    yield "fwl_q3_33.json", diffop_to_doc(rg.rand_fwl_op(rng, Chart(3, 3), bounds, 3))
+
     for q, chart in [(1, Chart(1, 1)), (2, Chart(2, 2))]:
         rng = random.Random(4000 + q)
         d = rg.rand_homogeneous_lderivation(rng, chart, bounds, q - 1)
@@ -169,6 +176,9 @@ def _cases():
         yield f"a_iso_q{q}_{ch}", ["a-iso", "--order", str(q), name]
         yield f"ad_q{q}_{ch}", ["ad", "--order", str(q), name]
         yield f"a_inv_q{q}_{ch}", ["a-inv", "--order", str(q), "deriv_" + name]
+    yield "a_iso_q0_22", ["a-iso", "--order", "0", "fwl_q0_22.json"]
+    yield "ad_q0_22", ["ad", "--order", "0", "fwl_q0_22.json"]
+    yield "a_iso_q3_33", ["a-iso", "--order", "3", "fwl_q3_33.json"]
     yield "a_iso_hand_q2", ["a-iso", "--order", "2", "fwl2_hand.json"]
     yield "a_iso_not_fwl", ["a-iso", "--order", "2", "op_e_hand.json"]
     yield "a_inv_rand_q1", ["a-inv", "--order", "1", "deriv_rand_q1.json"]
