@@ -14,8 +14,10 @@ table gives the vector field, and the nested-commutator values
     Psi(phi_1, ..., phi_{q-1}) = [...[op, l_phi_1], ..., l_phi_{q-1}](1)
 
 combined with the trace action of the contracted symbol give the
-multiplication part.  Both that construction and an independent closed
-coordinate formula are computed on every call and checked equal.
+multiplication part.  An independent closed coordinate formula computes the
+multiplication part again on every call, and the two are checked equal.  The
+vector field is the hamiltonian field of the symbol on both paths, so it is
+computed once and not compared.
 
 Rank-1 bundle multivectors are pairs (P, rho) of symmetric multivectors of
 orders q and q-1, acting by D(f_1,...,f_{q-1} | g Vol) = (P(f's, g) +
@@ -389,22 +391,17 @@ def psi_values(op: DiffOp, sections) -> Poly:
     return value
 
 
-def _contract_trace(p: SymMultivector, phis, symbol: tuple) -> Poly:
+def _contract_trace(p: SymMultivector, phis) -> Poly:
     """Multiplication part, in the Vol_u frame, of the action on the
-    determinant line of the derivation P(phis, -) whose symbol field is
-    `symbol`, for phis the dual basis sections of some C and P FWL."""
+    determinant line of the derivation P(phis, -) of the dual bundle, for
+    phis the dual basis sections of some C and P FWL: minus the trace of
+    its matrix, as `FrameDerivation.dual().top_power()` computes it."""
     chart = p.chart
-    m = chart.fiber_rank
-    columns = [
-        _multiderivation_D(p, *phis, Section.basis(chart, SectionRole.OF_ESTAR, beta))
-        for beta in range(1, m + 1)
-    ]
-    matrix = tuple(
-        tuple(columns[beta].components[alpha] for beta in range(m))
-        for alpha in range(m)
-    )
-    deriv_on_dual = FrameDerivation(chart, m, symbol, matrix)
-    return deriv_on_dual.dual().top_power().matrix[0][0]
+    out = Poly.zero(chart, Space.E)
+    for alpha in range(1, chart.fiber_rank + 1):
+        basis = Section.basis(chart, SectionRole.OF_ESTAR, alpha)
+        out = out - _multiderivation_D(p, *phis, basis).components[alpha - 1]
+    return out
 
 
 def _a_iso_pair(op: DiffOp, q: int) -> LPair:
@@ -412,18 +409,17 @@ def _a_iso_pair(op: DiffOp, q: int) -> LPair:
 
     Per basis multi-index C the multiplication part of the bundle map is
     the trace action of the contracted symbol plus the nested-commutator
-    value Psi(C).  P is checked FWL once, here.
+    value Psi(C); rho stores it divided by C!.  P is checked FWL once, here.
     """
     chart = op.chart
     p = op.symbol_at(q)
     _require_fwl(p)
-    phi_table = {}
+    rho_terms = {}
     for c_idx in all_multi_indices(chart.fiber_rank, q - 1):
         sections = [Section.basis(chart, SectionRole.OF_ESTAR, a) for a in c_idx]
-        symbol = _symbol_field_on_basis(p, c_idx)
-        mult = _contract_trace(p, sections, symbol) + psi_values(op, sections)
-        phi_table[c_idx] = (symbol, mult)
-    return LPair.from_phi_table(p, phi_table)
+        mult = _contract_trace(p, sections) + psi_values(op, sections)
+        rho_terms[(EMPTY_MI, c_idx)] = mult.scale(Fraction(1, c_idx.factorial()))
+    return LPair(p, SymMultivector(chart, Space.E, q - 1, rho_terms))
 
 
 def _closed_form_mult(op: DiffOp, q: int) -> Poly:
@@ -470,25 +466,20 @@ def _check_basis_size(chart: Chart, q: int):
 def a_iso(op: DiffOp, q: int) -> LDerivation:
     """FWL operator of order q to a derivation of the pulled-back line.
 
-    Computes both the bundle-map path (nested commutators plus trace
-    action) and the closed coordinate formula, checks they agree, and
-    returns the result; homogeneous of degree q-1.
+    The vector field is the hamiltonian field of the level-q symbol,
+    computed once.  The multiplication part is computed by the closed
+    coordinate formula and, for q >= 1, again by the bundle-map path
+    (nested commutators plus trace action); the two are checked equal.  At
+    q = 0 the closed form is zero and the bundle-map sum over |C| = -1 is
+    empty.  The result is homogeneous of degree q-1.
     """
     _check_order(q, op.chart)
     if op.space is not Space.E:
         raise SpaceMismatch("the operator side lives on the total space")
     if not op.is_fwl(q):
         raise NotFWL(f"operator is not FWL of order {q}")
-    if q == 0:
-        result = LDerivation(
-            hamiltonian_field(op.symbol_at(0)), Poly.zero(op.chart, Space.ESTAR)
-        )
-        closed = result
-    else:
-        pair = _a_iso_pair(op, q)
-        result = pair_to_lderivation(pair)
-        closed = LDerivation(hamiltonian_field(op.symbol_at(q)), _closed_form_mult(op, q))
-    if result != closed:
+    result = LDerivation(hamiltonian_field(op.symbol_at(q)), _closed_form_mult(op, q))
+    if q >= 1 and core_to_dualpoly(_a_iso_pair(op, q).rho) != result.mult:
         raise InvariantViolation(
             "bundle-map path and closed coordinate path disagree"
         )

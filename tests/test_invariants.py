@@ -10,7 +10,7 @@ from fwlop import lbundle
 from fwlop.cli import main
 from fwlop.diffop import diffop_from_doc
 from fwlop.errors import FwlopError, InvariantViolation
-from fwlop.symcore import Poly, Space
+from fwlop.symcore import Poly
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fwlop"
 
@@ -69,19 +69,23 @@ def test_recovery_helpers_are_referenced_only_from_their_homes(path):
     assert strays == []
 
 
-def _wrong_closed_form(monkeypatch):
-    right = lbundle._closed_form_mult
+def _wrong_closed_form(monkeypatch, name="_closed_form_mult"):
+    """Add 1 to what one path of a_iso's multiplication part computes: the
+    closed formula, or the trace action on the bundle-map path."""
+    right = getattr(lbundle, name)
 
-    def wrong(op, q):
-        return right(op, q) + Poly.const(op.chart, Space.ESTAR, 1)
+    def wrong(*args):
+        value = right(*args)
+        return value + Poly.const(value.chart, value.space, 1)
 
-    monkeypatch.setattr(lbundle, "_closed_form_mult", wrong)
+    monkeypatch.setattr(lbundle, name, wrong)
 
 
-def test_a_iso_path_disagreement_raises(monkeypatch):
+@pytest.mark.parametrize("name", ["_closed_form_mult", "_contract_trace"])
+def test_a_iso_path_disagreement_raises(monkeypatch, name):
     op = diffop_from_doc(OP_FWL2)
     lbundle.a_iso(op, 2)
-    _wrong_closed_form(monkeypatch)
+    _wrong_closed_form(monkeypatch, name)
     with pytest.raises(InvariantViolation, match="disagree"):
         lbundle.a_iso(op, 2)
 

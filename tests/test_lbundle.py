@@ -317,26 +317,40 @@ def test_a_iso_requires_fwl():
         a_iso(DiffOp.monomial(P("u1^2"), EMPTY_MI, MultiIndex([1])), 1)
 
 
-def test_a_iso_pair_checks_fwl_once(monkeypatch):
+def test_a_iso_work_counts(monkeypatch):
     import fwlop.lbundle as lb
     import fwlop.multivec as mv
 
     with pytest.raises(NotFWL):
         lb._a_iso_pair(DiffOp.monomial(P("1"), EMPTY_MI, MultiIndex([1, 1])), 2)
-    # once up front and once in from_phi_table, whatever the number of
-    # basis indices (3 at chart (2,2) and q = 3)
-    calls = []
-    check = mv.fwl_check_multivector
+    # one whole a_iso call at chart (2,2) and q = 3, with 3 basis indices C:
+    # the field once, P checked FWL by the field and by the bundle path, and
+    # per C two sections for Psi and 2 x 3 for the trace columns
+    calls = {"hamiltonian_field": 0, "fwl_check": 0, "symbol_field": 0, "ell": 0}
 
-    def counting(p):
-        calls.append(p)
-        return check(p)
+    def counting(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
 
-    monkeypatch.setattr(mv, "fwl_check_multivector", counting)
-    monkeypatch.setattr(lb, "fwl_check_multivector", counting)
+        return wrapper
+
+    check = counting("fwl_check", mv.fwl_check_multivector)
+    monkeypatch.setattr(mv, "fwl_check_multivector", check)
+    monkeypatch.setattr(lb, "fwl_check_multivector", check)
+    monkeypatch.setattr(
+        lb, "hamiltonian_field", counting("hamiltonian_field", lb.hamiltonian_field)
+    )
+    monkeypatch.setattr(
+        lb, "_symbol_field_on_basis", counting("symbol_field", lb._symbol_field_on_basis)
+    )
+    monkeypatch.setattr(Section, "ell", counting("ell", Section.ell))
     op = rand_fwl_op(random.Random(5), CH, BOUNDS, 3)
-    lb._a_iso_pair(op, 3)
-    assert len(calls) == 2
+    a_iso(op, 3)
+    assert calls["hamiltonian_field"] == 1
+    assert calls["fwl_check"] <= 2
+    assert calls["symbol_field"] == 0
+    assert calls["ell"] == 24
 
 
 def test_a_inverse_examples():
