@@ -121,7 +121,7 @@ def _fixtures():
         op = rg.rand_order_q_linearizable_op(rng, chart, bounds, q)
         yield f"lin_q{q}_{chart.base_dim}{chart.fiber_rank}.json", diffop_to_doc(op)
 
-    for n in (1, 2):
+    for n in (1, 2, 3, 4):
         rng = random.Random(6000 + n)
         chart = Chart(n, n)
         gamma = rg.rand_gamma(rng, chart, bounds)
@@ -190,8 +190,8 @@ def _cases():
     yield "linearize_hand_q2", ["linearize", "--order", "2", "ambient_hand.json"]
     yield "linearize_not_linearizable", ["linearize", "--order", "1", "op_amb_1.json"]
 
-    for name in ("gamma_1.json", "gamma_2.json", "gamma_hand.json"):
-        yield "laplacian_" + name[: -len(".json")], ["laplacian", name]
+    for tag in ("1", "2", "3", "4", "hand"):
+        yield f"laplacian_gamma_{tag}", ["laplacian", f"gamma_{tag}.json"]
 
 
 def run_case(argv, fixtures_dir):
