@@ -10,10 +10,12 @@ representation is unique once multi-indices are canonical, so equality is
 table equality.  Composition expands derivative-past-coefficient by the
 multiset Leibniz rule.  A commutator [A, f] with a multiplication operator
 is one pass of the same expansion of A∘f without its S = ∅ terms, which
-are f∘A; any other commutator is A∘B - B∘A.  The nested-commutator
-coefficient recovery provides an independent oracle for the whole
-representation: it reads the table only through those expansions, and it
-builds each nested commutator once, from the one of its prefix.
+are f∘A; any other commutator is A∘B - B∘A.  Every value
+[...[op, f1], ..., fk](1) in the package, from multivector evaluation to
+the bundle map of `a_iso`, comes from `nested_values(op)`, which builds
+each nested commutator once, from the one of its prefix.  Coefficient
+recovery reads the table only through these values, which makes it an
+independent oracle for the whole representation.
 
 The weight of a homogeneous term is (fiber degree of the coefficient)
 minus |B|; it matches the exponent picked up under conjugation by the
@@ -341,22 +343,12 @@ class DiffOp:
         letters z running over the I and B coordinate functions.  This is
         the independent oracle for the representation; it never reads the
         stored table directly, only through the Leibniz expansion of each
-        [A, z].  Keys come base letters first, so every proper prefix of a
-        key's letters is a shorter key: each nested commutator is one
-        commutator of a prefix's, and the prefixes live for this call only.
+        [A, z].  The values share their prefixes for this call only.
         """
         order = self.order()
         if order is None:
             return {}
-        one = Poly.const(self.chart, self.space, 1)
-        nested = {(): self}
-
-        def value(args):
-            key = tuple(args)
-            if key:
-                nested[key] = nested[key[:-1]].commutator(DiffOp.mult(key[-1]))
-            return nested[key].apply(one)
-
+        value = nested_values(self)
         out = {}
         for total in range(order + 1):
             out.update(_recover_table(self.chart, self.space, total, value))
@@ -398,12 +390,23 @@ def _term_key(item):
     return (len(mi_b) + len(mi_f), mi_b.entries, mi_f.entries)
 
 
-def nested_commutator(op: DiffOp, factors) -> DiffOp:
-    """[...[op, f1], ..., fk] with the f's acting by multiplication."""
-    out = op
-    for f in factors:
-        out = out.commutator(DiffOp.mult(f))
-    return out
+def nested_values(op: DiffOp):
+    """The map fs -> [...[op, f1], ..., fk](1), the f's acting by
+    multiplication.  Each nested commutator is one commutator of the one of
+    its prefix, kept in a trie of words for as long as the map lives."""
+    one = Poly.const(op.chart, op.space, 1)
+    root = (op, {})
+
+    def value(fs) -> Poly:
+        node = root
+        for f in fs:
+            nested, children = node
+            node = children.get(f)
+            if node is None:
+                node = children[f] = (nested.commutator(DiffOp.mult(f)), {})
+        return node[0].apply(one)
+
+    return value
 
 
 def _recover_table(chart, space, q, value_fn) -> dict:

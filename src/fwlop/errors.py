@@ -116,8 +116,8 @@ MAX_TABLE_KEYS = 1000
 # The same key count at the verify bounds n,m,q; lower, because the suites
 # build tables up to order 2q-1.
 MAX_VERIFY_TABLE_KEYS = 200
-# Rows of a determinant expanded over all permutations: 8! = 40320 terms,
-# which lets the metric Laplacian run up to chart (4,4).
+# Rows of a determinant, expanded by cofactors over nonzero entries (up to
+# 8! products when dense); the metric Laplacian on chart (n,n) needs 2n.
 MAX_DET_SIZE = 8
 
 

@@ -9,15 +9,19 @@ A derivation of the pulled-back determinant line bundle over the dual
 total space appears in the Vol_u frame as a pair (polynomial vector field,
 polynomial multiplication part).  The central construction maps a
 fiber-wise linear operator of order q to such a derivation: its level-q
-table gives the vector field, and the nested-commutator values
+table gives the vector field.  Per basis multi-index C the nested-commutator
+value with the fiber coordinates
 
-    Psi(phi_1, ..., phi_{q-1}) = [...[op, l_phi_1], ..., l_phi_{q-1}](1)
+    Psi(C) = [...[op, u_c_1], ..., u_c_{q-1}](1)
 
-combined with the trace action of the contracted symbol give the
-multiplication part.  An independent closed coordinate formula computes the
-multiplication part again on every call, and the two are checked equal.  The
-vector field is the hamiltonian field of the symbol on both paths, so it is
-computed once and not compared.
+combined with the trace action of the contracted symbol gives the
+multiplication part.  The trace reads its columns P(u_C, u_alpha) as the
+values Psi(C + alpha), since q commutators with functions kill the terms
+of order below q, so one `nested_values` table per call serves both and
+no section object is built.  An independent closed coordinate formula
+computes the multiplication part again on every call, and the two are
+checked equal.  The vector field is the hamiltonian field of the symbol on
+both paths, so it is computed once and not compared.
 
 Rank-1 bundle multivectors are pairs (P, rho) of symmetric multivectors of
 orders q and q-1, acting by D(f_1,...,f_{q-1} | g Vol) = (P(f's, g) +
@@ -31,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffop import DiffOp, nested_commutator
+from .diffop import DiffOp, nested_values
 from .errors import (
     MAX_BASIS_INDICES,
     ArityMismatch,
@@ -51,7 +55,6 @@ from .multivec import (
     SectionRole,
     SymMultivector,
     _dual_monomial,
-    _multiderivation_D,
     _multiderivation_l,
     _require_fwl,
     core_to_dualpoly,
@@ -383,24 +386,30 @@ def lderivation_to_pair(d: LDerivation, q: int) -> LPair:
 
 def psi_values(op: DiffOp, sections) -> Poly:
     """[...[op, l_phi_1], ..., l_phi_{q-1}](1), a base-only polynomial."""
-    value = nested_commutator(op, [phi.ell() for phi in sections]).apply(
-        Poly.const(op.chart, op.space, 1)
-    )
-    if not value.is_base_only():
+    return _psi(nested_values(op), [phi.ell() for phi in sections])
+
+
+def _psi(value, word) -> Poly:
+    psi = value(word)
+    if not psi.is_base_only():
         raise InvariantViolation("nested-commutator value is not base-only")
-    return value
+    return psi
 
 
-def _contract_trace(p: SymMultivector, phis) -> Poly:
+def _contract_trace(value, word, coords) -> Poly:
     """Multiplication part, in the Vol_u frame, of the action on the
-    determinant line of the derivation P(phis, -) of the dual bundle, for
-    phis the dual basis sections of some C and P FWL: minus the trace of
-    its matrix, as `FrameDerivation.dual().top_power()` computes it."""
-    chart = p.chart
-    out = Poly.zero(chart, Space.E)
-    for alpha in range(1, chart.fiber_rank + 1):
-        basis = Section.basis(chart, SectionRole.OF_ESTAR, alpha)
-        out = out - _multiderivation_D(p, *phis, basis).components[alpha - 1]
+    determinant line of the derivation P(u_C, -) of the dual bundle: minus
+    the trace of its matrix, as `FrameDerivation.dual().top_power()`
+    computes it.  For `value` the nested-commutator map of a FWL operator
+    of order q, column alpha is value(u_C + [u_alpha]) = P(u_C, u_alpha)."""
+    out = Poly.zero(coords[0].chart, Space.E)
+    for alpha, u_alpha in enumerate(coords, start=1):
+        column = value(word + [u_alpha])
+        if set(column.fiber_degree_decompose()) - {1}:
+            raise InvariantViolation(
+                "evaluation on fiber-linear functions is not fiber-linear"
+            )
+        out = out - column.partial(Var(VarKind.FIBER, alpha))
     return out
 
 
@@ -409,15 +418,19 @@ def _a_iso_pair(op: DiffOp, q: int) -> LPair:
 
     Per basis multi-index C the multiplication part of the bundle map is
     the trace action of the contracted symbol plus the nested-commutator
-    value Psi(C); rho stores it divided by C!.  P is checked FWL once, here.
+    value Psi(C); rho stores it divided by C!.  Both come from one table of
+    nested commutators with the fiber coordinates, so the words u_C and
+    u_C + [u_alpha] share their prefixes.  P is checked FWL once, here.
     """
     chart = op.chart
     p = op.symbol_at(q)
     _require_fwl(p)
+    value = nested_values(op)
+    coords = [Poly.var(chart, Space.E, v) for v in chart.vars_of(VarKind.FIBER)]
     rho_terms = {}
     for c_idx in all_multi_indices(chart.fiber_rank, q - 1):
-        sections = [Section.basis(chart, SectionRole.OF_ESTAR, a) for a in c_idx]
-        mult = _contract_trace(p, sections) + psi_values(op, sections)
+        word = [coords[a - 1] for a in c_idx]
+        mult = _contract_trace(value, word, coords) + _psi(value, word)
         rho_terms[(EMPTY_MI, c_idx)] = mult.scale(Fraction(1, c_idx.factorial()))
     return LPair(p, SymMultivector(chart, Space.E, q - 1, rho_terms))
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .diffop import DiffOp, nested_commutator
+from .diffop import DiffOp, nested_values
 from .errors import (
     InvariantViolation,
     NotLinearizable,
@@ -117,20 +117,18 @@ def linearize_do(op: DiffOp, q: int) -> DiffOp:
         raise NotLinearizable(f"operator is not order-{q} linearizable")
     chart = op.chart
     p_lin = linearize_multivector(op.symbol_at(q))
-    top = DiffOp(chart, Space.E, dict(p_lin.terms))
-    one_ambient = Poly.const(chart, Space.AMBIENT, 1)
-    one_bundle = Poly.const(chart, Space.E, 1)
+    value, value_top = nested_values(op), nested_values(p_lin.to_operator())
 
-    terms = dict(top.terms)
+    terms = dict(p_lin.terms)
     for c_idx in all_multi_indices(chart.fiber_rank, q - 1):
         reps = [
             Poly.var(chart, Space.AMBIENT, Var(VarKind.FIBER, c)) for c in c_idx
         ]
-        psi = nested_commutator(op, reps).apply(one_ambient).restrict_fiber_zero()
+        psi = value(reps).restrict_fiber_zero()
         lifted = [
             Poly.var(chart, Space.E, Var(VarKind.FIBER, c)) for c in c_idx
         ]
-        psi_top = nested_commutator(top, lifted).apply(one_bundle)
+        psi_top = value_top(lifted)
         coeff = (psi.with_space(Space.E) - psi_top).scale(
             Fraction(1, c_idx.factorial())
         )

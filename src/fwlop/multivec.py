@@ -19,11 +19,10 @@ evaluations are the oracles of the `verify` suites.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .diffop import DiffOp
+from .diffop import DiffOp, nested_values
 from .errors import (
     MAX_DET_SIZE,
     ArityMismatch,
@@ -120,14 +119,9 @@ class SymMultivector:
             raise ArityMismatch(f"expected {self.q} arguments, got {len(args)}")
         key = tuple(sorted(args, key=Poly.sort_key))
         cached = self._eval_cache.get(key)
-        if cached is not None:
-            return cached
-        op = self._op
-        for f in key:
-            op = op.commutator(DiffOp.mult(f))
-        value = op.apply(Poly.const(self.chart, self.space, 1))
-        self._eval_cache[key] = value
-        return value
+        if cached is None:
+            cached = self._eval_cache[key] = nested_values(self._op)(key)
+        return cached
 
 
 def poisson(p1: SymMultivector, p2: SymMultivector) -> SymMultivector:
@@ -280,7 +274,18 @@ def pairing(phi: Section, e: Section) -> Poly:
 def multiderivation_D(p: SymMultivector, *phis: Section) -> Section:
     """D with ell(D(phi_1, ..., phi_q)) = P(ell(phi_1), ..., ell(phi_q))."""
     _require_fwl(p)
-    return _multiderivation_D(p, *phis)
+    if len(phis) != p.q:
+        raise ArityMismatch(f"expected {p.q} sections, got {len(phis)}")
+    value = p.eval(*(phi.ell() for phi in phis))
+    if set(value.fiber_degree_decompose()) - {1}:
+        raise InvariantViolation(
+            "evaluation on fiber-linear functions is not fiber-linear"
+        )
+    comps = tuple(
+        value.partial(Var(VarKind.FIBER, a))
+        for a in range(1, p.chart.fiber_rank + 1)
+    )
+    return Section(SectionRole.OF_ESTAR, p.chart, comps)
 
 
 def multiderivation_l(p: SymMultivector, *args) -> Poly:
@@ -292,23 +297,6 @@ def multiderivation_l(p: SymMultivector, *args) -> Poly:
 def _require_fwl(p: SymMultivector):
     if not fwl_check_multivector(p):
         raise NotFWL("multiderivation pair needs a FWL multivector")
-
-
-def _multiderivation_D(p: SymMultivector, *phis: Section) -> Section:
-    """multiderivation_D for a p already known to be FWL."""
-    if len(phis) != p.q:
-        raise ArityMismatch(f"expected {p.q} sections, got {len(phis)}")
-    value = p.eval(*(phi.ell() for phi in phis))
-    parts = value.fiber_degree_decompose()
-    if set(parts) - {1}:
-        raise InvariantViolation(
-            "evaluation on fiber-linear functions is not fiber-linear"
-        )
-    comps = tuple(
-        value.partial(Var(VarKind.FIBER, a))
-        for a in range(1, p.chart.fiber_rank + 1)
-    )
-    return Section(SectionRole.OF_ESTAR, p.chart, comps)
 
 
 def _multiderivation_l(p: SymMultivector, *args) -> Poly:
@@ -331,7 +319,8 @@ def _dual_monomial(chart: Chart, mi: MultiIndex) -> Poly:
 
 
 def core_to_dualpoly(p: SymMultivector) -> Poly:
-    """Core multivector as a polynomial on the dual space: table transcription."""
+    """Core multivector as a polynomial on the dual space: table transcription.
+    Reads only `.chart` and `.terms`, so a sum of core operators works too."""
     out = Poly.zero(p.chart, Space.ESTAR)
     for (mi_b, mi_f), coeff in p.terms.items():
         if len(mi_b) != 0 or not coeff.is_base_only():
@@ -486,29 +475,32 @@ def hamiltonian_field(p: SymMultivector) -> PolyVectorField:
 
 
 def _det(matrix):
-    """Exact determinant by permutation expansion (small matrices only)."""
+    """Exact determinant by cofactor expansion over nonzero entries only.
+
+    Each minor expands along its row with the fewest nonzero entries, so a
+    matrix with one nonzero permutation, such as the split metric, costs
+    one product per row.
+    """
     size = len(matrix)
     refuse_over(f"the determinant size {size}", size, MAX_DET_SIZE)
     chart, space = matrix[0][0].chart, matrix[0][0].space
-    out = Poly.zero(chart, space)
-    for perm in itertools.permutations(range(size)):
-        sign = 1
-        seen = [False] * size
-        for start in range(size):
-            if seen[start]:
-                continue
-            length, j = 0, start
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        term = Poly.const(chart, space, sign)
-        for row in range(size):
-            term = term * matrix[row][perm[row]]
-        out = out + term
-    return out
+
+    def minor(rows, cols):
+        if not rows:
+            return Poly.const(chart, space, 1)
+        nonzero = [
+            [k for k, col in enumerate(cols) if not matrix[row][col].is_zero()]
+            for row in rows
+        ]
+        i = min(range(len(rows)), key=lambda r: len(nonzero[r]))
+        rest = rows[:i] + rows[i + 1 :]
+        out = Poly.zero(chart, space)
+        for k in nonzero[i]:
+            term = matrix[rows[i]][cols[k]] * minor(rest, cols[:k] + cols[k + 1 :])
+            out = out - term if (i + k) % 2 else out + term
+        return out
+
+    return minor(tuple(range(size)), tuple(range(size)))
 
 
 def fwl_metric_laplacian(chart: Chart, gamma) -> DiffOp:

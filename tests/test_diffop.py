@@ -12,7 +12,7 @@ from fwlop.diffop import (
     diffop_from_doc,
     diffop_loads,
     diffop_to_doc,
-    nested_commutator,
+    nested_values,
 )
 from fwlop.errors import (
     DocumentError,
@@ -37,6 +37,7 @@ from fwlop.symcore import (
     Space,
     Var,
     VarKind,
+    fiber_kind,
     parse_poly,
 )
 
@@ -297,8 +298,7 @@ def test_recover_coefficients_dxx():
     assert rec == dxx.terms
     # by hand: [[op, x1], x1](1) = 2 and (11)! = 2
     x1 = Poly.var(CH, Space.E, Var(VarKind.BASE, 1))
-    twice = nested_commutator(dxx, [x1, x1]).apply(Poly.const(CH, Space.E, 1))
-    assert twice == Poly.const(CH, Space.E, 2)
+    assert nested_values(dxx)([x1, x1]) == Poly.const(CH, Space.E, 2)
 
 
 def test_recovery_refuses_an_over_cap_table():
@@ -322,6 +322,43 @@ def test_recover_random_operators():
         space = rng.choice([Space.E, Space.ESTAR, Space.AMBIENT])
         op = rand_diffop(rng, chart, space, bounds)
         assert op.recover_coefficients() == op.terms
+
+
+def _plain_nested_value(op, fs):
+    """[...[op, f1], ..., fk](1) by the definition A∘f - f∘A, left to right."""
+    for f in fs:
+        mult = DiffOp.mult(f)
+        op = op.compose(mult) - mult.compose(op)
+    return op.apply(Poly.const(op.chart, op.space, 1))
+
+
+def test_nested_values_equal_a_plain_commutator_loop():
+    rng = random.Random(61)
+    small = Bounds(terms_max=2, exp_max=1)
+    repeated = 0
+    for _ in range(25):
+        chart = rand_chart(rng, Bounds())
+        space = rng.choice([Space.E, Space.ESTAR, Space.AMBIENT])
+        op = rand_diffop(rng, chart, space, Bounds(), max_keys=5, order=3)
+        coords = chart.vars_of(VarKind.BASE) + chart.vars_of(fiber_kind(space))
+        letters = [
+            Poly.var(chart, space, rng.choice(coords))
+            + rand_poly(rng, chart, space, small)
+            for _ in range(3)
+        ]
+        value = nested_values(op)
+        # one map for many unsorted words with repeated letters, so later
+        # words reuse the prefixes of earlier ones
+        words = [
+            [rng.choice(letters) for _ in range(rng.randint(0, 3))]
+            for _ in range(6)
+        ]
+        f, g = letters[:2]
+        for word in words + [[g, f, g], [g, f], [g, f, g, g]]:
+            got = value(word)
+            assert got == _plain_nested_value(op, word)
+            repeated += len(word) != len(set(word)) and not got.is_zero()
+    assert repeated >= 20
 
 
 def test_recovery_shares_nested_commutator_prefixes(monkeypatch):

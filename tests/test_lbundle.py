@@ -324,9 +324,17 @@ def test_a_iso_work_counts(monkeypatch):
     with pytest.raises(NotFWL):
         lb._a_iso_pair(DiffOp.monomial(P("1"), EMPTY_MI, MultiIndex([1, 1])), 2)
     # one whole a_iso call at chart (2,2) and q = 3, with 3 basis indices C:
-    # the field once, P checked FWL by the field and by the bundle path, and
-    # per C two sections for Psi and 2 x 3 for the trace columns
-    calls = {"hamiltonian_field": 0, "fwl_check": 0, "symbol_field": 0, "ell": 0}
+    # the field once, P checked FWL by the field and by the bundle path, no
+    # section or evaluation, and one nested-commutator table whose words u_C
+    # and u_C + [u_alpha] share prefixes: 2 + 3 + 6 = 11 commutators
+    calls = {
+        "hamiltonian_field": 0,
+        "fwl_check": 0,
+        "symbol_field": 0,
+        "ell": 0,
+        "eval": 0,
+        "commutator": 0,
+    }
 
     def counting(key, fn):
         def wrapper(*args):
@@ -345,12 +353,20 @@ def test_a_iso_work_counts(monkeypatch):
         lb, "_symbol_field_on_basis", counting("symbol_field", lb._symbol_field_on_basis)
     )
     monkeypatch.setattr(Section, "ell", counting("ell", Section.ell))
+    monkeypatch.setattr(
+        mv.SymMultivector, "eval", counting("eval", mv.SymMultivector.eval)
+    )
+    monkeypatch.setattr(
+        DiffOp, "commutator", counting("commutator", DiffOp.commutator)
+    )
     op = rand_fwl_op(random.Random(5), CH, BOUNDS, 3)
     a_iso(op, 3)
     assert calls["hamiltonian_field"] == 1
     assert calls["fwl_check"] <= 2
     assert calls["symbol_field"] == 0
-    assert calls["ell"] == 24
+    assert calls["ell"] == 0
+    assert calls["eval"] == 0
+    assert calls["commutator"] <= 11
 
 
 def test_a_inverse_examples():

@@ -1,5 +1,6 @@
 """Multivectors: evaluation, Poisson bracket, multiderivations, Laplacian."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -424,6 +425,52 @@ def test_vertical_lift():
     e = Section(SectionRole.OF_E, CH1, (P("x1"),))
     lift = e.vertical_lift()
     assert lift.apply(P("u1^2")) == P("2*x1*u1")
+
+
+def _permutation_det(matrix):
+    """sum over permutations of sign * product, the sign by inversions."""
+    size = len(matrix)
+    chart, space = matrix[0][0].chart, matrix[0][0].space
+    out = Poly.zero(chart, space)
+    for perm in itertools.permutations(range(size)):
+        inversions = sum(
+            perm[i] > perm[j] for i in range(size) for j in range(i + 1, size)
+        )
+        term = Poly.const(chart, space, (-1) ** inversions)
+        for row in range(size):
+            term = term * matrix[row][perm[row]]
+        out = out + term
+    return out
+
+
+def test_det_equals_the_permutation_sum():
+    rng = random.Random(67)
+    small = Bounds(terms_max=2, exp_max=1)
+    zero = Poly.zero(CH, Space.E)
+    for size in range(1, 6):
+        for density in (0.25, 0.6, 1.0):
+            for _ in range(3):
+                matrix = [
+                    [
+                        rand_poly(rng, CH, Space.E, small)
+                        if rng.random() < density
+                        else zero
+                        for _ in range(size)
+                    ]
+                    for _ in range(size)
+                ]
+                assert _det(matrix) == _permutation_det(matrix)
+    # a zero row, and the split metric with its one nonzero permutation
+    assert _det([[zero, zero], [P("x1", CH), P("u1", CH)]]).is_zero()
+    gamma = [[P("u1 - x2", CH), P("3*u2", CH)], [P("3*u2", CH), zero]]
+    one = Poly.const(CH, Space.E, 1)
+    metric = [
+        gamma[0] + [one, zero],
+        gamma[1] + [zero, one],
+        [one, zero, zero, zero],
+        [zero, one, zero, zero],
+    ]
+    assert _det(metric) == _permutation_det(metric) == one
 
 
 def test_permutation_determinants_are_capped():
