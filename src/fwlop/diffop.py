@@ -13,7 +13,8 @@ is one pass of the same expansion of A∘f without its S = ∅ terms, which
 are f∘A; any other commutator is A∘B - B∘A.  Every value
 [...[op, f1], ..., fk](1) in the package, from multivector evaluation to
 the bundle map of `a_iso`, comes from `nested_values(op)`, which builds
-each nested commutator once, from the one of its prefix.  Coefficient
+each nested commutator once, from the one of its prefix, and memoises
+its value, so a repeated word costs only dictionary lookups.  Coefficient
 recovery reads the table only through these values, which makes it an
 independent oracle for the whole representation.
 
@@ -393,18 +394,23 @@ def _term_key(item):
 def nested_values(op: DiffOp):
     """The map fs -> [...[op, f1], ..., fk](1), the f's acting by
     multiplication.  Each nested commutator is one commutator of the one of
-    its prefix, kept in a trie of words for as long as the map lives."""
+    its prefix, kept in a trie of words for as long as the map lives; each
+    node memoises its value next to its commutator, computed on the first
+    word that ends there."""
     one = Poly.const(op.chart, op.space, 1)
-    root = (op, {})
+    # A node is [nested commutator, children by next letter, value or None].
+    root = [op, {}, None]
 
     def value(fs) -> Poly:
         node = root
         for f in fs:
-            nested, children = node
-            node = children.get(f)
-            if node is None:
-                node = children[f] = (nested.commutator(DiffOp.mult(f)), {})
-        return node[0].apply(one)
+            child = node[1].get(f)
+            if child is None:
+                child = node[1][f] = [node[0].commutator(DiffOp.mult(f)), {}, None]
+            node = child
+        if node[2] is None:
+            node[2] = node[0].apply(one)
+        return node[2]
 
     return value
 

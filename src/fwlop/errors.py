@@ -89,10 +89,6 @@ class AsymmetricGamma(FwlopError):
     """Connection coefficient table is not symmetric in its lower indices."""
 
 
-class NonConstantDeterminant(FwlopError):
-    """Metric determinant is not a nonzero constant (defensive check)."""
-
-
 class UnknownSuite(FwlopError):
     """Verification suite name not in the registry."""
 

@@ -29,7 +29,6 @@ from .errors import (
     AsymmetricGamma,
     ChartMismatch,
     InvariantViolation,
-    NonConstantDeterminant,
     NotCore,
     NotFWL,
     RankMismatch,
@@ -53,7 +52,7 @@ from .symcore import (
 class SymMultivector:
     """Homogeneous order-q coefficient table with commutator evaluation."""
 
-    __slots__ = ("chart", "space", "q", "terms", "_op", "_eval_cache")
+    __slots__ = ("chart", "space", "q", "terms", "_op", "_values")
 
     def __init__(self, chart: Chart, space: Space, q: int, terms=None):
         if q < 0:
@@ -69,7 +68,7 @@ class SymMultivector:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "terms", op.terms)
         object.__setattr__(self, "_op", op)
-        object.__setattr__(self, "_eval_cache", {})
+        object.__setattr__(self, "_values", None)
 
     def __setattr__(self, *a):
         raise AttributeError("SymMultivector is immutable")
@@ -112,16 +111,20 @@ class SymMultivector:
     def eval(self, *args: Poly) -> Poly:
         """Nested-commutator evaluation on exactly q functions.
 
-        Symmetric in the arguments, so results are cached on the sorted
-        argument tuple.
+        Symmetric in the arguments, so they are sorted by `Poly.sort_key`,
+        which builds no Fraction and does not depend on `hash()`.  The
+        sorted word walks one `nested_values` map, made on the first call
+        and kept for the multivector's lifetime, the only evaluation cache:
+        words share their prefixes' nested commutators, and a repeated word
+        costs only dictionary lookups.
         """
         if len(args) != self.q:
             raise ArityMismatch(f"expected {self.q} arguments, got {len(args)}")
-        key = tuple(sorted(args, key=Poly.sort_key))
-        cached = self._eval_cache.get(key)
-        if cached is None:
-            cached = self._eval_cache[key] = nested_values(self._op)(key)
-        return cached
+        value = self._values
+        if value is None:
+            value = nested_values(self._op)
+            object.__setattr__(self, "_values", value)
+        return value(sorted(args, key=Poly.sort_key))
 
 
 def poisson(p1: SymMultivector, p2: SymMultivector) -> SymMultivector:
@@ -509,9 +512,9 @@ def fwl_metric_laplacian(chart: Chart, gamma) -> DiffOp:
     `gamma` maps (k, i, j) to base-only polynomials, symmetric in (i, j);
     missing entries are zero.  With the convention a(.)b = a(x)b + b(x)a the
     metric matrix in the (x, u) coordinates is [[-2*Gamma.u, I], [I, 0]];
-    its determinant is checked to be a nonzero constant, the blockwise
-    polynomial inverse [[0, I], [I, 2*Gamma.u]] is verified by
-    multiplication, and the constant-determinant Laplacian
+    its determinant is checked to be (-1)^n, the blockwise polynomial
+    inverse [[0, I], [I, 2*Gamma.u]] is verified by multiplying out its
+    nonzero entry pairs, and the constant-determinant Laplacian
 
         sum g^{mu nu} d_mu d_nu + sum (d_mu g^{mu nu}) d_nu
 
@@ -550,10 +553,8 @@ def fwl_metric_laplacian(chart: Chart, gamma) -> DiffOp:
         g[n + i][i] = one
 
     det = _det(g)
-    if det.is_zero() or not det.is_base_only() or det != Poly.const(
-        chart, Space.E, det.constant_term()
-    ):
-        raise NonConstantDeterminant(f"det(g) = {det!r}")
+    if det != Poly.const(chart, Space.E, (-1) ** n):
+        raise InvariantViolation(f"det(g) = {det!r}, not (-1)^{n}")
 
     ginv = [[zero for _ in range(size)] for _ in range(size)]
     for i in range(n):
@@ -564,7 +565,11 @@ def fwl_metric_laplacian(chart: Chart, gamma) -> DiffOp:
     for row in range(size):
         for col in range(size):
             entry = sum(
-                (g[row][k] * ginv[k][col] for k in range(size)),
+                (
+                    g[row][k] * ginv[k][col]
+                    for k in range(size)
+                    if not (g[row][k].is_zero() or ginv[k][col].is_zero())
+                ),
                 start=zero,
             )
             expected = one if row == col else zero

@@ -77,31 +77,23 @@ def rand_poly(
     fiber_degree=None,
 ) -> Poly:
     """Random polynomial; `fiber_degree` forces every monomial's degree in
-    the fiber-type variables."""
-    fk = fiber_kind(space)
+    the fiber-type variables.  Exponents are drawn x1..xn first, then the
+    fiber-type variables, straight into the packed exponent tuples."""
+    n, m = chart.base_dim, chart.fiber_rank
     terms = {}
     for _ in range(rng.randint(1, bounds.terms_max)):
-        mono = []
-        for v in chart.vars_of(VarKind.BASE):
-            e = rng.randint(0, bounds.exp_max)
-            if e:
-                mono.append((v, e))
+        exps = [rng.randint(0, bounds.exp_max) for _ in range(n)] + [0] * m
         if not base_only:
             if fiber_degree is None:
-                for v in chart.vars_of(fk):
-                    e = rng.randint(0, bounds.exp_max)
-                    if e:
-                        mono.append((v, e))
-            elif fiber_degree > 0:
-                exps = {}
+                for a in range(n, n + m):
+                    exps[a] = rng.randint(0, bounds.exp_max)
+            else:
                 for _ in range(fiber_degree):
-                    a = rng.randint(1, chart.fiber_rank)
-                    exps[a] = exps.get(a, 0) + 1
-                mono.extend((Var(fk, a), e) for a, e in exps.items())
+                    exps[n + rng.randint(1, m) - 1] += 1
         coeff = rand_fraction(rng, bounds, nonzero=True)
-        key = tuple(sorted(mono))
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return Poly(chart, space, terms)
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + coeff
+    return Poly._from_fractions(chart, space, terms)
 
 
 def rand_base_multi_index(rng, chart, length) -> MultiIndex:

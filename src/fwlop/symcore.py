@@ -307,15 +307,10 @@ class Poly:
                 exps[_slot(chart, space, v)] += e
             key = tuple(exps)
             coeffs[key] = coeffs.get(key, 0) + coeff
-        coeffs = {mono: c for mono, c in coeffs.items() if c}
-        den = lcm(*(c.denominator for c in coeffs.values()))
+        terms, den = _over_common_den(coeffs)
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "space", space)
-        object.__setattr__(
-            self,
-            "terms",
-            {mono: c.numerator * (den // c.denominator) for mono, c in coeffs.items()},
-        )
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
@@ -335,6 +330,12 @@ class Poly:
         _set_terms(self, terms)
         _set_den(self, den)
         return self
+
+    @classmethod
+    def _from_fractions(cls, chart, space, coeffs):
+        """Build from {exponent tuple: Fraction} (internal); zero entries
+        drop out and the order of the others is kept."""
+        return cls._raw(chart, space, *_over_common_den(coeffs))
 
     @classmethod
     def _reduced(cls, chart, space, terms, den):
@@ -394,12 +395,11 @@ class Poly:
         return Fraction(self.terms.get(mono, 0), self.den)
 
     def sort_key(self) -> tuple:
-        """Total order on polynomials of one chart/space: sorted (monomial
-        in printing order, coefficient) pairs."""
-        den = self.den
-        return tuple(sorted(
-            (_mono_pairs(mono), Fraction(c, den)) for mono, c in self.terms.items()
-        ))
+        """Total order on polynomials of one chart/space, read off the
+        packed form: the denominator, then the sorted (exponent tuple,
+        numerator) pairs.  It builds no Fraction and, unlike an order by
+        `hash()`, is the same in every process."""
+        return self.den, sorted(self.terms.items())
 
     # -- ring structure ----------------------------------------------------
 
@@ -599,6 +599,15 @@ class Poly:
             some = next(iter(mapping.values()))
             return Poly.zero(some.chart, some.space)
         return result
+
+
+def _over_common_den(coeffs: dict) -> tuple:
+    """(integer numerators, den) of the nonzero Fractions of coeffs over
+    their least common denominator, which is then in lowest terms."""
+    coeffs = {mono: c for mono, c in coeffs.items() if c}
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    terms = {mono: c.numerator * (den // c.denominator) for mono, c in coeffs.items()}
+    return terms, den
 
 
 _set_chart = Poly.chart.__set__

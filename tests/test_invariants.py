@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from fwlop import lbundle
+from fwlop import lbundle, multivec
 from fwlop.cli import main
 from fwlop.diffop import diffop_from_doc
 from fwlop.errors import FwlopError, InvariantViolation
-from fwlop.symcore import Poly
+from fwlop.symcore import Chart, Poly, Space, parse_poly
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fwlop"
 
@@ -95,6 +95,55 @@ def test_cli_maps_invariant_violation_to_exit_2(monkeypatch, tmp_path, capsys):
     path.write_text(json.dumps(OP_FWL2))
     _wrong_closed_form(monkeypatch)
     code = main(["a-iso", "--order", "2", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("InvariantViolation: ")
+
+
+def _det_signed_by_column(matrix):
+    """multivec._det with each cofactor signed by its column alone, not by
+    row + column: wrong whenever the expanded row has an odd index."""
+    one = Poly.const(matrix[0][0].chart, matrix[0][0].space, 1)
+
+    def minor(rows, cols):
+        if not rows:
+            return one
+        i = min(
+            range(len(rows)),
+            key=lambda r: sum(not matrix[rows[r]][c].is_zero() for c in cols),
+        )
+        rest = rows[:i] + rows[i + 1 :]
+        out = one - one
+        for k, col in enumerate(cols):
+            if not matrix[rows[i]][col].is_zero():
+                term = matrix[rows[i]][col] * minor(rest, cols[:k] + cols[k + 1 :])
+                out = out - term if k % 2 else out + term
+        return out
+
+    size = len(matrix)
+    return minor(tuple(range(size)), tuple(range(size)))
+
+
+def test_wrong_metric_determinant_raises(monkeypatch, tmp_path, capsys):
+    # With Gamma^1_11 = x1 the sparsest row of [[-2 x1 u1, 1], [1, 0]] is the
+    # second, so the wrong sign gives det = +1, a nonzero constant, not -1.
+    chart = Chart(1, 1)
+    gamma = {(1, 1, 1): parse_poly("x1", chart, Space.E)}
+    multivec.fwl_metric_laplacian(chart, gamma)
+    monkeypatch.setattr(multivec, "_det", _det_signed_by_column)
+    with pytest.raises(InvariantViolation, match="det"):
+        multivec.fwl_metric_laplacian(chart, gamma)
+    path = tmp_path / "gamma.json"
+    path.write_text(
+        json.dumps(
+            {
+                "chart": {"base_dim": 1, "fiber_rank": 1},
+                "gamma": [{"k": 1, "i": 1, "j": 1, "coeff": "x1"}],
+            }
+        )
+    )
+    code = main(["laplacian", str(path)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fwlop.diffop import DiffOp
+from fwlop.diffop import DiffOp, nested_values
 from fwlop.errors import (
     ArityMismatch,
     AsymmetricGamma,
@@ -48,6 +48,7 @@ from fwlop.symcore import (
     Poly,
     Space,
     parse_poly,
+    poly_to_str,
 )
 from fwlop.verify import _unshuffle_poisson, _unshuffle_sym_product
 
@@ -84,6 +85,60 @@ def test_eval_symmetric():
         shuffled = list(args)
         rng.shuffle(shuffled)
         assert p.eval(*args) == p.eval(*shuffled)
+
+
+def _count_commutators(monkeypatch):
+    calls = [0]
+    commutator = DiffOp.commutator
+
+    def counting(self, other):
+        calls[0] += 1
+        return commutator(self, other)
+
+    monkeypatch.setattr(DiffOp, "commutator", counting)
+    return calls
+
+
+def test_eval_shares_prefixes(monkeypatch):
+    # The 20 sorted words of length 3 over x1, x2, u1, u2 have 4 + 10 + 20
+    # distinct prefixes, one commutator each; a second pass reads the values
+    # memoised in the trie.
+    p = rand_multivector(random.Random(17), CH, Space.E, BOUNDS, 3)
+    coords = [P(name, CH) for name in ("x1", "x2", "u1", "u2")]
+    words = list(itertools.combinations_with_replacement(coords, 3))
+    assert len(words) == 20
+    calls = _count_commutators(monkeypatch)
+    first = [p.eval(*word) for word in words]
+    assert calls[0] == 34
+    assert [p.eval(*word) for word in reversed(words)] == first[::-1]
+    assert calls[0] == 34
+
+
+def test_eval_equals_a_fresh_nested_values_map(monkeypatch):
+    rng = random.Random(23)
+    calls = _count_commutators(monkeypatch)
+    for _ in range(25):
+        chart = rand_chart(rng, BOUNDS)
+        space = rng.choice([Space.E, Space.ESTAR])
+        q = rng.randint(1, 3)
+        p = rand_multivector(rng, chart, space, BOUNDS, q)
+        pool = [rand_poly(rng, chart, space, BOUNDS) for _ in range(2)]
+        for _ in range(4):
+            args = [rng.choice(pool) for _ in range(q)]
+            expected = nested_values(p.to_operator())(args)
+            shuffled = list(args)
+            rng.shuffle(shuffled)
+            assert p.eval(*shuffled) == expected
+            # equal but distinct objects find the same trie nodes
+            copies = [parse_poly(poly_to_str(f), chart, space) for f in args]
+            before = calls[0]
+            assert p.eval(*copies) == expected
+            assert calls[0] == before
+    # a copy of a multivector starts with an empty map of its own
+    before = calls[0]
+    copy = SymMultivector(p.chart, p.space, p.q, p.terms)
+    assert copy.eval(*args) == expected
+    assert calls[0] == before + q
 
 
 def test_eval_arity_guard():
