@@ -14,7 +14,6 @@ from .symcore import (
 )
 from .diffop import DiffOp, diffop_dumps, diffop_loads
 from .multivec import (
-    PolyVectorField,
     Section,
     SectionRole,
     SymMultivector,
@@ -29,7 +28,6 @@ from .multivec import (
 )
 from .lbundle import (
     FrameDerivation,
-    LDerivation,
     LPair,
     a_inverse,
     a_iso,
@@ -59,7 +57,6 @@ __all__ = [
     "DiffOp",
     "diffop_dumps",
     "diffop_loads",
-    "PolyVectorField",
     "Section",
     "SectionRole",
     "SymMultivector",
@@ -72,7 +69,6 @@ __all__ = [
     "poisson",
     "sym_product",
     "FrameDerivation",
-    "LDerivation",
     "LPair",
     "a_inverse",
     "a_iso",

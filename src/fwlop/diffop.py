@@ -5,10 +5,12 @@ coordinates, B over fiber coordinates) to a nonzero polynomial coefficient:
 
     op = sum over (I, B) of  coeff_{I,B} * d^|I|/dx^I * d^|B|/du^B
 
-On the dual space the B indices refer to d/dv derivatives instead.  The
-representation is unique once multi-indices are canonical, so equality is
-table equality.  Composition expands derivative-past-coefficient by the
-multiset Leibniz rule.  A commutator [A, f] with a multiplication operator
+On the dual space the B indices refer to d/dv derivatives instead; there a
+first-order operator is a derivation of the pulled-back determinant line
+in the Vol_u frame (see `fwlop.lbundle`).  The representation is unique
+once multi-indices are canonical, so equality is table equality.
+Composition expands derivative-past-coefficient by the multiset Leibniz
+rule.  A commutator [A, f] with a multiplication operator
 is one pass of the same expansion of A∘f without its S = ∅ terms, which
 are f∘A; any other commutator is A∘B - B∘A.  Every value
 [...[op, f1], ..., fk](1) in the package, from multivector evaluation to
@@ -107,8 +109,9 @@ class DiffOp:
 
     @classmethod
     def mult(cls, p: Poly):
-        """Multiplication by p, as an order-zero operator."""
-        return cls(p.chart, p.space, {(EMPTY_MI, EMPTY_MI): p})
+        """Multiplication by p, as an order-zero operator (zero if p is)."""
+        terms = {} if p.is_zero() else {(EMPTY_MI, EMPTY_MI): p}
+        return cls._raw(p.chart, p.space, terms)
 
     @classmethod
     def monomial(cls, coeff: Poly, mi_base: MultiIndex, mi_fiber: MultiIndex):
@@ -164,12 +167,13 @@ class DiffOp:
         if not self.terms:
             return "DiffOp(0)"
         bits = []
+        fiber = " dv" if self.space is Space.ESTAR else " du"
         for (mi_b, mi_f), coeff in sorted(self.terms.items(), key=_term_key):
             part = f"({poly_to_str(coeff)})"
             if len(mi_b):
                 part += " dx" + str(list(mi_b.entries))
             if len(mi_f):
-                part += " du" + str(list(mi_f.entries))
+                part += fiber + str(list(mi_f.entries))
             bits.append(part)
         return "DiffOp(" + " + ".join(bits) + ")"
 

@@ -78,7 +78,8 @@ class NotLinearizable(FwlopError):
 
 
 class OrderExceeded(FwlopError):
-    """Operator order is larger than the requested linearization order."""
+    """Operator order is larger than the construction accepts: the requested
+    linearization order, or 1 for a line-bundle derivation."""
 
 
 class RankMismatch(FwlopError):

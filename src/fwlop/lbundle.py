@@ -6,11 +6,15 @@ minus its transpose, and the induced action on the top exterior power is
 the trace.
 
 A derivation of the pulled-back determinant line bundle over the dual
-total space appears in the Vol_u frame as a pair (polynomial vector field,
-polynomial multiplication part).  The central construction maps a
-fiber-wise linear operator of order q to such a derivation: its level-q
-table gives the vector field.  Per basis multi-index C the nested-commutator
-value with the fiber coordinates
+total space acts in the Vol_u frame as f -> W(f) + c f: a first-order
+scalar operator, stored as a `DiffOp` on `Space.ESTAR` of order at most 1.
+Its order-1 terms ((i), ()) and ((), (a)) are the vector field W, its
+(), () term the multiplication part c, and "homogeneous of degree k" is
+weight k (the d/dv coefficients have dual-fiber degree k+1).
+
+The central construction maps a fiber-wise linear operator of order q to
+such a derivation: its level-q table gives the vector field.  Per basis
+multi-index C the nested-commutator value with the fiber coordinates
 
     Psi(C) = [...[op, u_c_1], ..., u_c_{q-1}](1)
 
@@ -45,12 +49,12 @@ from .errors import (
     InvariantViolation,
     NotFWL,
     NotHomogeneous,
+    OrderExceeded,
     RankMismatch,
     SpaceMismatch,
     refuse_over,
 )
 from .multivec import (
-    PolyVectorField,
     Section,
     SectionRole,
     SymMultivector,
@@ -163,76 +167,9 @@ class FrameDerivation:
         return FrameDerivation(self.chart, size, symbol, tuple(matrix))
 
 
-class LDerivation:
-    """Derivation of the pulled-back determinant line bundle, Vol_u frame.
-
-    Acts on a section f(x, v) Vol_u as (W(f) + c f) Vol_u.
-    """
-
-    __slots__ = ("field", "mult")
-
-    def __init__(self, field: PolyVectorField, mult: Poly):
-        if mult.chart != field.chart:
-            raise ChartMismatch("field and multiplication part on different charts")
-        if mult.space is not Space.ESTAR:
-            raise SpaceMismatch("multiplication part lives on the dual space")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "mult", mult)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LDerivation is immutable")
-
-    @property
-    def chart(self):
-        return self.field.chart
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LDerivation)
-            and self.field == other.field
-            and self.mult == other.mult
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.mult))
-
-    def __repr__(self):
-        return f"LDerivation({self.field!r}, mult={poly_to_str(self.mult)})"
-
-    def act(self, f: Poly) -> Poly:
-        """Coefficient of the action on f Vol_u."""
-        return self.field.apply(f) + self.mult * f
-
-    def __add__(self, other):
-        return LDerivation(self.field + other.field, self.mult + other.mult)
-
-    def __sub__(self, other):
-        return LDerivation(self.field - other.field, self.mult - other.mult)
-
-    def scale(self, c) -> "LDerivation":
-        return LDerivation(self.field.scale(c), self.mult.scale(c))
-
-    def scale_by_poly(self, f: Poly) -> "LDerivation":
-        """Module structure over polynomials on the dual space."""
-        field = PolyVectorField(
-            self.chart,
-            tuple(f * c for c in self.field.base_coeffs),
-            tuple(f * c for c in self.field.dual_coeffs),
-        )
-        return LDerivation(field, f * self.mult)
-
-    def is_homogeneous(self, d: int) -> bool:
-        if not self.field.is_homogeneous(d):
-            return False
-        return self.mult.is_zero() or set(self.mult.fiber_degree_decompose()) == {d}
-
-
-def lderiv_commutator(d1: LDerivation, d2: LDerivation) -> LDerivation:
-    if d1.chart != d2.chart:
-        raise ChartMismatch("derivations on different charts")
-    field = d1.field.commutator(d2.field)
-    mult = d1.field.apply(d2.mult) - d2.field.apply(d1.mult)
-    return LDerivation(field, mult)
+def lderiv_commutator(d1: DiffOp, d2: DiffOp) -> DiffOp:
+    """Commutator of two line-bundle derivations, as operators on Estar."""
+    return d1.commutator(d2)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +296,7 @@ def pair_product(p1: LPair, p2: LPair) -> LPair:
     )
 
 
-def pair_to_lderivation(pair: LPair) -> LDerivation:
+def pair_to_lderivation(pair: LPair) -> DiffOp:
     """FWL pair to derivation of the pulled-back line bundle.
 
     The vector field is the hamiltonian field of P; the multiplication part
@@ -370,10 +307,10 @@ def pair_to_lderivation(pair: LPair) -> LDerivation:
         raise IncompatiblePair("pair_to_lderivation needs a FWL multivector part")
     if not is_core_multivector(pair.rho):
         raise IncompatiblePair("pair_to_lderivation needs a core rho part")
-    return LDerivation(hamiltonian_field(pair.p), core_to_dualpoly(pair.rho))
+    return hamiltonian_field(pair.p) + DiffOp.mult(core_to_dualpoly(pair.rho))
 
 
-def lderivation_to_pair(d: LDerivation, q: int) -> LPair:
+def lderivation_to_pair(d: DiffOp, q: int) -> LPair:
     """Inverse frame reading: field to (P, trace-corrected rho)."""
     op = a_inverse(d, q)
     return _a_iso_pair(op, q)
@@ -476,7 +413,7 @@ def _check_basis_size(chart: Chart, q: int):
     )
 
 
-def a_iso(op: DiffOp, q: int) -> LDerivation:
+def a_iso(op: DiffOp, q: int) -> DiffOp:
     """FWL operator of order q to a derivation of the pulled-back line.
 
     The vector field is the hamiltonian field of the level-q symbol,
@@ -491,17 +428,28 @@ def a_iso(op: DiffOp, q: int) -> LDerivation:
         raise SpaceMismatch("the operator side lives on the total space")
     if not op.is_fwl(q):
         raise NotFWL(f"operator is not FWL of order {q}")
-    result = LDerivation(hamiltonian_field(op.symbol_at(q)), _closed_form_mult(op, q))
-    if q >= 1 and core_to_dualpoly(_a_iso_pair(op, q).rho) != result.mult:
+    field = hamiltonian_field(op.symbol_at(q))
+    mult = _closed_form_mult(op, q)
+    if q >= 1 and core_to_dualpoly(_a_iso_pair(op, q).rho) != mult:
         raise InvariantViolation(
             "bundle-map path and closed coordinate path disagree"
         )
-    if not result.is_homogeneous(q - 1):
+    result = field + DiffOp.mult(mult)
+    if not (result.is_zero() or result.weight() == q - 1):
         raise InvariantViolation("image derivation is not homogeneous of degree q-1")
     return result
 
 
-def a_inverse(d: LDerivation, q: int) -> DiffOp:
+def _require_derivation(d: DiffOp):
+    """Refuse an operator that is not a line-bundle derivation: one on the
+    dual space of order at most 1."""
+    if d.space is not Space.ESTAR:
+        raise SpaceMismatch("line-bundle derivations live on the dual space")
+    if (d.order() or 0) > 1:
+        raise OrderExceeded(f"a derivation has order at most 1, got {d.order()}")
+
+
+def a_inverse(d: DiffOp, q: int) -> DiffOp:
     """Derivation of degree q-1 back to the FWL operator of order q.
 
     Reads the mixed top coefficients off the d/dx part, the fiber-linear
@@ -509,24 +457,28 @@ def a_inverse(d: LDerivation, q: int) -> DiffOp:
     pure-fiber coefficients off the multiplication part after adding back
     the dual-fiber divergence of the field.
     """
+    _require_derivation(d)
     chart = d.chart
     _check_order(q, chart)
-    if not d.is_homogeneous(q - 1):
+    if not (d.is_zero() or d.weight() == q - 1):
         raise NotHomogeneous(f"derivation is not homogeneous of degree {q - 1}")
+    zero = Poly.zero(chart, Space.ESTAR)
     terms = {}
-    for i, comp in enumerate(d.field.base_coeffs, start=1):
+    for i in range(1, chart.base_dim + 1):
+        comp = d.terms.get((MultiIndex([i]), EMPTY_MI), zero)
         for mi, base_part in _split_dual(comp).items():
             add_into(terms, (MultiIndex([i]), mi), base_part)
 
     fiber_coeffs = {}
-    for alpha, comp in enumerate(d.field.dual_coeffs, start=1):
+    for alpha in range(1, chart.fiber_rank + 1):
+        comp = d.terms.get((EMPTY_MI, MultiIndex([alpha])), zero)
         for mi, base_part in _split_dual(comp).items():
             coeff = -base_part
             fiber_coeffs[(mi, alpha)] = coeff
             u_alpha = Poly.var(chart, Space.E, Var(VarKind.FIBER, alpha))
             add_into(terms, (EMPTY_MI, mi), coeff * u_alpha)
 
-    mult_parts = _split_dual(d.mult)
+    mult_parts = _split_dual(d.terms.get((EMPTY_MI, EMPTY_MI), zero))
     for mi in all_multi_indices(chart.fiber_rank, q - 1):
         base_part = mult_parts.get(mi, Poly.zero(chart, Space.E))
         correction = Poly.zero(chart, Space.E)
@@ -560,20 +512,29 @@ def _split_dual(p: Poly) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def lderivation_to_doc(d: LDerivation) -> dict:
+def lderivation_to_doc(d: DiffOp) -> dict:
+    """Derivation document: the d/dx and d/dv coefficients and the order-0
+    coefficient (the multiplication part) of a derivation."""
     from .diffop import chart_to_doc
 
+    _require_derivation(d)
+    zero = Poly.zero(d.chart, Space.ESTAR)
+
+    def coeff(mi_b, mi_f):
+        return poly_to_str(d.terms.get((mi_b, mi_f), zero))
+
+    n, m = d.chart.base_dim, d.chart.fiber_rank
     return {
         "chart": chart_to_doc(d.chart),
         "field": {
-            "dx": [poly_to_str(c) for c in d.field.base_coeffs],
-            "dv": [poly_to_str(c) for c in d.field.dual_coeffs],
+            "dx": [coeff(MultiIndex([i]), EMPTY_MI) for i in range(1, n + 1)],
+            "dv": [coeff(EMPTY_MI, MultiIndex([a])) for a in range(1, m + 1)],
         },
-        "mult": poly_to_str(d.mult),
+        "mult": coeff(EMPTY_MI, EMPTY_MI),
     }
 
 
-def lderivation_from_doc(doc) -> LDerivation:
+def lderivation_from_doc(doc) -> DiffOp:
     from .diffop import _require_keys, chart_from_doc
 
     _require_keys(doc, ("chart", "field", "mult"), "derivation document")
@@ -586,9 +547,12 @@ def lderivation_from_doc(doc) -> LDerivation:
         raise DocumentError("field component counts must match the chart")
     if not all(isinstance(s, str) for s in dx + dv):
         raise DocumentError("field components must be polynomial strings")
-    base = tuple(parse_poly(s, chart, Space.ESTAR) for s in dx)
-    dual = tuple(parse_poly(s, chart, Space.ESTAR) for s in dv)
+    terms = {}
+    for i, text in enumerate(dx, start=1):
+        terms[(MultiIndex([i]), EMPTY_MI)] = parse_poly(text, chart, Space.ESTAR)
+    for a, text in enumerate(dv, start=1):
+        terms[(EMPTY_MI, MultiIndex([a]))] = parse_poly(text, chart, Space.ESTAR)
     if not isinstance(doc["mult"], str):
         raise DocumentError("mult must be a polynomial string")
-    mult = parse_poly(doc["mult"], chart, Space.ESTAR)
-    return LDerivation(PolyVectorField(chart, base, dual), mult)
+    terms[(EMPTY_MI, EMPTY_MI)] = parse_poly(doc["mult"], chart, Space.ESTAR)
+    return DiffOp(chart, Space.ESTAR, terms)

@@ -332,144 +332,31 @@ def core_to_dualpoly(p: SymMultivector) -> Poly:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Polynomial vector fields on the dual total space.
-# ---------------------------------------------------------------------------
-
-
-class PolyVectorField:
-    """Vector field on the dual space with polynomial coefficients."""
-
-    __slots__ = ("chart", "base_coeffs", "dual_coeffs")
-
-    def __init__(self, chart: Chart, base_coeffs, dual_coeffs):
-        base_coeffs = tuple(base_coeffs)
-        dual_coeffs = tuple(dual_coeffs)
-        if len(base_coeffs) != chart.base_dim or len(dual_coeffs) != chart.fiber_rank:
-            raise RankMismatch("one coefficient per coordinate required")
-        for c in base_coeffs + dual_coeffs:
-            if c.chart != chart:
-                raise ChartMismatch("field coefficient on the wrong chart")
-            if c.space is not Space.ESTAR:
-                raise SpaceMismatch("field coefficients live on the dual space")
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "base_coeffs", base_coeffs)
-        object.__setattr__(self, "dual_coeffs", dual_coeffs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PolyVectorField is immutable")
-
-    @classmethod
-    def zero(cls, chart):
-        z = Poly.zero(chart, Space.ESTAR)
-        return cls(chart, (z,) * chart.base_dim, (z,) * chart.fiber_rank)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyVectorField)
-            and self.chart == other.chart
-            and self.base_coeffs == other.base_coeffs
-            and self.dual_coeffs == other.dual_coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.chart, self.base_coeffs, self.dual_coeffs))
-
-    def __repr__(self):
-        from .symcore import poly_to_str
-
-        bits = [
-            f"({poly_to_str(c)}) d/dx{i}"
-            for i, c in enumerate(self.base_coeffs, start=1)
-            if not c.is_zero()
-        ] + [
-            f"({poly_to_str(c)}) d/dv{a}"
-            for a, c in enumerate(self.dual_coeffs, start=1)
-            if not c.is_zero()
-        ]
-        return "PolyVectorField(" + (" + ".join(bits) or "0") + ")"
-
-    def __add__(self, other):
-        return PolyVectorField(
-            self.chart,
-            tuple(a + b for a, b in zip(self.base_coeffs, other.base_coeffs)),
-            tuple(a + b for a, b in zip(self.dual_coeffs, other.dual_coeffs)),
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return PolyVectorField(
-            self.chart,
-            tuple(p.scale(c) for p in self.base_coeffs),
-            tuple(p.scale(c) for p in self.dual_coeffs),
-        )
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.base_coeffs + self.dual_coeffs)
-
-    def apply(self, f: Poly) -> Poly:
-        if f.space is not Space.ESTAR:
-            raise SpaceMismatch("fields on the dual space act on dual functions")
-        out = Poly.zero(self.chart, Space.ESTAR)
-        for i, c in enumerate(self.base_coeffs, start=1):
-            out = out + c * f.partial(Var(VarKind.BASE, i))
-        for a, c in enumerate(self.dual_coeffs, start=1):
-            out = out + c * f.partial(dual_var(a))
-        return out
-
-    def commutator(self, other: "PolyVectorField") -> "PolyVectorField":
-        return PolyVectorField(
-            self.chart,
-            tuple(
-                self.apply(wc) - other.apply(vc)
-                for vc, wc in zip(self.base_coeffs, other.base_coeffs)
-            ),
-            tuple(
-                self.apply(wc) - other.apply(vc)
-                for vc, wc in zip(self.dual_coeffs, other.dual_coeffs)
-            ),
-        )
-
-    def is_homogeneous(self, k: int) -> bool:
-        """Degree k: base coefficients of dual-fiber degree k, dual-fiber
-        coefficients of degree k+1 (zero components are unconstrained)."""
-        for c in self.base_coeffs:
-            if not c.is_zero() and set(c.fiber_degree_decompose()) != {k}:
-                return False
-        for c in self.dual_coeffs:
-            if not c.is_zero() and set(c.fiber_degree_decompose()) != {k + 1}:
-                return False
-        return True
-
-
-def hamiltonian_field(p: SymMultivector) -> PolyVectorField:
-    """Derivation {P, -} of the core algebra, as a field on the dual space.
+def hamiltonian_field(p: SymMultivector) -> DiffOp:
+    """Derivation {P, -} of the core algebra, as a vector field on the dual
+    space: a first-order operator on `Space.ESTAR` with no order-0 term.
 
     Mixed terms coeff(x) dx^i du^A give coeff * v_A d/dx^i; pure-fiber terms
     with fiber-linear coefficient sum_a c_a(x) u^a du^B give -c_a * v_B d/dv_a.
-    Homogeneous of degree q-1.
+    Homogeneous of weight q-1.
     """
     if not fwl_check_multivector(p):
         raise NotFWL("hamiltonian fields are attached to FWL multivectors")
     chart = p.chart
-    zero = Poly.zero(chart, Space.ESTAR)
-    base = [zero] * chart.base_dim
-    dual = [zero] * chart.fiber_rank
+    terms = {}
     for (mi_b, mi_f), coeff in p.terms.items():
         v_mono = _dual_monomial(chart, mi_f)
         if len(mi_b) == 1:
-            i = mi_b.entries[0]
-            base[i - 1] = base[i - 1] + coeff.with_space(Space.ESTAR) * v_mono
+            add_into(terms, (mi_b, EMPTY_MI), coeff.with_space(Space.ESTAR) * v_mono)
         elif len(mi_b) == 0:
             for a in range(1, chart.fiber_rank + 1):
                 c_a = coeff.partial(Var(VarKind.FIBER, a))
                 if not c_a.is_zero():
-                    dual[a - 1] = dual[a - 1] - c_a.with_space(Space.ESTAR) * v_mono
+                    piece = -c_a.with_space(Space.ESTAR) * v_mono
+                    add_into(terms, (EMPTY_MI, MultiIndex([a])), piece)
         else:
             raise NotFWL("FWL tables cannot carry two base derivatives")
-    return PolyVectorField(chart, base, dual)
+    return DiffOp._raw(chart, Space.ESTAR, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MAX_VERIFY_TABLE_KEYS, DocumentError, refuse_over
-from .lbundle import LDerivation, LPair
+from .lbundle import LPair
 from .diffop import DiffOp
-from .multivec import PolyVectorField, Section, SectionRole, SymMultivector
+from .multivec import Section, SectionRole, SymMultivector
 from .symcore import (
     EMPTY_MI,
     Chart,
@@ -193,21 +193,22 @@ def rand_fwl_pair(rng, chart, bounds, q: int) -> LPair:
     return LPair(p, rho)
 
 
-def rand_homogeneous_field(rng, chart, bounds, degree: int) -> PolyVectorField:
-    base = tuple(
-        rand_poly(rng, chart, Space.ESTAR, bounds, fiber_degree=degree)
-        for _ in range(chart.base_dim)
-    )
-    dual = tuple(
-        rand_poly(rng, chart, Space.ESTAR, bounds, fiber_degree=degree + 1)
-        for _ in range(chart.fiber_rank)
-    )
-    return PolyVectorField(chart, base, dual)
+def rand_homogeneous_field(rng, chart, bounds, degree: int) -> DiffOp:
+    """Vector field on the dual space of weight `degree`: d/dx coefficients
+    of dual-fiber degree `degree`, d/dv coefficients of degree `degree`+1."""
+    terms = {}
+    for i in range(1, chart.base_dim + 1):
+        coeff = rand_poly(rng, chart, Space.ESTAR, bounds, fiber_degree=degree)
+        terms[(MultiIndex([i]), EMPTY_MI)] = coeff
+    for a in range(1, chart.fiber_rank + 1):
+        coeff = rand_poly(rng, chart, Space.ESTAR, bounds, fiber_degree=degree + 1)
+        terms[(EMPTY_MI, MultiIndex([a]))] = coeff
+    return DiffOp(chart, Space.ESTAR, terms)
 
 
-def rand_homogeneous_lderivation(rng, chart, bounds, degree: int) -> LDerivation:
+def rand_homogeneous_lderivation(rng, chart, bounds, degree: int) -> DiffOp:
     mult = rand_poly(rng, chart, Space.ESTAR, bounds, fiber_degree=degree)
-    return LDerivation(rand_homogeneous_field(rng, chart, bounds, degree), mult)
+    return rand_homogeneous_field(rng, chart, bounds, degree) + DiffOp.mult(mult)
 
 
 def rand_linearizable_function(rng, chart, bounds) -> Poly:

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from fwlop.diffop import DiffOp, nested_values
 from fwlop.lbundle import (
-    LDerivation,
     _a_iso_pair,
     _closed_form_mult,
     a_inverse,
@@ -109,16 +108,16 @@ def test_criterion_04_exact_sequence():
         chart = rg.rand_chart(rng, BOUNDS)
         p = rng.randint(1, 2)
         core = rg.rand_core_op(rng, chart, BOUNDS, p)
-        ok = ok and a_iso(core, p + 1).field.is_zero()
+        ok = ok and not a_iso(core, p + 1).top_table(1)
         q = rng.randint(1, 3)
         op = rg.rand_fwl_op(rng, chart, BOUNDS, q)
-        if a_iso(op, q).field.is_zero():
+        if not a_iso(op, q).top_table(1):
             ok = ok and op.is_core_sum()
     for _ in range(200):
         chart = rg.rand_chart(rng, BOUNDS)
         degree = rng.randint(0, 2)
         v = rg.rand_homogeneous_field(rng, chart, BOUNDS, degree)
-        built = a_inverse(LDerivation(v, Poly.zero(chart, Space.ESTAR)), degree + 1)
+        built = a_inverse(v, degree + 1)
         ok = ok and hamiltonian_field(built.symbol_at(degree + 1)) == v
     _report("4. exact sequence: kernel = core and ad surjective, 200+200 trials", ok, started)
 
@@ -146,24 +145,20 @@ def test_criterion_05_a_isomorphism():
 
         p = rng.randint(1, 2)
         core = rg.rand_core_op(rng, chart, BOUNDS, p)
-        ok = ok and a_iso(core.compose(d1), p + q1) == a_iso(d1, q1).scale_by_poly(
+        ok = ok and a_iso(core.compose(d1), p + q1) == DiffOp.mult(
             core_to_dualpoly(core.symbol())
-        )
+        ).compose(a_iso(d1, q1))
 
         # generator cases: identity, fiber-linear function, linear field
         ident = a_iso(DiffOp.identity(chart, Space.E), 1)
-        ok = ok and ident.field.is_zero() and ident.mult == Poly.const(
-            chart, Space.ESTAR, 1
-        )
+        ok = ok and ident == DiffOp.identity(chart, Space.ESTAR)
         phi = rg.rand_section(rng, chart, BOUNDS)
         img = a_iso(DiffOp.mult(phi.ell()), 0)
-        ok = (
-            ok
-            and img.mult.is_zero()
-            and all(c.is_zero() for c in img.field.base_coeffs)
-            and img.field.dual_coeffs
-            == tuple(-c.with_space(Space.ESTAR) for c in phi.components)
-        )
+        dual_field = {
+            (EMPTY_MI, MultiIndex([a])): -c.with_space(Space.ESTAR)
+            for a, c in enumerate(phi.components, start=1)
+        }
+        ok = ok and img == DiffOp(chart, Space.ESTAR, dual_field)
         lin = rg.rand_linear_field_op(rng, chart, BOUNDS)
         img = a_iso(lin, 1)
         trace = Poly.zero(chart, Space.ESTAR)
@@ -173,7 +168,7 @@ def test_criterion_05_a_isomorphism():
                 trace = trace - coeff.partial(Var(VarKind.FIBER, alpha)).with_space(
                     Space.ESTAR
                 )
-        ok = ok and img.field == hamiltonian_field(lin.symbol_at(1)) and img.mult == trace
+        ok = ok and img == hamiltonian_field(lin.symbol_at(1)) + DiffOp.mult(trace)
     _report("5. A-isomorphism: round trips, bracket, module, generators, 200 trials", ok, started)
 
 
@@ -186,8 +181,8 @@ def test_criterion_06_a_iso_internal_redundancy():
         q = rng.randint(1, 3)
         op = rg.rand_fwl_op(rng, chart, BOUNDS, q)
         via_pair = pair_to_lderivation(_a_iso_pair(op, q))
-        closed = LDerivation(
-            hamiltonian_field(op.symbol_at(q)), _closed_form_mult(op, q)
+        closed = hamiltonian_field(op.symbol_at(q)) + DiffOp.mult(
+            _closed_form_mult(op, q)
         )
         ok = ok and via_pair == closed == a_iso(op, q)
     _report("6. bundle-map path equals closed coordinate path (inline assert)", ok, started)

@@ -77,6 +77,24 @@ def test_apply_is_linear():
         assert op.apply(f + g) == op.apply(f) + op.apply(g)
 
 
+def test_mult_equals_the_validated_order_zero_table():
+    rng = random.Random(6)
+    bounds = Bounds()
+    for _ in range(30):
+        chart = rand_chart(rng, bounds)
+        space = rng.choice([Space.E, Space.ESTAR, Space.AMBIENT])
+        for p in (rand_poly(rng, chart, space, bounds), Poly.zero(chart, space)):
+            built = DiffOp(p.chart, p.space, {(EMPTY_MI, EMPTY_MI): p})
+            assert DiffOp.mult(p) == built
+            assert DiffOp.mult(p).terms == built.terms
+
+
+def test_repr_names_fiber_derivatives_by_space():
+    assert repr(op_du(1, "x1")) == "DiffOp((x1) du[1])"
+    star = DiffOp.monomial(P("v1", space=Space.ESTAR), EMPTY_MI, MultiIndex([1]))
+    assert repr(star) == "DiffOp((v1) dv[1])"
+
+
 def test_compose_leibniz_one_variable():
     du = op_du(1)
     mu = DiffOp.mult(P("u1"))

@@ -18,8 +18,8 @@ import pytest
 from fwlop import randgen as rg
 from fwlop import verify
 from fwlop.diffop import DiffOp, diffop_to_doc
-from fwlop.lbundle import LDerivation, LPair, lderivation_to_doc
-from fwlop.multivec import PolyVectorField, Section, SymMultivector
+from fwlop.lbundle import LPair, lderivation_to_doc
+from fwlop.multivec import Section, SymMultivector
 from fwlop.symcore import Chart, MultiIndex, Poly, Space, poly_to_str
 
 EXPECTED = {
@@ -44,13 +44,6 @@ def _canon(obj):
         return {"q": obj.q, "op": diffop_to_doc(obj.to_operator())}
     if isinstance(obj, LPair):
         return {"p": _canon(obj.p), "rho": _canon(obj.rho)}
-    if isinstance(obj, LDerivation):
-        return lderivation_to_doc(obj)
-    if isinstance(obj, PolyVectorField):
-        return {
-            "dx": [poly_to_str(c) for c in obj.base_coeffs],
-            "dv": [poly_to_str(c) for c in obj.dual_coeffs],
-        }
     if isinstance(obj, Section):
         return [obj.role.value] + [poly_to_str(c) for c in obj.components]
     if isinstance(obj, Poly):
@@ -73,8 +66,11 @@ def _stream(seed: int) -> list:
     violation = _generator("rand_fwl_violation", "_violate")
     out = []
 
-    def emit(label, obj):
-        out.append([label, _canon(obj)])
+    def emit(label, obj, render=_canon):
+        out.append([label, render(obj)])
+
+    def field_doc(d):
+        return lderivation_to_doc(d)["field"]
 
     emit("fraction", rg.rand_fraction(rng, bounds))
     emit("fraction-nonzero", rg.rand_fraction(rng, bounds, nonzero=True))
@@ -106,8 +102,9 @@ def _stream(seed: int) -> list:
         emit("section", rg.rand_section(rng, chart, bounds))
         emit("section-of-e", rg.rand_section(rng, chart, bounds, rg.SectionRole.OF_E))
         for degree in (0, 1, 2):
-            emit("field", rg.rand_homogeneous_field(rng, chart, bounds, degree))
-            emit("lderivation", rg.rand_homogeneous_lderivation(rng, chart, bounds, degree))
+            emit("field", rg.rand_homogeneous_field(rng, chart, bounds, degree), field_doc)
+            lderivation = rg.rand_homogeneous_lderivation(rng, chart, bounds, degree)
+            emit("lderivation", lderivation, lderivation_to_doc)
         emit("lin-function", rg.rand_linearizable_function(rng, chart, bounds))
         emit("second-order", rg.rand_second_order_function(rng, chart, bounds))
         emit("linear-field-op", rg.rand_linear_field_op(rng, chart, bounds))
