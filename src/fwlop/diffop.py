@@ -10,9 +10,9 @@ first-order operator is a derivation of the pulled-back determinant line
 in the Vol_u frame (see `fwlop.lbundle`).  The representation is unique
 once multi-indices are canonical, so equality is table equality.
 Composition expands derivative-past-coefficient by the multiset Leibniz
-rule.  A commutator [A, f] with a multiplication operator
-is one pass of the same expansion of A∘f without its S = ∅ terms, which
-are f∘A; any other commutator is A∘B - B∘A.  Every value
+rule.  A commutator [A, B] is two passes of the same expansion, of A∘B and
+of B∘A, each without its S = ∅ terms c1·c2 d^(J1+J2), which are equal on
+both sides and cancel; when B has order 0 its pass is empty.  Every value
 [...[op, f1], ..., fk](1) in the package, from multivector evaluation to
 the bundle map of `a_iso`, comes from `nested_values(op)`, which builds
 each nested commutator once, from the one of its prefix, and memoises
@@ -208,14 +208,13 @@ class DiffOp:
         return self._leibniz(other, False)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
-        if other.order() == 0:
-            # [A, f] for multiplication by f: f∘A is exactly the S = ∅ part
-            # of the Leibniz expansion of A∘f (coefficients commute), so the
-            # commutator is that expansion without it.
-            self._check_compatible(other)
-            out = self._leibniz(other, True)
-        else:
-            out = self.compose(other) - other.compose(self)
+        # A∘B and B∘A share their S = ∅ terms c1·c2 d^(J1+J2) (coefficients
+        # commute), so [A, B] is the two expansions without them.  For B of
+        # order 0 (multiplication by f) the pass of B∘A has nothing left.
+        self._check_compatible(other)
+        out = self._leibniz(other, True)
+        if other.order() != 0:
+            out = out - other._leibniz(self, True)
         orders = [self.order(), other.order(), out.order()]
         if None not in orders and orders[2] > orders[0] + orders[1] - 1:
             raise InvariantViolation("commutator order bound q+r-1 violated")
@@ -224,16 +223,24 @@ class DiffOp:
     def _leibniz(self, other: "DiffOp", skip_empty: bool) -> "DiffOp":
         """Sum of binom(J1, S) c1 (d^S c2) d^(J1 - S + J2) over the terms
         c1 d^J1 of self, c2 d^J2 of other and S <= J1, leaving out S = ∅ if
-        skip_empty.  Terms accumulate on sorted entry tuples, which hash in C."""
+        skip_empty.  Terms accumulate on sorted entry tuples, which hash in C.
+        Each d^S c2 is computed once per call: terms of self share their
+        sub-multisets S."""
         fk = fiber_kind(self.space)
         terms = {}
+        # (index of c2's term, S base entries[, S fiber entries]) -> partial
+        partials = {}
+        other_terms = list(enumerate(other.terms.items()))
         for (i1, b1), c1 in self.terms.items():
             subs_base = _sub_multisets(i1.entries)
             subs_fib = _sub_multisets(b1.entries)
-            for (i2, b2), c2 in other.terms.items():
+            for n2, ((i2, b2), c2) in other_terms:
                 e2_base, e2_fib = i2.entries, b2.entries
                 for s_base, n_base, rest_base in subs_base:
-                    dc = c2.partial_multi(s_base, VarKind.BASE)
+                    at_base = (n2, s_base.entries)
+                    dc = partials.get(at_base)
+                    if dc is None:
+                        dc = partials[at_base] = c2.partial_multi(s_base, VarKind.BASE)
                     if dc.is_zero():
                         continue
                     key_base = tuple(sorted(rest_base + e2_base))
@@ -241,7 +248,10 @@ class DiffOp:
                     if skip_empty and not s_base.entries:
                         fibs = fibs[1:]
                     for s_fib, n_fib, rest_fib in fibs:
-                        dcf = dc.partial_multi(s_fib, fk)
+                        at = (n2, s_base.entries, s_fib.entries)
+                        dcf = partials.get(at)
+                        if dcf is None:
+                            dcf = partials[at] = dc.partial_multi(s_fib, fk)
                         if dcf.is_zero():
                             continue
                         key = (key_base, tuple(sorted(rest_fib + e2_fib)))
@@ -278,11 +288,20 @@ class DiffOp:
         }
 
     def weight(self):
-        """Weight if homogeneous, else None; zero operator gives None."""
-        grades = self.grade_decompose()
-        if len(grades) == 1:
-            return next(iter(grades))
-        return None
+        """Weight if homogeneous, else None; zero operator gives None.
+
+        The weights are read off the coefficients' fiber degrees, without
+        building the parts of `grade_decompose`."""
+        if self.space is Space.AMBIENT:
+            raise SpaceMismatch("weight grading lives on the bundle spaces")
+        weights = set()
+        for (_, mi_f), coeff in self.terms.items():
+            deg = coeff.fiber_degree()
+            if deg is None:
+                # two fiber degrees in one coefficient are two weights
+                return None
+            weights.add(deg - len(mi_f))
+        return weights.pop() if len(weights) == 1 else None
 
     def is_core(self, q: int) -> bool:
         """Nonzero, order q, and every term is d^q/du^B with base coefficient."""

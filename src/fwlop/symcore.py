@@ -287,10 +287,13 @@ class Poly:
     common denominator `den`.  Canonical form: den > 0 and
     gcd(den, *numerators) == 1; the zero polynomial is {} over 1.  This
     class is the only code that reads the layout; everything else goes
-    through the methods (`monomials()` gives Var-keyed Fractions).
+    through the methods (`monomials()` gives Var-keyed Fractions).  The
+    hash is computed on the first `hash()` and kept in the `_hash` slot, so
+    the caches keyed by polynomials hash each one once and no constructor
+    pays for it.
     """
 
-    __slots__ = ("chart", "space", "terms", "den")
+    __slots__ = ("chart", "space", "terms", "den", "_hash")
 
     def __init__(self, chart: Chart, space: Space, terms=None):
         """Build from {((Var, exp), ...): coeff}; equal monomials add up."""
@@ -489,7 +492,12 @@ class Poly:
         )
 
     def __hash__(self):
-        return hash((self.chart, self.space, self.den, frozenset(self.terms.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.chart, self.space, self.den, frozenset(self.terms.items())))
+            _set_hash(self, h)
+            return h
 
     def __repr__(self):
         return f"Poly({poly_to_str(self)!r}, space={self.space.value})"
@@ -614,6 +622,7 @@ _set_chart = Poly.chart.__set__
 _set_space = Poly.space.__set__
 _set_terms = Poly.terms.__set__
 _set_den = Poly.den.__set__
+_set_hash = Poly._hash.__set__
 
 
 def add_into(table: dict, key, coeff) -> None:

@@ -27,6 +27,7 @@ from fwlop.randgen import (
     rand_core_op,
     rand_diffop,
     rand_fwl_op,
+    rand_key,
     rand_poly,
 )
 from fwlop.symcore import (
@@ -37,6 +38,7 @@ from fwlop.symcore import (
     Space,
     Var,
     VarKind,
+    add_into,
     fiber_kind,
     parse_poly,
 )
@@ -196,6 +198,23 @@ def test_commutator_with_function_matches_two_compositions():
                 assert a.commutator(m) == a.compose(m) - m.compose(a)
 
 
+def test_commutator_matches_two_compositions():
+    # [A, B] is two Leibniz passes without their S = empty parts; the
+    # reference is the difference of the two compositions
+    rng = random.Random(79)
+    bounds = Bounds()
+    for space in SPACES:
+        for order_a in range(4):
+            for order_b in range(4):
+                chart = rand_chart(rng, bounds)
+                a = rand_diffop(rng, chart, space, bounds, order=order_a)
+                b = rand_diffop(rng, chart, space, bounds, order=order_b)
+                zero = DiffOp.zero(chart, space)
+                for x, y in ((a, b), (b, a), (a, zero), (zero, b), (zero, zero)):
+                    assert x.commutator(y) == x.compose(y) - y.compose(x)
+                    assert x.commutator(y) == -y.commutator(x)
+
+
 def test_commutator_with_zero_constant_and_order_zero_operands():
     rng = random.Random(73)
     bounds = Bounds()
@@ -225,7 +244,81 @@ def test_commutator_with_function_runs_one_leibniz_pass(monkeypatch):
     assert passes == [True]
     passes.clear()
     assert op_du(1).commutator(op_du(2, "u1")) == op_du(2)
-    assert passes == [False, False]
+    assert passes == [True, True]
+
+
+def _plain_leibniz(a, b, skip_empty):
+    """The Leibniz expansion of a∘b term by term, each partial taken anew."""
+    fk = fiber_kind(a.space)
+    out = DiffOp.zero(a.chart, a.space)
+    for (i1, b1), c1 in a.terms.items():
+        for (i2, b2), c2 in b.terms.items():
+            for s_b, n_b in i1.sub_multisets():
+                for s_f, n_f in b1.sub_multisets():
+                    if skip_empty and not len(s_b) + len(s_f):
+                        continue
+                    rest_b, rest_f = i1, b1
+                    for letter in s_b:
+                        rest_b = rest_b.remove(letter)
+                    for letter in s_f:
+                        rest_f = rest_f.remove(letter)
+                    dc = c2.partial_multi(s_b, VarKind.BASE).partial_multi(s_f, fk)
+                    key = (rest_b.concat(i2), rest_f.concat(b2))
+                    piece = (c1 * dc).scale(n_b * n_f)
+                    out = out + DiffOp(a.chart, a.space, {key: piece})
+    return out
+
+
+def test_leibniz_takes_each_partial_once_per_pass(monkeypatch):
+    # the terms of a share their sub-multisets S of (2), (1, 1), (1) and
+    # (2), (1, 1); each coefficient of b depends on x1 and x2, so no base
+    # partial vanishes and every (term of b, S) pair is reached
+    c = P("x1*x2*u1^2 + x2^2*u1 - 3", CH)
+    a = DiffOp(
+        CH,
+        Space.E,
+        {
+            (EMPTY_MI, MultiIndex([1, 1])): c,
+            (MultiIndex([1]), MultiIndex([1, 1])): P("u2 + x1", CH),
+            (MultiIndex([2]), MultiIndex([1, 1])): P("x2*u1*u2", CH),
+        },
+    )
+    b = DiffOp(
+        CH,
+        Space.E,
+        {
+            (EMPTY_MI, EMPTY_MI): P("x1*x2*u1^3 + u2", CH),
+            (MultiIndex([1]), EMPTY_MI): P("x1^2*x2*u1*u2", CH),
+            (EMPTY_MI, MultiIndex([2])): P("x1*x2^2*u1^2 - 2*x1*x2", CH),
+        },
+    )
+    subsets = {
+        (s_b.entries, s_f.entries)
+        for i1, b1 in a.terms
+        for s_b, _ in i1.sub_multisets()
+        for s_f, _ in b1.sub_multisets()
+    }
+    assert len(subsets) == 9
+    calls = []
+    partial_multi = Poly.partial_multi
+
+    def counting(self, mi, kind):
+        calls.append(kind)
+        return partial_multi(self, mi, kind)
+
+    for skip_empty in (False, True):
+        expected = _plain_leibniz(a, b, skip_empty)
+        calls.clear()
+        monkeypatch.setattr(Poly, "partial_multi", counting)
+        got = a._leibniz(b, skip_empty)
+        monkeypatch.setattr(Poly, "partial_multi", partial_multi)
+        assert got == expected
+        # one base partial per (term of b, S base part), one fiber partial
+        # per (term of b, S), the empty S left out when skipped
+        pairs = len(b.terms) * (len(subsets) - skip_empty)
+        base_parts = {s_b for s_b, _ in subsets}
+        assert calls.count(VarKind.BASE) == len(b.terms) * len(base_parts)
+        assert calls.count(VarKind.FIBER) == pairs
 
 
 def test_function_commutator_keeps_the_order_bound_check(monkeypatch):
@@ -261,6 +354,37 @@ def test_grade_decompose_examples():
     assert op_du(2).grade_decompose() == {-2: op_du(2)}
     xdx = DiffOp.monomial(P("x1"), MultiIndex([1]), EMPTY_MI)
     assert xdx.grade_decompose() == {0: xdx}
+
+
+def test_weight_is_the_single_grade():
+    # weight() reads fiber degrees; the definition is the one key of
+    # grade_decompose() when there is exactly one
+    rng = random.Random(43)
+    bounds = Bounds()
+    for space in (Space.E, Space.ESTAR):
+        for _ in range(40):
+            chart = rand_chart(rng, bounds)
+            w = rng.randint(-3, 2)
+            homogeneous = {}
+            for _ in range(rng.randint(1, 3)):
+                nf = rng.randint(max(0, -w), 3)
+                key = rand_key(rng, chart, rng.randint(0, 3 - nf), nf)
+                coeff = rand_poly(rng, chart, space, bounds, fiber_degree=w + nf)
+                add_into(homogeneous, key, coeff)
+            ops = [
+                DiffOp.zero(chart, space),
+                rand_diffop(rng, chart, space, bounds),
+                DiffOp(chart, space, homogeneous),
+            ]
+            if space is Space.E:
+                ops.append(rand_fwl_op(rng, chart, bounds, rng.randint(0, 3)))
+                ops.append(rand_core_op(rng, chart, bounds, rng.randint(1, 3)))
+            for op in ops:
+                grades = op.grade_decompose()
+                expected = next(iter(grades)) if len(grades) == 1 else None
+                assert op.weight() == expected
+    with pytest.raises(SpaceMismatch):
+        DiffOp.identity(CH1, Space.AMBIENT).weight()
 
 
 def test_grade_conjugation_rational_t():

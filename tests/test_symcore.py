@@ -136,6 +136,36 @@ def test_parse_whitespace_and_signs():
     assert P("-3/4") == Poly.const(CH, Space.E, Fraction(-3, 4))
 
 
+def test_equal_polys_hash_equal_however_built():
+    parsed = P("x1*u1^2 + 3/2*x2")
+    arith = P("x1*u1") * P("u1") + P("3/4*x2").scale(2)
+    derived = P("1/3*x1*u1^3 + 3/2*x2*u1 + x1").partial(fiber_var(1))
+    assert parsed == arith == derived
+    assert hash(parsed) == hash(arith) == hash(derived)
+
+
+def test_cached_hash_is_the_uncached_formula():
+    rng = random.Random(47)
+    bounds = Bounds()
+    for _ in range(20):
+        chart = rand_chart(rng, bounds)
+        p = rand_poly(rng, chart, rng.choice(list(Space)), bounds)
+        formula = hash((p.chart, p.space, p.den, frozenset(p.terms.items())))
+        assert hash(p) == formula
+        assert p._hash == formula
+        assert hash(p) == formula
+
+
+def test_hash_slot_is_read_only():
+    p = P("x1 + u2")
+    with pytest.raises(AttributeError):
+        p._hash = 0
+    hash(p)
+    with pytest.raises(AttributeError):
+        p._hash = 0
+    assert hash(p) == hash(P("x1 + u2"))
+
+
 def test_print_zero():
     assert poly_to_str(Poly.zero(CH, Space.E)) == "0"
     assert P("0").is_zero()
