@@ -12,7 +12,9 @@ once multi-indices are canonical, so equality is table equality.
 Composition expands derivative-past-coefficient by the multiset Leibniz
 rule.  A commutator [A, B] is two passes of the same expansion, of A∘B and
 of B∘A, each without its S = ∅ terms c1·c2 d^(J1+J2), which are equal on
-both sides and cancel; when B has order 0 its pass is empty.  Every value
+both sides and cancel; when B has order 0 its pass is empty.  The passes
+collect their summands k c1 (d^S c2) per output key, and each coefficient
+is one `Poly.sum_of_products`, reduced once.  Every value
 [...[op, f1], ..., fk](1) in the package, from multivector evaluation to
 the bundle map of `a_iso`, comes from `nested_values(op)`, which builds
 each nested commutator once, from the one of its prefix, and memoises
@@ -47,7 +49,6 @@ from .symcore import (
     MultiIndex,
     Poly,
     Space,
-    Var,
     VarKind,
     _sub_multisets,
     add_into,
@@ -194,40 +195,42 @@ class DiffOp:
         if f.space != self.space:
             raise SpaceMismatch("function space differs from operator space")
         fk = fiber_kind(self.space)
-        out = Poly.zero(self.chart, self.space)
+        products = []
         for (mi_b, mi_f), coeff in self.terms.items():
             g = f.partial_multi(mi_b, VarKind.BASE).partial_multi(mi_f, fk)
             if not g.is_zero():
-                out = out + coeff * g
-        return out
+                products.append((1, coeff, g))
+        return Poly.sum_of_products(self.chart, self.space, products)
 
     def compose(self, other: "DiffOp") -> "DiffOp":
         """self after other; derivatives expand past coefficients by the
         multiset Leibniz rule with multinomial(J, S) = prod_i C(J[i], S[i])."""
         self._check_compatible(other)
-        return self._leibniz(other, False)
+        return self._summed(self._leibniz(other, False, 1, {}))
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
         # A∘B and B∘A share their S = ∅ terms c1·c2 d^(J1+J2) (coefficients
         # commute), so [A, B] is the two expansions without them.  For B of
         # order 0 (multiplication by f) the pass of B∘A has nothing left.
         self._check_compatible(other)
-        out = self._leibniz(other, True)
-        if other.order() != 0:
-            out = out - other._leibniz(self, True)
-        orders = [self.order(), other.order(), out.order()]
-        if None not in orders and orders[2] > orders[0] + orders[1] - 1:
+        q, r = self.order(), other.order()
+        pieces = self._leibniz(other, True, 1, {})
+        if r != 0:
+            other._leibniz(self, True, -1, pieces)
+        out = self._summed(pieces)
+        orders = (q, r, out.order())
+        if None not in orders and orders[2] > q + r - 1:
             raise InvariantViolation("commutator order bound q+r-1 violated")
         return out
 
-    def _leibniz(self, other: "DiffOp", skip_empty: bool) -> "DiffOp":
-        """Sum of binom(J1, S) c1 (d^S c2) d^(J1 - S + J2) over the terms
-        c1 d^J1 of self, c2 d^J2 of other and S <= J1, leaving out S = ∅ if
-        skip_empty.  Terms accumulate on sorted entry tuples, which hash in C.
-        Each d^S c2 is computed once per call: terms of self share their
-        sub-multisets S."""
+    def _leibniz(self, other: "DiffOp", skip_empty: bool, sign: int, pieces: dict):
+        """Collect sign * binom(J1, S) c1 (d^S c2) d^(J1 - S + J2) over the
+        terms c1 d^J1 of self, c2 d^J2 of other and S <= J1, leaving out
+        S = ∅ if skip_empty, into pieces: {(base entries, fiber entries) of
+        the key: [(integer factor, c1, d^S c2), ...]}; returns pieces.  Keys
+        are sorted entry tuples, which hash in C.  Each d^S c2 is computed
+        once per call: terms of self share their sub-multisets S."""
         fk = fiber_kind(self.space)
-        terms = {}
         # (index of c2's term, S base entries[, S fiber entries]) -> partial
         partials = {}
         other_terms = list(enumerate(other.terms.items()))
@@ -255,15 +258,13 @@ class DiffOp:
                         if dcf.is_zero():
                             continue
                         key = (key_base, tuple(sorted(rest_fib + e2_fib)))
-                        piece = c1 * dcf
-                        if n_base * n_fib != 1:
-                            piece = piece.scale(n_base * n_fib)
-                        acc = terms.get(key)
-                        total = piece if acc is None else acc + piece
-                        if total.is_zero():
-                            terms.pop(key, None)
-                        else:
-                            terms[key] = total
+                        piece = (sign * n_base * n_fib, c1, dcf)
+                        pieces.setdefault(key, []).append(piece)
+        return pieces
+
+    def _summed(self, pieces: dict) -> "DiffOp":
+        """The operator of `_leibniz` pieces, keyed by entry tuples."""
+        terms = _sum_pieces(self.chart, self.space, pieces)
         return DiffOp._raw(
             self.chart,
             self.space,
@@ -409,6 +410,17 @@ class DiffOp:
         )
 
 
+def _sum_pieces(chart, space, pieces: dict) -> dict:
+    """{key: reduced sum of the k * a * b} of {key: [(k, a, b), ...]}, keys
+    kept in the order they first appeared, zero sums dropped."""
+    terms = {}
+    for key, products in pieces.items():
+        coeff = Poly.sum_of_products(chart, space, products)
+        if coeff.terms:
+            terms[key] = coeff
+    return terms
+
+
 def _term_key(item):
     (mi_b, mi_f), _ = item
     return (len(mi_b) + len(mi_f), mi_b.entries, mi_f.entries)
@@ -451,14 +463,13 @@ def _recover_table(chart, space, q, value_fn) -> dict:
         multi_index_count(n + m, q, MAX_TABLE_KEYS),
         MAX_TABLE_KEYS,
     )
-    fk = fiber_kind(space)
+    base = [Poly.var(chart, space, v) for v in chart.vars_of(VarKind.BASE)]
+    fiber = [Poly.var(chart, space, v) for v in chart.vars_of(fiber_kind(space))]
     terms = {}
     for nb in range(q + 1):
-        for mi_b in all_multi_indices(chart.base_dim, nb):
-            for mi_f in all_multi_indices(chart.fiber_rank, q - nb):
-                args = [
-                    Poly.var(chart, space, Var(VarKind.BASE, i)) for i in mi_b
-                ] + [Poly.var(chart, space, Var(fk, a)) for a in mi_f]
+        for mi_b in all_multi_indices(n, nb):
+            for mi_f in all_multi_indices(m, q - nb):
+                args = [base[i - 1] for i in mi_b] + [fiber[a - 1] for a in mi_f]
                 value = value_fn(args)
                 if value.is_zero():
                     continue

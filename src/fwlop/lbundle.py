@@ -58,7 +58,6 @@ from .multivec import (
     Section,
     SectionRole,
     SymMultivector,
-    _dual_monomial,
     _multiderivation_l,
     _require_fwl,
     core_to_dualpoly,
@@ -383,17 +382,19 @@ def _closed_form_mult(op: DiffOp, q: int) -> Poly:
     the second sum being the dual-fiber divergence of the field part.
     """
     chart = op.chart
-    out = Poly.zero(chart, Space.ESTAR)
+    products = []
     for (mi_b, mi_f), coeff in op.terms.items():
         if len(mi_b) != 0:
             continue
         if len(mi_f) == q - 1:
-            out = out + coeff.with_space(Space.ESTAR) * _dual_monomial(chart, mi_f)
+            v_mono = Poly.fiber_monomial(chart, Space.ESTAR, mi_f)
+            products.append((1, coeff.with_space(Space.ESTAR), v_mono))
         elif len(mi_f) == q:
             for b, mult in mi_f.multiplicities().items():
                 d_b = coeff.partial(Var(VarKind.FIBER, b)).with_space(Space.ESTAR)
-                out = out - d_b.scale(mult) * _dual_monomial(chart, mi_f.remove(b))
-    return out
+                v_mono = Poly.fiber_monomial(chart, Space.ESTAR, mi_f.remove(b))
+                products.append((-mult, d_b, v_mono))
+    return Poly.sum_of_products(chart, Space.ESTAR, products)
 
 
 def _check_order(q: int, chart: Chart):
@@ -466,19 +467,19 @@ def a_inverse(d: DiffOp, q: int) -> DiffOp:
     terms = {}
     for i in range(1, chart.base_dim + 1):
         comp = d.terms.get((MultiIndex([i]), EMPTY_MI), zero)
-        for mi, base_part in _split_dual(comp).items():
+        for mi, base_part in comp.fiber_parts(Space.E).items():
             add_into(terms, (MultiIndex([i]), mi), base_part)
 
     fiber_coeffs = {}
     for alpha in range(1, chart.fiber_rank + 1):
         comp = d.terms.get((EMPTY_MI, MultiIndex([alpha])), zero)
-        for mi, base_part in _split_dual(comp).items():
+        for mi, base_part in comp.fiber_parts(Space.E).items():
             coeff = -base_part
             fiber_coeffs[(mi, alpha)] = coeff
             u_alpha = Poly.var(chart, Space.E, Var(VarKind.FIBER, alpha))
             add_into(terms, (EMPTY_MI, mi), coeff * u_alpha)
 
-    mult_parts = _split_dual(d.terms.get((EMPTY_MI, EMPTY_MI), zero))
+    mult_parts = d.terms.get((EMPTY_MI, EMPTY_MI), zero).fiber_parts(Space.E)
     for mi in all_multi_indices(chart.fiber_rank, q - 1):
         base_part = mult_parts.get(mi, Poly.zero(chart, Space.E))
         correction = Poly.zero(chart, Space.E)
@@ -489,22 +490,6 @@ def a_inverse(d: DiffOp, q: int) -> DiffOp:
         add_into(terms, (EMPTY_MI, mi), base_part + correction)
 
     return DiffOp(chart, Space.E, terms)
-
-
-def _split_dual(p: Poly) -> dict:
-    """Split a dual-space polynomial by its v-monomial, keeping x-parts on E."""
-    out = {}
-    for mono, coeff in p.monomials().items():
-        v_letters = []
-        x_part = []
-        for var, exp in mono:
-            if var.kind is VarKind.DUAL_FIBER:
-                v_letters.extend([var.index] * exp)
-            else:
-                x_part.append((var, exp))
-        piece = Poly(p.chart, Space.E, {tuple(x_part): coeff})
-        add_into(out, MultiIndex(v_letters), piece)
-    return out
 
 
 # ---------------------------------------------------------------------------

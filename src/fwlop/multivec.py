@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .diffop import DiffOp, nested_values
+from .diffop import DiffOp, _sum_pieces, nested_values
 from .errors import (
     MAX_DET_SIZE,
     ArityMismatch,
@@ -44,7 +44,6 @@ from .symcore import (
     Var,
     VarKind,
     add_into,
-    dual_var,
     fiber_kind,
 )
 
@@ -143,18 +142,21 @@ def poisson(p1: SymMultivector, p2: SymMultivector) -> SymMultivector:
     if q < 0:
         return SymMultivector.zero(p1.chart, p1.space, 0)
     fk = fiber_kind(p1.space)
-    terms = {}
+    pieces = {}
     for a, b, sign in ((p1, p2, 1), (p2, p1, -1)):
         for (ia, ba), ca in a.terms.items():
             for (ib, bb), cb in b.terms.items():
                 for z, mult in ia.multiplicities().items():
-                    key = (ia.remove(z).concat(ib), ba.concat(bb))
                     dz = cb.partial(Var(VarKind.BASE, z))
-                    add_into(terms, key, (ca * dz).scale(sign * mult))
+                    if not dz.is_zero():
+                        key = (ia.remove(z).concat(ib), ba.concat(bb))
+                        pieces.setdefault(key, []).append((sign * mult, ca, dz))
                 for z, mult in ba.multiplicities().items():
-                    key = (ia.concat(ib), ba.remove(z).concat(bb))
                     dz = cb.partial(Var(fk, z))
-                    add_into(terms, key, (ca * dz).scale(sign * mult))
+                    if not dz.is_zero():
+                        key = (ia.concat(ib), ba.remove(z).concat(bb))
+                        pieces.setdefault(key, []).append((sign * mult, ca, dz))
+    terms = _sum_pieces(p1.chart, p1.space, pieces)
     return SymMultivector(p1.chart, p1.space, q, terms)
 
 
@@ -164,10 +166,12 @@ def sym_product(p1: SymMultivector, p2: SymMultivector) -> SymMultivector:
         raise ChartMismatch("product operands on different charts")
     if p1.space != p2.space:
         raise SpaceMismatch("product operands on different spaces")
-    terms = {}
+    pieces = {}
     for (i1, b1), c1 in p1.terms.items():
         for (i2, b2), c2 in p2.terms.items():
-            add_into(terms, (i1.concat(i2), b1.concat(b2)), c1 * c2)
+            key = (i1.concat(i2), b1.concat(b2))
+            pieces.setdefault(key, []).append((1, c1, c2))
+    terms = _sum_pieces(p1.chart, p1.space, pieces)
     return SymMultivector(p1.chart, p1.space, p1.q + p2.q, terms)
 
 
@@ -315,21 +319,16 @@ def _multiderivation_l(p: SymMultivector, *args) -> Poly:
     return value
 
 
-def _dual_monomial(chart: Chart, mi: MultiIndex) -> Poly:
-    """The dual-space monomial v_mi (1 for the empty multi-index)."""
-    mono = tuple((dual_var(a), e) for a, e in mi.multiplicities().items())
-    return Poly(chart, Space.ESTAR, {mono: 1})
-
-
 def core_to_dualpoly(p: SymMultivector) -> Poly:
     """Core multivector as a polynomial on the dual space: table transcription.
     Reads only `.chart` and `.terms`, so a sum of core operators works too."""
-    out = Poly.zero(p.chart, Space.ESTAR)
+    products = []
     for (mi_b, mi_f), coeff in p.terms.items():
         if len(mi_b) != 0 or not coeff.is_base_only():
             raise NotCore("table has a non-core term")
-        out = out + coeff.with_space(Space.ESTAR) * _dual_monomial(p.chart, mi_f)
-    return out
+        v_mono = Poly.fiber_monomial(p.chart, Space.ESTAR, mi_f)
+        products.append((1, coeff.with_space(Space.ESTAR), v_mono))
+    return Poly.sum_of_products(p.chart, Space.ESTAR, products)
 
 
 def hamiltonian_field(p: SymMultivector) -> DiffOp:
@@ -345,7 +344,7 @@ def hamiltonian_field(p: SymMultivector) -> DiffOp:
     chart = p.chart
     terms = {}
     for (mi_b, mi_f), coeff in p.terms.items():
-        v_mono = _dual_monomial(chart, mi_f)
+        v_mono = Poly.fiber_monomial(chart, Space.ESTAR, mi_f)
         if len(mi_b) == 1:
             add_into(terms, (mi_b, EMPTY_MI), coeff.with_space(Space.ESTAR) * v_mono)
         elif len(mi_b) == 0:

@@ -8,8 +8,14 @@ a partial derivative decrements one slot.  The denominator is positive and
 shares no factor with every numerator; the zero polynomial stores no terms
 over 1.  This exact canonical form makes every identity test in the package
 a literal comparison.  Only `Poly` reads the layout: other code uses its
-methods, and `Poly.monomials()` gives the terms keyed by (Var, exponent)
-tuples with Fraction coefficients.
+methods.  Three of them serve the table algebra and the crossings between
+a space and its dual: `sum_of_products` adds up k * a * b over a list of
+products as integer numerators over one common denominator and reduces
+once; `fiber_parts` splits a polynomial by the monomial of its fiber-type
+variables; `fiber_monomial` builds such a monomial from a multi-index.
+`Poly.monomials()` gives the terms keyed by (Var, exponent) tuples with
+Fraction coefficients; only `Poly.substitute` and the random generators
+of `fwlop.randgen` read it.
 
 Variables are tagged by kind: base coordinates x1..xn, fiber coordinates
 u1..um on the total space (or transverse coordinates on an ambient chart),
@@ -287,7 +293,8 @@ class Poly:
     common denominator `den`.  Canonical form: den > 0 and
     gcd(den, *numerators) == 1; the zero polynomial is {} over 1.  This
     class is the only code that reads the layout; everything else goes
-    through the methods (`monomials()` gives Var-keyed Fractions).  The
+    through the methods (`monomials()` gives Var-keyed Fractions, for
+    `substitute` and the random generators).  The
     hash is computed on the first `hash()` and kept in the `_hash` slot, so
     the caches keyed by polynomials hash each one once and no constructor
     pays for it.
@@ -374,6 +381,55 @@ class Poly:
         mono = [0] * (chart.base_dim + chart.fiber_rank)
         mono[slot] = exp
         return cls._raw(chart, space, {tuple(mono): 1})
+
+    @classmethod
+    def fiber_monomial(cls, chart, space, mi: MultiIndex):
+        """The monomial of the fiber-type variables of `space` indexed by mi
+        (u_mi or v_mi; 1 for the empty multi-index)."""
+        n, m = chart.base_dim, chart.fiber_rank
+        mono = [0] * (n + m)
+        for letter in mi:
+            if not 1 <= letter <= m:
+                v = Var(fiber_kind(space), letter)
+                raise IndexOutOfRange(f"variable {v} out of range for chart {chart}")
+            mono[n + letter - 1] += 1
+        return cls._raw(chart, space, {tuple(mono): 1})
+
+    @classmethod
+    def sum_of_products(cls, chart, space, products) -> "Poly":
+        """Sum of k * a * b over the list `products` of (k, a, b), k an
+        integer and a, b polynomials on chart/space.
+
+        Every product is scaled onto the least common denominator of the
+        products' denominators, so the numerators add up as integers in one
+        table, and the sum is reduced once: no polynomial is built per
+        product or per partial sum."""
+        den = 1
+        for _, a, b in products:
+            if (a.chart is not chart and a.chart != chart) or (
+                b.chart is not chart and b.chart != chart
+            ):
+                raise ChartMismatch(f"{a.chart} * {b.chart} vs {chart}")
+            if a.space is not space or b.space is not space:
+                raise SpaceMismatch(
+                    f"{a.space.value} * {b.space.value} vs {space.value}"
+                )
+            d = a.den * b.den
+            if den % d:
+                den = lcm(den, d)
+        terms = {}
+        get = terms.get
+        for k, a, b in products:
+            f = k * (den // (a.den * b.den))
+            b_items = b.terms.items()
+            for m1, c1 in a.terms.items():
+                c1 *= f
+                for m2, c2 in b_items:
+                    mono = tuple(map(add, m1, m2))
+                    terms[mono] = get(mono, 0) + c1 * c2
+        if 0 in terms.values():
+            terms = {mono: c for mono, c in terms.items() if c}
+        return cls._reduced(chart, space, terms, den)
 
     def _check_compatible(self, other: "Poly"):
         if self.chart is not other.chart and self.chart != other.chart:
@@ -526,6 +582,23 @@ class Poly:
         for letter in mi:
             out = out.partial(Var(kind, letter))
         return out
+
+    def fiber_parts(self, space: Space) -> dict:
+        """Split by the monomial of the fiber-type variables: {fiber
+        multi-index B: base-only part c_B, re-tagged onto `space`}, so that
+        self is the sum of c_B times the fiber monomial of B.  Keys are in
+        the order of their first term; zero maps to {}."""
+        n, chart, den = self.chart.base_dim, self.chart, self.den
+        blank = (0,) * chart.fiber_rank
+        groups = {}
+        for mono, c in self.terms.items():
+            groups.setdefault(mono[n:], {})[mono[:n] + blank] = c
+        return {
+            MultiIndex(
+                [a for a, e in enumerate(fiber, start=1) for _ in range(e)]
+            ): Poly._reduced(chart, space, terms, den)
+            for fiber, terms in groups.items()
+        }
 
     def fiber_degree_decompose(self) -> dict:
         """Split into fiber-degree homogeneous parts; zero maps to {}."""

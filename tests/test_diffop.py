@@ -235,9 +235,9 @@ def test_commutator_with_function_runs_one_leibniz_pass(monkeypatch):
     passes = []
     leibniz = DiffOp._leibniz
 
-    def counting(self, other, skip_empty):
+    def counting(self, other, skip_empty, sign, pieces):
         passes.append(skip_empty)
-        return leibniz(self, other, skip_empty)
+        return leibniz(self, other, skip_empty, sign, pieces)
 
     monkeypatch.setattr(DiffOp, "_leibniz", counting)
     assert op_du(1).commutator(DiffOp.mult(P("u1"))) == DiffOp.identity(CH1, Space.E)
@@ -310,7 +310,7 @@ def test_leibniz_takes_each_partial_once_per_pass(monkeypatch):
         expected = _plain_leibniz(a, b, skip_empty)
         calls.clear()
         monkeypatch.setattr(Poly, "partial_multi", counting)
-        got = a._leibniz(b, skip_empty)
+        got = a._summed(a._leibniz(b, skip_empty, 1, {}))
         monkeypatch.setattr(Poly, "partial_multi", partial_multi)
         assert got == expected
         # one base partial per (term of b, S base part), one fiber partial
@@ -323,7 +323,8 @@ def test_leibniz_takes_each_partial_once_per_pass(monkeypatch):
 
 def test_function_commutator_keeps_the_order_bound_check(monkeypatch):
     # a Leibniz result of order 3 breaks the bound 2 + 0 - 1 for [d^2/du^2, u1]
-    monkeypatch.setattr(DiffOp, "_leibniz", lambda self, other, skip: op_du(3))
+    cubic = {((), (1, 1, 1)): [(1, P("1", CH1), P("1", CH1))]}
+    monkeypatch.setattr(DiffOp, "_leibniz", lambda self, other, *rest: cubic)
     with pytest.raises(InvariantViolation, match="order bound"):
         op_du(2).commutator(DiffOp.mult(P("u1")))
 

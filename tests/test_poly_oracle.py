@@ -75,6 +75,22 @@ def test_ring_operations_match_sympy(k):
     )
 
 
+@pytest.mark.parametrize("k", range(30))
+def test_sum_of_products_matches_sympy(k):
+    rng = random.Random(7050 + k)
+    chart, space = CHARTS[k % len(CHARTS)], SPACES[k % len(SPACES)]
+    products = [
+        (
+            rng.randint(-4, 4),
+            rg.rand_poly(rng, chart, space, BOUNDS),
+            rg.rand_poly(rng, chart, space, BOUNDS),
+        )
+        for _ in range(rng.randint(1, 4))
+    ]
+    expected = sum(c * to_sympy(a) * to_sympy(b) for c, a, b in products)
+    assert _same(Poly.sum_of_products(chart, space, products), expected)
+
+
 @pytest.mark.parametrize("k", range(45))
 def test_partials_match_sympy(k):
     rng = random.Random(7100 + k)

@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
 from fwlop.errors import (
+    ChartMismatch,
     IndexOutOfRange,
     PolySyntaxError,
     SpaceMismatch,
@@ -20,9 +21,11 @@ from fwlop.symcore import (
     Space,
     Var,
     VarKind,
+    add_into,
     all_multi_indices,
     base_var,
     dual_var,
+    fiber_kind,
     fiber_var,
     multi_index_count,
     parse_poly,
@@ -237,8 +240,6 @@ def test_substitute():
 
 
 def test_arithmetic_chart_and_space_guards():
-    from fwlop.errors import ChartMismatch
-
     other_chart = parse_poly("x1", Chart(1, 1), Space.E)
     with pytest.raises(ChartMismatch):
         P("x1") + other_chart
@@ -307,3 +308,138 @@ def test_print_parse_round_trip_randomized():
         space = rng.choice(list(Space))
         p = rand_poly(rng, chart, space, bounds)
         assert parse_poly(poly_to_str(p), chart, space) == p
+
+
+# -- transcriptions between a space and its fiber monomials ------------------
+
+
+def _split_by_vars(p, space):
+    """The Var/Fraction reading that `fiber_parts` replaced: split p by the
+    monomial of its fiber-type variables, the rest re-tagged onto space."""
+    fk = fiber_kind(p.space)
+    out = {}
+    for mono, coeff in p.monomials().items():
+        letters, base = [], []
+        for var, exp in mono:
+            if var.kind is fk:
+                letters.extend([var.index] * exp)
+            else:
+                base.append((var, exp))
+        add_into(out, MultiIndex(letters), Poly(p.chart, space, {tuple(base): coeff}))
+    return out
+
+
+def _monomial_by_vars(chart, space, mi):
+    """The Var/Fraction construction that `fiber_monomial` replaced."""
+    mono = tuple((Var(fiber_kind(space), a), e) for a, e in mi.multiplicities().items())
+    return Poly(chart, space, {mono: 1})
+
+
+@pytest.mark.parametrize("space", list(Space), ids=lambda s: s.value)
+@pytest.mark.parametrize("target", list(Space), ids=lambda s: s.value)
+def test_fiber_parts_match_the_var_reading(space, target):
+    rng = random.Random(f"fiber-parts/{space.value}/{target.value}")
+    bounds = Bounds(n_max=3, m_max=3, terms_max=6)
+    for _ in range(60):
+        chart = rand_chart(rng, bounds)
+        p = rand_poly(rng, chart, space, bounds)
+        parts = p.fiber_parts(target)
+        expected = _split_by_vars(p, target)
+        assert parts == expected
+        assert list(parts) == list(expected)
+        assert all(c.is_base_only() and c.space is target for c in parts.values())
+        total = Poly.zero(chart, space)
+        for mi, c in parts.items():
+            total = total + c.with_space(space) * Poly.fiber_monomial(chart, space, mi)
+        assert total == p
+
+
+def test_fiber_parts_of_zero_and_constants():
+    zero = P("0", Space.ESTAR)
+    assert zero.fiber_parts(Space.E) == _split_by_vars(zero, Space.E) == {}
+    const = P("-3/4", Space.ESTAR)
+    assert const.fiber_parts(Space.E) == {MultiIndex(): P("-3/4")}
+    assert const.fiber_parts(Space.E) == _split_by_vars(const, Space.E)
+    dual = P("2*x1*v1^2*v2 - x2*v1^2*v2 + 1/3*v2", Space.ESTAR)
+    assert dual.fiber_parts(Space.E) == {
+        MultiIndex([1, 1, 2]): P("2*x1 - x2"),
+        MultiIndex([2]): P("1/3"),
+    }
+    ambient = P("x1*u2 + u2 + x2", Space.AMBIENT)
+    assert ambient.fiber_parts(Space.AMBIENT) == {
+        MultiIndex([2]): P("x1 + 1", Space.AMBIENT),
+        MultiIndex(): P("x2", Space.AMBIENT),
+    }
+
+
+@pytest.mark.parametrize("space", list(Space), ids=lambda s: s.value)
+def test_fiber_monomial_matches_the_var_construction(space):
+    chart = Chart(2, 3)
+    for length in range(4):
+        for mi in all_multi_indices(chart.fiber_rank, length):
+            mono = Poly.fiber_monomial(chart, space, mi)
+            assert mono == _monomial_by_vars(chart, space, mi)
+            assert mono.fiber_degree() == length and mono.space is space
+    one = Poly.const(chart, space, 1)
+    assert Poly.fiber_monomial(chart, space, MultiIndex()) == one
+    for bad in ([4], [1, 4], [0]):
+        with pytest.raises(IndexOutOfRange):
+            Poly.fiber_monomial(chart, space, MultiIndex(bad))
+        with pytest.raises(IndexOutOfRange):
+            _monomial_by_vars(chart, space, MultiIndex(bad))
+
+
+# -- sums of products ---------------------------------------------------------
+
+
+def _naive_sum(chart, space, products):
+    out = Poly.zero(chart, space)
+    for k, a, b in products:
+        out = out + (a * b).scale(k)
+    return out
+
+
+def test_sum_of_products_matches_the_naive_sum():
+    rng = random.Random(4711)
+    bounds = Bounds(n_max=3, m_max=2, coeff_max=12)
+    for _ in range(150):
+        chart = rand_chart(rng, bounds)
+        space = rng.choice(list(Space))
+        products = [
+            (
+                rng.randint(-3, 3),
+                rand_poly(rng, chart, space, bounds),
+                rand_poly(rng, chart, space, bounds),
+            )
+            for _ in range(rng.randint(0, 4))
+        ]
+        got = Poly.sum_of_products(chart, space, products)
+        assert got == _naive_sum(chart, space, products)
+        assert got.den > 0 and gcd(got.den, *got.terms.values()) == 1
+
+
+def test_sum_of_products_mixed_denominators_and_cancellation():
+    a, b, c = P("1/2*x1"), P("1/3*u1 + 1/6"), P("3/4*x1*u1 - 5/8")
+    mixed = [(1, a, b), (-2, c, b), (3, a, c)]
+    got = Poly.sum_of_products(CH, Space.E, mixed)
+    assert got == _naive_sum(CH, Space.E, mixed)
+    assert got.den == 48
+    # full cancellation, the denominators included, leaves the zero {} / 1
+    cancelling = [(1, a, b), (-1, b, a), (2, c, a), (-1, c, a.scale(2))]
+    gone = Poly.sum_of_products(CH, Space.E, cancelling)
+    assert gone.is_zero() and gone.den == 1 and gone == Poly.zero(CH, Space.E)
+    assert Poly.sum_of_products(CH, Space.E, []) == Poly.zero(CH, Space.E)
+    assert Poly.sum_of_products(CH, Space.E, [(0, a, b)]).is_zero()
+
+
+def test_sum_of_products_checks_every_operand():
+    good, estar = P("x1 + u1"), P("v1", Space.ESTAR)
+    small = parse_poly("x1", Chart(1, 1), Space.E)
+    for bad, error in ((estar, SpaceMismatch), (small, ChartMismatch)):
+        for products in (
+            [(1, bad, good)],
+            [(1, good, bad)],
+            [(1, good, good), (-1, good, bad)],
+        ):
+            with pytest.raises(error):
+                Poly.sum_of_products(CH, Space.E, products)

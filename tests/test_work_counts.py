@@ -1,0 +1,96 @@
+"""Work-count guards: the kernel calls that the table algebra must not make.
+
+Bracket, product and commutator sums go through `Poly.sum_of_products`, one
+reduced sum per output coefficient, so they make no `Poly` product, scaling
+or addition per summand.  The transcriptions between E and its dual read
+the packed layout through `Poly.fiber_parts` and `Poly.fiber_monomial`, so
+they build no polynomial through the validating constructor and never ask
+for the Var/Fraction view `monomials()`.
+"""
+
+import random
+
+import pytest
+
+from fwlop.diffop import DiffOp
+from fwlop.lbundle import a_inverse, a_iso
+from fwlop.multivec import hamiltonian_field, poisson, sym_product
+from fwlop.randgen import Bounds, rand_diffop, rand_fwl_op
+from fwlop.symcore import Chart, Poly, Space
+
+CH = Chart(2, 2)
+BOUNDS = Bounds(n_max=2, m_max=2, order_max=3)
+
+
+def _counting(monkeypatch, cls, names):
+    """Wrap cls.<name> for each name; return the call counts by name."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(cls, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+    return counts
+
+
+def _operators(seed, order):
+    """Two fixed operators of exactly this order with fractional coefficients."""
+    rng = random.Random(seed)
+    ops = []
+    while len(ops) < 2:
+        op = rand_diffop(rng, CH, Space.E, BOUNDS, max_keys=3, order=order)
+        if op.order() == order and any(c.den != 1 for c in op.terms.values()):
+            ops.append(op)
+    return ops
+
+
+ARITHMETIC = ["__mul__", "__rmul__", "scale", "__add__", "__sub__", "__neg__"]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_table_algebra_makes_no_poly_arithmetic_per_summand(monkeypatch, order):
+    a, b = _operators(900 + order, order)
+    counts = _counting(monkeypatch, Poly, ARITHMETIC)
+    got = a.commutator(b)
+    bracket = poisson(a.symbol(), b.symbol())
+    product = sym_product(a.symbol(), b.symbol())
+    assert counts == dict.fromkeys(ARITHMETIC, 0)
+    monkeypatch.undo()
+    assert not got.is_zero() and got == a.compose(b) - b.compose(a)
+    assert not bracket.is_zero() and bracket == got.symbol_at(2 * order - 1)
+    assert not product.is_zero() and product == a.compose(b).symbol_at(2 * order)
+
+
+def test_commutator_reads_each_order_once(monkeypatch):
+    a, b = _operators(903, 3)
+    counts = _counting(monkeypatch, DiffOp, ["order"])
+    a.commutator(b)
+    # self, other and the result for the order bound q + r - 1
+    assert counts == {"order": 3}
+
+
+def test_recovery_builds_each_coordinate_once_per_order(monkeypatch):
+    op = rand_diffop(random.Random(0), Chart(3, 3), Space.E, Bounds(), order=3)
+    counts = _counting(monkeypatch, Poly, ["var"])
+    assert op.recover_coefficients() == op.terms
+    # one x1..x3, u1..u3 set per recovered order 0..3
+    assert counts == {"var": 6 * 4}
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_dual_transcriptions_build_no_poly_through_var_terms(monkeypatch, q):
+    rng = random.Random(950 + q)
+    op = rand_fwl_op(rng, CH, BOUNDS, q)
+    while op.is_zero() or op.symbol_at(q).is_zero():
+        op = rand_fwl_op(rng, CH, BOUNDS, q)
+    d = a_iso(op, q)
+    names = ["__init__", "monomials"]
+    counts = _counting(monkeypatch, Poly, names)
+    field = hamiltonian_field(op.symbol_at(q))
+    back = a_inverse(d, q)
+    assert counts == dict.fromkeys(names, 0)
+    monkeypatch.undo()
+    assert not field.is_zero() and back == op
