@@ -10,17 +10,21 @@ first-order operator is a derivation of the pulled-back determinant line
 in the Vol_u frame (see `fwlop.lbundle`).  The representation is unique
 once multi-indices are canonical, so equality is table equality.
 Composition expands derivative-past-coefficient by the multiset Leibniz
-rule.  A commutator [A, B] is two passes of the same expansion, of A∘B and
-of B∘A, each without its S = ∅ terms c1·c2 d^(J1+J2), which are equal on
-both sides and cancel; when B has order 0 its pass is empty.  The passes
+rule; a pass visits only the S that stay within the largest exponents of
+c2 (`Poly.max_exponents`), because d^S c2 = 0 for the others.  A
+commutator [A, B] is two passes of the same expansion, of A∘B and of B∘A,
+each without its S = ∅ terms c1·c2 d^(J1+J2), which are equal on both
+sides and cancel; when B has order 0 its pass is empty.  The passes
 collect their summands k c1 (d^S c2) per output key, and each coefficient
 is one `Poly.sum_of_products`, reduced once.  Every value
 [...[op, f1], ..., fk](1) in the package, from multivector evaluation to
 the bundle map of `a_iso`, comes from `nested_values(op)`, which builds
-each nested commutator once, from the one of its prefix, and memoises
-its value, so a repeated word costs only dictionary lookups.  Coefficient
-recovery reads the table only through these values, which makes it an
-independent oracle for the whole representation.
+each nested commutator once, from the one of its prefix, so a repeated
+word costs only dictionary lookups.  It takes no commutator below a zero
+one, since [0, f] = 0, and reads a value off the order-0 coefficient,
+since d^J 1 = 0 for J != ∅.  Coefficient recovery reads the table only
+through these values, which makes it an independent oracle for the whole
+representation.
 
 The weight of a homogeneous term is (fiber degree of the coefficient)
 minus |B|; it matches the exponent picked up under conjugation by the
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from operator import le
 
 from .errors import (
     MAX_CHART_DIM,
@@ -228,18 +233,24 @@ class DiffOp:
         terms c1 d^J1 of self, c2 d^J2 of other and S <= J1, leaving out
         S = ∅ if skip_empty, into pieces: {(base entries, fiber entries) of
         the key: [(integer factor, c1, d^S c2), ...]}; returns pieces.  Keys
-        are sorted entry tuples, which hash in C.  Each d^S c2 is computed
-        once per call: terms of self share their sub-multisets S."""
+        are sorted entry tuples, which hash in C.  An S that takes some
+        letter more often than c2's largest exponent of that variable gives
+        d^S c2 = 0 and is skipped unvisited; the others keep their order.
+        Each d^S c2 is computed once per call: terms of self share their
+        sub-multisets S."""
         fk = fiber_kind(self.space)
         # (index of c2's term, S base entries[, S fiber entries]) -> partial
         partials = {}
-        other_terms = list(enumerate(other.terms.items()))
+        other_terms = [
+            (n2, i2.entries, b2.entries, c2, *c2.max_exponents())
+            for n2, ((i2, b2), c2) in enumerate(other.terms.items())
+        ]
         for (i1, b1), c1 in self.terms.items():
             subs_base = _sub_multisets(i1.entries)
             subs_fib = _sub_multisets(b1.entries)
-            for n2, ((i2, b2), c2) in other_terms:
-                e2_base, e2_fib = i2.entries, b2.entries
-                for s_base, n_base, rest_base in subs_base:
+            for n2, e2_base, e2_fib, c2, top_base, top_fib in other_terms:
+                fibs_all = _within(subs_fib, top_fib)
+                for s_base, n_base, rest_base, _ in _within(subs_base, top_base):
                     at_base = (n2, s_base.entries)
                     dc = partials.get(at_base)
                     if dc is None:
@@ -247,10 +258,10 @@ class DiffOp:
                     if dc.is_zero():
                         continue
                     key_base = tuple(sorted(rest_base + e2_base))
-                    fibs = subs_fib
+                    fibs = fibs_all
                     if skip_empty and not s_base.entries:
                         fibs = fibs[1:]
-                    for s_fib, n_fib, rest_fib in fibs:
+                    for s_fib, n_fib, rest_fib, _ in fibs:
                         at = (n2, s_base.entries, s_fib.entries)
                         dcf = partials.get(at)
                         if dcf is None:
@@ -366,9 +377,10 @@ class DiffOp:
 
         coeff_{I,B} = [...[op, z_{j1}], ..., z_{jk}](1) / (I! * B!), the
         letters z running over the I and B coordinate functions.  This is
-        the independent oracle for the representation; it never reads the
-        stored table directly, only through the Leibniz expansion of each
-        [A, z].  The values share their prefixes for this call only.
+        the independent oracle for the representation; past order 0 it
+        never reads the stored table directly, only the order-0
+        coefficients of the Leibniz expansions of the [A, z].  The values
+        share their prefixes for this call only.
         """
         order = self.order()
         if order is None:
@@ -410,6 +422,15 @@ class DiffOp:
         )
 
 
+def _within(subs, tops):
+    """The entries of `_sub_multisets` whose S takes no letter more often
+    than `tops` allows, in order; the empty S is always among them.  The
+    last S is the whole multi-index: when it fits, every S does."""
+    if all(map(le, subs[-1][3], tops)):
+        return subs
+    return [s for s in subs if all(map(le, s[3], tops))]
+
+
 def _sum_pieces(chart, space, pieces: dict) -> dict:
     """{key: reduced sum of the k * a * b} of {key: [(k, a, b), ...]}, keys
     kept in the order they first appeared, zero sums dropped."""
@@ -429,25 +450,38 @@ def _term_key(item):
 def nested_values(op: DiffOp):
     """The map fs -> [...[op, f1], ..., fk](1), the f's acting by
     multiplication.  Each nested commutator is one commutator of the one of
-    its prefix, kept in a trie of words for as long as the map lives; each
-    node memoises its value next to its commutator, computed on the first
-    word that ends there."""
-    one = Poly.const(op.chart, op.space, 1)
-    # A node is [nested commutator, children by next letter, value or None].
-    root = [op, {}, None]
+    its prefix, kept in a trie of words for as long as the map lives.  Two
+    rules skip work whose result is zero: [0, f] = 0, so below a zero
+    nested commutator no node is built and no commutator taken (the letters
+    are still checked against the chart and space); and d^J 1 = 0 for
+    J != ∅, so a node's value is its order-0 coefficient, read off its
+    table without applying it."""
+    zero = Poly.zero(op.chart, op.space)
+    # A node is [nested commutator, children by next letter]; a zero
+    # nested commutator is the node None.
+    root = [op, {}] if op.terms else None
 
     def value(fs) -> Poly:
         node = root
         for f in fs:
-            child = node[1].get(f)
-            if child is None:
-                child = node[1][f] = [node[0].commutator(DiffOp.mult(f)), {}, None]
+            if node is None:
+                op._check_compatible(f)
+                continue
+            children = node[1]
+            child = children.get(f, _MISSING)
+            if child is _MISSING:
+                nested = node[0].commutator(DiffOp.mult(f))
+                child = children[f] = [nested, {}] if nested.terms else None
             node = child
-        if node[2] is None:
-            node[2] = node[0].apply(one)
-        return node[2]
+        if node is None:
+            return zero
+        return node[0].terms.get(_ORDER_ZERO, zero)
 
     return value
+
+
+_MISSING = object()
+_ORDER_ZERO = (EMPTY_MI, EMPTY_MI)
 
 
 def _recover_table(chart, space, q, value_fn) -> dict:

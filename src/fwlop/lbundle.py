@@ -30,7 +30,8 @@ both paths, so it is computed once and not compared.
 Rank-1 bundle multivectors are pairs (P, rho) of symmetric multivectors of
 orders q and q-1, acting by D(f_1,...,f_{q-1} | g Vol) = (P(f's, g) +
 g rho(f's)) Vol; their Poisson-algebra product and bracket are built
-componentwise from `poisson` and `sym_product`.  The literal unshuffle
+componentwise from the table formulas of `poisson` and `sym_product`, the
+two summands of rho collected into one table.  The literal unshuffle
 formulas on evaluations are the oracles of the `verify` suites.
 """
 
@@ -59,7 +60,10 @@ from .multivec import (
     SectionRole,
     SymMultivector,
     _multiderivation_l,
+    _poisson_pieces,
+    _product_pieces,
     _require_fwl,
+    _summed,
     core_to_dualpoly,
     fwl_check_multivector,
     hamiltonian_field,
@@ -281,18 +285,21 @@ def _symbol_field_on_basis(p: SymMultivector, c_idx: MultiIndex) -> tuple:
 
 
 def pair_bracket(p1: LPair, p2: LPair) -> LPair:
-    """Poisson-Lie bracket: ({P1, P2}, {P1, rho2} - {P2, rho1})."""
-    return LPair(
-        poisson(p1.p, p2.p), poisson(p1.p, p2.rho) - poisson(p2.p, p1.rho)
-    )
+    """Poisson-Lie bracket: ({P1, P2}, {P1, rho2} - {P2, rho1}).  Both
+    brackets of rho collect into one table, summed once per key."""
+    p = poisson(p1.p, p2.p)
+    pieces = _poisson_pieces(p1.p, p2.rho, 1, {})
+    _poisson_pieces(p2.p, p1.rho, -1, pieces)
+    return LPair(p, _summed(p, p.q - 1, pieces))
 
 
 def pair_product(p1: LPair, p2: LPair) -> LPair:
-    """Associative product: (P1 P2, P1 rho2 + P2 rho1)."""
-    return LPair(
-        sym_product(p1.p, p2.p),
-        sym_product(p1.p, p2.rho) + sym_product(p2.p, p1.rho),
-    )
+    """Associative product: (P1 P2, P1 rho2 + P2 rho1).  Both products of
+    rho collect into one table, summed once per key."""
+    p = sym_product(p1.p, p2.p)
+    pieces = _product_pieces(p1.p, p2.rho, {})
+    _product_pieces(p2.p, p1.rho, pieces)
+    return LPair(p, _summed(p, p.q - 1, pieces))
 
 
 def pair_to_lderivation(pair: LPair) -> DiffOp:

@@ -73,6 +73,19 @@ class SymMultivector:
         raise AttributeError("SymMultivector is immutable")
 
     @classmethod
+    def _unchecked(cls, chart, space, q, terms):
+        """Bypass validation for a canonical order-q table (internal): no
+        zero coefficient, every key of length q, indices in range."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_op", DiffOp._raw(chart, space, terms))
+        object.__setattr__(self, "_values", None)
+        return self
+
+    @classmethod
     def zero(cls, chart, space, q):
         return cls(chart, space, q, {})
 
@@ -141,23 +154,27 @@ def poisson(p1: SymMultivector, p2: SymMultivector) -> SymMultivector:
     q = p1.q + p2.q - 1
     if q < 0:
         return SymMultivector.zero(p1.chart, p1.space, 0)
+    return _summed(p1, q, _poisson_pieces(p1, p2, 1, {}))
+
+
+def _poisson_pieces(p1, p2, sign: int, pieces: dict) -> dict:
+    """Collect the summands (k, c1, d_z c2) of sign * {p1, p2} by key into
+    pieces, for operands already checked compatible; returns pieces."""
     fk = fiber_kind(p1.space)
-    pieces = {}
-    for a, b, sign in ((p1, p2, 1), (p2, p1, -1)):
+    for a, b, s in ((p1, p2, sign), (p2, p1, -sign)):
         for (ia, ba), ca in a.terms.items():
             for (ib, bb), cb in b.terms.items():
                 for z, mult in ia.multiplicities().items():
                     dz = cb.partial(Var(VarKind.BASE, z))
                     if not dz.is_zero():
                         key = (ia.remove(z).concat(ib), ba.concat(bb))
-                        pieces.setdefault(key, []).append((sign * mult, ca, dz))
+                        pieces.setdefault(key, []).append((s * mult, ca, dz))
                 for z, mult in ba.multiplicities().items():
                     dz = cb.partial(Var(fk, z))
                     if not dz.is_zero():
                         key = (ia.concat(ib), ba.remove(z).concat(bb))
-                        pieces.setdefault(key, []).append((sign * mult, ca, dz))
-    terms = _sum_pieces(p1.chart, p1.space, pieces)
-    return SymMultivector(p1.chart, p1.space, q, terms)
+                        pieces.setdefault(key, []).append((s * mult, ca, dz))
+    return pieces
 
 
 def sym_product(p1: SymMultivector, p2: SymMultivector) -> SymMultivector:
@@ -166,13 +183,24 @@ def sym_product(p1: SymMultivector, p2: SymMultivector) -> SymMultivector:
         raise ChartMismatch("product operands on different charts")
     if p1.space != p2.space:
         raise SpaceMismatch("product operands on different spaces")
-    pieces = {}
+    return _summed(p1, p1.q + p2.q, _product_pieces(p1, p2, {}))
+
+
+def _product_pieces(p1, p2, pieces: dict) -> dict:
+    """Collect the summands (1, c1, c2) of p1 p2 by key into pieces, for
+    operands already checked compatible; returns pieces."""
     for (i1, b1), c1 in p1.terms.items():
         for (i2, b2), c2 in p2.terms.items():
             key = (i1.concat(i2), b1.concat(b2))
             pieces.setdefault(key, []).append((1, c1, c2))
-    terms = _sum_pieces(p1.chart, p1.space, pieces)
-    return SymMultivector(p1.chart, p1.space, p1.q + p2.q, terms)
+    return pieces
+
+
+def _summed(like: SymMultivector, q: int, pieces: dict) -> SymMultivector:
+    """The order-q multivector on like's chart and space whose coefficients
+    are the reduced sums of pieces: canonical, so it is not re-validated."""
+    terms = _sum_pieces(like.chart, like.space, pieces)
+    return SymMultivector._unchecked(like.chart, like.space, q, terms)
 
 
 def fwl_check_multivector(p: SymMultivector) -> bool:
@@ -426,15 +454,17 @@ def fwl_metric_laplacian(chart: Chart, gamma) -> DiffOp:
 
     one = Poly.const(chart, Space.E, 1)
     size = 2 * n
+    coords = chart.vars_of(VarKind.BASE) + chart.vars_of(VarKind.FIBER)
+    u = [Poly.var(chart, Space.E, v) for v in coords[n:]]
     g = [[zero for _ in range(size)] for _ in range(size)]
     for i in range(n):
         for j in range(n):
-            acc = zero
-            for k in range(1, n + 1):
-                coeff = table.get((k, i + 1, j + 1))
-                if coeff is not None:
-                    acc = acc + coeff * Poly.var(chart, Space.E, Var(VarKind.FIBER, k))
-            g[i][j] = acc.scale(-2)
+            products = [
+                (-2, table[(k, i + 1, j + 1)], u[k - 1])
+                for k in range(1, n + 1)
+                if (k, i + 1, j + 1) in table
+            ]
+            g[i][j] = Poly.sum_of_products(chart, Space.E, products)
         g[i][n + i] = one
         g[n + i][i] = one
 
@@ -450,33 +480,34 @@ def fwl_metric_laplacian(chart: Chart, gamma) -> DiffOp:
             ginv[n + i][n + j] = -g[i][j]
     for row in range(size):
         for col in range(size):
-            entry = sum(
-                (
-                    g[row][k] * ginv[k][col]
+            entry = Poly.sum_of_products(
+                chart,
+                Space.E,
+                [
+                    (1, g[row][k], ginv[k][col])
                     for k in range(size)
-                    if not (g[row][k].is_zero() or ginv[k][col].is_zero())
-                ),
-                start=zero,
+                    if g[row][k].terms and ginv[k][col].terms
+                ],
             )
             expected = one if row == col else zero
             if entry != expected:
                 raise InvariantViolation("blockwise inverse failed verification")
-
-    def coord(mu: int) -> Var:
-        if mu < n:
-            return Var(VarKind.BASE, mu + 1)
-        return Var(VarKind.FIBER, mu - n + 1)
 
     def key_for(variables) -> tuple:
         mi_b = MultiIndex([v.index for v in variables if v.kind is VarKind.BASE])
         mi_f = MultiIndex([v.index for v in variables if v.kind is VarKind.FIBER])
         return (mi_b, mi_f)
 
+    # Zero entries of g^-1 and zero derivatives d_mu g^{mu nu} add nothing.
     terms = {}
-    for mu in range(size):
-        for nu in range(size):
-            add_into(terms, key_for((coord(mu), coord(nu))), ginv[mu][nu])
-            add_into(terms, key_for((coord(nu),)), ginv[mu][nu].partial(coord(mu)))
+    for mu, row in enumerate(ginv):
+        for nu, entry in enumerate(row):
+            if not entry.terms:
+                continue
+            add_into(terms, key_for((coords[mu], coords[nu])), entry)
+            d_entry = entry.partial(coords[mu])
+            if d_entry.terms:
+                add_into(terms, key_for((coords[nu],)), d_entry)
 
     result = DiffOp(chart, Space.E, terms)
     if not result.is_fwl(2):

@@ -8,11 +8,13 @@ a partial derivative decrements one slot.  The denominator is positive and
 shares no factor with every numerator; the zero polynomial stores no terms
 over 1.  This exact canonical form makes every identity test in the package
 a literal comparison.  Only `Poly` reads the layout: other code uses its
-methods.  Three of them serve the table algebra and the crossings between
+methods.  Four of them serve the table algebra and the crossings between
 a space and its dual: `sum_of_products` adds up k * a * b over a list of
 products as integer numerators over one common denominator and reduces
-once; `fiber_parts` splits a polynomial by the monomial of its fiber-type
-variables; `fiber_monomial` builds such a monomial from a multi-index.
+once; `max_exponents` gives each variable's largest exponent, past which
+a derivative is zero; `fiber_parts` splits a polynomial by the monomial
+of its fiber-type variables; `fiber_monomial` builds such a monomial from
+a multi-index.
 `Poly.monomials()` gives the terms keyed by (Var, exponent) tuples with
 Fraction coefficients; only `Poly.substitute` and the random generators
 of `fwlop.randgen` read it.
@@ -177,25 +179,30 @@ class MultiIndex:
 
     def sub_multisets(self) -> tuple:
         """(S, multiset binomial of self over S) for all S <= self."""
-        return tuple((sub, coeff) for sub, coeff, _ in _sub_multisets(self.entries))
+        return tuple((sub, coeff) for sub, coeff, *_ in _sub_multisets(self.entries))
 
 
 @functools.cache
 def _sub_multisets(entries: tuple) -> tuple:
-    """(S, multiset binomial, sorted entries of the remainder J - S) for all
-    S <= J, J the multi-index with these sorted entries; the empty S comes
-    first.  Memoised on the entries."""
+    """(S, multiset binomial, sorted entries of the remainder J - S,
+    multiplicity vector of S) for all S <= J, J the multi-index with these
+    sorted entries; the empty S comes first.  The vector's i-th entry is the
+    multiplicity of letter i+1 in S, up to J's largest letter.  Memoised on
+    the entries."""
     items = sorted(MultiIndex(entries).multiplicities().items())
+    width = entries[-1] if entries else 0
     out = []
     for picks in itertools.product(*(range(mult + 1) for _, mult in items)):
         coeff = 1
         chosen = []
         rest = []
+        vector = [0] * width
         for (letter, mult), k in zip(items, picks):
             coeff *= comb(mult, k)
             chosen.extend([letter] * k)
             rest.extend([letter] * (mult - k))
-        out.append((MultiIndex(chosen), coeff, tuple(rest)))
+            vector[letter - 1] = k
+        out.append((MultiIndex(chosen), coeff, tuple(rest), tuple(vector)))
     return tuple(out)
 
 
@@ -582,6 +589,20 @@ class Poly:
         for letter in mi:
             out = out.partial(Var(kind, letter))
         return out
+
+    def max_exponents(self) -> tuple:
+        """(base, fiber): the largest exponent of x1..xn and of each
+        fiber-type variable of the space over the terms, as tuples indexed
+        by the letter minus one (all zero for the zero polynomial).  A
+        derivative d^S of self is zero as soon as S takes some letter more
+        often than its bound."""
+        chart, terms = self.chart, self.terms
+        n = chart.base_dim
+        if len(terms) > 1:
+            tops = tuple(map(max, *terms))
+        else:
+            tops = next(iter(terms), (0,) * (n + chart.fiber_rank))
+        return tops[:n], tops[n:]
 
     def fiber_parts(self, space: Space) -> dict:
         """Split by the monomial of the fiber-type variables: {fiber

@@ -15,6 +15,7 @@ from fwlop.diffop import (
     nested_values,
 )
 from fwlop.errors import (
+    ChartMismatch,
     DocumentError,
     InvariantViolation,
     RequestTooLarge,
@@ -314,11 +315,113 @@ def test_leibniz_takes_each_partial_once_per_pass(monkeypatch):
         monkeypatch.setattr(Poly, "partial_multi", partial_multi)
         assert got == expected
         # one base partial per (term of b, S base part), one fiber partial
-        # per (term of b, S), the empty S left out when skipped
-        pairs = len(b.terms) * (len(subsets) - skip_empty)
+        # per (term of b, S), the empty S left out when skipped; the second
+        # term of b is linear in u1, so its 3 pairs with S fiber part
+        # (u1, u1) are pruned unvisited
+        pairs = len(b.terms) * (len(subsets) - skip_empty) - 3
         base_parts = {s_b for s_b, _ in subsets}
         assert calls.count(VarKind.BASE) == len(b.terms) * len(base_parts)
         assert calls.count(VarKind.FIBER) == pairs
+
+
+def test_pruned_leibniz_matches_the_plain_expansion():
+    # a pass skips every S that takes a letter more often than c2's largest
+    # exponent; the reference takes every S, against random operands with
+    # exponents up to 4 and against multiplication by each coordinate
+    rng = random.Random(83)
+    bounds = Bounds(exp_max=4)
+    pruned = 0
+    for space in SPACES:
+        for _ in range(8):
+            chart = rand_chart(rng, bounds)
+            a = rand_diffop(rng, chart, space, bounds, max_keys=4, order=3)
+            b = rand_diffop(rng, chart, space, bounds, order=rng.randint(0, 3))
+            coords = chart.vars_of(VarKind.BASE) + chart.vars_of(fiber_kind(space))
+            others = [b] + [DiffOp.mult(Poly.var(chart, space, v)) for v in coords]
+            for other in others:
+                for x, y in ((a, other), (other, a)):
+                    for skip_empty in (False, True):
+                        got = x._summed(x._leibniz(y, skip_empty, 1, {}))
+                        assert got == _plain_leibniz(x, y, skip_empty)
+                    pruned += _prunes(x, y)
+    assert pruned >= 50
+
+
+def _prunes(x, y):
+    """Whether some term of x has a letter more often than some
+    coefficient of y has that variable, so that its pass skips an S."""
+    for i1, b1 in x.terms:
+        for c2 in y.terms.values():
+            for mi, tops in zip((i1, b1), c2.max_exponents()):
+                if any(k > tops[letter - 1] for letter, k in mi.multiplicities().items()):
+                    return True
+    return False
+
+
+def test_no_commutator_is_taken_below_a_zero_nested_commutator(monkeypatch):
+    # [d/dx1, x2] = 0, so every word that starts with x2 costs only that one
+    # commutator; recovery never takes a commutator of the zero operator
+    taken = []
+    commutator = DiffOp.commutator
+
+    def counting(self, other):
+        taken.append(self)
+        return commutator(self, other)
+
+    monkeypatch.setattr(DiffOp, "commutator", counting)
+    x1, x2, u1 = P("x1", CH), P("x2", CH), P("u1", CH)
+    value = nested_values(DiffOp.monomial(P("1", CH), MultiIndex([1]), EMPTY_MI))
+    assert value([x2, x1, u1]).is_zero() and len(taken) == 1
+    assert value([x2, u1, x1, x1]).is_zero() and len(taken) == 1
+    assert value([x1]) == P("1", CH) and len(taken) == 2
+    assert nested_values(DiffOp.zero(CH, Space.E))([x1, u1]).is_zero()
+    assert len(taken) == 2
+    rng = random.Random(89)
+    for space in SPACES:
+        for _ in range(6):
+            chart = rand_chart(rng, Bounds())
+            op = rand_diffop(rng, chart, space, Bounds(), order=3)
+            assert op.recover_coefficients() == op.terms
+    assert len(taken) > 100 and not any(nested.is_zero() for nested in taken)
+
+
+def test_letters_below_a_zero_nested_commutator_are_still_checked():
+    value = nested_values(DiffOp.monomial(P("1", CH), MultiIndex([1]), EMPTY_MI))
+    x2 = P("x2", CH)
+    with pytest.raises(ChartMismatch):
+        value([x2, P("x1", Chart(3, 3))])
+    with pytest.raises(SpaceMismatch):
+        value([x2, P("x1", CH, Space.ESTAR)])
+    with pytest.raises(SpaceMismatch):
+        nested_values(DiffOp.zero(CH, Space.E))([P("v1", CH, Space.ESTAR)])
+
+
+def test_nested_values_make_no_apply_call(monkeypatch):
+    # d^J 1 = 0 for J != ∅, so a value is the order-0 coefficient of its
+    # nested commutator, read off the table
+    rng = random.Random(97)
+    applied = []
+    apply = DiffOp.apply
+    monkeypatch.setattr(
+        DiffOp, "apply", lambda self, f: applied.append(self) or apply(self, f)
+    )
+    cases = []
+    for space in SPACES:
+        for _ in range(6):
+            chart = rand_chart(rng, Bounds())
+            op = rand_diffop(rng, chart, space, Bounds(), max_keys=5, order=3)
+            words = [
+                [rand_poly(rng, chart, space, Bounds()) for _ in range(rng.randint(0, 3))]
+                for _ in range(4)
+            ]
+            value = nested_values(op)
+            cases += [(op, word, value(word)) for word in words]
+            assert op.recover_coefficients() == op.terms
+    assert applied == []
+    monkeypatch.undo()
+    assert sum(not got.is_zero() for _, _, got in cases) >= 20
+    for op, word, got in cases:
+        assert got == _plain_nested_value(op, word)
 
 
 def test_function_commutator_keeps_the_order_bound_check(monkeypatch):
@@ -505,8 +608,10 @@ def test_nested_values_equal_a_plain_commutator_loop():
 
 
 def test_recovery_shares_nested_commutator_prefixes(monkeypatch):
-    # order 3 on chart (3,3): 84 keys, each one commutator past the key of
-    # its first letters, 83 in all (216 if every key rebuilt its chain)
+    # order 3 on chart (3,3): 84 keys, each at most one commutator past the
+    # key of its first letters, and none below a zero nested commutator:
+    # 35 in all (83 with zero prefixes expanded, 216 if every key rebuilt
+    # its chain)
     op = rand_diffop(random.Random(0), Chart(3, 3), Space.E, Bounds(), order=3)
     assert op.order() == 3
     calls = []
@@ -518,7 +623,7 @@ def test_recovery_shares_nested_commutator_prefixes(monkeypatch):
 
     monkeypatch.setattr(DiffOp, "commutator", counting)
     assert op.recover_coefficients() == op.terms
-    assert len(calls) == 83
+    assert len(calls) == 35
 
 
 def test_symbol_extracts_top_order():

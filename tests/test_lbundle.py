@@ -31,6 +31,8 @@ from fwlop.multivec import (
     SymMultivector,
     core_to_dualpoly,
     multiderivation_l,
+    poisson,
+    sym_product,
 )
 from fwlop.randgen import (
     Bounds,
@@ -255,6 +257,28 @@ def test_non_fwl_pairs_match_unshuffle_oracles():
         assert pair_bracket(*prs) == _unshuffle_pair_bracket(*prs)
         assert pair_product(*prs) == _unshuffle_pair_product(*prs)
     assert non_fwl > 12
+
+
+def test_pair_results_equal_the_validated_ones():
+    # both rho summands collect into one table and are built unchecked; the
+    # public constructor checks and canonicalises the same tables
+    rng = random.Random(53)
+    for _ in range(16):
+        chart = rand_chart(rng, BOUNDS)
+        prs = []
+        for q in (rng.randint(1, 3), rng.randint(1, 3)):
+            p = rand_multivector(rng, chart, Space.E, BOUNDS, q)
+            rho = rand_multivector(rng, chart, Space.E, BOUNDS, q - 1)
+            prs.append(LPair(p, rho))
+        for got in (pair_bracket(*prs), pair_product(*prs)):
+            for part in (got.p, got.rho):
+                checked = SymMultivector(part.chart, part.space, part.q, part.terms)
+                assert part == checked and part.to_operator() == checked.to_operator()
+        p1, p2 = prs
+        assert pair_bracket(*prs).rho == poisson(p1.p, p2.rho) - poisson(p2.p, p1.rho)
+        assert pair_product(*prs).rho == sym_product(p1.p, p2.rho) + sym_product(
+            p2.p, p1.rho
+        )
 
 
 def test_pair_to_lderivation_intertwines_bracket():

@@ -47,6 +47,7 @@ from fwlop.symcore import (
     MultiIndex,
     Poly,
     Space,
+    VarKind,
     parse_poly,
     poly_to_str,
 )
@@ -101,17 +102,17 @@ def _count_commutators(monkeypatch):
 
 def test_eval_shares_prefixes(monkeypatch):
     # The 20 sorted words of length 3 over x1, x2, u1, u2 have 4 + 10 + 20
-    # distinct prefixes, one commutator each; a second pass reads the values
-    # memoised in the trie.
+    # distinct prefixes, one commutator each unless the prefix one shorter
+    # is already zero: 16 in all; a second pass reads the trie.
     p = rand_multivector(random.Random(17), CH, Space.E, BOUNDS, 3)
     coords = [P(name, CH) for name in ("x1", "x2", "u1", "u2")]
     words = list(itertools.combinations_with_replacement(coords, 3))
     assert len(words) == 20
     calls = _count_commutators(monkeypatch)
     first = [p.eval(*word) for word in words]
-    assert calls[0] == 34
+    assert calls[0] == 16
     assert [p.eval(*word) for word in reversed(words)] == first[::-1]
-    assert calls[0] == 34
+    assert calls[0] == 16
 
 
 def test_eval_equals_a_fresh_nested_values_map(monkeypatch):
@@ -573,3 +574,73 @@ def test_laplacian_randomized():
         chart = Chart(n, n)
         lap = fwl_metric_laplacian(chart, rand_gamma(rng, chart, BOUNDS))
         assert lap.is_fwl(2)
+
+
+def _dense_laplacian(chart, gamma):
+    """sum g^{mu nu} d_mu d_nu + (d_mu g^{mu nu}) d_nu over every one of the
+    (2n)^2 entries of g^-1 = [[0, I], [I, 2 Gamma.u]], zero ones included."""
+    n = chart.base_dim
+    coords = chart.vars_of(VarKind.BASE) + chart.vars_of(VarKind.FIBER)
+    zero, one = Poly.zero(chart, Space.E), Poly.const(chart, Space.E, 1)
+    ginv = [[zero] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        ginv[i][n + i] = ginv[n + i][i] = one
+        for j in range(n):
+            for k in range(n):
+                coeff = gamma.get((k + 1, i + 1, j + 1), zero)
+                u_k = Poly.var(chart, Space.E, coords[n + k])
+                ginv[n + i][n + j] = ginv[n + i][n + j] + (coeff * u_k).scale(2)
+
+    def d(*variables):
+        return DiffOp.monomial(
+            one,
+            MultiIndex([v.index for v in variables if v.kind is VarKind.BASE]),
+            MultiIndex([v.index for v in variables if v.kind is VarKind.FIBER]),
+        )
+
+    out = DiffOp.zero(chart, Space.E)
+    for mu, row in enumerate(ginv):
+        for nu, entry in enumerate(row):
+            out = out + DiffOp.mult(entry).compose(d(coords[mu], coords[nu]))
+            out = out + DiffOp.mult(entry.partial(coords[mu])).compose(d(coords[nu]))
+    return out
+
+
+def test_laplacian_matches_a_dense_assembly():
+    # the assembly visits only the nonzero entries of g^-1 and adds
+    # d_mu g^{mu nu} only where it is nonzero
+    from fwlop.randgen import rand_gamma
+
+    rng = random.Random(71)
+    connected = 0
+    for n in range(1, 5):
+        chart = Chart(n, n)
+        bounds = Bounds(n_max=n, m_max=n)
+        for _ in range(4 if n < 4 else 2):
+            gamma = rand_gamma(rng, chart, bounds)
+            lap = fwl_metric_laplacian(chart, gamma)
+            assert lap == _dense_laplacian(chart, gamma)
+            connected += any(len(i) + len(b) == 1 for i, b in lap.terms)
+    assert connected >= 8
+
+
+def test_canonical_results_equal_the_validated_ones():
+    # poisson and sym_product build their results without re-validation;
+    # the public constructor checks and canonicalises the same table
+    rng = random.Random(73)
+    nonzero = 0
+    for _ in range(40):
+        chart = rand_chart(rng, BOUNDS)
+        space = rng.choice([Space.E, Space.ESTAR, Space.AMBIENT])
+        p1, p2 = (
+            rand_multivector(rng, chart, space, BOUNDS, rng.randint(0, 3))
+            for _ in range(2)
+        )
+        args = [rand_poly(rng, chart, space, BOUNDS) for _ in range(6)]
+        for got in (poisson(p1, p2), sym_product(p1, p2)):
+            checked = SymMultivector(got.chart, got.space, got.q, got.terms)
+            assert got == checked and got.terms == checked.terms
+            assert got.to_operator() == checked.to_operator()
+            assert got.eval(*args[: got.q]) == checked.eval(*args[: got.q])
+            nonzero += not got.is_zero()
+    assert nonzero >= 40

@@ -21,6 +21,7 @@ from fwlop.symcore import (
     Space,
     Var,
     VarKind,
+    _sub_multisets,
     add_into,
     all_multi_indices,
     base_var,
@@ -201,6 +202,32 @@ def test_sub_multisets_binomials():
     assert got[MultiIndex([1, 1])] == 1
     assert got[MultiIndex()] == 1
     assert sum(got.values()) == 8
+
+
+def test_sub_multiset_vectors_count_each_letter():
+    for entries in [(), (1,), (2, 2), (1, 1, 3), (1, 2, 2, 3)]:
+        for sub, _, rest, vector in _sub_multisets(entries):
+            assert len(vector) == (entries[-1] if entries else 0)
+            assert vector == tuple(sub.multiplicity(k) for k in range(1, len(vector) + 1))
+            assert MultiIndex(sub.entries + rest) == MultiIndex(entries)
+
+
+@pytest.mark.parametrize("space", list(Space), ids=lambda s: s.value)
+def test_max_exponents_match_the_var_reading(space):
+    rng = random.Random(f"max-exponents/{space.value}")
+    bounds = Bounds(n_max=3, m_max=3, terms_max=6, exp_max=4)
+    for _ in range(60):
+        chart = rand_chart(rng, bounds)
+        p = rand_poly(rng, chart, space, bounds)
+        tops = {v: 0 for kind in (VarKind.BASE, fiber_kind(space)) for v in chart.vars_of(kind)}
+        for mono in p.monomials():
+            for v, e in mono:
+                tops[v] = max(tops[v], e)
+        base, fiber = p.max_exponents()
+        assert base == tuple(tops[v] for v in chart.vars_of(VarKind.BASE))
+        assert fiber == tuple(tops[v] for v in chart.vars_of(fiber_kind(space)))
+    assert P("0").max_exponents() == ((0, 0), (0, 0))
+    assert P("x1^3*u2 - 2*x1*u1^2").max_exponents() == ((3, 0), (2, 1))
 
 
 def test_unshuffles_are_splits():
