@@ -41,6 +41,48 @@ def _op_doc(chart, space, terms):
     }
 
 
+# Polynomial texts at the edges of the grammar: the refused ones with the
+# offset their PolySyntaxError names (or the variable error they raise on
+# E at chart (2,2)), then forms that are accepted.
+PARSE_TEXTS = [
+    ("x_space_0", "x 0"),  # offset 1
+    ("exp_space_0", "x1^ 0"),  # offset 3
+    ("plus_at_end", "x1 + "),  # offset 5
+    ("star_first", "* x1"),  # offset 0
+    ("caret_at_end", "x1 ^"),  # offset 4
+    ("slash_at_end", "3/"),  # offset 2
+    ("two_ints", "2 3"),  # offset 2
+    ("minus_before_var", "x1 + -x2"),  # offset 6
+    ("v1_on_e", "v1"),  # UnknownVariable
+    ("x3_out_of_range", "x3"),  # IndexOutOfRange
+    ("spaced_var", " x 1 "),
+    ("times_minus", "x1*-3"),
+    ("double_minus", "--3"),
+    ("unicode_space_digit", "\u00a0x1\u2003+\u00a0\u0663"),  # Arabic-Indic 3
+]
+PARSE_ROUTES = ("op", "deriv", "gamma")
+
+
+def _parse_route(k, text):
+    """Document carrying `text` in one place: an operator coefficient, a
+    derivation's multiplication part or a connection coefficient, cycling
+    with k; all on chart (2,2)."""
+    chart = Chart(2, 2)
+    route = PARSE_ROUTES[k % len(PARSE_ROUTES)]
+    if route == "op":
+        return _op_doc(chart, "E", [(text, [1], [])])
+    if route == "deriv":
+        return {
+            "chart": chart_to_doc(chart),
+            "field": {"dx": ["0", "0"], "dv": ["0", "0"]},
+            "mult": text,
+        }
+    return {
+        "chart": chart_to_doc(chart),
+        "gamma": [{"k": 1, "i": 1, "j": 1, "coeff": text}],
+    }
+
+
 def _fixtures():
     """Yield (file name, document) pairs; every random one has its own seed."""
     # Hand-written operators with coefficients over several denominators.
@@ -130,6 +172,9 @@ def _fixtures():
             for (k, i, j), c in sorted(gamma.items())
         ]
         yield f"gamma_{n}.json", {"chart": chart_to_doc(chart), "gamma": entries}
+    yield "identity_e_22.json", _op_doc(Chart(2, 2), "E", [("1", [], [])])
+    for k, (tag, text) in enumerate(PARSE_TEXTS):
+        yield f"parse_{tag}.json", _parse_route(k, text)
     yield "gamma_hand.json", {
         "chart": chart_to_doc(Chart(2, 2)),
         "gamma": [
@@ -192,6 +237,18 @@ def _cases():
 
     for tag in ("1", "2", "3", "4", "hand"):
         yield f"laplacian_gamma_{tag}", ["laplacian", f"gamma_{tag}.json"]
+
+    for k, (tag, text) in enumerate(PARSE_TEXTS):
+        yield f"parse_fn_{tag}", ["eval", "identity_e_22.json", "--fn=" + text]
+        fixture = f"parse_{tag}.json"
+        route = PARSE_ROUTES[k % len(PARSE_ROUTES)]
+        if route == "op":
+            argv = ["symbol", fixture]
+        elif route == "deriv":
+            argv = ["a-inv", "--order", "1", fixture]
+        else:
+            argv = ["laplacian", fixture]
+        yield f"parse_{route}_{tag}", argv
 
 
 def run_case(argv, fixtures_dir):
