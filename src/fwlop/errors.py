@@ -34,7 +34,8 @@ class UsageError(DocumentError):
 
 
 class PolySyntaxError(DocumentError):
-    """Polynomial text violates the grammar.  `offset` is the byte position."""
+    """Polynomial text violates the grammar.  `offset` is a character index
+    into the text (a str index, not a byte position)."""
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (at offset {offset})")

@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
+import sys
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
@@ -46,6 +48,7 @@ from .errors import (
     ChartMismatch,
     IndexOutOfRange,
     PolySyntaxError,
+    RequestTooLarge,
     SpaceMismatch,
     UnknownVariable,
 )
@@ -731,114 +734,130 @@ def add_into(table: dict, key, coeff) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Textual format.  Grammar (whitespace ignored between tokens):
+# Textual format.  Grammar; whitespace may stand between any two tokens,
+# also inside a variable (`x 1`) and after a sign:
 #
 #   expr     := ['-'] term { ('+'|'-') term }
 #   term     := factor { '*' factor }
 #   factor   := rational | var [ '^' nat ]
 #   var      := ('x'|'u'|'v') nat          nat >= 1
-#   rational := int [ '/' nat ]            denominator > 0
+#   rational := ['-'] int [ '/' nat ]      denominator > 0
+#
+# So a unary minus comes only at the start of the text or before a number.
+# Digits are Unicode decimal digits (`str.isdecimal`, what `int` reads) and
+# whitespace is what `str.isspace` accepts: `\d` and `\s` match exactly
+# these.  A token is a run of digits or one other non-space character.
 # ---------------------------------------------------------------------------
 
+_TOKEN = re.compile(r"\s*(\d+|\S)")
 
-class _Parser:
-    def __init__(self, text: str, chart: Chart, space: Space):
-        self.text = text
-        self.pos = 0
-        self.chart = chart
-        self.space = space
 
-    def error(self, message):
-        raise PolySyntaxError(message, self.pos)
+@functools.cache
+def _name_slots(base_dim: int, fiber_rank: int, dual: bool) -> dict:
+    """{name: slot} for the variables of a chart as the printer spells
+    them; any other spelling (`x01`, `u1` on Estar) goes through `_slot`."""
+    names = _slot_names(base_dim, fiber_rank, dual)
+    return {name: slot for slot, name in enumerate(names)}
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+def _syntax_error(text: str, message: str, index: int, past: bool = False):
+    """PolySyntaxError at token `index` of text: at its start, or just past
+    it when `past`; at len(text) for the end sentinel."""
+    for k, match in enumerate(_TOKEN.finditer(text)):
+        if k == index:
+            return PolySyntaxError(message, match.end(1) if past else match.start(1))
+    return PolySyntaxError(message, len(text))
 
-    def take(self, ch):
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
 
-    def digits(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected digits")
-        return int(self.text[start : self.pos])
-
-    def nat(self) -> int:
-        start = self.pos
-        value = self.digits()
-        if value < 1:
-            self.pos = start
-            self.error("expected a positive integer")
-        return value
-
-    def parse(self) -> Poly:
-        poly = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("trailing input")
-        return poly
-
-    def expr(self) -> Poly:
-        negate = self.take("-")
-        poly = self.term()
-        if negate:
-            poly = -poly
-        while True:
-            if self.take("+"):
-                poly = poly + self.term()
-            elif self.take("-"):
-                poly = poly - self.term()
-            else:
-                return poly
-
-    def term(self) -> Poly:
-        poly = self.factor()
-        while self.take("*"):
-            poly = poly * self.factor()
-        return poly
-
-    def factor(self) -> Poly:
-        ch = self.peek()
-        if ch in _LETTER_KIND:
-            self.pos += 1
-            kind = _LETTER_KIND[ch]
-            index = self.nat()
-            slot = _slot(self.chart, self.space, Var(kind, index))
-            exp = 1
-            if self.take("^"):
-                exp = self.nat()
-            return Poly._power(self.chart, self.space, slot, exp)
-        if ch.isdigit() or ch == "-":
-            negate = self.take("-")
-            numer = self.digits()
-            denom = 1
-            if self.take("/"):
-                denom = self.nat()
-            value = Fraction(-numer if negate else numer, denom)
-            return Poly.const(self.chart, self.space, value)
-        self.error("expected a rational or a variable")
+def _nat(text: str, tokens: list, i: int) -> int:
+    """The positive integer in token i + 1, after the one-character token i
+    (a variable letter, '^' or '/')."""
+    tok = tokens[i + 1]
+    if not tok.isdecimal():
+        raise _syntax_error(text, "expected digits", i + 1)
+    value = int(tok)
+    if value < 1:
+        raise _syntax_error(text, "expected a positive integer", i, True)
+    return value
 
 
 def parse_poly(text: str, chart: Chart, space: Space) -> Poly:
-    return _Parser(text, chart, space).parse()
+    """Parse polynomial text in one pass over its tokens.
+
+    Each term accumulates an exponent list and an integer numerator and
+    denominator into one table by monomial; the table is summed over the
+    least common denominator and reduced once, with no Poly per factor.  A
+    literal longer than Python's int/str conversion limit raises
+    RequestTooLarge."""
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
+    names = _name_slots(chart.base_dim, chart.fiber_rank, space is Space.ESTAR)
+    width = chart.base_dim + chart.fiber_rank
+    table = {}
+    sign, i = (-1, 1) if tokens[0] == "-" else (1, 0)
+    try:
+        while True:
+            exps = [0] * width
+            numer, denom = sign, 1
+            while True:
+                tok = tokens[i]
+                if tok in _LETTER_KIND:
+                    slot = names.get(tok + tokens[i + 1])
+                    if slot is None:
+                        v = Var(_LETTER_KIND[tok], _nat(text, tokens, i))
+                        slot = _slot(chart, space, v)
+                    i += 2
+                    if tokens[i] == "^":
+                        exps[slot] += _nat(text, tokens, i)
+                        i += 2
+                    else:
+                        exps[slot] += 1
+                else:
+                    if tok == "-":
+                        numer, i = -numer, i + 1
+                        if not tokens[i].isdecimal():
+                            raise _syntax_error(text, "expected digits", i)
+                    elif not tok.isdecimal():
+                        raise _syntax_error(
+                            text, "expected a rational or a variable", i
+                        )
+                    numer *= int(tokens[i])
+                    i += 1
+                    if tokens[i] == "/":
+                        denom *= _nat(text, tokens, i)
+                        i += 2
+                if tokens[i] != "*":
+                    break
+                i += 1
+            table.setdefault(tuple(exps), []).append((numer, denom))
+            tok = tokens[i]
+            if not tok:
+                break
+            if tok != "+" and tok != "-":
+                raise _syntax_error(text, "trailing input", i)
+            sign, i = (1 if tok == "+" else -1), i + 1
+    except ValueError:
+        longest = max(len(tok) for tok in tokens if tok.isdecimal())
+        raise RequestTooLarge(
+            f"an integer literal of {longest} digits is over Python's limit "
+            f"of {sys.get_int_max_str_digits()} digits"
+        ) from None
+    den = lcm(*(d for pairs in table.values() for _, d in pairs))
+    terms = {}
+    for mono, pairs in table.items():
+        c = sum(n * (den // d) for n, d in pairs)
+        if c:
+            terms[mono] = c
+    return Poly._reduced(chart, space, terms, den)
 
 
 def poly_to_str(p: Poly) -> str:
     """Canonical rendering; parse(poly_to_str(p)) == p.
 
     Terms are sorted by their (slot, exponent) pairs, which is the order of
-    the variables x1..xn before the fiber-type ones; no Var is built.
+    the variables x1..xn before the fiber-type ones; no Var is built.  A
+    numerator or denominator longer than Python's int/str conversion limit
+    raises RequestTooLarge.
     """
     if not p.terms:
         return "0"
@@ -849,7 +868,13 @@ def poly_to_str(p: Poly) -> str:
         body = "*".join(names[i] if e == 1 else f"{names[i]}^{e}" for i, e in pairs)
         g = gcd(c, den)
         numer, denom = abs(c) // g, den // g
-        mag = str(numer) if denom == 1 else f"{numer}/{denom}"
+        try:
+            mag = str(numer) if denom == 1 else f"{numer}/{denom}"
+        except ValueError:
+            raise RequestTooLarge(
+                "a coefficient is too long to print: over Python's limit of "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
         if not body:
             text = mag
         elif numer == 1 and denom == 1:

@@ -277,6 +277,33 @@ def test_parse_error_exit_code(op_file, capsys):
     assert "PolySyntaxError" in err
 
 
+def _one_error_line(err, name):
+    return err.startswith(f"{name}: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_non_decimal_digits_are_parse_errors(op_file, capsys):
+    # '²' passes str.isdigit but not int(); it once escaped as a ValueError
+    code, out, err = run(capsys, "eval", op_file(OP_CORE2), "--fn=x1^²")
+    assert (code, out) == (3, "")
+    assert _one_error_line(err, "PolySyntaxError")
+    doc = dict(OP_CORE2, terms=[{"coeff": "²", "dx": [], "du": [1, 1]}])
+    code, out, err = run(capsys, "symbol", op_file(doc))
+    assert (code, out) == (3, "")
+    assert _one_error_line(err, "PolySyntaxError")
+
+
+def test_integers_past_the_conversion_limit_are_refused(op_file, capsys):
+    code, out, err = run(capsys, "eval", op_file(OP_CORE2), "--fn", "7" * 5000)
+    assert (code, out) == (1, "")
+    assert _one_error_line(err, "RequestTooLarge")
+    # each coefficient parses and prints; their 6000-digit product does not
+    doc = dict(OP_CORE2, terms=[{"coeff": "9" * 3000, "dx": [], "du": []}])
+    left, right = op_file(doc, "a.json"), op_file(doc, "b.json")
+    code, out, err = run(capsys, "compose", left, right)
+    assert (code, out) == (1, "")
+    assert _one_error_line(err, "RequestTooLarge")
+
+
 def test_document_error_exit_code(op_file, capsys):
     doc = dict(OP_CORE2)
     doc["junk"] = 1

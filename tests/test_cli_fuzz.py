@@ -28,6 +28,10 @@ from fwlop.symcore import multi_index_count
 
 # Values that break a document field of any type.
 BAD_VALUES = [None, True, False, -1, 0, 7, 1.5, "x", "", [], {}, [True], "x1 +", "w1"]
+# Characters of random polynomial text: the grammar's, plus a digit that
+# str.isdigit accepts but int() does not, a Unicode decimal digit and a
+# Unicode space.
+TEXT_ALPHABET = "xuvw0123/^*+-() ²٣\u00a0"
 
 
 @st.composite
@@ -77,7 +81,7 @@ def corrupted(draw, strategy):
     elif action == 1 and isinstance(node, dict):
         node["extra"] = 1
     elif action == 2 and isinstance(node[key], str):
-        node[key] = draw(st.text(alphabet="xuvw0123/^*+-() ", max_size=12))
+        node[key] = draw(st.text(alphabet=TEXT_ALPHABET, max_size=12))
     else:
         node[key] = draw(st.sampled_from(BAD_VALUES))
     return doc
@@ -179,7 +183,7 @@ def cli_cases(draw):
     if command == "eval":
         text = draw(st.one_of(
             poly_texts(2, 2, draw(st.sampled_from("uv"))),
-            st.text(alphabet="xuvw0123/^*+-() ", max_size=12),
+            st.text(alphabet=TEXT_ALPHABET, max_size=12),
         ))
         argv.append("--fn=" + text)
     return argv, [draw(corrupted(operator_docs()))]

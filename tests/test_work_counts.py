@@ -5,7 +5,8 @@ reduced sum per output coefficient, so they make no `Poly` product, scaling
 or addition per summand.  The transcriptions between E and its dual read
 the packed layout through `Poly.fiber_parts` and `Poly.fiber_monomial`, so
 they build no polynomial through the validating constructor and never ask
-for the Var/Fraction view `monomials()`.
+for the Var/Fraction view `monomials()`.  Parsing collects its terms in
+one table and reduces once, with no `Poly` per factor.
 """
 
 import random
@@ -16,7 +17,7 @@ from fwlop.diffop import DiffOp
 from fwlop.lbundle import a_inverse, a_iso
 from fwlop.multivec import hamiltonian_field, poisson, sym_product
 from fwlop.randgen import Bounds, rand_diffop, rand_fwl_op
-from fwlop.symcore import Chart, Poly, Space
+from fwlop.symcore import Chart, Poly, Space, parse_poly, poly_to_str
 
 CH = Chart(2, 2)
 BOUNDS = Bounds(n_max=2, m_max=2, order_max=3)
@@ -94,3 +95,15 @@ def test_dual_transcriptions_build_no_poly_through_var_terms(monkeypatch, q):
     assert counts == dict.fromkeys(names, 0)
     monkeypatch.undo()
     assert not field.is_zero() and back == op
+
+
+def test_parsing_builds_one_poly(monkeypatch):
+    text = "3/4*x1^2*u2 - 5/6*u1*-2 + x2*x2*7/10 - u1 + 2/9*x1*x2*u1*u2 + -1/3"
+    names = ["__mul__", "_combine", "__neg__", "_power", "const", "_reduced"]
+    counts = _counting(monkeypatch, Poly, names)
+    got = parse_poly(text, CH, Space.E)
+    assert counts == dict(dict.fromkeys(names, 0), _reduced=1)
+    monkeypatch.undo()
+    assert poly_to_str(got) == (
+        "-1/3 + 2/9*x1*x2*u1*u2 + 3/4*x1^2*u2 + 7/10*x2^2 + 2/3*u1"
+    )
