@@ -769,13 +769,25 @@ def _syntax_error(text: str, message: str, index: int, past: bool = False):
     return PolySyntaxError(message, len(text))
 
 
+def _digits(text: str, tokens: list, i: int) -> int:
+    """The value of token i, which must be a run of digits no longer than
+    Python's int/str conversion limit."""
+    tok = tokens[i]
+    if not tok.isdecimal():
+        raise _syntax_error(text, "expected digits", i)
+    try:
+        return int(tok)
+    except ValueError:
+        raise RequestTooLarge(
+            f"an integer literal of {len(tok)} digits is over Python's limit "
+            f"of {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def _nat(text: str, tokens: list, i: int) -> int:
     """The positive integer in token i + 1, after the one-character token i
     (a variable letter, '^' or '/')."""
-    tok = tokens[i + 1]
-    if not tok.isdecimal():
-        raise _syntax_error(text, "expected digits", i + 1)
-    value = int(tok)
+    value = _digits(text, tokens, i + 1)
     if value < 1:
         raise _syntax_error(text, "expected a positive integer", i, True)
     return value
@@ -786,62 +798,49 @@ def parse_poly(text: str, chart: Chart, space: Space) -> Poly:
 
     Each term accumulates an exponent list and an integer numerator and
     denominator into one table by monomial; the table is summed over the
-    least common denominator and reduced once, with no Poly per factor.  A
-    literal longer than Python's int/str conversion limit raises
-    RequestTooLarge."""
+    least common denominator and reduced once, with no Poly per factor."""
     tokens = _TOKEN.findall(text)
     tokens.append("")
     names = _name_slots(chart.base_dim, chart.fiber_rank, space is Space.ESTAR)
     width = chart.base_dim + chart.fiber_rank
     table = {}
     sign, i = (-1, 1) if tokens[0] == "-" else (1, 0)
-    try:
+    while True:
+        exps = [0] * width
+        numer, denom = sign, 1
         while True:
-            exps = [0] * width
-            numer, denom = sign, 1
-            while True:
-                tok = tokens[i]
-                if tok in _LETTER_KIND:
-                    slot = names.get(tok + tokens[i + 1])
-                    if slot is None:
-                        v = Var(_LETTER_KIND[tok], _nat(text, tokens, i))
-                        slot = _slot(chart, space, v)
-                    i += 2
-                    if tokens[i] == "^":
-                        exps[slot] += _nat(text, tokens, i)
-                        i += 2
-                    else:
-                        exps[slot] += 1
-                else:
-                    if tok == "-":
-                        numer, i = -numer, i + 1
-                        if not tokens[i].isdecimal():
-                            raise _syntax_error(text, "expected digits", i)
-                    elif not tok.isdecimal():
-                        raise _syntax_error(
-                            text, "expected a rational or a variable", i
-                        )
-                    numer *= int(tokens[i])
-                    i += 1
-                    if tokens[i] == "/":
-                        denom *= _nat(text, tokens, i)
-                        i += 2
-                if tokens[i] != "*":
-                    break
-                i += 1
-            table.setdefault(tuple(exps), []).append((numer, denom))
             tok = tokens[i]
-            if not tok:
+            if tok in _LETTER_KIND:
+                slot = names.get(tok + tokens[i + 1])
+                if slot is None:
+                    v = Var(_LETTER_KIND[tok], _nat(text, tokens, i))
+                    slot = _slot(chart, space, v)
+                i += 2
+                if tokens[i] == "^":
+                    exps[slot] += _nat(text, tokens, i)
+                    i += 2
+                else:
+                    exps[slot] += 1
+            else:
+                if tok == "-":
+                    numer, i = -numer, i + 1
+                elif not tok.isdecimal():
+                    raise _syntax_error(text, "expected a rational or a variable", i)
+                numer *= _digits(text, tokens, i)
+                i += 1
+                if tokens[i] == "/":
+                    denom *= _nat(text, tokens, i)
+                    i += 2
+            if tokens[i] != "*":
                 break
-            if tok != "+" and tok != "-":
-                raise _syntax_error(text, "trailing input", i)
-            sign, i = (1 if tok == "+" else -1), i + 1
-    except ValueError:
-        longest = max(len(tok) for tok in tokens if tok.isdecimal())
-        raise RequestTooLarge(
-            f"an integer literal of {longest} digits is over Python's limit "
-            f"of {sys.get_int_max_str_digits()} digits"
-        ) from None
+            i += 1
+        table.setdefault(tuple(exps), []).append((numer, denom))
+        tok = tokens[i]
+        if not tok:
+            break
+        if tok != "+" and tok != "-":
+            raise _syntax_error(text, "trailing input", i)
+        sign, i = (1 if tok == "+" else -1), i + 1
     den = lcm(*(d for pairs in table.values() for _, d in pairs))
     terms = {}
     for mono, pairs in table.items():
