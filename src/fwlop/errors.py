@@ -34,8 +34,8 @@ class UsageError(DocumentError):
 
 
 class PolySyntaxError(DocumentError):
-    """Polynomial text violates the grammar.  `offset` is a character index
-    into the text (a str index, not a byte position)."""
+    """Polynomial text violates the grammar.  `offset` is the character
+    (str) index into the text."""
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (at offset {offset})")

@@ -60,15 +60,24 @@ PARSE_TEXTS = [
     ("double_minus", "--3"),
     ("unicode_space_digit", "\u00a0x1\u2003+\u00a0\u0663"),  # Arabic-Indic 3
 ]
-PARSE_ROUTES = ("op", "deriv", "gamma")
+# Document route of PARSE_TEXTS[k], cycling with k, and the command run on it.
+PARSE_ROUTES = {
+    "op": ["symbol"],
+    "deriv": ["a-inv", "--order", "1"],
+    "gamma": ["laplacian"],
+}
 
 
-def _parse_route(k, text):
+def _parse_route(k):
+    return list(PARSE_ROUTES)[k % len(PARSE_ROUTES)]
+
+
+def _parse_doc(k, text):
     """Document carrying `text` in one place: an operator coefficient, a
-    derivation's multiplication part or a connection coefficient, cycling
-    with k; all on chart (2,2)."""
+    derivation's multiplication part or a connection coefficient; all on
+    chart (2,2)."""
     chart = Chart(2, 2)
-    route = PARSE_ROUTES[k % len(PARSE_ROUTES)]
+    route = _parse_route(k)
     if route == "op":
         return _op_doc(chart, "E", [(text, [1], [])])
     if route == "deriv":
@@ -174,7 +183,7 @@ def _fixtures():
         yield f"gamma_{n}.json", {"chart": chart_to_doc(chart), "gamma": entries}
     yield "identity_e_22.json", _op_doc(Chart(2, 2), "E", [("1", [], [])])
     for k, (tag, text) in enumerate(PARSE_TEXTS):
-        yield f"parse_{tag}.json", _parse_route(k, text)
+        yield f"parse_{tag}.json", _parse_doc(k, text)
     yield "gamma_hand.json", {
         "chart": chart_to_doc(Chart(2, 2)),
         "gamma": [
@@ -240,15 +249,8 @@ def _cases():
 
     for k, (tag, text) in enumerate(PARSE_TEXTS):
         yield f"parse_fn_{tag}", ["eval", "identity_e_22.json", "--fn=" + text]
-        fixture = f"parse_{tag}.json"
-        route = PARSE_ROUTES[k % len(PARSE_ROUTES)]
-        if route == "op":
-            argv = ["symbol", fixture]
-        elif route == "deriv":
-            argv = ["a-inv", "--order", "1", fixture]
-        else:
-            argv = ["laplacian", fixture]
-        yield f"parse_{route}_{tag}", argv
+        route = _parse_route(k)
+        yield f"parse_{route}_{tag}", PARSE_ROUTES[route] + [f"parse_{tag}.json"]
 
 
 def run_case(argv, fixtures_dir):
