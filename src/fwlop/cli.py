@@ -29,6 +29,7 @@ from .errors import (
     DocumentError,
     FwlopError,
     InvariantViolation,
+    RequestTooLarge,
     SpaceMismatch,
     UsageError,
 )
@@ -50,13 +51,24 @@ def _dumps(doc) -> str:
 
 
 def _load_json(path: str):
+    """The JSON document at path.  Besides JSONDecodeError, `json.load`
+    raises UnicodeDecodeError for bytes that are not UTF-8, a bare
+    ValueError for an integer past Python's int/str conversion limit, and
+    RecursionError for arrays or objects nested past the recursion limit."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DocumentError(f"invalid JSON in {path}: {exc}") from exc
+    except ValueError:
+        raise RequestTooLarge(
+            f"an integer in {path} is over Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
+    except RecursionError:
+        raise RequestTooLarge(f"{path} is nested too deeply to read") from None
 
 
 def _load_op(path: str, space: str | None = None) -> DiffOp:

@@ -482,3 +482,27 @@ def test_negative_order_is_refused(op_file, capsys, command, doc):
     assert code == 1
     assert out == ""
     assert err == "ArityMismatch: order must be >= 0, got -1\n"
+
+
+# `json.load` raises a bare ValueError for an integer past Python's
+# 4300-digit int/str conversion limit, UnicodeDecodeError for bytes that are
+# not UTF-8 and RecursionError for deep nesting; each once escaped `main`.
+@pytest.mark.parametrize(
+    "raw, code, error",
+    [
+        (
+            json.dumps(OP_CORE2).replace('"base_dim": 1', '"base_dim": 1' + "0" * 4999),
+            1,
+            "RequestTooLarge",
+        ),
+        ("[" * 100000 + "]" * 100000, 1, "RequestTooLarge"),
+        (b"\xff\xfe{}", 3, "DocumentError"),
+    ],
+    ids=["integer-past-the-conversion-limit", "nested-too-deeply", "not-utf8"],
+)
+def test_json_load_errors_are_typed(tmp_path, capsys, raw, code, error):
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw if isinstance(raw, bytes) else raw.encode("utf-8"))
+    code_got, out, err = run(capsys, "symbol", str(path))
+    assert (code_got, out) == (code, "")
+    assert _one_error_line(err, error)
