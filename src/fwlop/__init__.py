@@ -14,8 +14,6 @@ from .symcore import (
 )
 from .diffop import DiffOp, diffop_dumps, diffop_loads
 from .multivec import (
-    Section,
-    SectionRole,
     SymMultivector,
     core_to_dualpoly,
     fwl_check_multivector,
@@ -27,7 +25,6 @@ from .multivec import (
     sym_product,
 )
 from .lbundle import (
-    FrameDerivation,
     LPair,
     a_inverse,
     a_iso,
@@ -57,8 +54,6 @@ __all__ = [
     "DiffOp",
     "diffop_dumps",
     "diffop_loads",
-    "Section",
-    "SectionRole",
     "SymMultivector",
     "core_to_dualpoly",
     "fwl_check_multivector",
@@ -68,7 +63,6 @@ __all__ = [
     "multiderivation_l",
     "poisson",
     "sym_product",
-    "FrameDerivation",
     "LPair",
     "a_inverse",
     "a_iso",

@@ -1,0 +1,178 @@
+"""Independent second computations for the `verify` suites.
+
+Only `verify` imports this module.  The unshuffle sums are the defining
+formulas of the Poisson bracket, the symmetric product and the pair
+bracket and product, evaluated on coordinate functions and recovered into
+tables; the library reads the same results off the tables directly.
+
+The frame transcriptions read a section of E* as its fiber-linear
+function on E and a section of E as one on the dual space, and a frame
+derivation of E, symbol X and matrix A, as the linear vector field
+X + sum A_ab v_a d/dv_b on the dual space.  They read components off those
+functions, transcribe the dual derivation (minus the transposed matrix)
+term by term, and expand the top-power action as a sum of wedge products,
+each a determinant, where the library reads a trace.
+"""
+
+from __future__ import annotations
+
+from .diffop import DiffOp, _recover_table
+from .lbundle import LPair
+from .multivec import SymMultivector, _det
+from .symcore import (
+    EMPTY_MI,
+    Poly,
+    Space,
+    Var,
+    add_into,
+    dual_var,
+    fiber_kind,
+    unshuffles,
+)
+
+
+def _unshuffle_poisson(p1: SymMultivector, p2: SymMultivector) -> SymMultivector:
+    """For orders k1+1, k2+1: the sum over (k2+1, k1)-unshuffles of
+    p1(p2(block1), block2) minus the sum over (k1+1, k2)-unshuffles of
+    p2(p1(block1), block2)."""
+    k1, k2 = p1.q - 1, p2.q - 1
+    q = k1 + k2 + 1
+    if q < 0:
+        return SymMultivector.zero(p1.chart, p1.space, 0)
+
+    def value(args):
+        out = Poly.zero(p1.chart, p1.space)
+        for first, second in unshuffles(k2 + 1, k1):
+            inner = p2.eval(*(args[i] for i in first))
+            out = out + p1.eval(inner, *(args[i] for i in second))
+        for first, second in unshuffles(k1 + 1, k2):
+            inner = p1.eval(*(args[i] for i in first))
+            out = out - p2.eval(inner, *(args[i] for i in second))
+        return out
+
+    terms = _recover_table(p1.chart, p1.space, q, value)
+    return SymMultivector(p1.chart, p1.space, q, terms)
+
+
+def _unshuffle_sym_product(p1: SymMultivector, p2: SymMultivector) -> SymMultivector:
+    """Sum over (q1, q2)-unshuffles of p1(block1) p2(block2)."""
+    q = p1.q + p2.q
+
+    def value(args):
+        out = Poly.zero(p1.chart, p1.space)
+        for first, second in unshuffles(p1.q, p2.q):
+            out = out + p1.eval(*(args[i] for i in first)) * p2.eval(
+                *(args[i] for i in second)
+            )
+        return out
+
+    terms = _recover_table(p1.chart, p1.space, q, value)
+    return SymMultivector(p1.chart, p1.space, q, terms)
+
+
+def _recover_pair(chart, q: int, apply_fn) -> LPair:
+    """Rebuild (P, rho) tables of orders q, q-1 from an action functional."""
+    one = Poly.const(chart, Space.E, 1)
+
+    def p_value(args):
+        *fs, g = args
+        return apply_fn(fs, g) - g * apply_fn(fs, one)
+
+    rho_table = _recover_table(chart, Space.E, q - 1, lambda fs: apply_fn(fs, one))
+    rho = SymMultivector(chart, Space.E, q - 1, rho_table)
+    p = SymMultivector(chart, Space.E, q, _recover_table(chart, Space.E, q, p_value))
+    return LPair(p, rho)
+
+
+def _unshuffle_pair_bracket(p1: LPair, p2: LPair) -> LPair:
+    """D1*D2 - D2*D1 where, on (f_1, ..., f_{k1+k2} | v),
+
+      D1*D2 = sum over (k1, k2)-unshuffles   of D1(block1 | D2(block2 | v))
+            + sum over (k1-1, k2+1)-unshuffles of D1(block1, P2(block2) | v).
+    """
+    k1, k2 = p1.q - 1, p2.q - 1
+
+    def bullet(a: LPair, b: LPair, ka: int, kb: int, fs, g: Poly):
+        out = Poly.zero(a.chart, Space.E)
+        for first, second in unshuffles(ka, kb):
+            inner = b.apply([fs[i] for i in second], g)
+            out = out + a.apply([fs[i] for i in first], inner)
+        for first, second in unshuffles(ka - 1, kb + 1):
+            symbol_arg = b.p.eval(*(fs[i] for i in second))
+            out = out + a.apply([fs[i] for i in first] + [symbol_arg], g)
+        return out
+
+    def apply_fn(fs, g):
+        return bullet(p1, p2, k1, k2, fs, g) - bullet(p2, p1, k2, k1, fs, g)
+
+    return _recover_pair(p1.chart, p1.q + p2.q - 1, apply_fn)
+
+
+def _unshuffle_pair_product(p1: LPair, p2: LPair) -> LPair:
+    """On (f_1, ..., f_{k1+k2+1} | v),
+
+      D1.D2 = sum over (k1+1, k2)-unshuffles of P1(block1) D2(block2 | v)
+            + sum over (k2+1, k1)-unshuffles of P2(block1) D1(block2 | v).
+    """
+    k1, k2 = p1.q - 1, p2.q - 1
+
+    def apply_fn(fs, g):
+        out = Poly.zero(p1.chart, Space.E)
+        for first, second in unshuffles(k1 + 1, k2):
+            out = out + p1.p.eval(*(fs[i] for i in first)) * p2.apply(
+                [fs[i] for i in second], g
+            )
+        for first, second in unshuffles(k2 + 1, k1):
+            out = out + p2.p.eval(*(fs[i] for i in first)) * p1.apply(
+                [fs[i] for i in second], g
+            )
+        return out
+
+    return _recover_pair(p1.chart, p1.q + p2.q, apply_fn)
+
+
+def _components(ell: Poly) -> list:
+    """The frame components of a section, read off its fiber-linear
+    function: one base-only polynomial on E per fiber coordinate."""
+    kind = fiber_kind(ell.space)
+    return [
+        ell.partial(Var(kind, a)).with_space(Space.E)
+        for a in range(1, ell.chart.fiber_rank + 1)
+    ]
+
+
+def _pairing(phi: Poly, e: Poly) -> Poly:
+    """Duality pairing sum_a phi_a e_a of a section of E* (a function on
+    E) with a section of E (a function on the dual space), on E."""
+    out = Poly.zero(phi.chart, Space.E)
+    for phi_a, e_a in zip(_components(phi), _components(e)):
+        out = out + phi_a * e_a
+    return out
+
+
+def _dual(d: DiffOp) -> DiffOp:
+    """The dual frame derivation, on the other side: the d/dx terms are
+    kept, and X + sum M_ab w_a d/dw_b becomes X - sum M_ab w'_b d/dw'_a,
+    the matrix minus its transpose."""
+    space = Space.E if d.space is Space.ESTAR else Space.ESTAR
+    terms = {}
+    for (mi_b, mi_f), coeff in d.terms.items():
+        if not mi_f:
+            terms[(mi_b, mi_f)] = coeff.with_space(space)
+            continue
+        w_b = Poly.var(d.chart, space, Var(fiber_kind(space), mi_f.entries[0]))
+        for mi_a, m_ab in coeff.fiber_parts(space).items():
+            add_into(terms, (EMPTY_MI, mi_a), -m_ab * w_b)
+    return DiffOp(d.chart, space, terms)
+
+
+def _wedge_coefficient(d: DiffOp, slot: int) -> Poly:
+    """Coefficient of the basis volume in e_1 ^ ... ^ D(e_slot) ^ ... ^ e_m
+    for a frame derivation D on the dual space, where e_b is v_b."""
+    chart, m = d.chart, d.chart.fiber_rank
+    basis = [
+        [Poly.const(chart, Space.E, 1 if a == b else 0) for a in range(m)]
+        for b in range(m)
+    ]
+    image = _components(d.apply(Poly.var(chart, Space.ESTAR, dual_var(slot + 1))))
+    return _det([image if i == slot else basis[i] for i in range(m)])

@@ -1,9 +1,14 @@
-"""Derivations of bundles in a frame and the operator/derivation bijection.
+"""Derivations of bundles as vector fields, and the operator/derivation
+bijection.
 
-A derivation of a rank-r bundle is stored in the coordinate frame as a
-vector field on the base plus an r x r matrix; duality sends the matrix to
-minus its transpose, and the induced action on the top exterior power is
-the trace.
+A derivation of a rank-r bundle E with symbol X and frame matrix A is the
+linear vector field X + sum A_ab v_a d/dv_b on the dual total space: a
+`DiffOp` on `Space.ESTAR` of weight 0 and order 1 with no order-0 term.
+It acts on the sections of E, which are the fiber-linear functions there,
+and its commutators are operator commutators.  Its dual is the linear
+vector field on E with matrix minus the transpose, and its action on the
+top exterior power, f -> X(f) + tr(A) f, is what `a_iso` returns for that
+dual at order 1.
 
 A derivation of the pulled-back determinant line bundle over the dual
 total space acts in the Vol_u frame as f -> W(f) + c f: a first-order
@@ -21,10 +26,9 @@ multi-index C the nested-commutator value with the fiber coordinates
 combined with the trace action of the contracted symbol gives the
 multiplication part.  The trace reads its columns P(u_C, u_alpha) as the
 values Psi(C + alpha), since q commutators with functions kill the terms
-of order below q, so one `nested_values` table per call serves both and
-no section object is built.  An independent closed coordinate formula
-computes the multiplication part again on every call, and the two are
-checked equal.  The vector field is the hamiltonian field of the symbol on
+of order below q, so one `nested_values` table per call serves both.  An
+independent closed coordinate formula computes the multiplication part
+again on every call, and the two are checked equal.  The vector field is the hamiltonian field of the symbol on
 both paths, so it is computed once and not compared.
 
 Rank-1 bundle multivectors are pairs (P, rho) of symmetric multivectors of
@@ -37,7 +41,6 @@ formulas on evaluations are the oracles of the `verify` suites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .diffop import DiffOp, nested_values
@@ -51,15 +54,11 @@ from .errors import (
     NotFWL,
     NotHomogeneous,
     OrderExceeded,
-    RankMismatch,
     SpaceMismatch,
     refuse_over,
 )
 from .multivec import (
-    Section,
-    SectionRole,
     SymMultivector,
-    _multiderivation_l,
     _poisson_pieces,
     _product_pieces,
     _require_fwl,
@@ -87,89 +86,6 @@ from .symcore import (
 )
 
 
-def _base_field_apply(chart: Chart, field, f: Poly) -> Poly:
-    """Apply a base vector field (tuple of base-only coefficients) to f."""
-    out = Poly.zero(chart, f.space)
-    for i, coeff in enumerate(field, start=1):
-        out = out + coeff.with_space(f.space) * f.partial(Var(VarKind.BASE, i))
-    return out
-
-
-@dataclass(frozen=True)
-class FrameDerivation:
-    """Derivation of a rank-r bundle in a fixed frame: symbol + matrix."""
-
-    chart: Chart
-    rank: int
-    symbol_field: tuple  # base vector field components, length n
-    matrix: tuple  # r rows of r base-only polynomials
-
-    def __post_init__(self):
-        if len(self.symbol_field) != self.chart.base_dim:
-            raise RankMismatch("symbol field needs one component per base dim")
-        if len(self.matrix) != self.rank or any(
-            len(row) != self.rank for row in self.matrix
-        ):
-            raise RankMismatch("matrix shape must be rank x rank")
-        for p in list(self.symbol_field) + [e for row in self.matrix for e in row]:
-            if not p.is_base_only():
-                raise SpaceMismatch("frame derivation data must be base-only")
-
-    @classmethod
-    def build(cls, chart, rank, symbol_field, matrix):
-        return cls(chart, rank, tuple(symbol_field), tuple(tuple(r) for r in matrix))
-
-    def act(self, components) -> tuple:
-        """Action on a section given by frame components."""
-        if len(components) != self.rank:
-            raise RankMismatch("section has the wrong number of components")
-        out = []
-        for a in range(self.rank):
-            val = _base_field_apply(self.chart, self.symbol_field, components[a])
-            for b in range(self.rank):
-                val = val + self.matrix[a][b].with_space(components[b].space) * components[b]
-            out.append(val)
-        return tuple(out)
-
-    def dual(self) -> "FrameDerivation":
-        """Induced derivation of the dual bundle: same symbol, minus transpose."""
-        size = self.rank
-        matrix = tuple(
-            tuple(-self.matrix[b][a] for b in range(size)) for a in range(size)
-        )
-        return FrameDerivation(self.chart, size, self.symbol_field, matrix)
-
-    def top_power(self) -> "FrameDerivation":
-        """Induced derivation of the top exterior power: matrix becomes trace."""
-        trace = self.matrix[0][0]
-        for a in range(1, self.rank):
-            trace = trace + self.matrix[a][a]
-        return FrameDerivation(self.chart, 1, self.symbol_field, ((trace,),))
-
-    def commutator(self, other: "FrameDerivation") -> "FrameDerivation":
-        if self.chart != other.chart or self.rank != other.rank:
-            raise ChartMismatch("frame derivations are not composable")
-        symbol = tuple(
-            _base_field_apply(self.chart, self.symbol_field, c2)
-            - _base_field_apply(self.chart, other.symbol_field, c1)
-            for c1, c2 in zip(self.symbol_field, other.symbol_field)
-        )
-        size = self.rank
-        matrix = []
-        for a in range(size):
-            row = []
-            for b in range(size):
-                entry = _base_field_apply(
-                    self.chart, self.symbol_field, other.matrix[a][b]
-                ) - _base_field_apply(self.chart, other.symbol_field, self.matrix[a][b])
-                for k in range(size):
-                    entry = entry + self.matrix[a][k] * other.matrix[k][b]
-                    entry = entry - other.matrix[a][k] * self.matrix[k][b]
-                row.append(entry)
-            matrix.append(tuple(row))
-        return FrameDerivation(self.chart, size, symbol, tuple(matrix))
-
-
 def lderiv_commutator(d1: DiffOp, d2: DiffOp) -> DiffOp:
     """Commutator of two line-bundle derivations, as operators on Estar."""
     return d1.commutator(d2)
@@ -184,9 +100,7 @@ class LPair:
     """Pair of multivectors of orders q and q-1 acting on the line bundle.
 
     The fiber-wise linear pairs are those with P FWL and rho a core
-    (q-1)-multivector; for them `phi_table` exposes, per sorted fiber
-    multi-index C, the frame data (base vector field from the symbol of P,
-    base multiplication part) of the contracted bundle map.
+    (q-1)-multivector; `pair_to_lderivation` maps them to derivations.
     """
 
     __slots__ = ("p", "rho")
@@ -221,67 +135,11 @@ class LPair:
     def is_fwl_pair(self) -> bool:
         return fwl_check_multivector(self.p) and is_core_multivector(self.rho)
 
-    @classmethod
-    def from_phi_table(cls, p: SymMultivector, phi_table) -> "LPair":
-        """Build from frame data {C: (vector field components, mult part)}.
-
-        The vector-field part of each entry must agree with the symbol of P
-        contracted with the dual basis sections of C.
-        """
-        if not fwl_check_multivector(p):
-            raise NotFWL("pair needs a FWL multivector part")
-        chart = p.chart
-        rho_terms = {}
-        for c_idx, (field, c_mult) in phi_table.items():
-            expected = _symbol_field_on_basis(p, c_idx)
-            if tuple(field) != expected:
-                raise IncompatiblePair(
-                    f"vector field at {c_idx!r} differs from the symbol of P"
-                )
-            if not c_mult.is_base_only():
-                raise IncompatiblePair("multiplication parts must be base-only")
-            if not c_mult.is_zero():
-                scale = Fraction(1, c_idx.factorial())
-                rho_terms[(EMPTY_MI, c_idx)] = c_mult.with_space(Space.E).scale(scale)
-        rho = SymMultivector(chart, Space.E, p.q - 1, rho_terms)
-        return cls(p, rho)
-
-    @property
-    def phi_table(self) -> dict:
-        """Frame data per sorted fiber multi-index (FWL pairs only)."""
-        if not self.is_fwl_pair():
-            raise IncompatiblePair("phi_table exists for FWL pairs only")
-        chart = self.chart
-        out = {}
-        for c_idx in all_multi_indices(chart.fiber_rank, self.q - 1):
-            field = _symbol_field_on_basis(self.p, c_idx)
-            coeff = self.rho.terms.get((EMPTY_MI, c_idx))
-            mult = (
-                Poly.zero(chart, Space.E)
-                if coeff is None
-                else coeff.scale(c_idx.factorial())
-            )
-            if any(not f.is_zero() for f in field) or not mult.is_zero():
-                out[c_idx] = (field, mult)
-        return out
-
     def apply(self, fs, g: Poly) -> Poly:
         """Coefficient of D(f_1, ..., f_{q-1} | g Vol_u)."""
         if len(fs) != self.q - 1:
             raise IncompatiblePair(f"expected {self.q - 1} function slots")
         return self.p.eval(*fs, g) + g * self.rho.eval(*fs)
-
-
-def _symbol_field_on_basis(p: SymMultivector, c_idx: MultiIndex) -> tuple:
-    """l_P contracted with the dual basis sections of C, as components;
-    p must already be known to be FWL."""
-    chart = p.chart
-    phis = [Section.basis(chart, SectionRole.OF_ESTAR, a) for a in c_idx]
-    comps = []
-    for i in range(1, chart.base_dim + 1):
-        xi = Poly.var(chart, Space.E, Var(VarKind.BASE, i))
-        comps.append(_multiderivation_l(p, *phis, xi))
-    return tuple(comps)
 
 
 def pair_bracket(p1: LPair, p2: LPair) -> LPair:
@@ -316,20 +174,9 @@ def pair_to_lderivation(pair: LPair) -> DiffOp:
     return hamiltonian_field(pair.p) + DiffOp.mult(core_to_dualpoly(pair.rho))
 
 
-def lderivation_to_pair(d: DiffOp, q: int) -> LPair:
-    """Inverse frame reading: field to (P, trace-corrected rho)."""
-    op = a_inverse(d, q)
-    return _a_iso_pair(op, q)
-
-
 # ---------------------------------------------------------------------------
 # The operator <-> derivation bijection.
 # ---------------------------------------------------------------------------
-
-
-def psi_values(op: DiffOp, sections) -> Poly:
-    """[...[op, l_phi_1], ..., l_phi_{q-1}](1), a base-only polynomial."""
-    return _psi(nested_values(op), [phi.ell() for phi in sections])
 
 
 def _psi(value, word) -> Poly:
@@ -342,9 +189,12 @@ def _psi(value, word) -> Poly:
 def _contract_trace(value, word, coords) -> Poly:
     """Multiplication part, in the Vol_u frame, of the action on the
     determinant line of the derivation P(u_C, -) of the dual bundle: minus
-    the trace of its matrix, as `FrameDerivation.dual().top_power()`
-    computes it.  For `value` the nested-commutator map of a FWL operator
-    of order q, column alpha is value(u_C + [u_alpha]) = P(u_C, u_alpha)."""
+    the trace of its matrix.  At q = 1 that derivation is the linear field
+    itself, and for the dual of a frame derivation with matrix A this is
+    tr(A), which the `top-power-trace` identity checks against a sum of
+    wedge products.  For `value` the nested-commutator map of a FWL
+    operator of order q, column alpha is value(u_C + [u_alpha]) =
+    P(u_C, u_alpha)."""
     out = Poly.zero(coords[0].chart, Space.E)
     for alpha, u_alpha in enumerate(coords, start=1):
         column = value(word + [u_alpha])

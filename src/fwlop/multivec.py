@@ -15,12 +15,14 @@ The Poisson bracket and the symmetric product are read off the tables and
 never form an operator commutator, so the bracket's compatibility with the
 commutator is a genuine cross-check.  Their defining unshuffle sums over
 evaluations are the oracles of the `verify` suites.
+
+A section has no type of its own: a section of E* is its fiber-linear
+function on E, and a section of E is one on the dual space.  So the
+multiderivation pair (D_P, l_P) of a FWL multivector is its evaluation on
+such functions, with one base function in the last slot of l_P.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from enum import Enum
 
 from .diffop import DiffOp, _sum_pieces, nested_values
 from .errors import (
@@ -220,113 +222,40 @@ def is_core_multivector(p: SymMultivector) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Sections of the bundle and of its dual, in the coordinate frames.
+# Multiderivation pair (D_P, l_P) of a FWL multivector.  A section of E* is
+# its fiber-linear function on E, so both are evaluations of P.
 # ---------------------------------------------------------------------------
 
 
-class SectionRole(Enum):
-    OF_E = "OfE"
-    OF_ESTAR = "OfEstar"
-
-
-@dataclass(frozen=True)
-class Section:
-    """Tuple of base-only component polynomials in the coordinate frame."""
-
-    role: SectionRole
-    chart: Chart
-    components: tuple
-
-    def __post_init__(self):
-        if len(self.components) != self.chart.fiber_rank:
-            raise RankMismatch("section needs one component per fiber dimension")
-        for comp in self.components:
-            if not comp.is_base_only():
-                raise SpaceMismatch("section components must be base-only")
-
-    @classmethod
-    def basis(cls, chart: Chart, role: SectionRole, alpha: int) -> "Section":
-        comps = tuple(
-            Poly.const(chart, Space.E, 1 if a == alpha else 0)
-            for a in range(1, chart.fiber_rank + 1)
-        )
-        return cls(role, chart, comps)
-
-    def ell(self) -> Poly:
-        """The induced fiber-linear function (on E for dual sections, on
-        the dual space for sections of E)."""
-        if self.role is SectionRole.OF_ESTAR:
-            space, kind = Space.E, VarKind.FIBER
-        else:
-            space, kind = Space.ESTAR, VarKind.DUAL_FIBER
-        out = Poly.zero(self.chart, space)
-        for a, comp in enumerate(self.components, start=1):
-            out = out + comp.with_space(space) * Poly.var(
-                self.chart, space, Var(kind, a)
-            )
-        return out
-
-    def vertical_lift(self) -> DiffOp:
-        """Vertical lift of a section of E, as a first order operator."""
-        if self.role is not SectionRole.OF_E:
-            raise SpaceMismatch("vertical lifts exist for sections of E only")
-        terms = {}
-        for a, comp in enumerate(self.components, start=1):
-            if not comp.is_zero():
-                terms[(EMPTY_MI, MultiIndex([a]))] = comp.with_space(Space.E)
-        return DiffOp(self.chart, Space.E, terms)
-
-    def scale(self, f: Poly) -> "Section":
-        return Section(
-            self.role, self.chart, tuple(f * c for c in self.components)
-        )
-
-    def __add__(self, other: "Section") -> "Section":
-        if self.role is not other.role:
-            raise SpaceMismatch("cannot add sections of different bundles")
-        return Section(
-            self.role,
-            self.chart,
-            tuple(a + b for a, b in zip(self.components, other.components)),
-        )
-
-
-def pairing(phi: Section, e: Section) -> Poly:
-    """Duality pairing of a dual section with a section, a base function."""
-    if phi.role is not SectionRole.OF_ESTAR or e.role is not SectionRole.OF_E:
-        raise SpaceMismatch("pairing takes a dual section and a section")
-    out = Poly.zero(phi.chart, Space.E)
-    for pa, ea in zip(phi.components, e.components):
-        out = out + pa * ea
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Multiderivation pair (D_P, l_P) of a FWL multivector.
-# ---------------------------------------------------------------------------
-
-
-def multiderivation_D(p: SymMultivector, *phis: Section) -> Section:
-    """D with ell(D(phi_1, ..., phi_q)) = P(ell(phi_1), ..., ell(phi_q))."""
+def multiderivation_D(p: SymMultivector, *ells: Poly) -> Poly:
+    """D_P(phi_1, ..., phi_q) = P(ell_1, ..., ell_q) for q sections of E*
+    given as their fiber-linear functions on E; fiber-linear again."""
     _require_fwl(p)
-    if len(phis) != p.q:
-        raise ArityMismatch(f"expected {p.q} sections, got {len(phis)}")
-    value = p.eval(*(phi.ell() for phi in phis))
+    if len(ells) != p.q:
+        raise ArityMismatch(f"expected {p.q} sections, got {len(ells)}")
+    _require_sections(ells)
+    value = p.eval(*ells)
     if set(value.fiber_degree_decompose()) - {1}:
         raise InvariantViolation(
             "evaluation on fiber-linear functions is not fiber-linear"
         )
-    comps = tuple(
-        value.partial(Var(VarKind.FIBER, a))
-        for a in range(1, p.chart.fiber_rank + 1)
-    )
-    return Section(SectionRole.OF_ESTAR, p.chart, comps)
+    return value
 
 
-def multiderivation_l(p: SymMultivector, *args) -> Poly:
-    """Symbol part: value on q-1 dual sections and one base function."""
+def multiderivation_l(p: SymMultivector, *args: Poly) -> Poly:
+    """Symbol part: l_P(phi_1, ..., phi_{q-1}, f) = P(ell_1, ..., f) for
+    q-1 sections of E* as in `multiderivation_D` and one base function."""
     _require_fwl(p)
-    return _multiderivation_l(p, *args)
+    if len(args) != p.q:
+        raise ArityMismatch(f"expected {p.q - 1} sections and a function")
+    *ells, f = args
+    _require_sections(ells)
+    if not f.is_base_only():
+        raise SpaceMismatch("the function argument must be fiber-independent")
+    value = p.eval(*ells, f.with_space(Space.E))
+    if not value.is_base_only():
+        raise InvariantViolation("symbol value is not a base function")
+    return value
 
 
 def _require_fwl(p: SymMultivector):
@@ -334,17 +263,12 @@ def _require_fwl(p: SymMultivector):
         raise NotFWL("multiderivation pair needs a FWL multivector")
 
 
-def _multiderivation_l(p: SymMultivector, *args) -> Poly:
-    """multiderivation_l for a p already known to be FWL."""
-    *phis, f = args
-    if len(phis) != p.q - 1:
-        raise ArityMismatch(f"expected {p.q - 1} sections, got {len(phis)}")
-    if not f.is_base_only():
-        raise SpaceMismatch("the function argument must be fiber-independent")
-    value = p.eval(*(phi.ell() for phi in phis), f.with_space(Space.E))
-    if not value.is_base_only():
-        raise InvariantViolation("symbol value is not a base function")
-    return value
+def _require_sections(ells):
+    for ell in ells:
+        if ell.space is not Space.E or set(ell.fiber_degree_decompose()) - {1}:
+            raise SpaceMismatch(
+                "a section of the dual bundle is a fiber-linear function on E"
+            )
 
 
 def core_to_dualpoly(p: SymMultivector) -> Poly:

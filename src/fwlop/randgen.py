@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import MAX_VERIFY_TABLE_KEYS, DocumentError, refuse_over
 from .lbundle import LPair
 from .diffop import DiffOp
-from .multivec import Section, SectionRole, SymMultivector
+from .multivec import SymMultivector
 from .symcore import (
     EMPTY_MI,
     Chart,
@@ -175,12 +175,16 @@ def rand_core_multivector(rng, chart, bounds, q: int) -> SymMultivector:
     return SymMultivector(chart, Space.E, q, dict(op.terms))
 
 
-def rand_section(rng, chart, bounds, role=SectionRole.OF_ESTAR) -> Section:
-    comps = tuple(
-        rand_poly(rng, chart, Space.E, bounds, base_only=True)
-        for _ in range(chart.fiber_rank)
-    )
-    return Section(role, chart, comps)
+def rand_section(rng, chart, bounds, space=Space.E) -> Poly:
+    """A section of E* (on E) or of E (on the dual space) as its
+    fiber-linear function there: base-only components, drawn in frame
+    order, times the fiber-type coordinates."""
+    kind = fiber_kind(space)
+    products = []
+    for a in range(1, chart.fiber_rank + 1):
+        comp = rand_poly(rng, chart, space, bounds, base_only=True)
+        products.append((1, comp, Poly.var(chart, space, Var(kind, a))))
+    return Poly.sum_of_products(chart, space, products)
 
 
 def rand_fwl_pair(rng, chart, bounds, q: int) -> LPair:

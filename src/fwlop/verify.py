@@ -14,18 +14,22 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import randgen as rg
-from .diffop import DiffOp, _recover_table, diffop_to_doc, nested_values
+from ._oracles import (
+    _dual,
+    _pairing,
+    _unshuffle_pair_bracket,
+    _unshuffle_pair_product,
+    _unshuffle_poisson,
+    _wedge_coefficient,
+)
+from .diffop import DiffOp, diffop_to_doc, nested_values
 from .lbundle import (
-    FrameDerivation,
     LPair,
-    _base_field_apply,
-    _symbol_field_on_basis,
     a_inverse,
     a_iso,
     pair_bracket,
     pair_product,
     pair_to_lderivation,
-    psi_values,
 )
 from .linearize import (
     is_linearizable_multivector,
@@ -35,10 +39,7 @@ from .linearize import (
     linearize_multivector,
 )
 from .multivec import (
-    Section,
-    SectionRole,
     SymMultivector,
-    _det,
     _require_fwl,
     core_to_dualpoly,
     fwl_check_multivector,
@@ -46,7 +47,6 @@ from .multivec import (
     hamiltonian_field,
     multiderivation_D,
     multiderivation_l,
-    pairing,
     poisson,
     sym_product,
 )
@@ -64,7 +64,6 @@ from .symcore import (
     dual_var,
     parse_poly,
     poly_to_str,
-    unshuffles,
 )
 
 
@@ -122,123 +121,9 @@ def _doc(obj):
         return {"p": _doc(obj.p), "rho": _doc(obj.rho)}
     if isinstance(obj, Poly):
         return poly_to_str(obj)
-    if isinstance(obj, Section):
-        return [poly_to_str(c) for c in obj.components]
-    if isinstance(obj, FrameDerivation):
-        return {
-            "symbol": [poly_to_str(c) for c in obj.symbol_field],
-            "matrix": [[poly_to_str(e) for e in row] for row in obj.matrix],
-        }
     if isinstance(obj, (int, str, Fraction)):
         return str(obj)
     return repr(obj)
-
-
-# ---------------------------------------------------------------------------
-# Unshuffle oracles: the defining sums of the brackets and products, evaluated
-# on coordinate functions and recovered into tables.  The library reads the
-# same results off the tables directly.
-# ---------------------------------------------------------------------------
-
-
-def _unshuffle_poisson(p1: SymMultivector, p2: SymMultivector) -> SymMultivector:
-    """For orders k1+1, k2+1: the sum over (k2+1, k1)-unshuffles of
-    p1(p2(block1), block2) minus the sum over (k1+1, k2)-unshuffles of
-    p2(p1(block1), block2)."""
-    k1, k2 = p1.q - 1, p2.q - 1
-    q = k1 + k2 + 1
-    if q < 0:
-        return SymMultivector.zero(p1.chart, p1.space, 0)
-
-    def value(args):
-        out = Poly.zero(p1.chart, p1.space)
-        for first, second in unshuffles(k2 + 1, k1):
-            inner = p2.eval(*(args[i] for i in first))
-            out = out + p1.eval(inner, *(args[i] for i in second))
-        for first, second in unshuffles(k1 + 1, k2):
-            inner = p1.eval(*(args[i] for i in first))
-            out = out - p2.eval(inner, *(args[i] for i in second))
-        return out
-
-    terms = _recover_table(p1.chart, p1.space, q, value)
-    return SymMultivector(p1.chart, p1.space, q, terms)
-
-
-def _unshuffle_sym_product(p1: SymMultivector, p2: SymMultivector) -> SymMultivector:
-    """Sum over (q1, q2)-unshuffles of p1(block1) p2(block2)."""
-    q = p1.q + p2.q
-
-    def value(args):
-        out = Poly.zero(p1.chart, p1.space)
-        for first, second in unshuffles(p1.q, p2.q):
-            out = out + p1.eval(*(args[i] for i in first)) * p2.eval(
-                *(args[i] for i in second)
-            )
-        return out
-
-    terms = _recover_table(p1.chart, p1.space, q, value)
-    return SymMultivector(p1.chart, p1.space, q, terms)
-
-
-def _recover_pair(chart, q: int, apply_fn) -> LPair:
-    """Rebuild (P, rho) tables of orders q, q-1 from an action functional."""
-    one = Poly.const(chart, Space.E, 1)
-
-    def p_value(args):
-        *fs, g = args
-        return apply_fn(fs, g) - g * apply_fn(fs, one)
-
-    rho_table = _recover_table(chart, Space.E, q - 1, lambda fs: apply_fn(fs, one))
-    rho = SymMultivector(chart, Space.E, q - 1, rho_table)
-    p = SymMultivector(chart, Space.E, q, _recover_table(chart, Space.E, q, p_value))
-    return LPair(p, rho)
-
-
-def _unshuffle_pair_bracket(p1: LPair, p2: LPair) -> LPair:
-    """D1*D2 - D2*D1 where, on (f_1, ..., f_{k1+k2} | v),
-
-      D1*D2 = sum over (k1, k2)-unshuffles   of D1(block1 | D2(block2 | v))
-            + sum over (k1-1, k2+1)-unshuffles of D1(block1, P2(block2) | v).
-    """
-    k1, k2 = p1.q - 1, p2.q - 1
-
-    def bullet(a: LPair, b: LPair, ka: int, kb: int, fs, g: Poly):
-        out = Poly.zero(a.chart, Space.E)
-        for first, second in unshuffles(ka, kb):
-            inner = b.apply([fs[i] for i in second], g)
-            out = out + a.apply([fs[i] for i in first], inner)
-        for first, second in unshuffles(ka - 1, kb + 1):
-            symbol_arg = b.p.eval(*(fs[i] for i in second))
-            out = out + a.apply([fs[i] for i in first] + [symbol_arg], g)
-        return out
-
-    def apply_fn(fs, g):
-        return bullet(p1, p2, k1, k2, fs, g) - bullet(p2, p1, k2, k1, fs, g)
-
-    return _recover_pair(p1.chart, p1.q + p2.q - 1, apply_fn)
-
-
-def _unshuffle_pair_product(p1: LPair, p2: LPair) -> LPair:
-    """On (f_1, ..., f_{k1+k2+1} | v),
-
-      D1.D2 = sum over (k1+1, k2)-unshuffles of P1(block1) D2(block2 | v)
-            + sum over (k2+1, k1)-unshuffles of P2(block1) D1(block2 | v).
-    """
-    k1, k2 = p1.q - 1, p2.q - 1
-
-    def apply_fn(fs, g):
-        out = Poly.zero(p1.chart, Space.E)
-        for first, second in unshuffles(k1 + 1, k2):
-            out = out + p1.p.eval(*(fs[i] for i in first)) * p2.apply(
-                [fs[i] for i in second], g
-            )
-        for first, second in unshuffles(k2 + 1, k1):
-            out = out + p2.p.eval(*(fs[i] for i in first)) * p1.apply(
-                [fs[i] for i in second], g
-            )
-        return out
-
-    return _recover_pair(p1.chart, p1.q + p2.q, apply_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +366,11 @@ def _suite_exact_seq(s: _Session, trials: int):
         prod = cores[0]
         for extra in cores[1:]:
             prod = sym_product(prod, extra)
-        ell = phi.ell()
         injected = SymMultivector(
             chart,
             Space.E,
             qs,
-            {key: ell * coeff for key, coeff in prod.terms.items()},
+            {key: phi * coeff for key, coeff in prod.terms.items()},
         )
         sym_still_zero = _symbol_vanishes(injected)
         s.check(
@@ -497,12 +381,15 @@ def _suite_exact_seq(s: _Session, trials: int):
 
 
 def _symbol_vanishes(p: SymMultivector) -> bool:
-    """l_P is zero on every tuple of dual basis sections and coordinate."""
+    """l_P is zero on every tuple of dual basis sections u_C and coordinate."""
     _require_fwl(p)
+    chart = p.chart
+    u = [Poly.var(chart, Space.E, v) for v in chart.vars_of(VarKind.FIBER)]
+    xs = [Poly.var(chart, Space.E, v) for v in chart.vars_of(VarKind.BASE)]
     return all(
-        f.is_zero()
-        for c_idx in all_multi_indices(p.chart.fiber_rank, p.q - 1)
-        for f in _symbol_field_on_basis(p, c_idx)
+        multiderivation_l(p, *(u[a - 1] for a in c_idx), x).is_zero()
+        for c_idx in all_multi_indices(chart.fiber_rank, p.q - 1)
+        for x in xs
     )
 
 
@@ -552,11 +439,9 @@ def _suite_iso_a(s: _Session, trials: int):
                 rg.rand_section(rng, chart, bounds) for _ in range(q - 1)
             ]
             f = rg.rand_poly(rng, chart, Space.E, bounds, base_only=True)
-            scaled = phis[:-1] + [phis[-1].scale(f)]
-            lhs = psi_values(op, scaled)
-            rhs = f * psi_values(op, phis) + multiderivation_l(
-                op.symbol_at(q), *phis, f
-            )
+            psi = nested_values(op)
+            lhs = psi(phis[:-1] + [f * phis[-1]])
+            rhs = f * psi(phis) + multiderivation_l(op.symbol_at(q), *phis, f)
             s.check("psi-leibniz", lhs == rhs, op=op, f=f)
 
         s.check(
@@ -567,12 +452,12 @@ def _suite_iso_a(s: _Session, trials: int):
         )
         phi = rg.rand_section(rng, chart, bounds)
         expected = {
-            (EMPTY_MI, MultiIndex([a])): -c.with_space(Space.ESTAR)
-            for a, c in enumerate(phi.components, start=1)
+            (EMPTY_MI, MultiIndex([a])): -phi.partial(u).with_space(Space.ESTAR)
+            for a, u in enumerate(chart.vars_of(VarKind.FIBER), start=1)
         }
         s.check(
             "generator-function",
-            a_iso(DiffOp.mult(phi.ell()), 0) == DiffOp(chart, Space.ESTAR, expected),
+            a_iso(DiffOp.mult(phi), 0) == DiffOp(chart, Space.ESTAR, expected),
             phi=phi,
         )
         lin = rg.rand_linear_field_op(rng, chart, bounds)
@@ -650,65 +535,54 @@ def _suite_pair_bracket(s: _Session, trials: int):
         pd = rg.rand_fwl_multivector(rng, chart, bounds, qd)
         phis = [rg.rand_section(rng, chart, bounds) for _ in range(qd)]
         f = rg.rand_poly(rng, chart, Space.E, bounds, base_only=True)
-        lhs = multiderivation_D(pd, *phis[:-1], phis[-1].scale(f))
+        lhs = multiderivation_D(pd, *phis[:-1], f * phis[-1])
         first = multiderivation_D(pd, *phis)
         symbol = multiderivation_l(pd, *phis[:-1], f)
-        rhs_components = tuple(
-            f * c1 + symbol * c2
-            for c1, c2 in zip(first.components, phis[-1].components)
-        )
-        s.check(
-            "multiderivation-leibniz",
-            lhs.components == rhs_components,
-            p=pd,
-            f=f,
-        )
+        rhs = f * first + symbol * phis[-1]
+        s.check("multiderivation-leibniz", lhs == rhs, p=pd, f=f)
 
 
 def _suite_dual_deriv(s: _Session, trials: int):
-    """Frame derivation duality, top-power action, derivation commutators."""
+    """Frame derivation duality, top-power action, derivation commutators.
+
+    A frame derivation is its linear vector field on the dual space, so it
+    acts on sections of E, functions there, by `apply`; the dual, the
+    pairing and the wedge expansion of the top power are the oracles'."""
     rng, bounds = s.rng, s.bounds
     for s.trial in range(trials):
         chart = rg.rand_chart(rng, bounds)
         m = chart.fiber_rank
         d = _rand_frame_derivation(rng, chart, bounds)
         d2 = _rand_frame_derivation(rng, chart, bounds)
-        phi = rg.rand_section(rng, chart, bounds, SectionRole.OF_ESTAR)
-        e = rg.rand_section(rng, chart, bounds, SectionRole.OF_E)
+        phi = rg.rand_section(rng, chart, bounds)
+        e = rg.rand_section(rng, chart, bounds, Space.ESTAR)
 
-        paired = pairing(phi, e)
-        dual = d.dual()
-        d_phi = dual.act(phi.components)
-        d_e = d.act(e.components)
-        lhs = pairing(Section(SectionRole.OF_ESTAR, chart, d_phi), e) + pairing(
-            phi, Section(SectionRole.OF_E, chart, d_e)
-        )
-        rhs = _base_field_apply(chart, d.symbol_field, paired)
+        paired = _pairing(phi, e)
+        dual = _dual(d)
+        lhs = _pairing(dual.apply(phi), e) + _pairing(phi, d.apply(e))
+        rhs = d.apply(paired.with_space(Space.ESTAR)).with_space(Space.E)
         s.check("duality-pairing", lhs == rhs, d=d)
-        s.check("duality-involutive", dual.dual() == d, d=d)
+        s.check("duality-involutive", _dual(dual) == d, d=d)
         s.check(
             "duality-lie-map",
-            d.commutator(d2).dual() == d.dual().commutator(d2.dual()),
+            _dual(d.commutator(d2)) == dual.commutator(_dual(d2)),
             d1=d,
             d2=d2,
         )
 
-        top = d.top_power()
         expansion = Poly.zero(chart, Space.E)
         for i in range(m):
             expansion = expansion + _wedge_coefficient(d, i)
-        s.check("top-power-trace", expansion == top.matrix[0][0], d=d)
+        s.check(
+            "top-power-trace",
+            a_iso(dual, 1) == d + DiffOp.mult(expansion.with_space(Space.ESTAR)),
+            d=d,
+        )
 
-        fsec = tuple(
-            rg.rand_poly(rng, chart, Space.E, bounds, base_only=True)
-            for _ in range(d.rank)
-        )
-        g = rg.rand_poly(rng, chart, Space.E, bounds, base_only=True)
-        lhs_leib = d.act(tuple(g * c for c in fsec))
-        rhs_leib = tuple(
-            g * c + _base_field_apply(chart, d.symbol_field, g) * sc
-            for c, sc in zip(d.act(fsec), fsec)
-        )
+        fsec = rg.rand_section(rng, chart, bounds, Space.ESTAR)
+        g = rg.rand_poly(rng, chart, Space.ESTAR, bounds, base_only=True)
+        lhs_leib = d.apply(g * fsec)
+        rhs_leib = g * d.apply(fsec) + d.apply(g) * fsec
         s.check("frame-leibniz", lhs_leib == rhs_leib, d=d, g=g)
 
         da = rg.rand_homogeneous_lderivation(rng, chart, bounds, rng.randint(0, 2))
@@ -719,33 +593,19 @@ def _suite_dual_deriv(s: _Session, trials: int):
         s.check("lderiv-commutator-action", lhs_act == rhs_act, d1=da, d2=db, f=f)
 
 
-def _rand_frame_derivation(rng, chart, bounds) -> FrameDerivation:
-    m = chart.fiber_rank
-    symbol = tuple(
-        rg.rand_poly(rng, chart, Space.E, bounds, base_only=True)
-        for _ in range(chart.base_dim)
-    )
-    matrix = tuple(
-        tuple(
-            rg.rand_poly(rng, chart, Space.E, bounds, base_only=True)
-            for _ in range(m)
-        )
-        for _ in range(m)
-    )
-    return FrameDerivation(chart, m, symbol, matrix)
-
-
-def _wedge_coefficient(d: FrameDerivation, slot: int) -> Poly:
-    """Coefficient of the basis volume in e_1 ^ ... ^ D(e_slot) ^ ... ^ e_m."""
-    m = d.rank
-    basis = [
-        tuple(
-            Poly.const(d.chart, Space.E, 1 if a == b else 0) for a in range(m)
-        )
-        for b in range(m)
-    ]
-    image = d.act(basis[slot])
-    return _det([image if i == slot else basis[i] for i in range(m)])
+def _rand_frame_derivation(rng, chart, bounds) -> DiffOp:
+    """Frame derivation with random base-only symbol X and matrix A, drawn
+    X first and A row by row, as X + sum A_ab v_a d/dv_b on the dual space."""
+    terms = {}
+    for i in range(1, chart.base_dim + 1):
+        x_i = rg.rand_poly(rng, chart, Space.ESTAR, bounds, base_only=True)
+        add_into(terms, (MultiIndex([i]), EMPTY_MI), x_i)
+    v = [Poly.var(chart, Space.ESTAR, w) for w in chart.vars_of(VarKind.DUAL_FIBER)]
+    for v_a in v:
+        for b in range(1, chart.fiber_rank + 1):
+            a_ab = rg.rand_poly(rng, chart, Space.ESTAR, bounds, base_only=True)
+            add_into(terms, (EMPTY_MI, MultiIndex([b])), a_ab * v_a)
+    return DiffOp(chart, Space.ESTAR, terms)
 
 
 def _suite_laplacian(s: _Session, trials: int):

@@ -158,7 +158,7 @@ def _fixtures():
     # Order 0: multiplication by a fiber-linear function.
     rng = random.Random(3500)
     phi = rg.rand_section(rng, Chart(2, 2), bounds)
-    yield "fwl_q0_22.json", diffop_to_doc(DiffOp.mult(phi.ell()))
+    yield "fwl_q0_22.json", diffop_to_doc(DiffOp.mult(phi))
     rng = random.Random(3541)
     yield "fwl_q3_33.json", diffop_to_doc(rg.rand_fwl_op(rng, Chart(3, 3), bounds, 3))
 

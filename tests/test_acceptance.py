@@ -153,10 +153,10 @@ def test_criterion_05_a_isomorphism():
         ident = a_iso(DiffOp.identity(chart, Space.E), 1)
         ok = ok and ident == DiffOp.identity(chart, Space.ESTAR)
         phi = rg.rand_section(rng, chart, BOUNDS)
-        img = a_iso(DiffOp.mult(phi.ell()), 0)
+        img = a_iso(DiffOp.mult(phi), 0)
         dual_field = {
-            (EMPTY_MI, MultiIndex([a])): -c.with_space(Space.ESTAR)
-            for a, c in enumerate(phi.components, start=1)
+            (EMPTY_MI, MultiIndex([a])): -phi.partial(u).with_space(Space.ESTAR)
+            for a, u in enumerate(chart.vars_of(VarKind.FIBER), start=1)
         }
         ok = ok and img == DiffOp(chart, Space.ESTAR, dual_field)
         lin = rg.rand_linear_field_op(rng, chart, BOUNDS)

@@ -1,4 +1,5 @@
-"""The public names and the benchmark's span targets resolve.
+"""The public names and the benchmark's span targets resolve, and the
+names README lists as removed stay gone.
 
 `bench/spans.py` wraps `SPAN_TARGETS` by attribute path when a run is
 traced, so a target that a refactor renamed or moved would only show up
@@ -8,13 +9,16 @@ nothing under `bench/`.
 
 import importlib
 import importlib.util
+import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 import fwlop
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def _span_targets():
@@ -41,3 +45,39 @@ def test_span_target_resolves(module_name, path):
         assert attr in vars(getattr(module, cls_name))
     else:
         assert callable(getattr(module, path))
+
+
+def _removed_names():
+    """The backticked names before the colon of each bullet under README's
+    "Removed names", module paths `fwlop.*` aside; `f(d)` reads as `f`."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Removed names\n", 1)[1].split("\n## ", 1)[0]
+    names = []
+    for bullet in section.split("\n- ")[1:]:
+        for token in re.findall(r"`([^`]+)`", bullet.split(":", 1)[0]):
+            if not token.startswith("fwlop."):
+                names.append(token.split("(", 1)[0])
+    return names
+
+
+REMOVED = _removed_names()
+MODULES = ["fwlop"] + [
+    f"fwlop.{info.name}" for info in pkgutil.iter_modules(fwlop.__path__)
+]
+
+
+def test_removed_names_are_read_from_the_readme():
+    assert {"AmbientContext", "Section", "FrameDerivation", "psi_values"} <= set(
+        REMOVED
+    )
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_name_is_gone_from_every_module(name):
+    owner, _, attr = name.rpartition(".")
+    for module_name in MODULES:
+        module = importlib.import_module(module_name)
+        if owner:
+            assert not hasattr(getattr(module, owner, None), attr), module_name
+        else:
+            assert not hasattr(module, name), module_name

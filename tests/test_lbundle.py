@@ -1,10 +1,18 @@
-"""Frame derivations, line-bundle derivations, pairs, and the bijection."""
+"""Frame derivations as linear vector fields, line-bundle derivations,
+pairs, and the bijection."""
 
 import random
 
 import pytest
 
-from fwlop.diffop import DiffOp
+from fwlop._oracles import (
+    _dual,
+    _pairing,
+    _unshuffle_pair_bracket,
+    _unshuffle_pair_product,
+    _wedge_coefficient,
+)
+from fwlop.diffop import DiffOp, nested_values
 from fwlop.errors import (
     IncompatiblePair,
     NotFWL,
@@ -13,8 +21,8 @@ from fwlop.errors import (
     SpaceMismatch,
 )
 from fwlop.lbundle import (
-    FrameDerivation,
     LPair,
+    _a_iso_pair,
     a_inverse,
     a_iso,
     lderiv_commutator,
@@ -23,11 +31,8 @@ from fwlop.lbundle import (
     pair_bracket,
     pair_product,
     pair_to_lderivation,
-    psi_values,
 )
 from fwlop.multivec import (
-    Section,
-    SectionRole,
     SymMultivector,
     core_to_dualpoly,
     multiderivation_l,
@@ -56,7 +61,7 @@ from fwlop.symcore import (
     VarKind,
     parse_poly,
 )
-from fwlop.verify import _unshuffle_pair_bracket, _unshuffle_pair_product
+from fwlop.verify import _rand_frame_derivation
 
 CH1 = Chart(1, 1)
 CH = Chart(2, 2)
@@ -92,67 +97,88 @@ def has_field(d):
 
 
 def _frame(chart, symbol, matrix):
-    return FrameDerivation.build(chart, chart.fiber_rank, symbol, matrix)
+    """The frame derivation with symbol X and matrix A as its linear vector
+    field X + sum A_ab v_a d/dv_b on the dual space."""
+    op = DiffOp.zero(chart, Space.ESTAR)
+    for i, text in enumerate(symbol, start=1):
+        op = op + DiffOp.monomial(PS(text, chart), MultiIndex([i]), EMPTY_MI)
+    for a, row in enumerate(matrix, start=1):
+        for b, text in enumerate(row, start=1):
+            coeff = PS(text, chart) * PS(f"v{a}", chart)
+            op = op + DiffOp.monomial(coeff, EMPTY_MI, MultiIndex([b]))
+    return op
+
+
+def _top_power(d):
+    """The top-power action of a frame derivation: a_iso of its dual."""
+    return a_iso(_dual(d), 1)
 
 
 def test_dual_of_zero_matrix():
-    d = _frame(CH1, [P("x1")], [[P("0")]])
-    assert d.dual().matrix == ((P("0"),),)
-    assert d.dual().symbol_field == d.symbol_field
+    d = _frame(CH1, ["x1"], [["0"]])
+    assert _dual(d) == DiffOp.monomial(P("x1"), MultiIndex([1]), EMPTY_MI)
 
 
 def test_dual_single_entry():
-    d = _frame(CH, [P("0", CH), P("0", CH)], [[P("0", CH), P("1", CH)], [P("0", CH), P("0", CH)]])
-    dual = d.dual()
-    assert dual.matrix == (
-        (P("0", CH), P("0", CH)),
-        (P("-1", CH), P("0", CH)),
-    )
+    # A = [[0, 1], [0, 0]]: the dual's matrix -A^T has -1 at row 2, column 1
+    d = _frame(CH, ["0", "0"], [["0", "1"], ["0", "0"]])
+    assert d == DiffOp.monomial(PS("v1", CH), EMPTY_MI, MultiIndex([2]))
+    assert _dual(d) == DiffOp.monomial(P("-u2", CH), EMPTY_MI, MultiIndex([1]))
 
 
 def test_dual_involutive_and_pairing():
+    # X<phi, e> = <D* phi, e> + <phi, D e>, with X read off the d/dx terms
     rng = random.Random(3)
-    from fwlop.verify import _rand_frame_derivation
-
     for _ in range(25):
         chart = rand_chart(rng, BOUNDS)
         d = _rand_frame_derivation(rng, chart, BOUNDS)
-        assert d.dual().dual() == d
-        phi = rand_section(rng, chart, BOUNDS, SectionRole.OF_ESTAR)
-        e = rand_section(rng, chart, BOUNDS, SectionRole.OF_E)
-        paired = Poly.zero(chart, Space.E)
-        for a, b in zip(phi.components, e.components):
-            paired = paired + a * b
-        lhs = Poly.zero(chart, Space.E)
-        for a, b in zip(d.dual().act(phi.components), e.components):
-            lhs = lhs + a * b
-        for a, b in zip(phi.components, d.act(e.components)):
-            lhs = lhs + a * b
+        assert _dual(_dual(d)) == d
+        phi = rand_section(rng, chart, BOUNDS)
+        e = rand_section(rng, chart, BOUNDS, Space.ESTAR)
+        lhs = _pairing(_dual(d).apply(phi), e) + _pairing(phi, d.apply(e))
+        paired = _pairing(phi, e)
         rhs = Poly.zero(chart, Space.E)
-        for i, coeff in enumerate(d.symbol_field, start=1):
-            rhs = rhs + coeff * paired.partial(Var(VarKind.BASE, i))
+        for (mi_b, _), coeff in d.terms.items():
+            if mi_b:
+                x_i = Var(VarKind.BASE, mi_b.entries[0])
+                rhs = rhs + coeff.with_space(Space.E) * paired.partial(x_i)
         assert lhs == rhs
 
 
 def test_dual_is_lie_map():
     rng = random.Random(5)
-    from fwlop.verify import _rand_frame_derivation
-
     for _ in range(20):
         chart = rand_chart(rng, BOUNDS)
         d1 = _rand_frame_derivation(rng, chart, BOUNDS)
         d2 = _rand_frame_derivation(rng, chart, BOUNDS)
-        assert d1.commutator(d2).dual() == d1.dual().commutator(d2.dual())
+        assert _dual(d1.commutator(d2)) == _dual(d1).commutator(_dual(d2))
 
 
 def test_top_power_identity_matrix():
-    ident = _frame(CH, [P("0", CH), P("0", CH)], [[P("1", CH), P("0", CH)], [P("0", CH), P("1", CH)]])
-    assert ident.top_power().matrix[0][0] == P("2", CH)
+    ident = _frame(CH, ["0", "0"], [["1", "0"], ["0", "1"]])
+    assert _top_power(ident) == ident + DiffOp.mult(PS("2", CH))
+    assert _wedge_coefficient(ident, 0) + _wedge_coefficient(ident, 1) == P("2", CH)
 
 
 def test_top_power_traceless():
-    d = _frame(CH, [P("0", CH), P("0", CH)], [[P("x1", CH), P("1", CH)], [P("0", CH), P("-x1", CH)]])
-    assert d.top_power().matrix[0][0].is_zero()
+    d = _frame(CH, ["0", "0"], [["x1", "1"], ["0", "-x1"]])
+    assert _top_power(d) == d
+    assert (_wedge_coefficient(d, 0) + _wedge_coefficient(d, 1)).is_zero()
+
+
+def test_top_power_is_the_trace_action():
+    # f -> X(f) + tr(A) f on base functions, the trace read by the wedge
+    # expansion
+    rng = random.Random(9)
+    for _ in range(20):
+        chart = rand_chart(rng, BOUNDS)
+        d = _rand_frame_derivation(rng, chart, BOUNDS)
+        trace = sum(
+            (_wedge_coefficient(d, i) for i in range(chart.fiber_rank)),
+            Poly.zero(chart, Space.E),
+        ).with_space(Space.ESTAR)
+        f = rand_poly(rng, chart, Space.ESTAR, BOUNDS, base_only=True)
+        assert _top_power(d).apply(f) == d.apply(f) + trace * f
 
 
 def test_lderiv_commutator():
@@ -182,23 +208,6 @@ def test_pure_multiplication_parts_commute():
     d2 = DiffOp.mult(PS("x1*v1"))
     bracket = lderiv_commutator(d1, d2)
     assert not has_field(bracket) and coeff_of(bracket, [], []).is_zero()
-
-
-def test_pair_from_phi_table_validates_symbol():
-    p = SymMultivector(CH1, Space.E, 1, {(MultiIndex([1]), EMPTY_MI): P("1")})
-    with pytest.raises(IncompatiblePair):
-        LPair.from_phi_table(p, {MultiIndex(): ((P("0"),), P("0"))})
-    pair = LPair.from_phi_table(p, {MultiIndex(): ((P("1"),), P("x1"))})
-    assert pair.rho.terms == {(EMPTY_MI, EMPTY_MI): P("x1")}
-
-
-def test_phi_table_round_trip():
-    rng = random.Random(11)
-    for _ in range(20):
-        chart = rand_chart(rng, BOUNDS)
-        pair = rand_fwl_pair(rng, chart, BOUNDS, rng.randint(1, 3))
-        table = pair.phi_table
-        assert LPair.from_phi_table(pair.p, table) == pair
 
 
 def test_pair_bracket_antisymmetric():
@@ -295,33 +304,34 @@ def test_pair_to_lderivation_intertwines_bracket():
 def test_pair_to_lderivation_generator_examples():
     # (X, D_X) for the Euler field: multiplication part is the trace action
     euler = SymMultivector(CH1, Space.E, 1, {(EMPTY_MI, MultiIndex([1])): P("u1")})
-    pair = LPair.from_phi_table(
-        euler, {MultiIndex(): ((P("0"),), P("-1"))}
-    )
+    pair = LPair(euler, SymMultivector(CH1, Space.E, 0, {(EMPTY_MI, EMPTY_MI): P("-1")}))
     image = pair_to_lderivation(pair)
     assert coeff_of(image, [], [1]) == PS("-v1")
     assert coeff_of(image, [], []) == PS("-1")
 
     # (0, identity endomorphism) goes to pure multiplication by 1
     zero = SymMultivector(CH1, Space.E, 1, {})
-    pair = LPair.from_phi_table(zero, {MultiIndex(): ((P("0"),), P("1"))})
+    pair = LPair(zero, SymMultivector(CH1, Space.E, 0, {(EMPTY_MI, EMPTY_MI): P("1")}))
     image = pair_to_lderivation(pair)
     assert not has_field(image) and coeff_of(image, [], []) == PS("1")
 
 
 def test_pair_derivation_bijection():
-    rng = random.Random(53)
-    from fwlop.lbundle import lderivation_to_pair
+    # a derivation goes back to its pair through a_inverse and the
+    # bundle-map path of a_iso
+    def to_pair(d, q):
+        return _a_iso_pair(a_inverse(d, q), q)
 
+    rng = random.Random(53)
     for _ in range(20):
         chart = rand_chart(rng, BOUNDS)
         q = rng.randint(1, 3)
         pair = rand_fwl_pair(rng, chart, BOUNDS, q)
         image = pair_to_lderivation(pair)
-        assert lderivation_to_pair(image, q) == pair
+        assert to_pair(image, q) == pair
         degree = rng.randint(0, 2)
         deriv = rand_homogeneous_lderivation(rng, chart, BOUNDS, degree)
-        assert pair_to_lderivation(lderivation_to_pair(deriv, degree + 1)) == deriv
+        assert pair_to_lderivation(to_pair(deriv, degree + 1)) == deriv
 
 
 def test_pair_to_lderivation_rejects_non_core_rho():
@@ -373,13 +383,11 @@ def test_a_iso_work_counts(monkeypatch):
         lb._a_iso_pair(DiffOp.monomial(P("1"), EMPTY_MI, MultiIndex([1, 1])), 2)
     # one whole a_iso call at chart (2,2) and q = 3, with 3 basis indices C:
     # the field once, P checked FWL by the field and by the bundle path, no
-    # section or evaluation, and one nested-commutator table whose words u_C
-    # and u_C + [u_alpha] share prefixes: 2 + 3 + 6 = 11 commutators
+    # multivector evaluation, and one nested-commutator table whose words
+    # u_C and u_C + [u_alpha] share prefixes: 2 + 3 + 6 = 11 commutators
     calls = {
         "hamiltonian_field": 0,
         "fwl_check": 0,
-        "symbol_field": 0,
-        "ell": 0,
         "eval": 0,
         "commutator": 0,
     }
@@ -398,10 +406,6 @@ def test_a_iso_work_counts(monkeypatch):
         lb, "hamiltonian_field", counting("hamiltonian_field", lb.hamiltonian_field)
     )
     monkeypatch.setattr(
-        lb, "_symbol_field_on_basis", counting("symbol_field", lb._symbol_field_on_basis)
-    )
-    monkeypatch.setattr(Section, "ell", counting("ell", Section.ell))
-    monkeypatch.setattr(
         mv.SymMultivector, "eval", counting("eval", mv.SymMultivector.eval)
     )
     monkeypatch.setattr(
@@ -411,8 +415,6 @@ def test_a_iso_work_counts(monkeypatch):
     a_iso(op, 3)
     assert calls["hamiltonian_field"] == 1
     assert calls["fwl_check"] <= 2
-    assert calls["symbol_field"] == 0
-    assert calls["ell"] == 0
     assert calls["eval"] == 0
     assert calls["commutator"] <= 11
 
@@ -499,10 +501,10 @@ def test_psi_leibniz():
         op = rand_fwl_op(rng, chart, BOUNDS, q)
         phis = [rand_section(rng, chart, BOUNDS) for _ in range(q - 1)]
         f = rand_poly(rng, chart, Space.E, BOUNDS, base_only=True)
-        scaled = phis[:-1] + [phis[-1].scale(f)]
-        lhs = psi_values(op, scaled)
-        rhs = f * psi_values(op, phis) + multiderivation_l(op.symbol_at(q), *phis, f)
-        assert lhs == rhs
+        psi = nested_values(op)
+        lhs = psi(phis[:-1] + [f * phis[-1]])
+        rhs = f * psi(phis) + multiderivation_l(op.symbol_at(q), *phis, f)
+        assert lhs.is_base_only() and lhs == rhs
 
 
 def test_lderivation_doc_round_trip():

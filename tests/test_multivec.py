@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from fwlop.diffop import DiffOp, nested_values
+from fwlop._oracles import _pairing, _unshuffle_poisson, _unshuffle_sym_product
 from fwlop.errors import (
     ArityMismatch,
     AsymmetricGamma,
@@ -14,11 +15,10 @@ from fwlop.errors import (
     NotFWL,
     RankMismatch,
     RequestTooLarge,
+    SpaceMismatch,
 )
 from fwlop.multivec import (
-    Section,
     _det,
-    SectionRole,
     SymMultivector,
     core_to_dualpoly,
     fwl_check_multivector,
@@ -27,7 +27,6 @@ from fwlop.multivec import (
     is_core_multivector,
     multiderivation_D,
     multiderivation_l,
-    pairing,
     poisson,
     sym_product,
 )
@@ -47,11 +46,11 @@ from fwlop.symcore import (
     MultiIndex,
     Poly,
     Space,
+    Var,
     VarKind,
     parse_poly,
     poly_to_str,
 )
-from fwlop.verify import _unshuffle_poisson, _unshuffle_sym_product
 
 CH1 = Chart(1, 1)
 CH = Chart(2, 2)
@@ -60,6 +59,10 @@ BOUNDS = Bounds()
 
 def P(text, chart=CH1, space=Space.E):
     return parse_poly(text, chart, space)
+
+
+def PS(text, chart=CH1):
+    return parse_poly(text, chart, Space.ESTAR)
 
 
 def mv(chart, q, table):
@@ -258,7 +261,7 @@ def test_fwl_check_against_value_conditions():
         chart = rand_chart(rng, BOUNDS)
         q = rng.randint(2, 3)
         p = rand_multivector(rng, chart, Space.E, BOUNDS, q)
-        ells = [rand_section(rng, chart, BOUNDS).ell() for _ in range(q)]
+        ells = [rand_section(rng, chart, BOUNDS) for _ in range(q)]
         cores = [
             rand_poly(rng, chart, Space.E, BOUNDS, base_only=True) for _ in range(2)
         ]
@@ -304,15 +307,15 @@ def test_fwl_check_forward_is_exact_on_spanning_values():
 
 
 def test_multiderivation_D_example():
+    # the dual basis section eps_1 is the fiber coordinate u1
     p = mv(CH1, 2, {(EMPTY_MI, MultiIndex([1, 1])): P("u1")})
-    eps = Section.basis(CH1, SectionRole.OF_ESTAR, 1)
-    d = multiderivation_D(p, eps, eps)
-    assert [c.monomials() for c in d.components] == [P("2").monomials()]
+    eps = P("u1")
+    assert multiderivation_D(p, eps, eps) == P("2*u1")
 
 
 def test_multiderivation_l_examples():
     p = mv(CH1, 2, {(EMPTY_MI, MultiIndex([1, 1])): P("u1")})
-    eps = Section.basis(CH1, SectionRole.OF_ESTAR, 1)
+    eps = P("u1")
     assert multiderivation_l(p, eps, P("x1").restrict_fiber_zero()).is_zero()
     mixed = mv(CH1, 2, {(MultiIndex([1]), MultiIndex([1])): P("1")})
     assert multiderivation_l(mixed, eps, P("x1")) == P("1")
@@ -321,9 +324,29 @@ def test_multiderivation_l_examples():
 
 def test_multiderivation_requires_fwl():
     core = mv(CH1, 2, {(EMPTY_MI, MultiIndex([1, 1])): P("1")})
-    eps = Section.basis(CH1, SectionRole.OF_ESTAR, 1)
+    eps = P("u1")
     with pytest.raises(NotFWL):
         multiderivation_D(core, eps, eps)
+
+
+def test_multiderivation_arguments_are_checked():
+    # sections of E* are fiber-linear functions on E, and l_P takes one
+    # base function after them; a wrong argument is the caller's error,
+    # not a broken invariant
+    p = mv(CH1, 2, {(EMPTY_MI, MultiIndex([1, 1])): P("u1")})
+    for bad in (P("u1^2"), P("x1"), P("u1 + 1"), PS("v1")):
+        with pytest.raises(SpaceMismatch):
+            multiderivation_D(p, P("u1"), bad)
+        with pytest.raises(SpaceMismatch):
+            multiderivation_l(p, bad, P("x1"))
+    with pytest.raises(SpaceMismatch):
+        multiderivation_l(p, P("u1"), P("x1*u1"))
+    for args in ((), (P("u1"),), (P("u1"),) * 3):
+        with pytest.raises(ArityMismatch):
+            multiderivation_D(p, *args)
+    for args in ((), (P("x1"),), (P("u1"),) * 2 + (P("x1"),)):
+        with pytest.raises(ArityMismatch):
+            multiderivation_l(p, *args)
 
 
 def test_multiderivation_leibniz_property():
@@ -334,14 +357,10 @@ def test_multiderivation_leibniz_property():
         p = rand_fwl_multivector(rng, chart, BOUNDS, q)
         phis = [rand_section(rng, chart, BOUNDS) for _ in range(q)]
         f = rand_poly(rng, chart, Space.E, BOUNDS, base_only=True)
-        lhs = multiderivation_D(p, *phis[:-1], phis[-1].scale(f))
+        lhs = multiderivation_D(p, *phis[:-1], f * phis[-1])
         d_all = multiderivation_D(p, *phis)
         symbol = multiderivation_l(p, *phis[:-1], f)
-        expected = tuple(
-            f * c + symbol * s
-            for c, s in zip(d_all.components, phis[-1].components)
-        )
-        assert lhs.components == expected
+        assert lhs == f * d_all + symbol * phis[-1]
 
 
 def test_q1_multiderivation_is_dual_derivation_of_field():
@@ -356,9 +375,8 @@ def test_q1_multiderivation_is_dual_derivation_of_field():
         },
     )
     p = SymMultivector(CH1, Space.E, 1, dict(x_op.terms))
-    phi = Section(SectionRole.OF_ESTAR, CH1, (P("x1"),))
-    d = multiderivation_D(p, phi)
-    assert x_op.apply(phi.ell()) == d.ell()
+    phi = P("x1*u1")
+    assert x_op.apply(phi) == multiderivation_D(p, phi)
 
 
 def test_core_to_dualpoly_examples():
@@ -383,15 +401,14 @@ def test_core_to_dualpoly_matches_evaluation_formula():
         q = rng.randint(1, 3)
         p = rand_core_multivector(rng, chart, BOUNDS, q)
         phi = rand_section(rng, chart, BOUNDS)
-        value = p.eval(*[phi.ell()] * q).scale(Fraction(1, MultiIndex([1] * q).factorial()))
+        value = p.eval(*[phi] * q).scale(Fraction(1, MultiIndex([1] * q).factorial()))
         from fwlop.symcore import dual_var
 
         substitution = {
-            dual_var(a): comp for a, comp in enumerate(phi.components, start=1)
+            dual_var(a): phi.partial(Var(VarKind.FIBER, a))
+            for a in range(1, chart.fiber_rank + 1)
         }
         for i in range(1, chart.base_dim + 1):
-            from fwlop.symcore import Var, VarKind
-
             substitution[Var(VarKind.BASE, i)] = Poly.var(
                 chart, Space.E, Var(VarKind.BASE, i)
             )
@@ -466,22 +483,18 @@ def test_exact_sequence_shapes():
             chart,
             Space.E,
             q,
-            {key: phi.ell() * coeff for key, coeff in prod.terms.items()},
+            {key: phi * coeff for key, coeff in prod.terms.items()},
         )
         assert fwl_check_multivector(injected)
         assert all(len(mi_b) == 0 for mi_b, _ in injected.terms)
 
 
 def test_pairing():
-    phi = Section(SectionRole.OF_ESTAR, CH, (P("x1", CH), P("1", CH)))
-    e = Section(SectionRole.OF_E, CH, (P("x2", CH), P("x1", CH)))
-    assert pairing(phi, e) == P("x1*x2 + x1", CH)
-
-
-def test_vertical_lift():
-    e = Section(SectionRole.OF_E, CH1, (P("x1"),))
-    lift = e.vertical_lift()
-    assert lift.apply(P("u1^2")) == P("2*x1*u1")
+    # the oracle's pairing of a section of E* (on E) with one of E (on the
+    # dual space): sum of products of the frame components
+    phi = P("x1*u1 + u2", CH)
+    e = PS("x2*v1 + x1*v2", CH)
+    assert _pairing(phi, e) == P("x1*x2 + x1", CH)
 
 
 def _permutation_det(matrix):

@@ -19,8 +19,8 @@ from fwlop import randgen as rg
 from fwlop import verify
 from fwlop.diffop import DiffOp, diffop_to_doc
 from fwlop.lbundle import LPair, lderivation_to_doc
-from fwlop.multivec import Section, SymMultivector
-from fwlop.symcore import Chart, MultiIndex, Poly, Space, poly_to_str
+from fwlop.multivec import SymMultivector
+from fwlop.symcore import Chart, MultiIndex, Poly, Space, Var, fiber_kind, poly_to_str
 
 EXPECTED = {
     0: "228e048554500251a8d78e3de5280cf3d8e4cea0e50ed20d7529b2a7850f808f",
@@ -44,8 +44,6 @@ def _canon(obj):
         return {"q": obj.q, "op": diffop_to_doc(obj.to_operator())}
     if isinstance(obj, LPair):
         return {"p": _canon(obj.p), "rho": _canon(obj.rho)}
-    if isinstance(obj, Section):
-        return [obj.role.value] + [poly_to_str(c) for c in obj.components]
     if isinstance(obj, Poly):
         return [obj.space.value, poly_to_str(obj)]
     if isinstance(obj, MultiIndex):
@@ -71,6 +69,16 @@ def _stream(seed: int) -> list:
 
     def field_doc(d):
         return lderivation_to_doc(d)["field"]
+
+    def section_doc(ell):
+        """A section's function rendered through its frame components,
+        as the section tuples were: the bundle name, then c_1, ..., c_m."""
+        role = "OfEstar" if ell.space is Space.E else "OfE"
+        kind = fiber_kind(ell.space)
+        return [role] + [
+            poly_to_str(ell.partial(Var(kind, a)))
+            for a in range(1, ell.chart.fiber_rank + 1)
+        ]
 
     emit("fraction", rg.rand_fraction(rng, bounds))
     emit("fraction-nonzero", rg.rand_fraction(rng, bounds, nonzero=True))
@@ -99,8 +107,8 @@ def _stream(seed: int) -> list:
             for _ in range(3):
                 emit("violation", violation(rng, chart, bounds, op, q))
         emit("lin-op-q0", rg.rand_order_q_linearizable_op(rng, chart, bounds, 0))
-        emit("section", rg.rand_section(rng, chart, bounds))
-        emit("section-of-e", rg.rand_section(rng, chart, bounds, rg.SectionRole.OF_E))
+        emit("section", rg.rand_section(rng, chart, bounds), section_doc)
+        emit("section-of-e", rg.rand_section(rng, chart, bounds, Space.ESTAR), section_doc)
         for degree in (0, 1, 2):
             emit("field", rg.rand_homogeneous_field(rng, chart, bounds, degree), field_doc)
             lderivation = rg.rand_homogeneous_lderivation(rng, chart, bounds, degree)
