@@ -28,8 +28,9 @@ multiplication part.  The trace reads its columns P(u_C, u_alpha) as the
 values Psi(C + alpha), since q commutators with functions kill the terms
 of order below q, so one `nested_values` table per call serves both.  An
 independent closed coordinate formula computes the multiplication part
-again on every call, and the two are checked equal.  The vector field is the hamiltonian field of the symbol on
-both paths, so it is computed once and not compared.
+again on every call, and the two are checked equal.  The vector field is
+the hamiltonian field of the symbol on both paths, so it is computed once
+and not compared.
 
 Rank-1 bundle multivectors are pairs (P, rho) of symmetric multivectors of
 orders q and q-1, acting by D(f_1,...,f_{q-1} | g Vol) = (P(f's, g) +
