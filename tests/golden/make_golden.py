@@ -182,6 +182,8 @@ def _fixtures():
         ]
         yield f"gamma_{n}.json", {"chart": chart_to_doc(chart), "gamma": entries}
     yield "identity_e_22.json", _op_doc(Chart(2, 2), "E", [("1", [], [])])
+    # Repeated entries add up: two operator terms at one (dx, du).
+    yield "op_repeated_term.json", _op_doc(Chart(1, 1), "E", [("1", [], [1]), ("x1", [], [1])])
     for k, (tag, text) in enumerate(PARSE_TEXTS):
         yield f"parse_{tag}.json", _parse_doc(k, text)
     yield "gamma_hand.json", {
@@ -246,6 +248,7 @@ def _cases():
 
     for tag in ("1", "2", "3", "4", "hand"):
         yield f"laplacian_gamma_{tag}", ["laplacian", f"gamma_{tag}.json"]
+    yield "symbol_repeated_term", ["symbol", "op_repeated_term.json"]
 
     for k, (tag, text) in enumerate(PARSE_TEXTS):
         yield f"parse_fn_{tag}", ["eval", "identity_e_22.json", "--fn=" + text]
