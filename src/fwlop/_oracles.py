@@ -1,9 +1,9 @@
 """Independent second computations for the `verify` suites.
 
 Only `verify` imports this module.  The unshuffle sums are the defining
-formulas of the Poisson bracket, the symmetric product and the pair
-bracket and product, evaluated on coordinate functions and recovered into
-tables; the library reads the same results off the tables directly.
+formulas of the Poisson bracket and of the pair bracket and product,
+evaluated on coordinate functions and recovered into tables; the library
+reads the same results off the tables directly.
 
 The frame transcriptions read a section of E* as its fiber-linear
 function on E and a section of E as one on the dual space, and a frame
@@ -24,8 +24,8 @@ from .symcore import (
     Poly,
     Space,
     Var,
+    VarKind,
     add_into,
-    dual_var,
     fiber_kind,
     unshuffles,
 )
@@ -48,22 +48,6 @@ def _unshuffle_poisson(p1: SymMultivector, p2: SymMultivector) -> SymMultivector
         for first, second in unshuffles(k1 + 1, k2):
             inner = p1.eval(*(args[i] for i in first))
             out = out - p2.eval(inner, *(args[i] for i in second))
-        return out
-
-    terms = _recover_table(p1.chart, p1.space, q, value)
-    return SymMultivector(p1.chart, p1.space, q, terms)
-
-
-def _unshuffle_sym_product(p1: SymMultivector, p2: SymMultivector) -> SymMultivector:
-    """Sum over (q1, q2)-unshuffles of p1(block1) p2(block2)."""
-    q = p1.q + p2.q
-
-    def value(args):
-        out = Poly.zero(p1.chart, p1.space)
-        for first, second in unshuffles(p1.q, p2.q):
-            out = out + p1.eval(*(args[i] for i in first)) * p2.eval(
-                *(args[i] for i in second)
-            )
         return out
 
     terms = _recover_table(p1.chart, p1.space, q, value)
@@ -174,5 +158,6 @@ def _wedge_coefficient(d: DiffOp, slot: int) -> Poly:
         [Poly.const(chart, Space.E, 1 if a == b else 0) for a in range(m)]
         for b in range(m)
     ]
-    image = _components(d.apply(Poly.var(chart, Space.ESTAR, dual_var(slot + 1))))
+    v_slot = Poly.var(chart, Space.ESTAR, Var(VarKind.DUAL_FIBER, slot + 1))
+    image = _components(d.apply(v_slot))
     return _det([image if i == slot else basis[i] for i in range(m)])

@@ -50,14 +50,26 @@ def _dumps(doc) -> str:
     return json.dumps(doc, separators=(", ", ": "))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key it names twice is a DocumentError,
+    where `json.load` alone would keep the last value."""
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise DocumentError(f"repeated key {repeated!r} in a JSON object")
+    return doc
+
+
 def _load_json(path: str):
     """The JSON document at path.  Besides JSONDecodeError, `json.load`
     raises UnicodeDecodeError for bytes that are not UTF-8, a bare
     ValueError for an integer past Python's int/str conversion limit, and
-    RecursionError for arrays or objects nested past the recursion limit."""
+    RecursionError for arrays or objects nested past the recursion limit.
+    A repeated key raises DocumentError, which is not a ValueError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -184,7 +196,10 @@ def cmd_laplacian(args) -> int:
             raise DocumentError("gamma indices k, i, j must be integers")
         if not isinstance(entry["coeff"], str):
             raise DocumentError("coeff must be a polynomial string")
-        table[index] = parse_poly(entry["coeff"], chart, Space.E)
+        # Repeated entries add up.  A zero sum stays in the table, so that
+        # its index is still checked.
+        coeff = parse_poly(entry["coeff"], chart, Space.E)
+        table[index] = table[index] + coeff if index in table else coeff
     _print_op(fwl_metric_laplacian(chart, table))
     return 0
 

@@ -135,12 +135,7 @@ class DiffOp:
         self._check_compatible(other)
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
-            acc = terms.get(key)
-            total = coeff if acc is None else acc + coeff
-            if total.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = total
+            add_into(terms, key, coeff)
         return DiffOp._raw(self.chart, self.space, terms)
 
     def __sub__(self, other):

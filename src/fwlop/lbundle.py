@@ -44,7 +44,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .diffop import DiffOp, nested_values
+from .diffop import (
+    DiffOp,
+    _require_keys,
+    chart_from_doc,
+    chart_to_doc,
+    nested_values,
+)
 from .errors import (
     MAX_BASIS_INDICES,
     ArityMismatch,
@@ -358,8 +364,6 @@ def a_inverse(d: DiffOp, q: int) -> DiffOp:
 def lderivation_to_doc(d: DiffOp) -> dict:
     """Derivation document: the d/dx and d/dv coefficients and the order-0
     coefficient (the multiplication part) of a derivation."""
-    from .diffop import chart_to_doc
-
     _require_derivation(d)
     zero = Poly.zero(d.chart, Space.ESTAR)
 
@@ -378,8 +382,6 @@ def lderivation_to_doc(d: DiffOp) -> dict:
 
 
 def lderivation_from_doc(doc) -> DiffOp:
-    from .diffop import _require_keys, chart_from_doc
-
     _require_keys(doc, ("chart", "field", "mult"), "derivation document")
     chart = chart_from_doc(doc["chart"])
     _require_keys(doc["field"], ("dx", "dv"), "field")

@@ -222,15 +222,14 @@ def rand_linearizable_function(rng, chart, bounds) -> Poly:
 
 
 def rand_second_order_function(rng, chart, bounds) -> Poly:
-    """Ambient function vanishing to second transverse order."""
-    fk = fiber_kind(Space.AMBIENT)
+    """Ambient function vanishing to second transverse order: the parts of
+    fiber degree at least 2 of one random polynomial."""
     p = rand_poly(rng, chart, Space.AMBIENT, bounds)
-    kept = {
-        mono: coeff
-        for mono, coeff in p.monomials().items()
-        if sum(e for v, e in mono if v.kind is fk) >= 2
-    }
-    return Poly(chart, Space.AMBIENT, kept)
+    out = Poly.zero(chart, Space.AMBIENT)
+    for deg, part in p.fiber_degree_decompose().items():
+        if deg >= 2:
+            out = out + part
+    return out
 
 
 def rand_linearizable_multivector(rng, chart, bounds, q: int) -> SymMultivector:

@@ -1,6 +1,6 @@
 """Exact sparse polynomial arithmetic over the rationals, in tagged variables.
 
-A polynomial is stored packed: a dictionary mapping monomials to nonzero
+A polynomial is stored packed: a dictionary keyed by monomial, of nonzero
 integer numerators over one common denominator.  A monomial is a tuple of
 exponents of fixed length, x1..xn first and then the fiber-type variables
 of the polynomial's space, so multiplication adds tuples slot by slot and
@@ -14,10 +14,10 @@ products as integer numerators over one common denominator and reduces
 once; `max_exponents` gives each variable's largest exponent, past which
 a derivative is zero; `fiber_parts` splits a polynomial by the monomial
 of its fiber-type variables; `fiber_monomial` builds such a monomial from
-a multi-index.
-`Poly.monomials()` gives the terms keyed by (Var, exponent) tuples with
-Fraction coefficients; only `Poly.substitute` and the random generators
-of `fwlop.randgen` read it.
+a multi-index.  There is no second view of the terms: polynomials are
+built by `parse_poly`, `Poly.zero`, `Poly.const`, `Poly.var`,
+`Poly.fiber_monomial` and `Poly.sum_of_products`, and read by the methods
+and `poly_to_str`.
 
 Variables are tagged by kind: base coordinates x1..xn, fiber coordinates
 u1..um on the total space (or transverse coordinates on an ambient chart),
@@ -73,18 +73,6 @@ class Var:
 
     def __str__(self):
         return f"{_KIND_LETTER[self.kind]}{self.index}"
-
-
-def base_var(i: int) -> Var:
-    return Var(VarKind.BASE, i)
-
-
-def fiber_var(a: int) -> Var:
-    return Var(VarKind.FIBER, a)
-
-
-def dual_var(a: int) -> Var:
-    return Var(VarKind.DUAL_FIBER, a)
 
 
 class Space(Enum):
@@ -276,13 +264,6 @@ def _slot(chart: Chart, space: Space, v: Var) -> int:
     raise IndexOutOfRange(f"variable {v} out of range for chart {chart}")
 
 
-def _slot_var(chart: Chart, space: Space, slot: int) -> Var:
-    n = chart.base_dim
-    if slot < n:
-        return Var(VarKind.BASE, slot + 1)
-    return Var(fiber_kind(space), slot - n + 1)
-
-
 @functools.cache
 def _slot_names(base_dim: int, fiber_rank: int, dual: bool) -> tuple:
     letter = "v" if dual else "u"
@@ -303,35 +284,20 @@ class Poly:
     common denominator `den`.  Canonical form: den > 0 and
     gcd(den, *numerators) == 1; the zero polynomial is {} over 1.  This
     class is the only code that reads the layout; everything else goes
-    through the methods (`monomials()` gives Var-keyed Fractions, for
-    `substitute` and the random generators).  The
-    hash is computed on the first `hash()` and kept in the `_hash` slot, so
-    the caches keyed by polynomials hash each one once and no constructor
-    pays for it.
+    through the methods.  It has no public constructor: the classmethods
+    and `parse_poly` build polynomials, and `Poly(...)` raises TypeError.
+    The hash is computed on the first `hash()` and kept in the `_hash`
+    slot, so the caches keyed by polynomials hash each one once and no
+    constructor pays for it.
     """
 
     __slots__ = ("chart", "space", "terms", "den", "_hash")
 
-    def __init__(self, chart: Chart, space: Space, terms=None):
-        """Build from {((Var, exp), ...): coeff}; equal monomials add up."""
-        width = chart.base_dim + chart.fiber_rank
-        coeffs = {}
-        for mono, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            exps = [0] * width
-            for v, e in sorted(mono):
-                if e < 1:
-                    raise ValueError("monomial exponents must be >= 1")
-                exps[_slot(chart, space, v)] += e
-            key = tuple(exps)
-            coeffs[key] = coeffs.get(key, 0) + coeff
-        terms, den = _over_common_den(coeffs)
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "den", den)
+    def __init__(self, *args, **kwargs):
+        raise TypeError(
+            "build a Poly with parse_poly or Poly.zero, const, var, "
+            "fiber_monomial or sum_of_products"
+        )
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -355,7 +321,12 @@ class Poly:
     def _from_fractions(cls, chart, space, coeffs):
         """Build from {exponent tuple: Fraction} (internal); zero entries
         drop out and the order of the others is kept."""
-        return cls._raw(chart, space, *_over_common_den(coeffs))
+        coeffs = {mono: c for mono, c in coeffs.items() if c}
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        terms = {
+            mono: c.numerator * (den // c.denominator) for mono, c in coeffs.items()
+        }
+        return cls._raw(chart, space, terms, den)
 
     @classmethod
     def _reduced(cls, chart, space, terms, den):
@@ -448,20 +419,6 @@ class Poly:
             raise SpaceMismatch(f"{self.space.value} vs {other.space.value}")
 
     # -- reading -----------------------------------------------------------
-
-    def monomials(self) -> dict:
-        """{((Var, exp), ...): Fraction} with Vars sorted, exponents >= 1."""
-        chart, space, den = self.chart, self.space, self.den
-        return {
-            tuple((_slot_var(chart, space, i), e) for i, e in _mono_pairs(mono)):
-            Fraction(c, den)
-            for mono, c in self.terms.items()
-        }
-
-    def constant_term(self) -> Fraction:
-        """Coefficient of the constant monomial (0 if absent)."""
-        mono = (0,) * (self.chart.base_dim + self.chart.fiber_rank)
-        return Fraction(self.terms.get(mono, 0), self.den)
 
     def sort_key(self) -> tuple:
         """Total order on polynomials of one chart/space, read off the
@@ -676,43 +633,11 @@ class Poly:
             for mono in self.terms:
                 for slot in range(n, len(mono)):
                     if mono[slot]:
-                        v = _slot_var(self.chart, self.space, slot)
+                        v = Var(fiber_kind(self.space), slot - n + 1)
                         raise UnknownVariable(
                             f"variable {v} not allowed on space {space.value}"
                         )
         return Poly._raw(self.chart, space, self.terms, self.den)
-
-    def substitute(self, mapping: dict) -> "Poly":
-        """Replace variables by polynomials (all on the result's chart/space)."""
-        result = None
-        for mono, coeff in self.monomials().items():
-            term = None
-            for v, e in mono:
-                factor = mapping.get(v)
-                if factor is None:
-                    raise KeyError(f"no substitution for {v}")
-                piece = factor
-                for _ in range(e - 1):
-                    piece = piece * factor
-                term = piece if term is None else term * piece
-            if term is None:
-                some = next(iter(mapping.values()))
-                term = Poly.const(some.chart, some.space, 1)
-            term = term.scale(coeff)
-            result = term if result is None else result + term
-        if result is None:
-            some = next(iter(mapping.values()))
-            return Poly.zero(some.chart, some.space)
-        return result
-
-
-def _over_common_den(coeffs: dict) -> tuple:
-    """(integer numerators, den) of the nonzero Fractions of coeffs over
-    their least common denominator, which is then in lowest terms."""
-    coeffs = {mono: c for mono, c in coeffs.items() if c}
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    terms = {mono: c.numerator * (den // c.denominator) for mono, c in coeffs.items()}
-    return terms, den
 
 
 _set_chart = Poly.chart.__set__

@@ -61,7 +61,6 @@ from .symcore import (
     VarKind,
     add_into,
     all_multi_indices,
-    dual_var,
     parse_poly,
     poly_to_str,
 )
@@ -470,7 +469,7 @@ def _suite_iso_a(s: _Session, trials: int):
             coeff = lin.terms.get((EMPTY_MI, MultiIndex([alpha])))
             if coeff is None:
                 continue
-            v_alpha = Poly.var(chart, Space.ESTAR, dual_var(alpha))
+            v_alpha = Poly.var(chart, Space.ESTAR, Var(VarKind.DUAL_FIBER, alpha))
             for beta in range(1, chart.fiber_rank + 1):
                 x_ab = coeff.partial(Var(VarKind.FIBER, beta)).with_space(Space.ESTAR)
                 add_into(expected, (EMPTY_MI, MultiIndex([beta])), -x_ab * v_alpha)

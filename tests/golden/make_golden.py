@@ -93,7 +93,8 @@ def _parse_doc(k, text):
 
 
 def _fixtures():
-    """Yield (file name, document) pairs; every random one has its own seed."""
+    """Yield (file name, document) pairs; every random one has its own seed.
+    A document given as a string is written as it is."""
     # Hand-written operators with coefficients over several denominators.
     yield "op_e_hand.json", _op_doc(
         Chart(2, 2),
@@ -184,6 +185,19 @@ def _fixtures():
     yield "identity_e_22.json", _op_doc(Chart(2, 2), "E", [("1", [], [])])
     # Repeated entries add up: two operator terms at one (dx, du).
     yield "op_repeated_term.json", _op_doc(Chart(1, 1), "E", [("1", [], [1]), ("x1", [], [1])])
+    # ... and so do two gamma entries at one (k, i, j).
+    yield "gamma_repeated.json", {
+        "chart": chart_to_doc(Chart(1, 1)),
+        "gamma": [
+            {"k": 1, "i": 1, "j": 1, "coeff": "x1"},
+            {"k": 1, "i": 1, "j": 1, "coeff": "x1^2"},
+        ],
+    }
+    # A key repeated in one JSON object is refused.
+    yield "op_repeated_key.json", (
+        '{"chart": {"base_dim": 1, "fiber_rank": 1}, "space": "E", "space": "Estar",\n'
+        ' "terms": [{"coeff": "1", "dx": [], "du": [1]}]}\n'
+    )
     for k, (tag, text) in enumerate(PARSE_TEXTS):
         yield f"parse_{tag}.json", _parse_doc(k, text)
     yield "gamma_hand.json", {
@@ -249,6 +263,8 @@ def _cases():
     for tag in ("1", "2", "3", "4", "hand"):
         yield f"laplacian_gamma_{tag}", ["laplacian", f"gamma_{tag}.json"]
     yield "symbol_repeated_term", ["symbol", "op_repeated_term.json"]
+    yield "laplacian_gamma_repeated", ["laplacian", "gamma_repeated.json"]
+    yield "symbol_repeated_key", ["symbol", "op_repeated_key.json"]
 
     for k, (tag, text) in enumerate(PARSE_TEXTS):
         yield f"parse_fn_{tag}", ["eval", "identity_e_22.json", "--fn=" + text]
@@ -270,7 +286,8 @@ def main():
         shutil.rmtree(path, ignore_errors=True)
         path.mkdir(parents=True)
     for name, doc in _fixtures():
-        (FIXTURES / name).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+        text = doc if isinstance(doc, str) else json.dumps(doc, indent=1) + "\n"
+        (FIXTURES / name).write_text(text, encoding="utf-8")
     cases = []
     for name, argv in _cases():
         code, out, err = run_case(argv, FIXTURES)

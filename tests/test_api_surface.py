@@ -70,6 +70,10 @@ def test_removed_names_are_read_from_the_readme():
     assert {"AmbientContext", "Section", "FrameDerivation", "psi_values"} <= set(
         REMOVED
     )
+    assert {
+        "Poly.monomials", "Poly.substitute", "Poly.constant_term",
+        "base_var", "fiber_var", "dual_var",
+    } <= set(REMOVED)
 
 
 @pytest.mark.parametrize("name", REMOVED)

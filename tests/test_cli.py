@@ -359,6 +359,42 @@ def test_laplacian_wrong_types_are_document_errors(op_file, capsys, gamma):
     assert err.startswith("DocumentError: ")
 
 
+def test_repeated_gamma_entries_add_up(op_file, capsys):
+    twice = [{"k": 1, "i": 1, "j": 1, "coeff": c} for c in ("x1", "x1^2")]
+    code, summed, _ = run(capsys, "laplacian", op_file(_gamma_doc(twice), "twice.json"))
+    once = [{"k": 1, "i": 1, "j": 1, "coeff": "x1 + x1^2"}]
+    assert code == 0
+    assert run(capsys, "laplacian", op_file(_gamma_doc(once), "once.json")) == (0, summed, "")
+
+
+@pytest.mark.parametrize("coeffs", [["0"], ["x1", "-x1"]], ids=["zero", "cancelling"])
+def test_zero_gamma_entry_out_of_range_is_refused(op_file, capsys, coeffs):
+    entries = [{"k": 2, "i": 1, "j": 1, "coeff": c} for c in coeffs]
+    code, out, err = run(capsys, "laplacian", op_file(_gamma_doc(entries)))
+    assert (code, out) == (1, "")
+    assert err == "RankMismatch: connection index (2,1,1) out of range\n"
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"chart": {"base_dim": 1, "fiber_rank": 1}, "space": "E", "space": "Estar", '
+         '"terms": []}', "space"),
+        ('{"chart": {"base_dim": 1, "fiber_rank": 1, "base_dim": 2}, "space": "E", '
+         '"terms": []}', "base_dim"),
+        ('{"chart": {"base_dim": 1, "fiber_rank": 1}, "space": "E", '
+         '"terms": [{"coeff": "1", "dx": [], "du": [1], "coeff": "2"}]}', "coeff"),
+    ],
+    ids=["top-level", "chart", "term"],
+)
+def test_repeated_json_keys_are_document_errors(tmp_path, capsys, text, key):
+    path = tmp_path / "op.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "symbol", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"DocumentError: repeated key {key!r} in a JSON object\n"
+
+
 @pytest.mark.parametrize(
     "chart",
     [

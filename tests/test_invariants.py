@@ -70,18 +70,6 @@ def test_recovery_helpers_are_referenced_only_from_their_homes(path):
     assert strays == []
 
 
-# Only `Poly` reads the packed layout.  `monomials()` is its Var/Fraction
-# view, for the kernel itself and for the random generators; the library
-# reads polynomials through the packed methods.
-MONOMIALS_HOMES = {"symcore.py", "randgen.py"}
-
-
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
-def test_monomials_is_referenced_only_from_the_kernel_and_randgen(path):
-    names = set(_referenced_names(ast.parse(path.read_text(encoding="utf-8"))))
-    assert "monomials" not in names or path.name in MONOMIALS_HOMES
-
-
 def _wrong_closed_form(monkeypatch, name="_closed_form_mult"):
     """Add 1 to what one path of a_iso's multiplication part computes: the
     closed formula, or the trace action on the bundle-map path."""

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from fwlop.diffop import DiffOp, nested_values
-from fwlop._oracles import _pairing, _unshuffle_poisson, _unshuffle_sym_product
+from fwlop.diffop import DiffOp, _recover_table, nested_values
+from fwlop._oracles import _pairing, _unshuffle_poisson
 from fwlop.errors import (
     ArityMismatch,
     AsymmetricGamma,
@@ -50,7 +50,9 @@ from fwlop.symcore import (
     VarKind,
     parse_poly,
     poly_to_str,
+    unshuffles,
 )
+from var_reading import substitute
 
 CH1 = Chart(1, 1)
 CH = Chart(2, 2)
@@ -67,6 +69,25 @@ def PS(text, chart=CH1):
 
 def mv(chart, q, table):
     return SymMultivector(chart, Space.E, q, table)
+
+
+def _unshuffle_sym_product(p1: SymMultivector, p2: SymMultivector) -> SymMultivector:
+    """The defining formula of the symmetric product, the oracle of its
+    table formula: the sum over (q1, q2)-unshuffles of p1(block1)
+    p2(block2), evaluated on coordinate functions and recovered into a
+    table."""
+    q = p1.q + p2.q
+
+    def value(args):
+        out = Poly.zero(p1.chart, p1.space)
+        for first, second in unshuffles(p1.q, p2.q):
+            out = out + p1.eval(*(args[i] for i in first)) * p2.eval(
+                *(args[i] for i in second)
+            )
+        return out
+
+    terms = _recover_table(p1.chart, p1.space, q, value)
+    return SymMultivector(p1.chart, p1.space, q, terms)
 
 
 def test_eval_by_nested_commutators():
@@ -402,17 +423,15 @@ def test_core_to_dualpoly_matches_evaluation_formula():
         p = rand_core_multivector(rng, chart, BOUNDS, q)
         phi = rand_section(rng, chart, BOUNDS)
         value = p.eval(*[phi] * q).scale(Fraction(1, MultiIndex([1] * q).factorial()))
-        from fwlop.symcore import dual_var
-
         substitution = {
-            dual_var(a): phi.partial(Var(VarKind.FIBER, a))
+            Var(VarKind.DUAL_FIBER, a): phi.partial(Var(VarKind.FIBER, a))
             for a in range(1, chart.fiber_rank + 1)
         }
         for i in range(1, chart.base_dim + 1):
             substitution[Var(VarKind.BASE, i)] = Poly.var(
                 chart, Space.E, Var(VarKind.BASE, i)
             )
-        assert core_to_dualpoly(p).substitute(substitution) == value
+        assert substitute(core_to_dualpoly(p), substitution) == value
 
 
 def test_core_product_is_dual_product():

@@ -24,15 +24,13 @@ from fwlop.symcore import (
     _sub_multisets,
     add_into,
     all_multi_indices,
-    base_var,
-    dual_var,
     fiber_kind,
-    fiber_var,
     multi_index_count,
     parse_poly,
     poly_to_str,
     unshuffles,
 )
+from var_reading import by_vars, from_vars, substitute
 
 CH = Chart(2, 2)
 
@@ -57,16 +55,16 @@ def test_rational_coefficient_product():
 
 
 def test_partial_power_rule():
-    assert P("u1^2*x1").partial(fiber_var(1)) == P("2*u1*x1")
+    assert P("u1^2*x1").partial(Var(VarKind.FIBER, 1)) == P("2*u1*x1")
 
 
 def test_partial_independent_variable():
-    assert P("u1").partial(base_var(2)).is_zero()
+    assert P("u1").partial(Var(VarKind.BASE, 2)).is_zero()
 
 
 def test_partial_iterated():
-    once = P("u1^3").partial(fiber_var(1))
-    assert once.partial(fiber_var(1)) == P("6*u1")
+    once = P("u1^3").partial(Var(VarKind.FIBER, 1))
+    assert once.partial(Var(VarKind.FIBER, 1)) == P("6*u1")
 
 
 def test_restrict_fiber_zero():
@@ -96,9 +94,9 @@ def test_fwl_function_is_degree_one():
 
 def test_parse_two_term():
     p = P("3/2*x1^2*u2 - x1")
-    assert p.monomials() == {
-        ((base_var(1), 2), (fiber_var(2), 1)): Fraction(3, 2),
-        ((base_var(1), 1),): Fraction(-1),
+    assert by_vars(p) == {
+        ((Var(VarKind.BASE, 1), 2), (Var(VarKind.FIBER, 2), 1)): Fraction(3, 2),
+        ((Var(VarKind.BASE, 1), 1),): Fraction(-1),
     }
 
 
@@ -143,7 +141,7 @@ def test_parse_whitespace_and_signs():
 def test_equal_polys_hash_equal_however_built():
     parsed = P("x1*u1^2 + 3/2*x2")
     arith = P("x1*u1") * P("u1") + P("3/4*x2").scale(2)
-    derived = P("1/3*x1*u1^3 + 3/2*x2*u1 + x1").partial(fiber_var(1))
+    derived = P("1/3*x1*u1^3 + 3/2*x2*u1 + x1").partial(Var(VarKind.FIBER, 1))
     assert parsed == arith == derived
     assert hash(parsed) == hash(arith) == hash(derived)
 
@@ -168,6 +166,11 @@ def test_hash_slot_is_read_only():
     with pytest.raises(AttributeError):
         p._hash = 0
     assert hash(p) == hash(P("x1 + u2"))
+
+
+def test_poly_has_no_public_constructor():
+    with pytest.raises(TypeError):
+        Poly(CH, Space.E, {})
 
 
 def test_print_zero():
@@ -220,7 +223,7 @@ def test_max_exponents_match_the_var_reading(space):
         chart = rand_chart(rng, bounds)
         p = rand_poly(rng, chart, space, bounds)
         tops = {v: 0 for kind in (VarKind.BASE, fiber_kind(space)) for v in chart.vars_of(kind)}
-        for mono in p.monomials():
+        for mono in by_vars(p):
             for v, e in mono:
                 tops[v] = max(tops[v], e)
         base, fiber = p.max_exponents()
@@ -256,11 +259,12 @@ def test_scale_fiber():
 
 def test_substitute():
     p = parse_poly("v1^2 + x1*v2", CH, Space.ESTAR)
-    image = p.substitute(
+    image = substitute(
+        p,
         {
-            dual_var(1): P("x2", Space.E),
-            dual_var(2): P("u1", Space.E),
-            base_var(1): P("x1", Space.E),
+            Var(VarKind.DUAL_FIBER, 1): P("x2", Space.E),
+            Var(VarKind.DUAL_FIBER, 2): P("u1", Space.E),
+            Var(VarKind.BASE, 1): P("x1", Space.E),
         }
     )
     assert image == P("x2^2 + x1*u1")
@@ -276,9 +280,9 @@ def test_arithmetic_chart_and_space_guards():
 
 def test_partial_wrong_kind_is_space_mismatch():
     with pytest.raises(SpaceMismatch):
-        P("x1").partial(dual_var(1))
+        P("x1").partial(Var(VarKind.DUAL_FIBER, 1))
     with pytest.raises(SpaceMismatch):
-        parse_poly("v1", CH, Space.ESTAR).partial(fiber_var(1))
+        parse_poly("v1", CH, Space.ESTAR).partial(Var(VarKind.FIBER, 1))
 
 
 def test_ring_axioms_randomized():
@@ -342,24 +346,30 @@ def test_print_parse_round_trip_randomized():
 
 def _split_by_vars(p, space):
     """The Var/Fraction reading that `fiber_parts` replaced: split p by the
-    monomial of its fiber-type variables, the rest re-tagged onto space."""
+    monomial of its fiber-type variables, the rest re-tagged onto space.
+    Terms are taken in the order p stores them, each stored key read as an
+    opaque monomial through a one-term polynomial."""
     fk = fiber_kind(p.space)
+    coeffs = by_vars(p)
     out = {}
-    for mono, coeff in p.monomials().items():
+    for key in p.terms:
+        (mono,) = by_vars(Poly._raw(p.chart, p.space, {key: 1}))
+        coeff = coeffs[mono]
         letters, base = [], []
         for var, exp in mono:
             if var.kind is fk:
                 letters.extend([var.index] * exp)
             else:
                 base.append((var, exp))
-        add_into(out, MultiIndex(letters), Poly(p.chart, space, {tuple(base): coeff}))
+        part = from_vars(p.chart, space, {tuple(base): coeff})
+        add_into(out, MultiIndex(letters), part)
     return out
 
 
 def _monomial_by_vars(chart, space, mi):
     """The Var/Fraction construction that `fiber_monomial` replaced."""
     mono = tuple((Var(fiber_kind(space), a), e) for a, e in mi.multiplicities().items())
-    return Poly(chart, space, {mono: 1})
+    return from_vars(chart, space, {mono: 1})
 
 
 @pytest.mark.parametrize("space", list(Space), ids=lambda s: s.value)

@@ -2,11 +2,10 @@
 
 Bracket, product and commutator sums go through `Poly.sum_of_products`, one
 reduced sum per output coefficient, so they make no `Poly` product, scaling
-or addition per summand.  The transcriptions between E and its dual read
-the packed layout through `Poly.fiber_parts` and `Poly.fiber_monomial`, so
-they build no polynomial through the validating constructor and never ask
-for the Var/Fraction view `monomials()`.  Parsing collects its terms in
-one table and reduces once, with no `Poly` per factor.
+or addition per summand.  A commutator reads each operand's order once,
+coefficient recovery builds each coordinate once per order, and parsing
+collects its terms in one table and reduces once, with no `Poly` per
+factor.
 """
 
 import random
@@ -14,9 +13,8 @@ import random
 import pytest
 
 from fwlop.diffop import DiffOp
-from fwlop.lbundle import a_inverse, a_iso
-from fwlop.multivec import hamiltonian_field, poisson, sym_product
-from fwlop.randgen import Bounds, rand_diffop, rand_fwl_op
+from fwlop.multivec import poisson, sym_product
+from fwlop.randgen import Bounds, rand_diffop
 from fwlop.symcore import Chart, Poly, Space, parse_poly, poly_to_str
 
 CH = Chart(2, 2)
@@ -79,22 +77,6 @@ def test_recovery_builds_each_coordinate_once_per_order(monkeypatch):
     assert op.recover_coefficients() == op.terms
     # one x1..x3, u1..u3 set per recovered order 0..3
     assert counts == {"var": 6 * 4}
-
-
-@pytest.mark.parametrize("q", [1, 2, 3])
-def test_dual_transcriptions_build_no_poly_through_var_terms(monkeypatch, q):
-    rng = random.Random(950 + q)
-    op = rand_fwl_op(rng, CH, BOUNDS, q)
-    while op.is_zero() or op.symbol_at(q).is_zero():
-        op = rand_fwl_op(rng, CH, BOUNDS, q)
-    d = a_iso(op, q)
-    names = ["__init__", "monomials"]
-    counts = _counting(monkeypatch, Poly, names)
-    field = hamiltonian_field(op.symbol_at(q))
-    back = a_inverse(d, q)
-    assert counts == dict.fromkeys(names, 0)
-    monkeypatch.undo()
-    assert not field.is_zero() and back == op
 
 
 def test_parsing_builds_one_poly(monkeypatch):
