@@ -193,6 +193,10 @@ def _fixtures():
             {"k": 1, "i": 1, "j": 1, "coeff": "x1^2"},
         ],
     }
+    # A zero term's letters are range-checked like any other's.
+    yield "op_zero_term_out_of_range.json", _op_doc(
+        Chart(1, 1), "E", [("1", [], [1]), ("0", [7], [5])]
+    )
     # A key repeated in one JSON object is refused.
     yield "op_repeated_key.json", (
         '{"chart": {"base_dim": 1, "fiber_rank": 1}, "space": "E", "space": "Estar",\n'
@@ -265,6 +269,7 @@ def _cases():
     yield "symbol_repeated_term", ["symbol", "op_repeated_term.json"]
     yield "laplacian_gamma_repeated", ["laplacian", "gamma_repeated.json"]
     yield "symbol_repeated_key", ["symbol", "op_repeated_key.json"]
+    yield "symbol_zero_term_out_of_range", ["symbol", "op_zero_term_out_of_range.json"]
 
     for k, (tag, text) in enumerate(PARSE_TEXTS):
         yield f"parse_fn_{tag}", ["eval", "identity_e_22.json", "--fn=" + text]
