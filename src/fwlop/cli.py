@@ -21,6 +21,7 @@ import sys
 from .diffop import (
     DiffOp,
     _is_int,
+    _unique_keys,
     chart_from_doc,
     diffop_from_doc,
     diffop_to_doc,
@@ -48,17 +49,6 @@ from .verify import SUITES, run_all, run_suite
 
 def _dumps(doc) -> str:
     return json.dumps(doc, separators=(", ", ": "))
-
-
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object as a dict; a key it names twice is a DocumentError,
-    where `json.load` alone would keep the last value."""
-    doc = dict(pairs)
-    if len(doc) != len(pairs):
-        keys = [key for key, _ in pairs]
-        repeated = next(key for key in keys if keys.count(key) > 1)
-        raise DocumentError(f"repeated key {repeated!r} in a JSON object")
-    return doc
 
 
 def _load_json(path: str):
@@ -215,6 +205,9 @@ def cmd_verify(args) -> int:
     for report in reports:
         for line in report.lines():
             print(line)
+    if args.stats:
+        executed = {report.suite: report.executed for report in reports}
+        print(_dumps({"executed": executed}), file=sys.stderr)
     return 0 if all(report.ok for report in reports) else 2
 
 
@@ -302,6 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bounds", help="n,m,q bounds triple, e.g. 2,2,3")
+    p.add_argument(
+        "--stats",
+        action="store_true",
+        help="print each identity's executed count as one JSON object on stderr",
+    )
     p.set_defaults(handler=cmd_verify)
 
     return parser

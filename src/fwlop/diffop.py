@@ -10,21 +10,27 @@ first-order operator is a derivation of the pulled-back determinant line
 in the Vol_u frame (see `fwlop.lbundle`).  The representation is unique
 once multi-indices are canonical, so equality is table equality.
 Composition expands derivative-past-coefficient by the multiset Leibniz
-rule; a pass visits only the S that stay within the largest exponents of
-c2 (`Poly.max_exponents`), because d^S c2 = 0 for the others.  A
-commutator [A, B] is two passes of the same expansion, of A∘B and of B∘A,
-each without its S = ∅ terms c1·c2 d^(J1+J2), which are equal on both
-sides and cancel; when B has order 0 its pass is empty.  The passes
-collect their summands k c1 (d^S c2) per output key, and each coefficient
-is one `Poly.sum_of_products`, reduced once.  Every value
-[...[op, f1], ..., fk](1) in the package, from multivector evaluation to
-the bundle map of `a_iso`, comes from `nested_values(op)`, which builds
-each nested commutator once, from the one of its prefix, so a repeated
-word costs only dictionary lookups.  It takes no commutator below a zero
-one, since [0, f] = 0, and reads a value off the order-0 coefficient,
-since d^J 1 = 0 for J != ∅.  Coefficient recovery reads the table only
-through these values, which makes it an independent oracle for the whole
-representation.
+rule, in one kernel, `_leibniz`, which takes the other operand as a list
+of (base entries, fiber entries, coefficient); a pass visits only the S
+that stay within the largest exponents of c2 (`Poly.max_exponents`),
+because d^S c2 = 0 for the others.  A commutator [A, B] is two passes of
+the same expansion, of A∘B and of B∘A, each without its S = ∅ terms
+c1·c2 d^(J1+J2), which are equal on both sides and cancel; when B has
+order 0 its pass is empty.  So a commutator [A, f] with a function is
+one pass against the single coefficient f at the empty key, where every
+output key is a remainder J1 - S, already sorted.  The passes collect
+their summands k c1 (d^S c2) per output key, and each coefficient is one
+`Poly.sum_of_products`, reduced once.  Every value [...[op, f1], ...,
+fk](1) in the package, from multivector evaluation to the bundle map of
+`a_iso`, comes from nested function commutators.  `nested_values(op)`
+builds each once, from the one of its prefix, so a repeated word costs
+only dictionary lookups; it takes no commutator below a zero one, since
+[0, f] = 0, and reads a value off the order-0 coefficient, since
+d^J 1 = 0 for J != ∅.  Coefficient recovery reads the table only through
+these values, which makes it an independent oracle for the whole
+representation; it walks the sorted words of coordinates depth first,
+by the same two rules, so a word that dies at its first letter costs one
+pass and no other key is enumerated.
 
 The weight of a homogeneous term is (fiber degree of the coefficient)
 minus |B|; it matches the exponent picked up under conjugation by the
@@ -71,24 +77,24 @@ class DiffOp:
     __slots__ = ("chart", "space", "terms")
 
     def __init__(self, chart: Chart, space: Space, terms=None):
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "space", space)
+        _set_chart(self, chart)
+        _set_space(self, space)
         canon = {}
         for (mi_base, mi_fiber), coeff in (terms or {}).items():
             if coeff.chart != chart:
                 raise ChartMismatch("coefficient chart differs from operator chart")
             if coeff.space != space:
                 raise SpaceMismatch("coefficient space differs from operator space")
-            if coeff.is_zero():
-                continue
+            # A zero term's letters are checked too, before it is dropped.
             for letter in mi_base:
                 if not 1 <= letter <= chart.base_dim:
                     raise ChartMismatch(f"base index {letter} out of range")
             for letter in mi_fiber:
                 if not 1 <= letter <= chart.fiber_rank:
                     raise ChartMismatch(f"fiber index {letter} out of range")
-            canon[(mi_base, mi_fiber)] = coeff
-        object.__setattr__(self, "terms", canon)
+            if not coeff.is_zero():
+                canon[(mi_base, mi_fiber)] = coeff
+        _set_terms(self, canon)
 
     def __setattr__(self, *a):
         raise AttributeError("DiffOp is immutable")
@@ -97,11 +103,12 @@ class DiffOp:
 
     @classmethod
     def _raw(cls, chart, space, terms):
-        """Bypass validation for already-canonical term tables (internal)."""
+        """Bypass validation for already-canonical term tables (internal);
+        the slots are set through their descriptors."""
         self = object.__new__(cls)
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "terms", terms)
+        _set_chart(self, chart)
+        _set_space(self, space)
+        _set_terms(self, terms)
         return self
 
     @classmethod
@@ -206,7 +213,7 @@ class DiffOp:
         """self after other; derivatives expand past coefficients by the
         multiset Leibniz rule with multinomial(J, S) = prod_i C(J[i], S[i])."""
         self._check_compatible(other)
-        return self._summed(self._leibniz(other, False, 1, {}))
+        return self._summed(self._leibniz(other._entries(), False, 1, {}))
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
         # A∘B and B∘A share their S = ∅ terms c1·c2 d^(J1+J2) (coefficients
@@ -214,31 +221,46 @@ class DiffOp:
         # order 0 (multiplication by f) the pass of B∘A has nothing left.
         self._check_compatible(other)
         q, r = self.order(), other.order()
-        pieces = self._leibniz(other, True, 1, {})
+        pieces = self._leibniz(other._entries(), True, 1, {})
         if r != 0:
-            other._leibniz(self, True, -1, pieces)
+            other._leibniz(self._entries(), True, -1, pieces)
         out = self._summed(pieces)
         orders = (q, r, out.order())
         if None not in orders and orders[2] > q + r - 1:
             raise InvariantViolation("commutator order bound q+r-1 violated")
         return out
 
-    def _leibniz(self, other: "DiffOp", skip_empty: bool, sign: int, pieces: dict):
+    def _function_bracket(self, f: Poly) -> "DiffOp":
+        """[self, f] for f acting by multiplication: the one pass of
+        self∘f without its S = ∅ terms, against the single coefficient f
+        at the empty key, so no key is sorted.  Every output key is some
+        J1 - S with S nonempty, so the order drops by at least one."""
+        self._check_compatible(f)
+        return self._summed(self._leibniz([((), (), f)], True, 1, {}))
+
+    def _entries(self) -> list:
+        """The terms as the (base entries, fiber entries, coefficient)
+        operands of `_leibniz`."""
+        return [(i.entries, b.entries, c) for (i, b), c in self.terms.items()]
+
+    def _leibniz(self, others: list, skip_empty: bool, sign: int, pieces: dict):
         """Collect sign * binom(J1, S) c1 (d^S c2) d^(J1 - S + J2) over the
-        terms c1 d^J1 of self, c2 d^J2 of other and S <= J1, leaving out
-        S = ∅ if skip_empty, into pieces: {(base entries, fiber entries) of
-        the key: [(integer factor, c1, d^S c2), ...]}; returns pieces.  Keys
-        are sorted entry tuples, which hash in C.  An S that takes some
-        letter more often than c2's largest exponent of that variable gives
-        d^S c2 = 0 and is skipped unvisited; the others keep their order.
-        Each d^S c2 is computed once per call: terms of self share their
+        terms c1 d^J1 of self, the operands (J2 base entries, J2 fiber
+        entries, c2) of `others` and S <= J1, leaving out S = ∅ if
+        skip_empty, into pieces: {(base entries, fiber entries) of the key:
+        [(integer factor, c1, d^S c2), ...]}; returns pieces.  Keys are
+        sorted entry tuples, which hash in C; against an empty J2 part the
+        remainder J1 - S is one already.  An S that takes some letter more
+        often than c2's largest exponent of that variable gives d^S c2 = 0
+        and is skipped unvisited; the others keep their order.  Each d^S c2
+        is computed once per call: terms of self share their
         sub-multisets S."""
         fk = fiber_kind(self.space)
         # (index of c2's term, S base entries[, S fiber entries]) -> partial
         partials = {}
         other_terms = [
-            (n2, i2.entries, b2.entries, c2, *c2.max_exponents())
-            for n2, ((i2, b2), c2) in enumerate(other.terms.items())
+            (n2, e2_base, e2_fib, c2, *c2.max_exponents())
+            for n2, (e2_base, e2_fib, c2) in enumerate(others)
         ]
         for (i1, b1), c1 in self.terms.items():
             subs_base = _sub_multisets(i1.entries)
@@ -252,7 +274,9 @@ class DiffOp:
                         dc = partials[at_base] = c2.partial_multi(s_base, VarKind.BASE)
                     if dc.is_zero():
                         continue
-                    key_base = tuple(sorted(rest_base + e2_base))
+                    key_base = (
+                        tuple(sorted(rest_base + e2_base)) if e2_base else rest_base
+                    )
                     fibs = fibs_all
                     if skip_empty and not s_base.entries:
                         fibs = fibs[1:]
@@ -263,7 +287,10 @@ class DiffOp:
                             dcf = partials[at] = dc.partial_multi(s_fib, fk)
                         if dcf.is_zero():
                             continue
-                        key = (key_base, tuple(sorted(rest_fib + e2_fib)))
+                        key_fib = (
+                            tuple(sorted(rest_fib + e2_fib)) if e2_fib else rest_fib
+                        )
+                        key = (key_base, key_fib)
                         piece = (sign * n_base * n_fib, c1, dcf)
                         pieces.setdefault(key, []).append(piece)
         return pieces
@@ -274,7 +301,10 @@ class DiffOp:
         return DiffOp._raw(
             self.chart,
             self.space,
-            {(MultiIndex(eb), MultiIndex(ef)): c for (eb, ef), c in terms.items()},
+            {
+                (MultiIndex._sorted(eb), MultiIndex._sorted(ef)): c
+                for (eb, ef), c in terms.items()
+            },
         )
 
     # -- grading and classification -------------------------------------------
@@ -374,16 +404,48 @@ class DiffOp:
         letters z running over the I and B coordinate functions.  This is
         the independent oracle for the representation; past order 0 it
         never reads the stored table directly, only the order-0
-        coefficients of the Leibniz expansions of the [A, z].  The values
-        share their prefixes for this call only.
+        coefficients of the Leibniz expansions of the [A, z].
+
+        The walk is depth first over the sorted words of length up to the
+        order, base letters before fiber letters: a node's children take
+        the letters from its last one on, and a zero nested commutator has
+        none, since [0, z] = 0.  So each nested commutator is one function
+        bracket of its parent's, and a word that dies at its first letter
+        costs that one bracket.  Every table size is refused up front,
+        before any bracket is taken.
         """
         order = self.order()
         if order is None:
             return {}
-        value = nested_values(self)
-        out = {}
+        chart, space = self.chart, self.space
+        n, m = chart.base_dim, chart.fiber_rank
         for total in range(order + 1):
-            out.update(_recover_table(self.chart, self.space, total, value))
+            _refuse_table(n, m, total)
+        coords = [
+            Poly.var(chart, space, v)
+            for v in chart.vars_of(VarKind.BASE) + chart.vars_of(fiber_kind(space))
+        ]
+        out = {}
+        # (nested commutator, base entries, fiber entries, first letter of
+        # its children), the letters numbered 0..n+m-1
+        stack = [(self, (), (), 0)]
+        while stack:
+            node, word_b, word_f, start = stack.pop()
+            value = node.terms.get(_ORDER_ZERO)
+            if value is not None:
+                mi_b, mi_f = MultiIndex._sorted(word_b), MultiIndex._sorted(word_f)
+                scale = Fraction(1, mi_b.factorial() * mi_f.factorial())
+                out[(mi_b, mi_f)] = value.scale(scale)
+            if len(word_b) + len(word_f) == order:
+                continue
+            for letter in range(start, n + m):
+                child = node._function_bracket(coords[letter])
+                if not child.terms:
+                    continue
+                if letter < n:
+                    stack.append((child, word_b + (letter + 1,), word_f, letter))
+                else:
+                    stack.append((child, word_b, word_f + (letter - n + 1,), letter))
         return out
 
     def top_table(self, q: int) -> dict:
@@ -417,6 +479,11 @@ class DiffOp:
         )
 
 
+_set_chart = DiffOp.chart.__set__
+_set_space = DiffOp.space.__set__
+_set_terms = DiffOp.terms.__set__
+
+
 def _within(subs, tops):
     """The entries of `_sub_multisets` whose S takes no letter more often
     than `tops` allows, in order; the empty S is always among them.  The
@@ -444,13 +511,14 @@ def _term_key(item):
 
 def nested_values(op: DiffOp):
     """The map fs -> [...[op, f1], ..., fk](1), the f's acting by
-    multiplication.  Each nested commutator is one commutator of the one of
-    its prefix, kept in a trie of words for as long as the map lives.  Two
-    rules skip work whose result is zero: [0, f] = 0, so below a zero
-    nested commutator no node is built and no commutator taken (the letters
-    are still checked against the chart and space); and d^J 1 = 0 for
-    J != ∅, so a node's value is its order-0 coefficient, read off its
-    table without applying it."""
+    multiplication.  Each nested commutator is one function commutator
+    (`DiffOp._function_bracket`) of the one of its prefix, kept in a trie
+    of words for as long as the map lives.  Two rules skip work whose
+    result is zero: [0, f] = 0, so below a zero nested commutator no node
+    is built and no commutator taken (the letters are still checked
+    against the chart and space); and d^J 1 = 0 for J != ∅, so a node's
+    value is its order-0 coefficient, read off its table without applying
+    it."""
     zero = Poly.zero(op.chart, op.space)
     # A node is [nested commutator, children by next letter]; a zero
     # nested commutator is the node None.
@@ -465,7 +533,7 @@ def nested_values(op: DiffOp):
             children = node[1]
             child = children.get(f, _MISSING)
             if child is _MISSING:
-                nested = node[0].commutator(DiffOp.mult(f))
+                nested = node[0]._function_bracket(f)
                 child = children[f] = [nested, {}] if nested.terms else None
             node = child
         if node is None:
@@ -479,6 +547,16 @@ _MISSING = object()
 _ORDER_ZERO = (EMPTY_MI, EMPTY_MI)
 
 
+def _refuse_table(n, m, q):
+    """RequestTooLarge when an order-q table on chart (n, m) has more than
+    MAX_TABLE_KEYS keys."""
+    refuse_over(
+        f"the table key count C(n+m+q-1, q) at n={n}, m={m}, q={q}",
+        multi_index_count(n + m, q, MAX_TABLE_KEYS),
+        MAX_TABLE_KEYS,
+    )
+
+
 def _recover_table(chart, space, q, value_fn) -> dict:
     """Build an order-q table from symmetric evaluations on coordinates.
 
@@ -487,11 +565,7 @@ def _recover_table(chart, space, q, value_fn) -> dict:
     the multiplicities.
     """
     n, m = chart.base_dim, chart.fiber_rank
-    refuse_over(
-        f"the table key count C(n+m+q-1, q) at n={n}, m={m}, q={q}",
-        multi_index_count(n + m, q, MAX_TABLE_KEYS),
-        MAX_TABLE_KEYS,
-    )
+    _refuse_table(n, m, q)
     base = [Poly.var(chart, space, v) for v in chart.vars_of(VarKind.BASE)]
     fiber = [Poly.var(chart, space, v) for v in chart.vars_of(fiber_kind(space))]
     terms = {}
@@ -582,7 +656,9 @@ def diffop_from_doc(doc) -> DiffOp:
             _indices_from_doc(entry["dx"], "dx"),
             _indices_from_doc(entry["du"], "du"),
         )
-        add_into(terms, key, coeff)
+        # Repeated terms add up.  A zero sum stays in the table, so that
+        # `DiffOp` still checks its letters before dropping it.
+        terms[key] = terms[key] + coeff if key in terms else coeff
     return DiffOp(chart, space, terms)
 
 
@@ -590,9 +666,20 @@ def diffop_dumps(op: DiffOp) -> str:
     return json.dumps(diffop_to_doc(op), separators=(", ", ": "))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key it names twice is a DocumentError,
+    where `json.load` alone would keep the last value."""
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise DocumentError(f"repeated key {repeated!r} in a JSON object")
+    return doc
+
+
 def diffop_loads(text: str) -> DiffOp:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
     return diffop_from_doc(doc)

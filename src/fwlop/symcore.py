@@ -41,7 +41,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, perm
 from operator import add
 
 from .errors import (
@@ -121,7 +121,14 @@ class MultiIndex:
     __slots__ = ("entries",)
 
     def __init__(self, entries=()):
-        object.__setattr__(self, "entries", tuple(sorted(entries)))
+        _set_entries(self, tuple(sorted(entries)))
+
+    @classmethod
+    def _sorted(cls, entries: tuple) -> "MultiIndex":
+        """The multi-index of a tuple already in sorted order (internal)."""
+        self = object.__new__(cls)
+        _set_entries(self, entries)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("MultiIndex is immutable")
@@ -173,6 +180,9 @@ class MultiIndex:
         return tuple((sub, coeff) for sub, coeff, *_ in _sub_multisets(self.entries))
 
 
+_set_entries = MultiIndex.entries.__set__
+
+
 @functools.cache
 def _sub_multisets(entries: tuple) -> tuple:
     """(S, multiset binomial, sorted entries of the remainder J - S,
@@ -193,7 +203,7 @@ def _sub_multisets(entries: tuple) -> tuple:
             chosen.extend([letter] * k)
             rest.extend([letter] * (mult - k))
             vector[letter - 1] = k
-        out.append((MultiIndex(chosen), coeff, tuple(rest), tuple(vector)))
+        out.append((MultiIndex._sorted(tuple(chosen)), coeff, tuple(rest), tuple(vector)))
     return tuple(out)
 
 
@@ -400,10 +410,21 @@ class Poly:
                 den = lcm(den, d)
         terms = {}
         get = terms.get
+        unit = (0,) * (chart.base_dim + chart.fiber_rank)
         for k, a, b in products:
             f = k * (den // (a.den * b.den))
-            b_items = b.terms.items()
-            for m1, c1 in a.terms.items():
+            a_terms, b_terms = a.terms, b.terms
+            # A constant factor adds its multiple of the other's numerators
+            # at their own monomials.
+            if len(b_terms) == 1 and unit in b_terms:
+                a_terms, b_terms = b_terms, a_terms
+            if len(a_terms) == 1 and unit in a_terms:
+                f *= a_terms[unit]
+                for mono, c in b_terms.items():
+                    terms[mono] = get(mono, 0) + c * f
+                continue
+            b_items = b_terms.items()
+            for m1, c1 in a_terms.items():
                 c1 *= f
                 for m2, c2 in b_items:
                     mono = tuple(map(add, m1, m2))
@@ -545,10 +566,42 @@ class Poly:
         return Poly._reduced(self.chart, self.space, terms, self.den)
 
     def partial_multi(self, mi: MultiIndex, kind: VarKind) -> "Poly":
-        out = self
-        for letter in mi:
-            out = out.partial(Var(kind, letter))
-        return out
+        """d^mi by the variables of `kind`, in one pass over the terms: a
+        term keeps the falling factorials of its exponents, or drops out
+        when some letter comes more often than its exponent.  The empty
+        multi-index returns self unchecked; otherwise the letters are
+        checked in order as `partial` checks one."""
+        entries = mi.entries
+        if not entries:
+            return self
+        chart = self.chart
+        if kind is VarKind.BASE:
+            offset, bound = 0, chart.base_dim
+        elif kind is fiber_kind(self.space):
+            offset, bound = chart.base_dim, chart.fiber_rank
+        else:
+            v = Var(kind, entries[0])
+            raise SpaceMismatch(
+                f"cannot differentiate by {v} on space {self.space.value}"
+            )
+        for letter in entries:
+            if not 1 <= letter <= bound:
+                v = Var(kind, letter)
+                raise IndexOutOfRange(f"variable {v} out of range for chart {chart}")
+        counts = [(offset + letter - 1, k) for letter, k in mi.multiplicities().items()]
+        terms = {}
+        for mono, c in self.terms.items():
+            for slot, k in counts:
+                if mono[slot] < k:
+                    break
+            else:
+                shifted = list(mono)
+                for slot, k in counts:
+                    e = shifted[slot]
+                    c *= perm(e, k)
+                    shifted[slot] = e - k
+                terms[tuple(shifted)] = c
+        return Poly._reduced(chart, self.space, terms, self.den)
 
     def max_exponents(self) -> tuple:
         """(base, fiber): the largest exponent of x1..xn and of each

@@ -72,6 +72,8 @@ class VerifyReport:
     trials: int
     seed: int
     failures: list = field(default_factory=list)
+    # {identity: how many times it was checked}, in the order first checked
+    executed: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -99,8 +101,10 @@ class _Session:
         self.bounds = bounds
         self.failures = []
         self.trial = 0
+        self.executed = {}
 
     def check(self, identity: str, ok: bool, **docs):
+        self.executed[identity] = self.executed.get(identity, 0) + 1
         if not ok:
             self.failures.append(
                 {
@@ -770,7 +774,7 @@ def run_suite(name: str, trials: int, seed: int, bounds=None) -> VerifyReport:
     session = _Session(rng, bounds)
     SUITES[name](session, trials)
     session.failures.sort(key=lambda f: (f["trial"], f["identity"]))
-    return VerifyReport(name, trials, seed, session.failures)
+    return VerifyReport(name, trials, seed, session.failures, session.executed)
 
 
 def run_all(trials: int, seed: int, bounds=None):

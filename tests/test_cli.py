@@ -152,6 +152,29 @@ def test_verify_ok_and_deterministic(capsys):
     assert "failures: 0" in out1
 
 
+def test_verify_stats_count_every_identity_and_leave_stdout_alone(capsys):
+    argv = ["verify", "--suite", "all", "--trials", "2", "--seed", "1"]
+    code, plain, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, *argv, "--stats")
+    assert (code, out) == (0, plain)
+    assert err.count("\n") == 1
+    executed = json.loads(err)["executed"]
+    assert list(executed) == list(cli.SUITES)
+    assert all(counts and min(counts.values()) >= 1 for counts in executed.values())
+    assert executed["recovery"]["coefficient-recovery"] == 2
+    assert sum(len(counts) for counts in executed.values()) >= 60
+
+
+def test_verify_stats_count_failing_checks(capsys, monkeypatch):
+    monkeypatch.setattr(cli.DiffOp, "recover_coefficients", lambda self: {"wrong": 1})
+    code, out, err = run(
+        capsys, "verify", "--suite", "recovery", "--trials", "3", "--seed", "1", "--stats"
+    )
+    assert code == 2 and "failures: 3" in out
+    assert json.loads(err)["executed"]["recovery"]["coefficient-recovery"] == 3
+
+
 def test_verify_unknown_suite(capsys):
     code, out, err = run(capsys, "verify", "--suite", "bogus")
     assert code == 3

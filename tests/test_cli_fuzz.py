@@ -3,7 +3,9 @@
 Operator, derivation and gamma documents and polynomial strings are drawn
 from bounded strategies (charts up to 2x2, derivative orders up to 3,
 `--order` in -1..4), partly well-formed and partly broken, written under
-`tmp_path` and run through `cli.main` in-process.  Each case must end with
+`tmp_path` and run through `cli.main` in-process.  Operator terms and gamma
+entries are sometimes repeated at one key, and a JSON object sometimes
+names a key twice.  Each case must end with
 exit 0 (success), 1 (domain error) or 3 (parse error); an exception that
 escapes `main`, or exit 2 (an internal invariant violation), fails it.
 
@@ -56,11 +58,27 @@ def poly_texts(draw, n, m, letter, fiber_degree=None):
     return " + ".join(terms)
 
 
+class Pairs(list):
+    """A JSON object as its (key, value) pairs, so that a key can repeat."""
+
+
+def _dumps(node) -> str:
+    """JSON text of a document whose objects may be `Pairs`."""
+    if isinstance(node, dict):
+        node = Pairs(node.items())
+    if isinstance(node, Pairs):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dumps(v)}" for k, v in node) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(_dumps(v) for v in node) + "]"
+    return json.dumps(node)
+
+
 @st.composite
 def corrupted(draw, strategy):
     """A document from `strategy`, a third of the time with one defect: a
     field replaced by a value of the wrong type or range, a key dropped,
-    an unknown key added, or a polynomial string garbled."""
+    an unknown key added, a key named twice in one object, or a polynomial
+    string garbled."""
     doc = draw(strategy)
     if draw(st.sampled_from([False, True, True])):
         return doc
@@ -75,16 +93,42 @@ def corrupted(draw, strategy):
 
     collect(doc)
     node, key = draw(st.sampled_from(slots))
-    action = draw(st.integers(0, 3))
+    action = draw(st.integers(0, 4))
     if action == 0 and isinstance(node, dict):
         del node[key]
     elif action == 1 and isinstance(node, dict):
         node["extra"] = 1
     elif action == 2 and isinstance(node[key], str):
         node[key] = draw(st.text(alphabet=TEXT_ALPHABET, max_size=12))
+    elif action == 3 and isinstance(node, dict):
+        # the key again, with its own value or another one
+        again = draw(st.sampled_from([node[key], draw(st.sampled_from(BAD_VALUES))]))
+        pairs = Pairs(node.items())
+        pairs.insert(draw(st.integers(0, len(pairs))), (key, again))
+        if node is doc:
+            return pairs
+        parent, at = next((p, k) for p, k in slots if p[k] is node)
+        parent[at] = pairs
     else:
         node[key] = draw(st.sampled_from(BAD_VALUES))
     return doc
+
+
+@st.composite
+def repeated(draw, entries, fields, coeffs):
+    """entries, a third of the time with copies of some of them at the
+    same key (list fields reversed) and a coefficient from `coeffs`."""
+    if not entries or draw(st.integers(0, 2)):
+        return entries
+    out = list(entries)
+    for _ in range(draw(st.integers(1, 2))):
+        entry = dict(draw(st.sampled_from(entries)))
+        for field in fields:
+            if isinstance(entry[field], list):
+                entry[field] = entry[field][::-1]
+        entry["coeff"] = draw(coeffs)
+        out.insert(draw(st.integers(0, len(out))), entry)
+    return out
 
 
 charts = st.tuples(st.integers(1, 2), st.integers(1, 2))
@@ -112,17 +156,19 @@ def operator_docs(draw, space=None):
             nb = draw(st.integers(0, 3))
             nf = draw(st.integers(0, 3 - nb))
             terms.append((nb, nf, draw(poly_texts(n, m, letter))))
+    entries = [
+        {
+            "coeff": coeff,
+            "dx": draw(st.lists(st.integers(1, n), min_size=nb, max_size=nb)),
+            "du": draw(st.lists(st.integers(1, m), min_size=nf, max_size=nf)),
+        }
+        for nb, nf, coeff in terms
+    ]
+    coeffs = st.one_of(st.just("0"), poly_texts(n, m, letter))
     return {
         "chart": _chart_doc(n, m),
         "space": space,
-        "terms": [
-            {
-                "coeff": coeff,
-                "dx": draw(st.lists(st.integers(1, n), min_size=nb, max_size=nb)),
-                "du": draw(st.lists(st.integers(1, m), min_size=nf, max_size=nf)),
-            }
-            for nb, nf, coeff in terms
-        ],
+        "terms": draw(repeated(entries, ("dx", "du"), coeffs)),
     }
 
 
@@ -156,6 +202,8 @@ def gamma_docs(draw):
         entries.append({"k": k, "i": i, "j": j, "coeff": coeff})
         if draw(st.integers(0, 3)):
             entries.append({"k": k, "i": j, "j": i, "coeff": coeff})
+    coeffs = st.one_of(st.just("0"), poly_texts(n, m, "u", fiber_degree=0))
+    entries = draw(repeated(entries, ("k", "i", "j"), coeffs))
     return {"chart": _chart_doc(n, m), "gamma": entries}
 
 
@@ -194,7 +242,7 @@ def _run(argv, docs, directory):
     paths = []
     for index, doc in enumerate(docs):
         path = directory / f"doc{index}.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_text(_dumps(doc), encoding="utf-8")
         paths.append(str(path))
     argv = [paths[int(a[1:])] if a.startswith("@") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()

@@ -2,12 +2,14 @@
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from fwlop.diffop import (
     DiffOp,
+    _recover_table,
     diffop_dumps,
     diffop_from_doc,
     diffop_loads,
@@ -311,7 +313,7 @@ def test_leibniz_takes_each_partial_once_per_pass(monkeypatch):
         expected = _plain_leibniz(a, b, skip_empty)
         calls.clear()
         monkeypatch.setattr(Poly, "partial_multi", counting)
-        got = a._summed(a._leibniz(b, skip_empty, 1, {}))
+        got = a._summed(a._leibniz(b._entries(), skip_empty, 1, {}))
         monkeypatch.setattr(Poly, "partial_multi", partial_multi)
         assert got == expected
         # one base partial per (term of b, S base part), one fiber partial
@@ -341,10 +343,46 @@ def test_pruned_leibniz_matches_the_plain_expansion():
             for other in others:
                 for x, y in ((a, other), (other, a)):
                     for skip_empty in (False, True):
-                        got = x._summed(x._leibniz(y, skip_empty, 1, {}))
+                        got = x._summed(x._leibniz(y._entries(), skip_empty, 1, {}))
                         assert got == _plain_leibniz(x, y, skip_empty)
                     pruned += _prunes(x, y)
     assert pruned >= 50
+
+
+def test_function_bracket_matches_the_plain_expansion():
+    # [A, f] is one pass against the single coefficient f at the empty key:
+    # it equals the reference expansion of A∘f without its S = ∅ terms and
+    # A∘f - f∘A, for multi-term f, for zero f and on every space, and its
+    # keys are canonical multi-indices
+    rng = random.Random(101)
+    bounds = Bounds(exp_max=3)
+    nonzero = 0
+    for space in SPACES:
+        for _ in range(10):
+            chart = rand_chart(rng, bounds)
+            a = rand_diffop(rng, chart, space, bounds, max_keys=5, order=3)
+            fs = [rand_poly(rng, chart, space, bounds) for _ in range(3)]
+            for f in fs + [Poly.zero(chart, space)]:
+                mult = DiffOp.mult(f)
+                got = a._function_bracket(f)
+                assert got == _plain_leibniz(a, mult, True)
+                assert got == a.compose(mult) - mult.compose(a)
+                assert got == a.commutator(mult)
+                assert all(
+                    mi == MultiIndex(mi.entries) for key in got.terms for mi in key
+                )
+                nonzero += len(f.terms) > 1 and not got.is_zero()
+    assert nonzero >= 40
+
+
+def test_function_bracket_checks_the_function():
+    a = op_du(1)
+    with pytest.raises(ChartMismatch):
+        a._function_bracket(P("x1", CH))
+    with pytest.raises(SpaceMismatch):
+        a._function_bracket(P("v1", CH1, Space.ESTAR))
+    with pytest.raises(SpaceMismatch):
+        a._function_bracket(Poly.zero(CH1, Space.ESTAR))
 
 
 def _prunes(x, y):
@@ -362,13 +400,13 @@ def test_no_commutator_is_taken_below_a_zero_nested_commutator(monkeypatch):
     # [d/dx1, x2] = 0, so every word that starts with x2 costs only that one
     # commutator; recovery never takes a commutator of the zero operator
     taken = []
-    commutator = DiffOp.commutator
+    bracket = DiffOp._function_bracket
 
-    def counting(self, other):
+    def counting(self, f):
         taken.append(self)
-        return commutator(self, other)
+        return bracket(self, f)
 
-    monkeypatch.setattr(DiffOp, "commutator", counting)
+    monkeypatch.setattr(DiffOp, "_function_bracket", counting)
     x1, x2, u1 = P("x1", CH), P("x2", CH), P("u1", CH)
     value = nested_values(DiffOp.monomial(P("1", CH), MultiIndex([1]), EMPTY_MI))
     assert value([x2, x1, u1]).is_zero() and len(taken) == 1
@@ -555,6 +593,55 @@ def test_recovery_refuses_an_over_cap_table():
         op.recover_coefficients()
 
 
+def test_recovery_refuses_before_any_bracket(monkeypatch):
+    # an order-3 operator on chart (10,10): the order-3 table has
+    # C(22, 3) = 1540 keys, so the walk is refused before its first bracket
+    brackets = []
+    bracket = DiffOp._function_bracket
+    monkeypatch.setattr(
+        DiffOp, "_function_bracket", lambda self, f: brackets.append(f) or bracket(self, f)
+    )
+    chart = Chart(10, 10)
+    op = DiffOp.monomial(
+        Poly.const(chart, Space.E, 1), MultiIndex([1, 2]), MultiIndex([3])
+    )
+    with pytest.raises(RequestTooLarge, match="n=10, m=10, q=3"):
+        op.recover_coefficients()
+    assert brackets == []
+
+
+def test_recovery_walk_takes_the_brackets_of_per_key_enumeration(monkeypatch):
+    # the depth-first walk over sorted words takes exactly the function
+    # brackets that evaluating every key's word through one nested_values
+    # map takes, each as often
+    rng = random.Random(107)
+    taken = []
+    bracket = DiffOp._function_bracket
+    monkeypatch.setattr(
+        DiffOp,
+        "_function_bracket",
+        lambda self, f: taken.append((self, f)) or bracket(self, f),
+    )
+    total = 0
+    for k in range(90):
+        space = SPACES[k % 3]
+        chart = rand_chart(rng, Bounds())
+        op = rand_diffop(rng, chart, space, Bounds(), order=3)
+        taken.clear()
+        walked = op.recover_coefficients()
+        by_walk = Counter(taken)
+        taken.clear()
+        value = nested_values(op)
+        by_key = {}
+        for q in range((op.order() or 0) + 1):
+            by_key.update(_recover_table(chart, space, q, value))
+        assert walked == by_key == op.terms
+        assert by_walk == Counter(taken)
+        assert max(by_walk.values(), default=1) == 1
+        total += len(taken)
+    assert total >= 600
+
+
 def test_recover_identity():
     ident = DiffOp.identity(CH, Space.E)
     assert ident.recover_coefficients() == ident.terms
@@ -615,13 +702,13 @@ def test_recovery_shares_nested_commutator_prefixes(monkeypatch):
     op = rand_diffop(random.Random(0), Chart(3, 3), Space.E, Bounds(), order=3)
     assert op.order() == 3
     calls = []
-    commutator = DiffOp.commutator
+    bracket = DiffOp._function_bracket
 
-    def counting(self, other):
-        calls.append(other)
-        return commutator(self, other)
+    def counting(self, f):
+        calls.append(f)
+        return bracket(self, f)
 
-    monkeypatch.setattr(DiffOp, "commutator", counting)
+    monkeypatch.setattr(DiffOp, "_function_bracket", counting)
     assert op.recover_coefficients() == op.terms
     assert len(calls) == 35
 
@@ -743,6 +830,37 @@ def test_json_merges_duplicate_keys():
         ],
     }
     assert diffop_from_doc(doc) == op_du(1, "2*u1")
+
+
+def test_zero_terms_have_their_letters_checked():
+    zero = P("0")
+    with pytest.raises(ChartMismatch, match="fiber index 5 out of range"):
+        DiffOp(CH1, Space.E, {(EMPTY_MI, MultiIndex([5])): zero})
+    # a zero term, given as zero or summed to zero, is range-checked too
+    for coeffs in (["0"], ["x1", "-x1"]):
+        doc = {
+            "chart": {"base_dim": 1, "fiber_rank": 1},
+            "space": "E",
+            "terms": [{"coeff": "1", "dx": [], "du": [1]}]
+            + [{"coeff": c, "dx": [7], "du": [5]} for c in coeffs],
+        }
+        with pytest.raises(ChartMismatch, match="base index 7 out of range"):
+            diffop_from_doc(doc)
+    # an in-range zero term is dropped
+    doc["terms"][1:] = [{"coeff": "x1", "dx": [1], "du": []}, {"coeff": "-x1", "dx": [1], "du": []}]
+    assert diffop_from_doc(doc) == op_du(1)
+
+
+def test_loads_refuses_a_repeated_key():
+    text = (
+        '{"chart": {"base_dim": 1, "fiber_rank": 1}, "space": "E", "space": "Estar", '
+        '"terms": [{"coeff": "1", "dx": [], "du": [1]}]}'
+    )
+    with pytest.raises(DocumentError, match="repeated key 'space'"):
+        diffop_loads(text)
+    nested = diffop_dumps(op_du(1)).replace('"dx": []', '"dx": [], "dx": [1]')
+    with pytest.raises(DocumentError, match="repeated key 'dx'"):
+        diffop_loads(nested)
 
 
 def test_doc_deterministic_field_order():

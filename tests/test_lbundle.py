@@ -409,7 +409,7 @@ def test_a_iso_work_counts(monkeypatch):
         mv.SymMultivector, "eval", counting("eval", mv.SymMultivector.eval)
     )
     monkeypatch.setattr(
-        DiffOp, "commutator", counting("commutator", DiffOp.commutator)
+        DiffOp, "_function_bracket", counting("commutator", DiffOp._function_bracket)
     )
     op = rand_fwl_op(random.Random(5), CH, BOUNDS, 3)
     a_iso(op, 3)

@@ -114,13 +114,13 @@ def test_eval_symmetric():
 
 def _count_commutators(monkeypatch):
     calls = [0]
-    commutator = DiffOp.commutator
+    bracket = DiffOp._function_bracket
 
-    def counting(self, other):
+    def counting(self, f):
         calls[0] += 1
-        return commutator(self, other)
+        return bracket(self, f)
 
-    monkeypatch.setattr(DiffOp, "commutator", counting)
+    monkeypatch.setattr(DiffOp, "_function_bracket", counting)
     return calls
 
 

@@ -1,6 +1,7 @@
 """Polynomial core: arithmetic, calculus, grading, parse/print."""
 
 import random
+import re
 from fractions import Fraction
 from math import comb, gcd
 
@@ -278,6 +279,42 @@ def test_arithmetic_chart_and_space_guards():
         P("x1") * P("x1", Space.AMBIENT)
 
 
+def test_partial_multi_equals_iterated_partials():
+    rng = random.Random(4721)
+    bounds = Bounds(exp_max=4)
+    for _ in range(150):
+        chart = rand_chart(rng, bounds)
+        space = rng.choice(list(Space))
+        p = rand_poly(rng, chart, space, bounds)
+        kind = rng.choice([VarKind.BASE, fiber_kind(space)])
+        bound = chart.base_dim if kind is VarKind.BASE else chart.fiber_rank
+        mi = MultiIndex([rng.randint(1, bound) for _ in range(rng.randint(0, 4))])
+        expected = p
+        for letter in mi:
+            expected = expected.partial(Var(kind, letter))
+        got = p.partial_multi(mi, kind)
+        assert got == expected
+        assert got.den > 0 and (not got.terms or gcd(got.den, *got.terms.values()) == 1)
+
+
+def test_partial_multi_refuses_as_partial_does():
+    p = P("x1*u1^2")
+    for mi, kind in (
+        (MultiIndex([1, 3]), VarKind.BASE),
+        (MultiIndex([0]), VarKind.FIBER),
+        (MultiIndex([2, 1]), VarKind.DUAL_FIBER),
+    ):
+        first_bad = next(
+            letter for letter in mi if not 1 <= letter <= 2 or kind is VarKind.DUAL_FIBER
+        )
+        with pytest.raises((SpaceMismatch, IndexOutOfRange)) as expected:
+            p.partial(Var(kind, first_bad))
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            p.partial_multi(mi, kind)
+    # the empty multi-index checks nothing
+    assert p.partial_multi(MultiIndex(), VarKind.DUAL_FIBER) is p
+
+
 def test_partial_wrong_kind_is_space_mismatch():
     with pytest.raises(SpaceMismatch):
         P("x1").partial(Var(VarKind.DUAL_FIBER, 1))
@@ -450,6 +487,26 @@ def test_sum_of_products_matches_the_naive_sum():
             )
             for _ in range(rng.randint(0, 4))
         ]
+        got = Poly.sum_of_products(chart, space, products)
+        assert got == _naive_sum(chart, space, products)
+        assert got.den > 0 and gcd(got.den, *got.terms.values()) == 1
+
+
+def test_sum_of_products_with_constant_factors_matches_the_naive_sum():
+    # a constant operand on either side, or on both, takes the path that
+    # adds the other's numerators at their own monomials
+    rng = random.Random(4713)
+    bounds = Bounds(n_max=3, m_max=2, coeff_max=12)
+    for _ in range(100):
+        chart = rand_chart(rng, bounds)
+        space = rng.choice(list(Space))
+
+        def operand():
+            if rng.random() < 0.5:
+                return Poly.const(chart, space, Fraction(rng.randint(-7, 7), rng.randint(1, 5)))
+            return rand_poly(rng, chart, space, bounds)
+
+        products = [(rng.randint(-3, 3), operand(), operand()) for _ in range(rng.randint(1, 4))]
         got = Poly.sum_of_products(chart, space, products)
         assert got == _naive_sum(chart, space, products)
         assert got.den > 0 and gcd(got.den, *got.terms.values()) == 1

@@ -3,7 +3,7 @@
 Bracket, product and commutator sums go through `Poly.sum_of_products`, one
 reduced sum per output coefficient, so they make no `Poly` product, scaling
 or addition per summand.  A commutator reads each operand's order once,
-coefficient recovery builds each coordinate once per order, and parsing
+coefficient recovery builds each coordinate once per call, and parsing
 collects its terms in one table and reduces once, with no `Poly` per
 factor.
 """
@@ -75,8 +75,8 @@ def test_recovery_builds_each_coordinate_once_per_order(monkeypatch):
     op = rand_diffop(random.Random(0), Chart(3, 3), Space.E, Bounds(), order=3)
     counts = _counting(monkeypatch, Poly, ["var"])
     assert op.recover_coefficients() == op.terms
-    # one x1..x3, u1..u3 set per recovered order 0..3
-    assert counts == {"var": 6 * 4}
+    # one x1..x3, u1..u3 set for the whole walk
+    assert counts == {"var": 6}
 
 
 def test_parsing_builds_one_poly(monkeypatch):
