@@ -16,7 +16,10 @@ each a determinant, where the library reads a trace.
 
 from __future__ import annotations
 
-from .diffop import DiffOp, _recover_table
+import itertools
+from fractions import Fraction
+
+from .diffop import DiffOp, _refuse_table
 from .lbundle import LPair
 from .multivec import SymMultivector, _det
 from .symcore import (
@@ -26,9 +29,49 @@ from .symcore import (
     Var,
     VarKind,
     add_into,
+    all_multi_indices,
     fiber_kind,
-    unshuffles,
 )
+
+
+def unshuffles(k: int, h: int):
+    """(k, h)-unshuffles of 0..k+h-1 as (first block, second block) pairs.
+
+    Permutations increasing on the first k and on the last h positions,
+    i.e. exactly the ways to split k+h slots into an ordered k-subset and
+    its ordered complement.
+    """
+    if k < 0 or h < 0:
+        return
+    positions = range(k + h)
+    for first in itertools.combinations(positions, k):
+        chosen = set(first)
+        second = tuple(p for p in positions if p not in chosen)
+        yield first, second
+
+
+def _recover_table(chart, space, q, value_fn) -> dict:
+    """Build an order-q table from symmetric evaluations on coordinates.
+
+    value_fn(args) must return the value on the q coordinate functions of
+    each key, base letters before fiber letters; division by I!B! undoes
+    the multiplicities.
+    """
+    n, m = chart.base_dim, chart.fiber_rank
+    _refuse_table(n, m, q)
+    base = [Poly.var(chart, space, v) for v in chart.vars_of(VarKind.BASE)]
+    fiber = [Poly.var(chart, space, v) for v in chart.vars_of(fiber_kind(space))]
+    terms = {}
+    for nb in range(q + 1):
+        for mi_b in all_multi_indices(n, nb):
+            for mi_f in all_multi_indices(m, q - nb):
+                args = [base[i - 1] for i in mi_b] + [fiber[a - 1] for a in mi_f]
+                value = value_fn(args)
+                if value.is_zero():
+                    continue
+                scale = Fraction(1, mi_b.factorial() * mi_f.factorial())
+                terms[(mi_b, mi_f)] = value.scale(scale)
+    return terms
 
 
 def _unshuffle_poisson(p1: SymMultivector, p2: SymMultivector) -> SymMultivector:
@@ -144,7 +187,7 @@ def _dual(d: DiffOp) -> DiffOp:
         if not mi_f:
             terms[(mi_b, mi_f)] = coeff.with_space(space)
             continue
-        w_b = Poly.var(d.chart, space, Var(fiber_kind(space), mi_f.entries[0]))
+        w_b = Poly.var(d.chart, space, Var(fiber_kind(space), mi_f[0]))
         for mi_a, m_ab in coeff.fiber_parts(space).items():
             add_into(terms, (EMPTY_MI, mi_a), -m_ab * w_b)
     return DiffOp(d.chart, space, terms)

@@ -207,7 +207,8 @@ def cmd_verify(args) -> int:
             print(line)
     if args.stats:
         executed = {report.suite: report.executed for report in reports}
-        print(_dumps({"executed": executed}), file=sys.stderr)
+        vacuous = {report.suite: report.vacuous for report in reports}
+        print(_dumps({"executed": executed, "vacuous": vacuous}), file=sys.stderr)
     return 0 if all(report.ok for report in reports) else 2
 
 
@@ -298,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--stats",
         action="store_true",
-        help="print each identity's executed count as one JSON object on stderr",
+        help="print each identity's executed and vacuous (zero-operand) counts "
+        "as one JSON object on stderr",
     )
     p.set_defaults(handler=cmd_verify)
 

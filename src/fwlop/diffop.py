@@ -10,9 +10,9 @@ first-order operator is a derivation of the pulled-back determinant line
 in the Vol_u frame (see `fwlop.lbundle`).  The representation is unique
 once multi-indices are canonical, so equality is table equality.
 Composition expands derivative-past-coefficient by the multiset Leibniz
-rule, in one kernel, `_leibniz`, which takes the other operand as a list
-of (base entries, fiber entries, coefficient); a pass visits only the S
-that stay within the largest exponents of c2 (`Poly.max_exponents`),
+rule, in one kernel, `_leibniz`, which takes the other operand as its
+(key, coefficient) pairs and builds `MultiIndex` keys; a pass visits only
+the S that stay within the largest exponents of c2 (`Poly.max_exponents`),
 because d^S c2 = 0 for the others.  A commutator [A, B] is two passes of
 the same expansion, of A∘B and of B∘A, each without its S = ∅ terms
 c1·c2 d^(J1+J2), which are equal on both sides and cancel; when B has
@@ -63,7 +63,6 @@ from .symcore import (
     VarKind,
     _sub_multisets,
     add_into,
-    all_multi_indices,
     fiber_kind,
     multi_index_count,
     parse_poly,
@@ -179,9 +178,9 @@ class DiffOp:
         for (mi_b, mi_f), coeff in sorted(self.terms.items(), key=_term_key):
             part = f"({poly_to_str(coeff)})"
             if len(mi_b):
-                part += " dx" + str(list(mi_b.entries))
+                part += " dx" + str(list(mi_b))
             if len(mi_f):
-                part += fiber + str(list(mi_f.entries))
+                part += fiber + str(list(mi_f))
             bits.append(part)
         return "DiffOp(" + " + ".join(bits) + ")"
 
@@ -213,7 +212,7 @@ class DiffOp:
         """self after other; derivatives expand past coefficients by the
         multiset Leibniz rule with multinomial(J, S) = prod_i C(J[i], S[i])."""
         self._check_compatible(other)
-        return self._summed(self._leibniz(other._entries(), False, 1, {}))
+        return self._summed(self._leibniz(other.terms.items(), False, 1, {}))
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
         # A∘B and B∘A share their S = ∅ terms c1·c2 d^(J1+J2) (coefficients
@@ -221,9 +220,9 @@ class DiffOp:
         # order 0 (multiplication by f) the pass of B∘A has nothing left.
         self._check_compatible(other)
         q, r = self.order(), other.order()
-        pieces = self._leibniz(other._entries(), True, 1, {})
+        pieces = self._leibniz(other.terms.items(), True, 1, {})
         if r != 0:
-            other._leibniz(self._entries(), True, -1, pieces)
+            other._leibniz(self.terms.items(), True, -1, pieces)
         out = self._summed(pieces)
         orders = (q, r, out.order())
         if None not in orders and orders[2] > q + r - 1:
@@ -236,75 +235,58 @@ class DiffOp:
         at the empty key, so no key is sorted.  Every output key is some
         J1 - S with S nonempty, so the order drops by at least one."""
         self._check_compatible(f)
-        return self._summed(self._leibniz([((), (), f)], True, 1, {}))
+        return self._summed(self._leibniz([(_ORDER_ZERO, f)], True, 1, {}))
 
-    def _entries(self) -> list:
-        """The terms as the (base entries, fiber entries, coefficient)
-        operands of `_leibniz`."""
-        return [(i.entries, b.entries, c) for (i, b), c in self.terms.items()]
-
-    def _leibniz(self, others: list, skip_empty: bool, sign: int, pieces: dict):
+    def _leibniz(self, others, skip_empty: bool, sign: int, pieces: dict):
         """Collect sign * binom(J1, S) c1 (d^S c2) d^(J1 - S + J2) over the
-        terms c1 d^J1 of self, the operands (J2 base entries, J2 fiber
-        entries, c2) of `others` and S <= J1, leaving out S = ∅ if
-        skip_empty, into pieces: {(base entries, fiber entries) of the key:
-        [(integer factor, c1, d^S c2), ...]}; returns pieces.  Keys are
-        sorted entry tuples, which hash in C; against an empty J2 part the
-        remainder J1 - S is one already.  An S that takes some letter more
+        terms c1 d^J1 of self, the (J2, c2) pairs of `others` and S <= J1,
+        leaving out S = ∅ if skip_empty, into pieces: {key: [(integer
+        factor, c1, d^S c2), ...]}; returns pieces.  Each part of a key is
+        the remainder J1 - S as it is when J2's part is empty, and the
+        sorted J1 - S + J2 otherwise.  An S that takes some letter more
         often than c2's largest exponent of that variable gives d^S c2 = 0
         and is skipped unvisited; the others keep their order.  Each d^S c2
         is computed once per call: terms of self share their
         sub-multisets S."""
         fk = fiber_kind(self.space)
-        # (index of c2's term, S base entries[, S fiber entries]) -> partial
+        # (index of c2's term, S base part[, S fiber part]) -> partial
         partials = {}
         other_terms = [
-            (n2, e2_base, e2_fib, c2, *c2.max_exponents())
-            for n2, (e2_base, e2_fib, c2) in enumerate(others)
+            (n2, j2_base, j2_fib, c2, *c2.max_exponents())
+            for n2, ((j2_base, j2_fib), c2) in enumerate(others)
         ]
         for (i1, b1), c1 in self.terms.items():
-            subs_base = _sub_multisets(i1.entries)
-            subs_fib = _sub_multisets(b1.entries)
-            for n2, e2_base, e2_fib, c2, top_base, top_fib in other_terms:
+            subs_base = _sub_multisets(i1)
+            subs_fib = _sub_multisets(b1)
+            for n2, j2_base, j2_fib, c2, top_base, top_fib in other_terms:
                 fibs_all = _within(subs_fib, top_fib)
                 for s_base, n_base, rest_base, _ in _within(subs_base, top_base):
-                    at_base = (n2, s_base.entries)
+                    at_base = (n2, s_base)
                     dc = partials.get(at_base)
                     if dc is None:
                         dc = partials[at_base] = c2.partial_multi(s_base, VarKind.BASE)
                     if dc.is_zero():
                         continue
-                    key_base = (
-                        tuple(sorted(rest_base + e2_base)) if e2_base else rest_base
-                    )
+                    key_base = MultiIndex(rest_base + j2_base) if j2_base else rest_base
                     fibs = fibs_all
-                    if skip_empty and not s_base.entries:
+                    if skip_empty and not s_base:
                         fibs = fibs[1:]
                     for s_fib, n_fib, rest_fib, _ in fibs:
-                        at = (n2, s_base.entries, s_fib.entries)
+                        at = (n2, s_base, s_fib)
                         dcf = partials.get(at)
                         if dcf is None:
                             dcf = partials[at] = dc.partial_multi(s_fib, fk)
                         if dcf.is_zero():
                             continue
-                        key_fib = (
-                            tuple(sorted(rest_fib + e2_fib)) if e2_fib else rest_fib
-                        )
-                        key = (key_base, key_fib)
+                        key_fib = MultiIndex(rest_fib + j2_fib) if j2_fib else rest_fib
                         piece = (sign * n_base * n_fib, c1, dcf)
-                        pieces.setdefault(key, []).append(piece)
+                        pieces.setdefault((key_base, key_fib), []).append(piece)
         return pieces
 
     def _summed(self, pieces: dict) -> "DiffOp":
-        """The operator of `_leibniz` pieces, keyed by entry tuples."""
-        terms = _sum_pieces(self.chart, self.space, pieces)
+        """The operator of `_leibniz` pieces."""
         return DiffOp._raw(
-            self.chart,
-            self.space,
-            {
-                (MultiIndex._sorted(eb), MultiIndex._sorted(ef)): c
-                for (eb, ef), c in terms.items()
-            },
+            self.chart, self.space, _sum_pieces(self.chart, self.space, pieces)
         )
 
     # -- grading and classification -------------------------------------------
@@ -426,7 +408,7 @@ class DiffOp:
             for v in chart.vars_of(VarKind.BASE) + chart.vars_of(fiber_kind(space))
         ]
         out = {}
-        # (nested commutator, base entries, fiber entries, first letter of
+        # (nested commutator, base letters, fiber letters, first letter of
         # its children), the letters numbered 0..n+m-1
         stack = [(self, (), (), 0)]
         while stack:
@@ -506,7 +488,7 @@ def _sum_pieces(chart, space, pieces: dict) -> dict:
 
 def _term_key(item):
     (mi_b, mi_f), _ = item
-    return (len(mi_b) + len(mi_f), mi_b.entries, mi_f.entries)
+    return (len(mi_b) + len(mi_f), mi_b, mi_f)
 
 
 def nested_values(op: DiffOp):
@@ -557,30 +539,6 @@ def _refuse_table(n, m, q):
     )
 
 
-def _recover_table(chart, space, q, value_fn) -> dict:
-    """Build an order-q table from symmetric evaluations on coordinates.
-
-    value_fn(args) must return the value on the q coordinate functions of
-    each key, base letters before fiber letters; division by I!B! undoes
-    the multiplicities.
-    """
-    n, m = chart.base_dim, chart.fiber_rank
-    _refuse_table(n, m, q)
-    base = [Poly.var(chart, space, v) for v in chart.vars_of(VarKind.BASE)]
-    fiber = [Poly.var(chart, space, v) for v in chart.vars_of(fiber_kind(space))]
-    terms = {}
-    for nb in range(q + 1):
-        for mi_b in all_multi_indices(n, nb):
-            for mi_f in all_multi_indices(m, q - nb):
-                args = [base[i - 1] for i in mi_b] + [fiber[a - 1] for a in mi_f]
-                value = value_fn(args)
-                if value.is_zero():
-                    continue
-                scale = Fraction(1, mi_b.factorial() * mi_f.factorial())
-                terms[(mi_b, mi_f)] = value.scale(scale)
-    return terms
-
-
 # ---------------------------------------------------------------------------
 # Operator document (UTF-8 JSON, bit-exact round-trip).  dx/du arrays are
 # multisets: order irrelevant, duplicates mean multiplicity.  Unknown keys
@@ -627,8 +585,8 @@ def diffop_to_doc(op: DiffOp) -> dict:
         terms.append(
             {
                 "coeff": poly_to_str(coeff),
-                "dx": list(mi_b.entries),
-                "du": list(mi_f.entries),
+                "dx": list(mi_b),
+                "du": list(mi_f),
             }
         )
     return {

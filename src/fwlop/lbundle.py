@@ -350,7 +350,7 @@ def a_inverse(d: DiffOp, q: int) -> DiffOp:
         for beta in range(1, chart.fiber_rank + 1):
             top = fiber_coeffs.get((mi.concat(MultiIndex([beta])), beta))
             if top is not None:
-                correction = correction + top.scale(mi.multiplicity(beta) + 1)
+                correction = correction + top.scale(mi.count(beta) + 1)
         add_into(terms, (EMPTY_MI, mi), base_part + correction)
 
     return DiffOp(chart, Space.E, terms)

@@ -28,8 +28,10 @@ polynomial may contain is decided by its `space` tag:
   Estar   base + dual fiber   (total space of the dual bundle)
   Ambient base + fiber        (chart around a submanifold {u=0})
 
-Multi-indices are words modulo letter permutations, stored as sorted
-tuples; they index iterated partial derivatives everywhere downstream.
+A multi-index is a word modulo letter permutations, and `MultiIndex` is
+the sorted tuple of its letters: tables, the Leibniz kernel and documents
+all read that one value.  Multi-indices index iterated partial
+derivatives everywhere downstream.
 """
 
 from __future__ import annotations
@@ -110,53 +112,30 @@ class Chart:
         return [Var(kind, i) for i in range(1, bound + 1)]
 
 
-class MultiIndex:
+class MultiIndex(tuple):
     """A word in positive integers modulo letter permutations.
 
-    Stored as a sorted tuple; two multi-indices are equal iff the sorted
-    tuples are.  Concatenation is the commutative monoid operation with
-    the empty multi-index as unit.
+    A multi-index is the sorted tuple of its letters, so it equals, hashes
+    and orders as that tuple does.  Concatenation is the commutative monoid
+    operation with the empty multi-index as unit.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
-    def __init__(self, entries=()):
-        _set_entries(self, tuple(sorted(entries)))
+    def __new__(cls, entries=()):
+        return tuple.__new__(cls, sorted(entries))
 
     @classmethod
     def _sorted(cls, entries: tuple) -> "MultiIndex":
         """The multi-index of a tuple already in sorted order (internal)."""
-        self = object.__new__(cls)
-        _set_entries(self, entries)
-        return self
-
-    def __setattr__(self, *a):
-        raise AttributeError("MultiIndex is immutable")
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, MultiIndex) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __lt__(self, other):
-        return (len(self), self.entries) < (len(other), other.entries)
+        return tuple.__new__(cls, entries)
 
     def __repr__(self):
-        return f"MultiIndex({list(self.entries)})"
-
-    def multiplicity(self, letter: int) -> int:
-        return self.entries.count(letter)
+        return f"MultiIndex({list(self)})"
 
     def multiplicities(self) -> dict:
         out = {}
-        for letter in self.entries:
+        for letter in self:
             out[letter] = out.get(letter, 0) + 1
         return out
 
@@ -168,30 +147,22 @@ class MultiIndex:
         return out
 
     def concat(self, other: "MultiIndex") -> "MultiIndex":
-        return MultiIndex(self.entries + other.entries)
+        return MultiIndex(self + other)
 
     def remove(self, letter: int) -> "MultiIndex":
-        entries = list(self.entries)
+        entries = list(self)
         entries.remove(letter)
         return MultiIndex(entries)
 
-    def sub_multisets(self) -> tuple:
-        """(S, multiset binomial of self over S) for all S <= self."""
-        return tuple((sub, coeff) for sub, coeff, *_ in _sub_multisets(self.entries))
-
-
-_set_entries = MultiIndex.entries.__set__
-
 
 @functools.cache
-def _sub_multisets(entries: tuple) -> tuple:
-    """(S, multiset binomial, sorted entries of the remainder J - S,
-    multiplicity vector of S) for all S <= J, J the multi-index with these
-    sorted entries; the empty S comes first.  The vector's i-th entry is the
-    multiplicity of letter i+1 in S, up to J's largest letter.  Memoised on
-    the entries."""
-    items = sorted(MultiIndex(entries).multiplicities().items())
-    width = entries[-1] if entries else 0
+def _sub_multisets(mi: MultiIndex) -> tuple:
+    """(S, multiset binomial, remainder J - S, multiplicity vector of S) for
+    all S <= J = mi, S and J - S multi-indices; the empty S comes first.
+    The vector's i-th entry is the multiplicity of letter i+1 in S, up to
+    J's largest letter.  Memoised on J."""
+    items = sorted(mi.multiplicities().items())
+    width = mi[-1] if mi else 0
     out = []
     for picks in itertools.product(*(range(mult + 1) for _, mult in items)):
         coeff = 1
@@ -203,7 +174,14 @@ def _sub_multisets(entries: tuple) -> tuple:
             chosen.extend([letter] * k)
             rest.extend([letter] * (mult - k))
             vector[letter - 1] = k
-        out.append((MultiIndex._sorted(tuple(chosen)), coeff, tuple(rest), tuple(vector)))
+        out.append(
+            (
+                MultiIndex._sorted(tuple(chosen)),
+                coeff,
+                MultiIndex._sorted(tuple(rest)),
+                tuple(vector),
+            )
+        )
     return tuple(out)
 
 
@@ -239,22 +217,6 @@ def multi_index_count(alphabet_size: int, length: int, limit: int) -> int:
         if count > limit:
             return limit + 1
     return count
-
-
-def unshuffles(k: int, h: int):
-    """(k, h)-unshuffles of 0..k+h-1 as (first block, second block) pairs.
-
-    Permutations increasing on the first k and on the last h positions,
-    i.e. exactly the ways to split k+h slots into an ordered k-subset and
-    its ordered complement.
-    """
-    if k < 0 or h < 0:
-        return
-    positions = range(k + h)
-    for first in itertools.combinations(positions, k):
-        chosen = set(first)
-        second = tuple(p for p in positions if p not in chosen)
-        yield first, second
 
 
 Monomial = tuple  # exponents of x1..xn, then of the space's fiber-type variables
@@ -571,8 +533,7 @@ class Poly:
         when some letter comes more often than its exponent.  The empty
         multi-index returns self unchecked; otherwise the letters are
         checked in order as `partial` checks one."""
-        entries = mi.entries
-        if not entries:
+        if not mi:
             return self
         chart = self.chart
         if kind is VarKind.BASE:
@@ -580,11 +541,11 @@ class Poly:
         elif kind is fiber_kind(self.space):
             offset, bound = chart.base_dim, chart.fiber_rank
         else:
-            v = Var(kind, entries[0])
+            v = Var(kind, mi[0])
             raise SpaceMismatch(
                 f"cannot differentiate by {v} on space {self.space.value}"
             )
-        for letter in entries:
+        for letter in mi:
             if not 1 <= letter <= bound:
                 v = Var(kind, letter)
                 raise IndexOutOfRange(f"variable {v} out of range for chart {chart}")

@@ -74,6 +74,8 @@ class VerifyReport:
     failures: list = field(default_factory=list)
     # {identity: how many times it was checked}, in the order first checked
     executed: dict = field(default_factory=dict)
+    # {identity: how many of those checks had a zero operand}, same keys
+    vacuous: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -102,9 +104,12 @@ class _Session:
         self.failures = []
         self.trial = 0
         self.executed = {}
+        self.vacuous = {}
 
     def check(self, identity: str, ok: bool, **docs):
         self.executed[identity] = self.executed.get(identity, 0) + 1
+        zero = any(map(_is_zero, docs.values()))
+        self.vacuous[identity] = self.vacuous.get(identity, 0) + zero
         if not ok:
             self.failures.append(
                 {
@@ -113,6 +118,13 @@ class _Session:
                     "counterexample": {k: _doc(v) for k, v in sorted(docs.items())},
                 }
             )
+
+
+def _is_zero(obj) -> bool:
+    """A zero operator, multivector or polynomial, or a pair of zeros."""
+    if isinstance(obj, LPair):
+        return obj.p.is_zero() and obj.rho.is_zero()
+    return isinstance(obj, (DiffOp, SymMultivector, Poly)) and obj.is_zero()
 
 
 def _doc(obj):
@@ -299,7 +311,7 @@ def _regenerate_fwl(chart: Chart, op: DiffOp, q: int) -> DiffOp:
             field = DiffOp.monomial(Poly.const(chart, Space.E, 1), mi_b, EMPTY_MI)
             out = out + core.compose(field)
         elif len(mi_f) == q:
-            beta = mi_f.entries[0]
+            beta = mi_f[0]
             rest = mi_f.remove(beta)
             for alpha in range(1, chart.fiber_rank + 1):
                 c_a = coeff.partial(Var(VarKind.FIBER, alpha))
@@ -774,7 +786,9 @@ def run_suite(name: str, trials: int, seed: int, bounds=None) -> VerifyReport:
     session = _Session(rng, bounds)
     SUITES[name](session, trials)
     session.failures.sort(key=lambda f: (f["trial"], f["identity"]))
-    return VerifyReport(name, trials, seed, session.failures, session.executed)
+    return VerifyReport(
+        name, trials, seed, session.failures, session.executed, session.vacuous
+    )
 
 
 def run_all(trials: int, seed: int, bounds=None):

@@ -74,6 +74,9 @@ def test_removed_names_are_read_from_the_readme():
         "Poly.monomials", "Poly.substitute", "Poly.constant_term",
         "base_var", "fiber_var", "dual_var",
     } <= set(REMOVED)
+    assert {
+        "MultiIndex.entries", "MultiIndex.multiplicity", "MultiIndex.sub_multisets",
+    } <= set(REMOVED)
 
 
 @pytest.mark.parametrize("name", REMOVED)

@@ -4,8 +4,12 @@ import json
 
 import pytest
 
-from fwlop import cli
+from fwlop import cli, verify
 from fwlop.cli import main
+from fwlop.diffop import DiffOp
+from fwlop.lbundle import LPair
+from fwlop.multivec import SymMultivector
+from fwlop.symcore import EMPTY_MI, Chart, Poly, Space
 
 OP_FWL2 = {
     "chart": {"base_dim": 1, "fiber_rank": 1},
@@ -159,8 +163,12 @@ def test_verify_stats_count_every_identity_and_leave_stdout_alone(capsys):
     code, out, err = run(capsys, *argv, "--stats")
     assert (code, out) == (0, plain)
     assert err.count("\n") == 1
-    executed = json.loads(err)["executed"]
+    stats = json.loads(err)
+    executed = stats["executed"]
     assert list(executed) == list(cli.SUITES)
+    assert {suite: list(counts) for suite, counts in stats["vacuous"].items()} == {
+        suite: list(counts) for suite, counts in executed.items()
+    }
     assert all(counts and min(counts.values()) >= 1 for counts in executed.values())
     assert executed["recovery"]["coefficient-recovery"] == 2
     assert sum(len(counts) for counts in executed.values()) >= 60
@@ -173,6 +181,40 @@ def test_verify_stats_count_failing_checks(capsys, monkeypatch):
     )
     assert code == 2 and "failures: 3" in out
     assert json.loads(err)["executed"]["recovery"]["coefficient-recovery"] == 3
+
+
+def test_verify_stats_count_checks_with_a_zero_operand(capsys, monkeypatch):
+    # a check is vacuous when one of its documented operands is zero, and a
+    # pair only when both of its parts are; other operands never count
+    chart = Chart(1, 1)
+    one = Poly.const(chart, Space.E, 1)
+    order_zero = SymMultivector(chart, Space.E, 0, {(EMPTY_MI, EMPTY_MI): one})
+    zero_p = SymMultivector.zero(chart, Space.E, 1)
+
+    def hand_made(s, trials):
+        for s.trial in range(trials):
+            s.check("nonzero", True, op=DiffOp.identity(chart, Space.E), f=one)
+            s.check("zero-op", True, op=DiffOp.zero(chart, Space.E), f=one)
+            s.check("zero-poly", False, f=Poly.zero(chart, Space.E))
+            s.check("zero-multivector", True, p=zero_p, q=1)
+            s.check("half-zero-pair", True, pair=LPair(zero_p, order_zero))
+            s.check("zero-pair", True, pair=LPair(zero_p, order_zero.scale(0)))
+            s.check("no-operand", True, chart=str(chart))
+
+    monkeypatch.setitem(verify.SUITES, "recovery", hand_made)
+    code, out, err = run(
+        capsys, "verify", "--suite", "recovery", "--trials", "2", "--seed", "1", "--stats"
+    )
+    assert code == 2 and "failures: 2" in out
+    stats = json.loads(err)
+    assert stats["executed"]["recovery"] == dict.fromkeys(
+        ["nonzero", "zero-op", "zero-poly", "zero-multivector", "half-zero-pair",
+         "zero-pair", "no-operand"], 2
+    )
+    assert stats["vacuous"]["recovery"] == {
+        "nonzero": 0, "zero-op": 2, "zero-poly": 2, "zero-multivector": 2,
+        "half-zero-pair": 0, "zero-pair": 2, "no-operand": 0,
+    }
 
 
 def test_verify_unknown_suite(capsys):

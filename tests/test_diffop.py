@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from fwlop._oracles import _recover_table
 from fwlop.diffop import (
     DiffOp,
-    _recover_table,
     diffop_dumps,
     diffop_from_doc,
     diffop_loads,
@@ -24,11 +24,14 @@ from fwlop.errors import (
     SpaceMismatch,
     ZeroOperator,
 )
+from fwlop.lbundle import a_inverse, a_iso
+from fwlop.multivec import hamiltonian_field, poisson, sym_product
 from fwlop.randgen import (
     Bounds,
     rand_chart,
     rand_core_op,
     rand_diffop,
+    rand_fwl_multivector,
     rand_fwl_op,
     rand_key,
     rand_poly,
@@ -41,6 +44,7 @@ from fwlop.symcore import (
     Space,
     Var,
     VarKind,
+    _sub_multisets,
     add_into,
     fiber_kind,
     parse_poly,
@@ -256,8 +260,8 @@ def _plain_leibniz(a, b, skip_empty):
     out = DiffOp.zero(a.chart, a.space)
     for (i1, b1), c1 in a.terms.items():
         for (i2, b2), c2 in b.terms.items():
-            for s_b, n_b in i1.sub_multisets():
-                for s_f, n_f in b1.sub_multisets():
+            for s_b, n_b, *_ in _sub_multisets(i1):
+                for s_f, n_f, *_ in _sub_multisets(b1):
                     if skip_empty and not len(s_b) + len(s_f):
                         continue
                     rest_b, rest_f = i1, b1
@@ -296,10 +300,10 @@ def test_leibniz_takes_each_partial_once_per_pass(monkeypatch):
         },
     )
     subsets = {
-        (s_b.entries, s_f.entries)
+        (s_b, s_f)
         for i1, b1 in a.terms
-        for s_b, _ in i1.sub_multisets()
-        for s_f, _ in b1.sub_multisets()
+        for s_b, *_ in _sub_multisets(i1)
+        for s_f, *_ in _sub_multisets(b1)
     }
     assert len(subsets) == 9
     calls = []
@@ -313,7 +317,7 @@ def test_leibniz_takes_each_partial_once_per_pass(monkeypatch):
         expected = _plain_leibniz(a, b, skip_empty)
         calls.clear()
         monkeypatch.setattr(Poly, "partial_multi", counting)
-        got = a._summed(a._leibniz(b._entries(), skip_empty, 1, {}))
+        got = a._summed(a._leibniz(b.terms.items(), skip_empty, 1, {}))
         monkeypatch.setattr(Poly, "partial_multi", partial_multi)
         assert got == expected
         # one base partial per (term of b, S base part), one fiber partial
@@ -343,7 +347,7 @@ def test_pruned_leibniz_matches_the_plain_expansion():
             for other in others:
                 for x, y in ((a, other), (other, a)):
                     for skip_empty in (False, True):
-                        got = x._summed(x._leibniz(y._entries(), skip_empty, 1, {}))
+                        got = x._summed(x._leibniz(y.terms.items(), skip_empty, 1, {}))
                         assert got == _plain_leibniz(x, y, skip_empty)
                     pruned += _prunes(x, y)
     assert pruned >= 50
@@ -369,10 +373,57 @@ def test_function_bracket_matches_the_plain_expansion():
                 assert got == a.compose(mult) - mult.compose(a)
                 assert got == a.commutator(mult)
                 assert all(
-                    mi == MultiIndex(mi.entries) for key in got.terms for mi in key
+                    type(mi) is MultiIndex and mi == tuple(sorted(mi))
+                    for key in got.terms
+                    for mi in key
                 )
                 nonzero += len(f.terms) > 1 and not got.is_zero()
     assert nonzero >= 40
+
+
+def _check_keys(seen: Counter, path: str, keys):
+    """Count the keys of one table-building path, checking that each of
+    their multi-indices is an exact, sorted MultiIndex: a stray plain tuple
+    compares equal to one and would only fail later, at
+    `.multiplicities()`."""
+    for key in keys:
+        for mi in key:
+            assert type(mi) is MultiIndex and mi == tuple(sorted(mi)), (path, key)
+        seen[path] += 1
+
+
+def test_every_table_path_keys_by_exact_sorted_multi_indices():
+    rng = random.Random(211)
+    bounds = Bounds()
+    seen = Counter()
+    for _ in range(8):
+        chart = rand_chart(rng, bounds)
+        for space in SPACES:
+            a = rand_diffop(rng, chart, space, bounds, max_keys=4, order=3)
+            b = rand_diffop(rng, chart, space, bounds, max_keys=3, order=2)
+            f = rand_poly(rng, chart, space, bounds)
+            doc = diffop_to_doc(a)
+            for term in doc["terms"]:
+                term["dx"].reverse()
+                term["du"].reverse()
+            _check_keys(seen, "compose", a.compose(b).terms)
+            _check_keys(seen, "commutator", a.commutator(b).terms)
+            _check_keys(seen, "function bracket", a._function_bracket(f).terms)
+            _check_keys(seen, "recover", a.recover_coefficients())
+            _check_keys(seen, "document", diffop_from_doc(doc).terms)
+            _check_keys(seen, "fiber parts", ((mi,) for mi in f.fiber_parts(space)))
+            if space is not Space.AMBIENT:
+                for part in a.grade_decompose().values():
+                    _check_keys(seen, "grade", part.terms)
+        q = rng.randint(1, 3)
+        p1 = rand_fwl_multivector(rng, chart, bounds, q)
+        p2 = rand_fwl_multivector(rng, chart, bounds, rng.randint(1, 3))
+        derivation = a_iso(rand_fwl_op(rng, chart, bounds, q), q)
+        _check_keys(seen, "poisson", poisson(p1, p2).terms)
+        _check_keys(seen, "sym_product", sym_product(p1, p2).terms)
+        _check_keys(seen, "hamiltonian_field", hamiltonian_field(p1).terms)
+        _check_keys(seen, "a_inverse", a_inverse(derivation, q).terms)
+    assert len(seen) == 11 and min(seen.values()) >= 5
 
 
 def test_function_bracket_checks_the_function():
@@ -464,15 +515,16 @@ def test_nested_values_make_no_apply_call(monkeypatch):
 
 def test_function_commutator_keeps_the_order_bound_check(monkeypatch):
     # a Leibniz result of order 3 breaks the bound 2 + 0 - 1 for [d^2/du^2, u1]
-    cubic = {((), (1, 1, 1)): [(1, P("1", CH1), P("1", CH1))]}
+    cubic = {(EMPTY_MI, MultiIndex([1, 1, 1])): [(1, P("1", CH1), P("1", CH1))]}
     monkeypatch.setattr(DiffOp, "_leibniz", lambda self, other, *rest: cubic)
     with pytest.raises(InvariantViolation, match="order bound"):
         op_du(2).commutator(DiffOp.mult(P("u1")))
 
 
 def test_sub_multisets_returns_pairs():
-    subs = MultiIndex([1, 1, 2]).sub_multisets()
-    assert all(len(item) == 2 for item in subs)
+    items = _sub_multisets(MultiIndex([1, 1, 2]))
+    assert all(type(sub) is type(rest) is MultiIndex for sub, _, rest, _ in items)
+    subs = [(sub, coeff) for sub, coeff, *_ in items]
     assert subs[0] == (EMPTY_MI, 1)
     assert (MultiIndex([1, 2]), 2) in subs
 

@@ -45,7 +45,7 @@ def test_no_assert_or_assertion_error_in_the_package(path):
 # second recovery path in the library would duplicate them.
 REFERENCE_HOMES = {
     "unshuffles": {"_oracles.py"},
-    "_recover_table": {"diffop.py", "_oracles.py"},
+    "_recover_table": {"_oracles.py"},
 }
 
 

@@ -140,7 +140,7 @@ def test_dual_involutive_and_pairing():
         rhs = Poly.zero(chart, Space.E)
         for (mi_b, _), coeff in d.terms.items():
             if mi_b:
-                x_i = Var(VarKind.BASE, mi_b.entries[0])
+                x_i = Var(VarKind.BASE, mi_b[0])
                 rhs = rhs + coeff.with_space(Space.E) * paired.partial(x_i)
         assert lhs == rhs
 

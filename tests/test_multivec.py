@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from fwlop.diffop import DiffOp, _recover_table, nested_values
-from fwlop._oracles import _pairing, _unshuffle_poisson
+from fwlop.diffop import DiffOp, nested_values
+from fwlop._oracles import _pairing, _recover_table, _unshuffle_poisson, unshuffles
 from fwlop.errors import (
     ArityMismatch,
     AsymmetricGamma,
@@ -50,7 +50,6 @@ from fwlop.symcore import (
     VarKind,
     parse_poly,
     poly_to_str,
-    unshuffles,
 )
 from var_reading import substitute
 

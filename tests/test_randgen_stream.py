@@ -47,7 +47,7 @@ def _canon(obj):
     if isinstance(obj, Poly):
         return [obj.space.value, poly_to_str(obj)]
     if isinstance(obj, MultiIndex):
-        return list(obj.entries)
+        return list(obj)
     if isinstance(obj, Chart):
         return [obj.base_dim, obj.fiber_rank]
     if isinstance(obj, dict):
