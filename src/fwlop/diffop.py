@@ -18,7 +18,10 @@ the same expansion, of A∘B and of B∘A, each without its S = ∅ terms
 c1·c2 d^(J1+J2), which are equal on both sides and cancel; when B has
 order 0 its pass is empty.  So a commutator [A, f] with a function is
 one pass against the single coefficient f at the empty key, where every
-output key is a remainder J1 - S, already sorted.  The passes collect
+output key is a remainder J1 - S, already sorted.  For a coordinate z
+(`Poly.as_var`) only S = {z} stays within the largest exponents, d_z z = 1
+and binom(J, {z}) = mult_z(J), so that pass is the shift c_J d^J ->
+mult_z(J) c_J d^(J - z), and it is taken directly.  The passes collect
 their summands k c1 (d^S c2) per output key, and each coefficient is one
 `Poly.sum_of_products`, reduced once.  Every value [...[op, f1], ...,
 fk](1) in the package, from multivector evaluation to the bundle map of
@@ -28,9 +31,11 @@ only dictionary lookups; it takes no commutator below a zero one, since
 [0, f] = 0, and reads a value off the order-0 coefficient, since
 d^J 1 = 0 for J != ∅.  Coefficient recovery reads the table only through
 these values, which makes it an independent oracle for the whole
-representation; it walks the sorted words of coordinates depth first,
-by the same two rules, so a word that dies at its first letter costs one
-pass and no other key is enumerated.
+representation: each nested commutator still comes from its prefix by
+the Leibniz rule, specialised to f = z, and only its order-0 coefficient
+is read.  It walks the sorted words of coordinates depth first, by the
+same two rules, so a word that dies at its first letter costs one shift
+and no other key is enumerated.
 
 The weight of a homogeneous term is (fiber degree of the coefficient)
 minus |B|; it matches the exponent picked up under conjugation by the
@@ -84,6 +89,12 @@ class DiffOp:
                 raise ChartMismatch("coefficient chart differs from operator chart")
             if coeff.space != space:
                 raise SpaceMismatch("coefficient space differs from operator space")
+            # A key part given as a plain tuple is sorted into a MultiIndex;
+            # keys that coincide then add up, as repeated document terms do.
+            if type(mi_base) is not MultiIndex:
+                mi_base = MultiIndex(mi_base)
+            if type(mi_fiber) is not MultiIndex:
+                mi_fiber = MultiIndex(mi_fiber)
             # A zero term's letters are checked too, before it is dropped.
             for letter in mi_base:
                 if not 1 <= letter <= chart.base_dim:
@@ -91,9 +102,9 @@ class DiffOp:
             for letter in mi_fiber:
                 if not 1 <= letter <= chart.fiber_rank:
                     raise ChartMismatch(f"fiber index {letter} out of range")
-            if not coeff.is_zero():
-                canon[(mi_base, mi_fiber)] = coeff
-        _set_terms(self, canon)
+            key = (mi_base, mi_fiber)
+            canon[key] = canon[key] + coeff if key in canon else coeff
+        _set_terms(self, {k: c for k, c in canon.items() if not c.is_zero()})
 
     def __setattr__(self, *a):
         raise AttributeError("DiffOp is immutable")
@@ -233,9 +244,27 @@ class DiffOp:
         """[self, f] for f acting by multiplication: the one pass of
         self∘f without its S = ∅ terms, against the single coefficient f
         at the empty key, so no key is sorted.  Every output key is some
-        J1 - S with S nonempty, so the order drops by at least one."""
+        J1 - S with S nonempty, so the order drops by at least one.
+
+        For a coordinate z that pass keeps only S = {z}, where d_z z = 1
+        and binom(J, {z}) is the multiplicity of z in J, so it is the
+        shift c_J d^J -> mult_z(J) c_J d^(J - z), taken directly: the
+        same values, keys and key order, and no two keys collide."""
         self._check_compatible(f)
-        return self._summed(self._leibniz([(_ORDER_ZERO, f)], True, 1, {}))
+        z = f.as_var()
+        if z is None:
+            return self._summed(self._leibniz([(_ORDER_ZERO, f)], True, 1, {}))
+        part, letter = (0 if z.kind is VarKind.BASE else 1), z.index
+        terms = {}
+        for key, coeff in self.terms.items():
+            mi = key[part]
+            mult = mi.count(letter)
+            if mult:
+                at = mi.index(letter)
+                rest = MultiIndex._sorted(mi[:at] + mi[at + 1 :])
+                shifted = (rest, key[1]) if part == 0 else (key[0], rest)
+                terms[shifted] = coeff if mult == 1 else coeff.scale(mult)
+        return DiffOp._raw(self.chart, self.space, terms)
 
     def _leibniz(self, others, skip_empty: bool, sign: int, pieces: dict):
         """Collect sign * binom(J1, S) c1 (d^S c2) d^(J1 - S + J2) over the
@@ -357,18 +386,18 @@ class DiffOp:
         order = self.order()
         by_weight = order <= q and self.weight() == 1 - q
         by_shape = order <= q and all(
-            self._fwl_term_shape(key, part, q)
+            self._fwl_term_shape(key, coeff.fiber_degree(), q)
             for key, coeff in self.terms.items()
-            for part in coeff.fiber_degree_decompose().values()
         )
         if by_weight != by_shape:
             raise InvariantViolation("FWL weight and shape tests disagree")
         return by_weight
 
     @staticmethod
-    def _fwl_term_shape(key, coeff_part, q):
+    def _fwl_term_shape(key, deg, q):
+        """Whether a term at key whose coefficient has fiber degree deg
+        (None when it is not homogeneous) has a FWL normal-form shape."""
         mi_b, mi_f = key
-        deg = coeff_part.fiber_degree()
         if len(mi_b) == 1 and len(mi_f) == q - 1:
             return deg == 0
         if len(mi_b) == 0 and len(mi_f) == q:
@@ -386,7 +415,9 @@ class DiffOp:
         letters z running over the I and B coordinate functions.  This is
         the independent oracle for the representation; past order 0 it
         never reads the stored table directly, only the order-0
-        coefficients of the Leibniz expansions of the [A, z].
+        coefficients of the nested commutators, each the bracket [A, z] of
+        its parent A by the Leibniz rule specialised to the coordinate z:
+        the shift c_J d^J -> mult_z(J) c_J d^(J - z).
 
         The walk is depth first over the sorted words of length up to the
         order, base letters before fiber letters: a node's children take
@@ -494,13 +525,13 @@ def _term_key(item):
 def nested_values(op: DiffOp):
     """The map fs -> [...[op, f1], ..., fk](1), the f's acting by
     multiplication.  Each nested commutator is one function commutator
-    (`DiffOp._function_bracket`) of the one of its prefix, kept in a trie
-    of words for as long as the map lives.  Two rules skip work whose
-    result is zero: [0, f] = 0, so below a zero nested commutator no node
-    is built and no commutator taken (the letters are still checked
-    against the chart and space); and d^J 1 = 0 for J != ∅, so a node's
-    value is its order-0 coefficient, read off its table without applying
-    it."""
+    (`DiffOp._function_bracket`, a table shift when f is a coordinate) of
+    the one of its prefix, kept in a trie of words for as long as the map
+    lives.  Two rules skip work whose result is zero: [0, f] = 0, so below
+    a zero nested commutator no node is built and no commutator taken (the
+    letters are still checked against the chart and space); and d^J 1 = 0
+    for J != ∅, so a node's value is its order-0 coefficient, read off its
+    table without applying it."""
     zero = Poly.zero(op.chart, op.space)
     # A node is [nested commutator, children by next letter]; a zero
     # nested commutator is the node None.

@@ -66,6 +66,7 @@ from .errors import (
 )
 from .multivec import (
     SymMultivector,
+    _is_fiber_linear,
     _poisson_pieces,
     _product_pieces,
     _require_fwl,
@@ -205,7 +206,7 @@ def _contract_trace(value, word, coords) -> Poly:
     out = Poly.zero(coords[0].chart, Space.E)
     for alpha, u_alpha in enumerate(coords, start=1):
         column = value(word + [u_alpha])
-        if set(column.fiber_degree_decompose()) - {1}:
+        if not _is_fiber_linear(column):
             raise InvariantViolation(
                 "evaluation on fiber-linear functions is not fiber-linear"
             )

@@ -210,9 +210,8 @@ def fwl_check_multivector(p: SymMultivector) -> bool:
     if p.space is not Space.E:
         raise SpaceMismatch("FWL classification lives on space E")
     return all(
-        deg - len(mi_f) == 1 - p.q
+        coeff.fiber_degree() == 1 - p.q + len(mi_f)
         for (mi_b, mi_f), coeff in p.terms.items()
-        for deg in coeff.fiber_degree_decompose()
     )
 
 
@@ -235,7 +234,7 @@ def multiderivation_D(p: SymMultivector, *ells: Poly) -> Poly:
         raise ArityMismatch(f"expected {p.q} sections, got {len(ells)}")
     _require_sections(ells)
     value = p.eval(*ells)
-    if set(value.fiber_degree_decompose()) - {1}:
+    if not _is_fiber_linear(value):
         raise InvariantViolation(
             "evaluation on fiber-linear functions is not fiber-linear"
         )
@@ -265,10 +264,15 @@ def _require_fwl(p: SymMultivector):
 
 def _require_sections(ells):
     for ell in ells:
-        if ell.space is not Space.E or set(ell.fiber_degree_decompose()) - {1}:
+        if ell.space is not Space.E or not _is_fiber_linear(ell):
             raise SpaceMismatch(
                 "a section of the dual bundle is a fiber-linear function on E"
             )
+
+
+def _is_fiber_linear(p: Poly) -> bool:
+    """Zero, or homogeneous of fiber degree 1."""
+    return p.is_zero() or p.fiber_degree() == 1
 
 
 def core_to_dualpoly(p: SymMultivector) -> Poly:

@@ -578,6 +578,19 @@ class Poly:
             tops = next(iter(terms), (0,) * (n + chart.fiber_rank))
         return tops[:n], tops[n:]
 
+    def as_var(self):
+        """The coordinate when self is exactly one (one term, numerator 1
+        over 1, exponent 1 in one slot), else None."""
+        if self.den != 1 or len(self.terms) != 1:
+            return None
+        ((mono, c),) = self.terms.items()
+        if c != 1 or sum(mono) != 1:
+            return None
+        slot, n = mono.index(1), self.chart.base_dim
+        if slot < n:
+            return Var(VarKind.BASE, slot + 1)
+        return Var(fiber_kind(self.space), slot - n + 1)
+
     def fiber_parts(self, space: Space) -> dict:
         """Split by the monomial of the fiber-type variables: {fiber
         multi-index B: base-only part c_B, re-tagged onto `space`}, so that

@@ -9,6 +9,7 @@ import pytest
 
 from fwlop._oracles import _recover_table
 from fwlop.diffop import (
+    _ORDER_ZERO,
     DiffOp,
     diffop_dumps,
     diffop_from_doc,
@@ -379,6 +380,80 @@ def test_function_bracket_matches_the_plain_expansion():
                 )
                 nonzero += len(f.terms) > 1 and not got.is_zero()
     assert nonzero >= 40
+
+
+def _coordinates(chart, space):
+    vs = chart.vars_of(VarKind.BASE) + chart.vars_of(fiber_kind(space))
+    return [(v, Poly.var(chart, space, v)) for v in vs]
+
+
+def test_coordinate_bracket_is_the_pruned_leibniz_pass():
+    # for a coordinate z the bracket is the shift c_J d^J -> mult_z(J) c_J
+    # d^(J - z), taken without `_leibniz`; it gives the pass's values, its
+    # exact MultiIndex keys and its key order
+    rng = random.Random(307)
+    bounds = Bounds(exp_max=3)
+    shifted = 0
+    for space in SPACES:
+        for chart in (Chart(2, 2), Chart(3, 3)):
+            for _ in range(4):
+                a = rand_diffop(rng, chart, space, bounds, max_keys=6, order=3)
+                for v, z in _coordinates(chart, space):
+                    assert z.as_var() == v
+                    got = a._function_bracket(z)
+                    ref = a._summed(a._leibniz([(_ORDER_ZERO, z)], True, 1, {}))
+                    assert list(got.terms.items()) == list(ref.terms.items())
+                    _check_keys(Counter(), "shift", got.terms)
+                    part = v.kind is not VarKind.BASE
+                    shifted += any(key[part].count(v.index) > 1 for key in a.terms)
+    assert shifted >= 10
+
+
+def test_near_coordinates_take_the_leibniz_pass(monkeypatch):
+    passes = []
+    leibniz = DiffOp._leibniz
+
+    def counting(self, *args):
+        passes.append(self)
+        return leibniz(self, *args)
+
+    monkeypatch.setattr(DiffOp, "_leibniz", counting)
+    rng = random.Random(311)
+    for space in SPACES:
+        u = "v1" if space is Space.ESTAR else "u1"
+        a = rand_diffop(rng, CH, space, Bounds(), max_keys=5, order=3)
+        near = [f"2*{u}", f"1/2*{u}", f"-{u}", f"{u} + 1", f"x1*{u}", f"{u}^2"]
+        for text in near + ["1", "0"]:
+            f = P(text, CH, space)
+            assert f.as_var() is None
+            passes.clear()
+            got = a._function_bracket(f)
+            assert passes == [a]
+            assert got == a.compose(DiffOp.mult(f)) - DiffOp.mult(f).compose(a)
+
+
+def test_plain_tuple_keys_become_multi_indices():
+    x1u1 = P("x1*u1")
+    op = DiffOp(CH1, Space.E, {((1,), ()): x1u1})
+    ref = DiffOp.monomial(x1u1, MultiIndex([1]), EMPTY_MI)
+    assert op == ref and op.compose(op) == ref.compose(ref)
+    assert all(type(mi) is MultiIndex for key in op.terms for mi in key)
+    # an unsorted plain key is the sorted multi-index; keys that coincide
+    # after sorting add up, and a zero sum is dropped after its letters
+    # are checked
+    x1, x2 = P("x1", CH), P("x2", CH)
+    ref = DiffOp.monomial(x1, MultiIndex([1, 2]), EMPTY_MI)
+    assert DiffOp(CH, Space.E, {((2, 1), ()): x1}) == ref
+    summed = {((2, 1), ()): x1, (MultiIndex([1, 2]), EMPTY_MI): x2}
+    assert DiffOp(CH, Space.E, summed) == DiffOp.monomial(
+        x1 + x2, MultiIndex([1, 2]), EMPTY_MI
+    )
+    cancelled = {((2, 1), (1,)): x1, ((1, 2), (1,)): -x1}
+    assert DiffOp(CH, Space.E, cancelled).is_zero()
+    wide = Chart(1, 2)
+    cancelled = {((2, 1), ()): P("x1", wide), ((1, 2), ()): P("-x1", wide)}
+    with pytest.raises(ChartMismatch, match="base index 2 out of range"):
+        DiffOp(wide, Space.E, cancelled)
 
 
 def _check_keys(seen: Counter, path: str, keys):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -324,6 +325,64 @@ def test_fwl_check_forward_is_exact_on_spanning_values():
                         if not p.eval(*ells[: q - 2], xi, xj).is_zero():
                             ok = False
         assert fwl_check_multivector(p) == ok
+
+
+def _fwl_multivector_by_parts(p):
+    """The FWL test on every fiber-degree part of every coefficient."""
+    return all(
+        deg - len(mi_f) == 1 - p.q
+        for (_, mi_f), coeff in p.terms.items()
+        for deg in coeff.fiber_degree_decompose()
+    )
+
+
+def _fwl_op_by_parts(op, q):
+    """The FWL normal-form shape test on every fiber-degree part."""
+
+    def shape(key, deg):
+        nb, nf = len(key[0]), len(key[1])
+        if nb == 1 and nf == q - 1 or nb == 0 and nf == q - 1:
+            return deg == 0
+        return nb == 0 and nf == q and deg == 1
+
+    return op.is_zero() or op.order() <= q and all(
+        shape(key, deg)
+        for key, coeff in op.terms.items()
+        for deg in coeff.fiber_degree_decompose()
+    )
+
+
+def test_degree_checks_agree_with_the_decomposition():
+    # the FWL tests and the fiber-linearity check read one fiber degree per
+    # coefficient; the references split every coefficient into its parts
+    from fwlop.multivec import _is_fiber_linear
+    from fwlop.randgen import rand_fwl_op
+
+    rng = random.Random(37)
+    seen = Counter()
+    for _ in range(40):
+        chart = rand_chart(rng, BOUNDS)
+        q = rng.randint(0, 3)
+        fwl = rand_fwl_op(rng, chart, BOUNDS, q)
+        key = next(iter(fwl.terms), (EMPTY_MI, EMPTY_MI))
+        mixed = fwl + DiffOp.monomial(rand_poly(rng, chart, Space.E, BOUNDS), *key)
+        other = rand_diffop(rng, chart, Space.E, BOUNDS)
+        ops = [fwl, mixed, other, DiffOp.zero(chart, Space.E)]
+        for op in ops:
+            for order in range(4):
+                verdict = op.is_fwl(order)
+                assert verdict == _fwl_op_by_parts(op, order)
+                seen["is_fwl", verdict] += 1
+            p = op.symbol_at(q)
+            assert fwl_check_multivector(p) == _fwl_multivector_by_parts(p)
+            seen["multivector", fwl_check_multivector(p)] += 1
+        ell = rand_section(rng, chart, BOUNDS)
+        for f in (rand_poly(rng, chart, Space.E, BOUNDS), ell):
+            for g in (f, f + P("1", chart), Poly.zero(chart, Space.E)):
+                by_parts = not set(g.fiber_degree_decompose()) - {1}
+                assert _is_fiber_linear(g) == by_parts
+                seen["linear", _is_fiber_linear(g)] += 1
+    assert len(seen) == 6 and min(seen.values()) >= 10, seen
 
 
 def test_multiderivation_D_example():

@@ -3,18 +3,19 @@
 Bracket, product and commutator sums go through `Poly.sum_of_products`, one
 reduced sum per output coefficient, so they make no `Poly` product, scaling
 or addition per summand.  A commutator reads each operand's order once,
-coefficient recovery builds each coordinate once per call, and parsing
-collects its terms in one table and reduces once, with no `Poly` per
-factor.
+coefficient recovery builds each coordinate once per call, a bracket with
+a coordinate is a table shift with no Leibniz pass, and parsing collects
+its terms in one table and reduces once, with no `Poly` per factor.
 """
 
 import random
 
 import pytest
 
-from fwlop.diffop import DiffOp
+from fwlop.diffop import DiffOp, nested_values
+from fwlop.lbundle import a_inverse, a_iso
 from fwlop.multivec import poisson, sym_product
-from fwlop.randgen import Bounds, rand_diffop
+from fwlop.randgen import Bounds, rand_diffop, rand_fwl_op, rand_multivector
 from fwlop.symcore import Chart, Poly, Space, parse_poly, poly_to_str
 
 CH = Chart(2, 2)
@@ -77,6 +78,38 @@ def test_recovery_builds_each_coordinate_once_per_order(monkeypatch):
     assert op.recover_coefficients() == op.terms
     # one x1..x3, u1..u3 set for the whole walk
     assert counts == {"var": 6}
+
+
+def test_coordinate_brackets_make_no_leibniz_pass(monkeypatch):
+    # recovery and the bundle-map path of a_iso take brackets only with
+    # coordinates, each a table shift
+    rng = random.Random(5)
+    ops = [rand_diffop(rng, Chart(3, 3), space, Bounds(), order=3) for space in Space]
+    fwl = [(rand_fwl_op(rng, CH, BOUNDS, q), q) for q in (1, 2, 3)]
+    counts = _counting(monkeypatch, DiffOp, ["_leibniz", "_function_bracket"])
+    for op in ops:
+        assert op.recover_coefficients() == op.terms
+    derivations = [a_iso(op, q) for op, q in fwl]
+    assert counts["_leibniz"] == 0 and counts["_function_bracket"] > 50
+    monkeypatch.undo()
+    assert [a_inverse(d, q) for d, (_, q) in zip(derivations, fwl)] == [
+        op for op, _ in fwl
+    ]
+
+
+def test_eval_on_functions_makes_one_leibniz_pass_per_new_node(monkeypatch):
+    rng = random.Random(6)
+    p = rand_multivector(rng, CH, Space.E, BOUNDS, 2, max_keys=3)
+    texts = ("x1*u2 + u1^2", "x2 + u1*u2", "2*u2", "x1 + x2")
+    f, g, h, k = (parse_poly(t, CH, Space.E) for t in texts)
+    counts = _counting(monkeypatch, DiffOp, ["_leibniz", "_function_bracket"])
+    values = [p.eval(f, g), p.eval(h, k), p.eval(g, f)]
+    # two words with distinct letters make four trie nodes, so four
+    # brackets, each one pass; the repeated word reads the trie
+    assert counts == {"_leibniz": 4, "_function_bracket": 4}
+    monkeypatch.undo()
+    word = sorted([f, g], key=Poly.sort_key)
+    assert values[0] == values[2] == nested_values(p.to_operator())(word)
 
 
 def test_parsing_builds_one_poly(monkeypatch):
