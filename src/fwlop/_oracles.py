@@ -3,7 +3,9 @@
 Only `verify` imports this module.  The unshuffle sums are the defining
 formulas of the Poisson bracket and of the pair bracket and product,
 evaluated on coordinate functions and recovered into tables; the library
-reads the same results off the tables directly.
+reads the same results off the tables directly.  Each oracle call keeps one
+memo of whole evaluations (`_memo`), so a word that recurs across blocks
+and table keys is evaluated once; every value is still the defining sum.
 
 The frame transcriptions read a section of E* as its fiber-linear
 function on E and a section of E as one on the dual space, and a frame
@@ -50,6 +52,24 @@ def unshuffles(k: int, h: int):
         yield first, second
 
 
+def _memo():
+    """One oracle call's cache of whole evaluations: `evaluate(fn, *args)`
+    returns fn(*args), computed once per bound method (so per operand) and
+    argument tuple.  The keys need no sort: `_recover_table` builds each
+    word in canonical order and unshuffle blocks are subsequences of it, so
+    equal multisets give equal tuples.  It lives for one call only."""
+    cache = {}
+
+    def evaluate(fn, *args):
+        key = (fn, args)
+        value = cache.get(key)
+        if value is None:
+            value = cache[key] = fn(*args)
+        return value
+
+    return evaluate
+
+
 def _recover_table(chart, space, q, value_fn) -> dict:
     """Build an order-q table from symmetric evaluations on coordinates.
 
@@ -83,29 +103,35 @@ def _unshuffle_poisson(p1: SymMultivector, p2: SymMultivector) -> SymMultivector
     if q < 0:
         return SymMultivector.zero(p1.chart, p1.space, 0)
 
+    evaluate = _memo()
+
     def value(args):
         out = Poly.zero(p1.chart, p1.space)
         for first, second in unshuffles(k2 + 1, k1):
-            inner = p2.eval(*(args[i] for i in first))
-            out = out + p1.eval(inner, *(args[i] for i in second))
+            inner = evaluate(p2.eval, *(args[i] for i in first))
+            out = out + evaluate(p1.eval, inner, *(args[i] for i in second))
         for first, second in unshuffles(k1 + 1, k2):
-            inner = p1.eval(*(args[i] for i in first))
-            out = out - p2.eval(inner, *(args[i] for i in second))
+            inner = evaluate(p1.eval, *(args[i] for i in first))
+            out = out - evaluate(p2.eval, inner, *(args[i] for i in second))
         return out
 
     terms = _recover_table(p1.chart, p1.space, q, value)
     return SymMultivector(p1.chart, p1.space, q, terms)
 
 
-def _recover_pair(chart, q: int, apply_fn) -> LPair:
-    """Rebuild (P, rho) tables of orders q, q-1 from an action functional."""
+def _recover_pair(chart, q: int, apply_fn, evaluate) -> LPair:
+    """Rebuild (P, rho) tables of orders q, q-1 from an action functional;
+    the rho table and P share one `apply_fn(fs, 1)` per word."""
     one = Poly.const(chart, Space.E, 1)
+
+    def rho_value(fs):
+        return evaluate(apply_fn, tuple(fs), one)
 
     def p_value(args):
         *fs, g = args
-        return apply_fn(fs, g) - g * apply_fn(fs, one)
+        return apply_fn(fs, g) - g * rho_value(fs)
 
-    rho_table = _recover_table(chart, Space.E, q - 1, lambda fs: apply_fn(fs, one))
+    rho_table = _recover_table(chart, Space.E, q - 1, rho_value)
     rho = SymMultivector(chart, Space.E, q - 1, rho_table)
     p = SymMultivector(chart, Space.E, q, _recover_table(chart, Space.E, q, p_value))
     return LPair(p, rho)
@@ -118,21 +144,23 @@ def _unshuffle_pair_bracket(p1: LPair, p2: LPair) -> LPair:
             + sum over (k1-1, k2+1)-unshuffles of D1(block1, P2(block2) | v).
     """
     k1, k2 = p1.q - 1, p2.q - 1
+    evaluate = _memo()
 
     def bullet(a: LPair, b: LPair, ka: int, kb: int, fs, g: Poly):
         out = Poly.zero(a.chart, Space.E)
         for first, second in unshuffles(ka, kb):
-            inner = b.apply([fs[i] for i in second], g)
-            out = out + a.apply([fs[i] for i in first], inner)
+            inner = evaluate(b.apply, tuple(fs[i] for i in second), g)
+            out = out + evaluate(a.apply, tuple(fs[i] for i in first), inner)
         for first, second in unshuffles(ka - 1, kb + 1):
-            symbol_arg = b.p.eval(*(fs[i] for i in second))
-            out = out + a.apply([fs[i] for i in first] + [symbol_arg], g)
+            symbol_arg = evaluate(b.p.eval, *(fs[i] for i in second))
+            word = tuple(fs[i] for i in first) + (symbol_arg,)
+            out = out + evaluate(a.apply, word, g)
         return out
 
     def apply_fn(fs, g):
         return bullet(p1, p2, k1, k2, fs, g) - bullet(p2, p1, k2, k1, fs, g)
 
-    return _recover_pair(p1.chart, p1.q + p2.q - 1, apply_fn)
+    return _recover_pair(p1.chart, p1.q + p2.q - 1, apply_fn, evaluate)
 
 
 def _unshuffle_pair_product(p1: LPair, p2: LPair) -> LPair:
@@ -142,20 +170,18 @@ def _unshuffle_pair_product(p1: LPair, p2: LPair) -> LPair:
             + sum over (k2+1, k1)-unshuffles of P2(block1) D1(block2 | v).
     """
     k1, k2 = p1.q - 1, p2.q - 1
+    evaluate = _memo()
 
     def apply_fn(fs, g):
         out = Poly.zero(p1.chart, Space.E)
-        for first, second in unshuffles(k1 + 1, k2):
-            out = out + p1.p.eval(*(fs[i] for i in first)) * p2.apply(
-                [fs[i] for i in second], g
-            )
-        for first, second in unshuffles(k2 + 1, k1):
-            out = out + p2.p.eval(*(fs[i] for i in first)) * p1.apply(
-                [fs[i] for i in second], g
-            )
+        for a, b, ka, kb in ((p1, p2, k1, k2), (p2, p1, k2, k1)):
+            for first, second in unshuffles(ka + 1, kb):
+                symbol = evaluate(a.p.eval, *(fs[i] for i in first))
+                action = evaluate(b.apply, tuple(fs[i] for i in second), g)
+                out = out + symbol * action
         return out
 
-    return _recover_pair(p1.chart, p1.q + p2.q, apply_fn)
+    return _recover_pair(p1.chart, p1.q + p2.q, apply_fn, evaluate)
 
 
 def _components(ell: Poly) -> list:

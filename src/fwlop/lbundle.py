@@ -214,26 +214,31 @@ def _contract_trace(value, word, coords) -> Poly:
     return out
 
 
-def _a_iso_pair(op: DiffOp, q: int) -> LPair:
+def _a_iso_pair(op: DiffOp, q: int, p: SymMultivector | None = None) -> LPair:
     """The pair (level-q symbol, bundle map) of a FWL operator.
 
     Per basis multi-index C the multiplication part of the bundle map is
     the trace action of the contracted symbol plus the nested-commutator
     value Psi(C); rho stores it divided by C!.  Both come from one table of
     nested commutators with the fiber coordinates, so the words u_C and
-    u_C + [u_alpha] share their prefixes.  P is checked FWL once, here.
+    u_C + [u_alpha] share their prefixes.  `p` is the level-q symbol when
+    the caller has built and checked it; otherwise it is built and checked
+    FWL here.
     """
     chart = op.chart
-    p = op.symbol_at(q)
-    _require_fwl(p)
+    if p is None:
+        p = op.symbol_at(q)
+        _require_fwl(p)
     value = nested_values(op)
     coords = [Poly.var(chart, Space.E, v) for v in chart.vars_of(VarKind.FIBER)]
     rho_terms = {}
     for c_idx in all_multi_indices(chart.fiber_rank, q - 1):
         word = [coords[a - 1] for a in c_idx]
         mult = _contract_trace(value, word, coords) + _psi(value, word)
-        rho_terms[(EMPTY_MI, c_idx)] = mult.scale(Fraction(1, c_idx.factorial()))
-    return LPair(p, SymMultivector(chart, Space.E, q - 1, rho_terms))
+        if mult.terms:
+            rho_terms[(EMPTY_MI, c_idx)] = mult.scale(Fraction(1, c_idx.factorial()))
+    rho = SymMultivector._unchecked(chart, Space.E, q - 1, rho_terms)
+    return LPair(p, rho)
 
 
 def _closed_form_mult(op: DiffOp, q: int) -> Poly:
@@ -282,21 +287,23 @@ def _check_basis_size(chart: Chart, q: int):
 def a_iso(op: DiffOp, q: int) -> DiffOp:
     """FWL operator of order q to a derivation of the pulled-back line.
 
-    The vector field is the hamiltonian field of the level-q symbol,
-    computed once.  The multiplication part is computed by the closed
-    coordinate formula and, for q >= 1, again by the bundle-map path
-    (nested commutators plus trace action); the two are checked equal.  At
-    q = 0 the closed form is zero and the bundle-map sum over |C| = -1 is
-    empty.  The result is homogeneous of degree q-1.
+    The vector field is the hamiltonian field of the level-q symbol, which
+    is built once and checked FWL there.  The multiplication part is
+    computed by the closed coordinate formula and, for q >= 1, again by the
+    bundle-map path (nested commutators plus trace action) on the same
+    symbol; the two are checked equal.  At q = 0 the closed form is zero
+    and the bundle-map sum over |C| = -1 is empty.  The result is
+    homogeneous of degree q-1.
     """
     _check_order(q, op.chart)
     if op.space is not Space.E:
         raise SpaceMismatch("the operator side lives on the total space")
     if not op.is_fwl(q):
         raise NotFWL(f"operator is not FWL of order {q}")
-    field = hamiltonian_field(op.symbol_at(q))
+    p = op.symbol_at(q)
+    field = hamiltonian_field(p)
     mult = _closed_form_mult(op, q)
-    if q >= 1 and core_to_dualpoly(_a_iso_pair(op, q).rho) != mult:
+    if q >= 1 and core_to_dualpoly(_a_iso_pair(op, q, p).rho) != mult:
         raise InvariantViolation(
             "bundle-map path and closed coordinate path disagree"
         )

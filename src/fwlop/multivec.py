@@ -128,9 +128,11 @@ class SymMultivector:
         Symmetric in the arguments, so they are sorted by `Poly.sort_key`,
         which builds no Fraction and does not depend on `hash()`.  The
         sorted word walks one `nested_values` map, made on the first call
-        and kept for the multivector's lifetime, the only evaluation cache:
-        words share their prefixes' nested commutators, and a repeated word
-        costs only dictionary lookups.
+        and kept for the multivector's lifetime: words share their
+        prefixes' nested commutators, and a repeated word costs only the
+        sort and dictionary lookups.  It is the library's only evaluation
+        cache; the one other, the `verify` oracles' memo of whole
+        evaluations, lives for a single oracle call.
         """
         if len(args) != self.q:
             raise ArityMismatch(f"expected {self.q} arguments, got {len(args)}")

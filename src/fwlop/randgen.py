@@ -58,10 +58,12 @@ class Bounds:
 
 
 def rand_fraction(rng: random.Random, bounds: Bounds, nonzero=False) -> Fraction:
-    numer = rng.randint(-bounds.coeff_max, bounds.coeff_max)
+    # randrange(a, b + 1) is the draw randint(a, b) makes, without its call
+    top = bounds.coeff_max
+    numer = rng.randrange(-top, top + 1)
     while nonzero and numer == 0:
-        numer = rng.randint(-bounds.coeff_max, bounds.coeff_max)
-    return Fraction(numer, rng.randint(1, bounds.coeff_max))
+        numer = rng.randrange(-top, top + 1)
+    return Fraction(numer, rng.randrange(1, top + 1))
 
 
 def rand_chart(rng: random.Random, bounds: Bounds) -> Chart:
@@ -78,21 +80,25 @@ def rand_poly(
 ) -> Poly:
     """Random polynomial; `fiber_degree` forces every monomial's degree in
     the fiber-type variables.  Exponents are drawn x1..xn first, then the
-    fiber-type variables, straight into the packed exponent tuples."""
+    fiber-type variables, straight into the packed exponent tuples; a
+    repeated tuple adds its coefficients."""
     n, m = chart.base_dim, chart.fiber_rank
+    randrange = rng.randrange
+    exp_stop = bounds.exp_max + 1
     terms = {}
-    for _ in range(rng.randint(1, bounds.terms_max)):
-        exps = [rng.randint(0, bounds.exp_max) for _ in range(n)] + [0] * m
+    for _ in range(randrange(1, bounds.terms_max + 1)):
+        exps = [randrange(exp_stop) for _ in range(n)] + [0] * m
         if not base_only:
             if fiber_degree is None:
                 for a in range(n, n + m):
-                    exps[a] = rng.randint(0, bounds.exp_max)
+                    exps[a] = randrange(exp_stop)
             else:
                 for _ in range(fiber_degree):
-                    exps[n + rng.randint(1, m) - 1] += 1
+                    exps[n + randrange(m)] += 1
         coeff = rand_fraction(rng, bounds, nonzero=True)
         key = tuple(exps)
-        terms[key] = terms.get(key, 0) + coeff
+        old = terms.get(key)
+        terms[key] = coeff if old is None else old + coeff
     return Poly._from_fractions(chart, space, terms)
 
 

@@ -382,11 +382,13 @@ def test_a_iso_work_counts(monkeypatch):
     with pytest.raises(NotFWL):
         lb._a_iso_pair(DiffOp.monomial(P("1"), EMPTY_MI, MultiIndex([1, 1])), 2)
     # one whole a_iso call at chart (2,2) and q = 3, with 3 basis indices C:
-    # the field once, P checked FWL by the field and by the bundle path, no
-    # multivector evaluation, and one nested-commutator table whose words
-    # u_C and u_C + [u_alpha] share prefixes: 2 + 3 + 6 = 11 commutators
+    # the symbol built once and shared by the field and the bundle path, P
+    # checked FWL once (by the field), no multivector evaluation, and one
+    # nested-commutator table whose words u_C and u_C + [u_alpha] share
+    # prefixes: 2 + 3 + 6 = 11 commutators
     calls = {
         "hamiltonian_field": 0,
+        "symbol_at": 0,
         "fwl_check": 0,
         "eval": 0,
         "commutator": 0,
@@ -408,13 +410,15 @@ def test_a_iso_work_counts(monkeypatch):
     monkeypatch.setattr(
         mv.SymMultivector, "eval", counting("eval", mv.SymMultivector.eval)
     )
+    monkeypatch.setattr(DiffOp, "symbol_at", counting("symbol_at", DiffOp.symbol_at))
     monkeypatch.setattr(
         DiffOp, "_function_bracket", counting("commutator", DiffOp._function_bracket)
     )
     op = rand_fwl_op(random.Random(5), CH, BOUNDS, 3)
     a_iso(op, 3)
     assert calls["hamiltonian_field"] == 1
-    assert calls["fwl_check"] <= 2
+    assert calls["symbol_at"] == 1
+    assert calls["fwl_check"] == 1
     assert calls["eval"] == 0
     assert calls["commutator"] <= 11
 

@@ -6,12 +6,15 @@ order.  For each seed this test runs every generator in `fwlop.randgen`
 (and the two stabilizer-suite generators) on one `random.Random`, renders
 each output as its canonical document, appends one last draw so that a
 changed number of draws shows too, and compares one sha256 per seed with
-the digest recorded when the test was written.
+the digest recorded when the test was written.  `rand_poly`, the draw
+under most of the others, is also compared term by term with a reference
+copy written with `randint` and a `0 + Fraction` per new exponent tuple.
 """
 
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -130,3 +133,44 @@ def _digest(seed: int) -> str:
 @pytest.mark.parametrize("seed", sorted(EXPECTED))
 def test_generator_stream_is_pinned(seed):
     assert _digest(seed) == EXPECTED[seed]
+
+
+def _reference_rand_poly(rng, chart, space, bounds, base_only=False, fiber_degree=None):
+    """`rand_poly` and `rand_fraction` as first written, with `randint`."""
+    n, m = chart.base_dim, chart.fiber_rank
+    terms = {}
+    for _ in range(rng.randint(1, bounds.terms_max)):
+        exps = [rng.randint(0, bounds.exp_max) for _ in range(n)] + [0] * m
+        if not base_only:
+            if fiber_degree is None:
+                for a in range(n, n + m):
+                    exps[a] = rng.randint(0, bounds.exp_max)
+            else:
+                for _ in range(fiber_degree):
+                    exps[n + rng.randint(1, m) - 1] += 1
+        numer = rng.randint(-bounds.coeff_max, bounds.coeff_max)
+        while numer == 0:
+            numer = rng.randint(-bounds.coeff_max, bounds.coeff_max)
+        coeff = Fraction(numer, rng.randint(1, bounds.coeff_max))
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + coeff
+    return Poly._from_fractions(chart, space, terms)
+
+
+MODES = [{}, {"base_only": True}, {"fiber_degree": 1}, {"fiber_degree": 2}]
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 2)])
+def test_rand_poly_draws_as_the_reference(n, m):
+    chart = Chart(n, m)
+    bounds = rg.Bounds()
+    for seed in range(150):
+        for space in Space:
+            for mode in MODES:
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                for _ in range(4):
+                    got = rg.rand_poly(rng, chart, space, bounds, **mode)
+                    want = _reference_rand_poly(ref_rng, chart, space, bounds, **mode)
+                    assert list(got.terms.items()) == list(want.terms.items())
+                    assert got.den == want.den
+                assert rng.getstate() == ref_rng.getstate()

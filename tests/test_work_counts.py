@@ -5,17 +5,31 @@ reduced sum per output coefficient, so they make no `Poly` product, scaling
 or addition per summand.  A commutator reads each operand's order once,
 coefficient recovery builds each coordinate once per call, a bracket with
 a coordinate is a table shift with no Leibniz pass, and parsing collects
-its terms in one table and reduces once, with no `Poly` per factor.
+its terms in one table and reduces once, with no `Poly` per factor.  The
+unshuffle oracles of `verify` evaluate each word of an operand once per
+call.
 """
 
 import random
 
 import pytest
 
+from fwlop import verify
+from fwlop._oracles import (
+    _unshuffle_pair_bracket,
+    _unshuffle_pair_product,
+    _unshuffle_poisson,
+)
 from fwlop.diffop import DiffOp, nested_values
-from fwlop.lbundle import a_inverse, a_iso
-from fwlop.multivec import poisson, sym_product
-from fwlop.randgen import Bounds, rand_diffop, rand_fwl_op, rand_multivector
+from fwlop.lbundle import LPair, a_inverse, a_iso, pair_bracket, pair_product
+from fwlop.multivec import SymMultivector, poisson, sym_product
+from fwlop.randgen import (
+    Bounds,
+    rand_diffop,
+    rand_fwl_op,
+    rand_fwl_pair,
+    rand_multivector,
+)
 from fwlop.symcore import Chart, Poly, Space, parse_poly, poly_to_str
 
 CH = Chart(2, 2)
@@ -122,3 +136,65 @@ def test_parsing_builds_one_poly(monkeypatch):
     assert poly_to_str(got) == (
         "-1/3 + 2/9*x1*x2*u1*u2 + 3/4*x1^2*u2 + 7/10*x2^2 + 2/3*u1"
     )
+
+
+def _spying_on_evaluations(monkeypatch):
+    """Record each `SymMultivector.eval` and `LPair.apply` call made from
+    outside `LPair.apply` as (kind, instance id, arguments); an apply's own
+    evaluations of P and rho are its business, not the caller's."""
+    calls = []
+    inside = [0]
+    evaluate, apply = SymMultivector.eval, LPair.apply
+
+    def spy_eval(self, *args):
+        if not inside[0]:
+            calls.append(("eval", id(self), args))
+        return evaluate(self, *args)
+
+    def spy_apply(self, fs, g):
+        calls.append(("apply", id(self), tuple(fs), g))
+        inside[0] += 1
+        try:
+            return apply(self, fs, g)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(SymMultivector, "eval", spy_eval)
+    monkeypatch.setattr(LPair, "apply", spy_apply)
+    return calls
+
+
+def _oracle_cases():
+    rng = random.Random(11)
+    m1, m2 = (rand_multivector(rng, CH, Space.E, BOUNDS, q) for q in (2, 3))
+    p1, p2 = (rand_fwl_pair(rng, CH, BOUNDS, q) for q in (2, 3))
+    return [
+        (_unshuffle_poisson, poisson, m1, m2),
+        (_unshuffle_pair_bracket, pair_bracket, p1, p2),
+        (_unshuffle_pair_product, pair_product, p1, p2),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_unshuffle_oracles_evaluate_each_word_once(monkeypatch, case):
+    oracle, library, a, b = _oracle_cases()[case]
+    calls = _spying_on_evaluations(monkeypatch)
+    got = oracle(a, b)
+    assert len(calls) > 50
+    assert len(set(calls)) == len(calls)
+    monkeypatch.undo()
+    assert got == library(a, b)
+    tables = [got] if isinstance(got, SymMultivector) else [got.p, got.rho]
+    assert any(table.terms for table in tables)
+
+
+@pytest.mark.parametrize(
+    "suite, most",
+    [("pair-bracket", {"eval": 6600, "apply": 2800}), ("symbol-bracket", {"eval": 1200})],
+)
+def test_oracle_suites_evaluation_counts(monkeypatch, suite, most):
+    counts = _counting(monkeypatch, SymMultivector, ["eval"])
+    counts.update(_counting(monkeypatch, LPair, ["apply"]))
+    assert verify.run_suite(suite, 50, 1).ok
+    assert counts["eval"] <= most["eval"]
+    assert counts["apply"] <= most.get("apply", 0)
