@@ -13,7 +13,8 @@ derivation of E, symbol X and matrix A, as the linear vector field
 X + sum A_ab v_a d/dv_b on the dual space.  They read components off those
 functions, transcribe the dual derivation (minus the transposed matrix)
 term by term, and expand the top-power action as a sum of wedge products,
-each a determinant, where the library reads a trace.
+each a determinant, where the library reads a trace.  The split metric's
+determinant, which the library's Laplacian never forms, is one too.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import itertools
 from fractions import Fraction
 
 from .diffop import DiffOp, _refuse_table
+from .errors import MAX_DET_SIZE, refuse_over
 from .lbundle import LPair
-from .multivec import SymMultivector, _det
+from .multivec import SymMultivector
 from .symcore import (
     EMPTY_MI,
     Poly,
@@ -217,6 +219,49 @@ def _dual(d: DiffOp) -> DiffOp:
         for mi_a, m_ab in coeff.fiber_parts(space).items():
             add_into(terms, (EMPTY_MI, mi_a), -m_ab * w_b)
     return DiffOp(d.chart, space, terms)
+
+
+def _det(matrix):
+    """Exact determinant by cofactor expansion over nonzero entries only.
+
+    Each minor expands along its row with the fewest nonzero entries, so a
+    matrix with one nonzero permutation, such as the split metric, costs
+    one product per row.
+    """
+    size = len(matrix)
+    refuse_over(f"the determinant size {size}", size, MAX_DET_SIZE)
+    chart, space = matrix[0][0].chart, matrix[0][0].space
+
+    def minor(rows, cols):
+        if not rows:
+            return Poly.const(chart, space, 1)
+        nonzero = [
+            [k for k, col in enumerate(cols) if not matrix[row][col].is_zero()]
+            for row in rows
+        ]
+        i = min(range(len(rows)), key=lambda r: len(nonzero[r]))
+        rest = rows[:i] + rows[i + 1 :]
+        out = Poly.zero(chart, space)
+        for k in nonzero[i]:
+            term = matrix[rows[i]][cols[k]] * minor(rest, cols[:k] + cols[k + 1 :])
+            out = out - term if (i + k) % 2 else out + term
+        return out
+
+    return minor(tuple(range(size)), tuple(range(size)))
+
+
+def _metric_determinant(chart, gamma) -> Poly:
+    """det [[-2*Gamma.u, I], [I, 0]] for a connection table on chart (n, n):
+    the split metric written out entry by entry, expanded by cofactors."""
+    n = chart.base_dim
+    zero, one = Poly.zero(chart, Space.E), Poly.const(chart, Space.E, 1)
+    g = [
+        [one if abs(row - col) == n else zero for col in range(2 * n)] for row in range(2 * n)
+    ]
+    for (k, i, j), coeff in gamma.items():
+        u_k = Poly.var(chart, Space.E, Var(VarKind.FIBER, k))
+        g[i - 1][j - 1] = g[i - 1][j - 1] - (coeff * u_k).scale(2)
+    return _det(g)
 
 
 def _wedge_coefficient(d: DiffOp, slot: int) -> Poly:

@@ -7,8 +7,8 @@ InvariantViolation (exit code 2).
 
 The size caps at the end bound the enumerations a request can start; an
 over-cap request raises RequestTooLarge (exit code 1) before it enumerates
-anything.  Each cap sits at least 10x above every input of the tests, the
-golden corpus, the verify defaults and the benchmark.
+anything.  Each cap sits above every input of the tests, the golden corpus,
+the verify defaults and the benchmark.
 """
 
 
@@ -114,8 +114,11 @@ MAX_TABLE_KEYS = 1000
 # The same key count at the verify bounds n,m,q; lower, because the suites
 # build tables up to order 2q-1.
 MAX_VERIFY_TABLE_KEYS = 200
-# Rows of a determinant, expanded by cofactors over nonzero entries (up to
-# 8! products when dense); the metric Laplacian on chart (n,n) needs 2n.
+# Base dimension n of the metric Laplacian's chart (n,n); a Gamma with all
+# n^3 entries nonzero takes under a second at the cap.
+MAX_LAPLACIAN_DIM = 32
+# Rows of a determinant in verify's oracles, expanded by cofactors over
+# nonzero entries (up to 8! products when dense).
 MAX_DET_SIZE = 8
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .diffop import DiffOp, _sum_pieces, nested_values
 from .errors import (
-    MAX_DET_SIZE,
+    MAX_LAPLACIAN_DIM,
     ArityMismatch,
     AsymmetricGamma,
     ChartMismatch,
@@ -321,54 +321,26 @@ def hamiltonian_field(p: SymMultivector) -> DiffOp:
 # ---------------------------------------------------------------------------
 
 
-def _det(matrix):
-    """Exact determinant by cofactor expansion over nonzero entries only.
-
-    Each minor expands along its row with the fewest nonzero entries, so a
-    matrix with one nonzero permutation, such as the split metric, costs
-    one product per row.
-    """
-    size = len(matrix)
-    refuse_over(f"the determinant size {size}", size, MAX_DET_SIZE)
-    chart, space = matrix[0][0].chart, matrix[0][0].space
-
-    def minor(rows, cols):
-        if not rows:
-            return Poly.const(chart, space, 1)
-        nonzero = [
-            [k for k, col in enumerate(cols) if not matrix[row][col].is_zero()]
-            for row in rows
-        ]
-        i = min(range(len(rows)), key=lambda r: len(nonzero[r]))
-        rest = rows[:i] + rows[i + 1 :]
-        out = Poly.zero(chart, space)
-        for k in nonzero[i]:
-            term = matrix[rows[i]][cols[k]] * minor(rest, cols[:k] + cols[k + 1 :])
-            out = out - term if (i + k) % 2 else out + term
-        return out
-
-    return minor(tuple(range(size)), tuple(range(size)))
-
-
 def fwl_metric_laplacian(chart: Chart, gamma) -> DiffOp:
     """Laplace-Beltrami operator of the fiber-wise linear split metric.
 
     `gamma` maps (k, i, j) to base-only polynomials, symmetric in (i, j);
     missing entries are zero.  With the convention a(.)b = a(x)b + b(x)a the
-    metric matrix in the (x, u) coordinates is [[-2*Gamma.u, I], [I, 0]];
-    its determinant is checked to be (-1)^n, the blockwise polynomial
-    inverse [[0, I], [I, 2*Gamma.u]] is verified by multiplying out its
-    nonzero entry pairs, and the constant-determinant Laplacian
+    metric in the (x, u) coordinates is g = [[A, I], [I, 0]], A = -2*Gamma.u,
+    and g^-1 = [[0, I], [I, B]] with B = -A, checked blockwise: g g^-1 =
+    [[I, A + B], [0, I]].  The constant-determinant Laplacian
+    sum g^{mu nu} d_mu d_nu + sum (d_mu g^{mu nu}) d_nu is then
 
-        sum g^{mu nu} d_mu d_nu + sum (d_mu g^{mu nu}) d_nu
+        2 sum_i d_xi d_ui + sum_ij B_ij d_ui d_uj + sum_ij (d_ui B_ij) d_uj,
 
-    is assembled and checked to be FWL of order 2.
+    checked to be FWL of order 2.  No determinant is formed: det g = (-1)^n
+    is an identity of verify's `laplacian` suite.  A chart (n, n) with n over
+    MAX_LAPLACIAN_DIM is refused before Gamma is read.
     """
     n = chart.base_dim
     if chart.fiber_rank != n:
         raise RankMismatch("the fiber-wise linear metric needs fiber rank = base dim")
-    # The same cap as _det's, checked before the 2n x 2n metric is built.
-    refuse_over(f"the determinant size {2 * n}", 2 * n, MAX_DET_SIZE)
+    refuse_over(f"the Laplacian chart dimension {n}", n, MAX_LAPLACIAN_DIM)
     table = {}
     for (k, i, j), coeff in dict(gamma).items():
         if not (1 <= k <= n and 1 <= i <= n and 1 <= j <= n):
@@ -382,63 +354,32 @@ def fwl_metric_laplacian(chart: Chart, gamma) -> DiffOp:
         if table.get((k, j, i), zero) != coeff:
             raise AsymmetricGamma(f"Gamma^{k}_{{{i}{j}}} != Gamma^{k}_{{{j}{i}}}")
 
-    one = Poly.const(chart, Space.E, 1)
-    size = 2 * n
-    coords = chart.vars_of(VarKind.BASE) + chart.vars_of(VarKind.FIBER)
-    u = [Poly.var(chart, Space.E, v) for v in coords[n:]]
-    g = [[zero for _ in range(size)] for _ in range(size)]
-    for i in range(n):
-        for j in range(n):
+    # A and B are symmetric with Gamma: one sum of products per entry of A
+    # on and above the diagonal.
+    fiber = chart.vars_of(VarKind.FIBER)
+    u = [Poly.var(chart, Space.E, v) for v in fiber]
+    b = {}
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
             products = [
-                (-2, table[(k, i + 1, j + 1)], u[k - 1])
-                for k in range(1, n + 1)
-                if (k, i + 1, j + 1) in table
+                (-2, table[k, i, j], u[k - 1]) for k in range(1, n + 1) if (k, i, j) in table
             ]
-            g[i][j] = Poly.sum_of_products(chart, Space.E, products)
-        g[i][n + i] = one
-        g[n + i][i] = one
-
-    det = _det(g)
-    if det != Poly.const(chart, Space.E, (-1) ** n):
-        raise InvariantViolation(f"det(g) = {det!r}, not (-1)^{n}")
-
-    ginv = [[zero for _ in range(size)] for _ in range(size)]
-    for i in range(n):
-        ginv[i][n + i] = one
-        ginv[n + i][i] = one
-        for j in range(n):
-            ginv[n + i][n + j] = -g[i][j]
-    for row in range(size):
-        for col in range(size):
-            entry = Poly.sum_of_products(
-                chart,
-                Space.E,
-                [
-                    (1, g[row][k], ginv[k][col])
-                    for k in range(size)
-                    if g[row][k].terms and ginv[k][col].terms
-                ],
-            )
-            expected = one if row == col else zero
-            if entry != expected:
+            a_ij = Poly.sum_of_products(chart, Space.E, products)
+            b[i, j] = b[j, i] = -a_ij
+            if not (a_ij + b[i, j]).is_zero():
                 raise InvariantViolation("blockwise inverse failed verification")
 
-    def key_for(variables) -> tuple:
-        mi_b = MultiIndex([v.index for v in variables if v.kind is VarKind.BASE])
-        mi_f = MultiIndex([v.index for v in variables if v.kind is VarKind.FIBER])
-        return (mi_b, mi_f)
-
-    # Zero entries of g^-1 and zero derivatives d_mu g^{mu nu} add nothing.
+    two = Poly.const(chart, Space.E, 2)
     terms = {}
-    for mu, row in enumerate(ginv):
-        for nu, entry in enumerate(row):
-            if not entry.terms:
+    for i in range(1, n + 1):
+        mi = MultiIndex([i])
+        terms[(mi, mi)] = two
+        for j in range(1, n + 1):
+            if not b[i, j].terms:
                 continue
-            add_into(terms, key_for((coords[mu], coords[nu])), entry)
-            d_entry = entry.partial(coords[mu])
-            if d_entry.terms:
-                add_into(terms, key_for((coords[nu],)), d_entry)
-
+            if i <= j:
+                terms[(EMPTY_MI, MultiIndex([i, j]))] = b[i, j] if i == j else b[i, j].scale(2)
+            add_into(terms, (EMPTY_MI, MultiIndex([j])), b[i, j].partial(fiber[i - 1]))
     result = DiffOp(chart, Space.E, terms)
     if not result.is_fwl(2):
         raise InvariantViolation("metric Laplacian failed the FWL postcondition")

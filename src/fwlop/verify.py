@@ -16,6 +16,7 @@ from fractions import Fraction
 from . import randgen as rg
 from ._oracles import (
     _dual,
+    _metric_determinant,
     _pairing,
     _unshuffle_pair_bracket,
     _unshuffle_pair_product,
@@ -121,9 +122,12 @@ class _Session:
 
 
 def _is_zero(obj) -> bool:
-    """A zero operator, multivector or polynomial, or a pair of zeros."""
+    """A zero operator, multivector or polynomial, a pair of zeros, or a
+    connection table with no nonzero entry."""
     if isinstance(obj, LPair):
         return obj.p.is_zero() and obj.rho.is_zero()
+    if isinstance(obj, dict):
+        return all(coeff.is_zero() for coeff in obj.values())
     return isinstance(obj, (DiffOp, SymMultivector, Poly)) and obj.is_zero()
 
 
@@ -136,6 +140,9 @@ def _doc(obj):
         return {"p": _doc(obj.p), "rho": _doc(obj.rho)}
     if isinstance(obj, Poly):
         return poly_to_str(obj)
+    if isinstance(obj, dict):
+        # a connection table, as the entries of a `laplacian` document
+        return [dict(zip("kij", key), coeff=poly_to_str(c)) for key, c in sorted(obj.items())]
     if isinstance(obj, (int, str, Fraction)):
         return str(obj)
     return repr(obj)
@@ -637,6 +644,9 @@ def _suite_laplacian(s: _Session, trials: int):
         gamma = rg.rand_gamma(rng, chart, bounds)
         lap = fwl_metric_laplacian(chart, gamma)
         s.check("laplacian-fwl", lap.is_fwl(2), op=lap)
+        det = _metric_determinant(chart, gamma)
+        unit = Poly.const(chart, Space.E, (-1) ** n)
+        s.check("metric-determinant", det == unit, gamma=gamma, n=n)
 
 
 def _suite_lin_fn(s: _Session, trials: int):

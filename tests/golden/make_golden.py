@@ -173,7 +173,7 @@ def _fixtures():
         op = rg.rand_order_q_linearizable_op(rng, chart, bounds, q)
         yield f"lin_q{q}_{chart.base_dim}{chart.fiber_rank}.json", diffop_to_doc(op)
 
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5, 6):
         rng = random.Random(6000 + n)
         chart = Chart(n, n)
         gamma = rg.rand_gamma(rng, chart, bounds)
@@ -264,7 +264,7 @@ def _cases():
     yield "linearize_hand_q2", ["linearize", "--order", "2", "ambient_hand.json"]
     yield "linearize_not_linearizable", ["linearize", "--order", "1", "op_amb_1.json"]
 
-    for tag in ("1", "2", "3", "4", "hand"):
+    for tag in ("1", "2", "3", "4", "5", "6", "hand"):
         yield f"laplacian_gamma_{tag}", ["laplacian", f"gamma_{tag}.json"]
     yield "symbol_repeated_term", ["symbol", "op_repeated_term.json"]
     yield "laplacian_gamma_repeated", ["laplacian", "gamma_repeated.json"]

@@ -1,12 +1,14 @@
 """Command-line interface: documents in, documents out, exit codes."""
 
 import json
+import time
 
 import pytest
 
 from fwlop import cli, verify
 from fwlop.cli import main
 from fwlop.diffop import DiffOp
+from fwlop.errors import MAX_LAPLACIAN_DIM
 from fwlop.lbundle import LPair
 from fwlop.multivec import SymMultivector
 from fwlop.symcore import EMPTY_MI, Chart, Poly, Space
@@ -438,6 +440,43 @@ def test_zero_gamma_entry_out_of_range_is_refused(op_file, capsys, coeffs):
     code, out, err = run(capsys, "laplacian", op_file(_gamma_doc(entries)))
     assert (code, out) == (1, "")
     assert err == "RankMismatch: connection index (2,1,1) out of range\n"
+
+
+def _entry(k, i, j, coeff):
+    return {"k": k, "i": i, "j": j, "coeff": coeff}
+
+
+@pytest.mark.parametrize(
+    "dims, entries, message",
+    [
+        ((2, 1), [], "RankMismatch: the fiber-wise linear metric needs fiber rank = base dim"),
+        (
+            (2, 2),
+            [_entry(1, 1, 2, "x1"), _entry(1, 2, 1, "x2")],
+            "AsymmetricGamma: Gamma^1_{12} != Gamma^1_{21}",
+        ),
+        (
+            (1, 1),
+            [_entry(1, 1, 1, "x1*u1")],
+            "SpaceMismatch: connection coefficients must be base-only",
+        ),
+        (
+            (MAX_LAPLACIAN_DIM + 1,) * 2,
+            [_entry(MAX_LAPLACIAN_DIM + 2, 1, 1, "x1")],
+            f"RequestTooLarge: the Laplacian chart dimension {MAX_LAPLACIAN_DIM + 1} "
+            f"exceeds the cap of {MAX_LAPLACIAN_DIM}",
+        ),
+    ],
+    ids=["fiber-rank", "asymmetric", "not-base-only", "over-cap"],
+)
+def test_laplacian_refusals_exit_1(op_file, capsys, dims, entries, message):
+    # An index out of range is test_zero_gamma_entry_out_of_range_is_refused.
+    doc = {"chart": {"base_dim": dims[0], "fiber_rank": dims[1]}, "gamma": entries}
+    path = op_file(doc)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "laplacian", path)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (1, "", message + "\n")
 
 
 @pytest.mark.parametrize(

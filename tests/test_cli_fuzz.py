@@ -25,7 +25,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fwlop import cli
-from fwlop.errors import MAX_BASIS_INDICES, MAX_CHART_DIM, MAX_VERIFY_TABLE_KEYS
+from fwlop.errors import (
+    MAX_BASIS_INDICES,
+    MAX_CHART_DIM,
+    MAX_LAPLACIAN_DIM,
+    MAX_VERIFY_TABLE_KEYS,
+)
 from fwlop.symcore import multi_index_count
 
 # Values that break a document field of any type.
@@ -339,7 +344,7 @@ def over_cap_cases(draw):
         )
         return ["verify", "--suite", "all", "--trials", "1", "--bounds", f"{n},{m},{q}"], []
     if kind == "laplacian":
-        n = draw(st.integers(5, MAX_CHART_DIM))
+        n = draw(st.integers(MAX_LAPLACIAN_DIM + 1, MAX_CHART_DIM))
         entry = {"k": 1, "i": 1, "j": n, "coeff": "x1"}
         gamma = {"chart": _chart_doc(n, n), "gamma": [entry, dict(entry, i=n, j=1)]}
         return ["laplacian", "@0"], [gamma]

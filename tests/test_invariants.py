@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fwlop import lbundle, multivec
+from fwlop import _oracles, lbundle, multivec, verify
 from fwlop.cli import main
 from fwlop.diffop import diffop_from_doc
 from fwlop.errors import FwlopError, InvariantViolation
@@ -43,7 +43,10 @@ def test_no_assert_or_assertion_error_in_the_package(path):
 # The unshuffle recovery is the verify oracle of the bracket and product
 # table formulas, kept in the oracle module that only verify imports; a
 # second recovery path in the library would duplicate them.
+# The same holds for the cofactor determinant: the library's Laplacian
+# forms none, and verify expands the split metric's.
 REFERENCE_HOMES = {
+    "_det": {"_oracles.py"},
     "unshuffles": {"_oracles.py"},
     "_recover_table": {"_oracles.py"},
 }
@@ -103,7 +106,7 @@ def test_cli_maps_invariant_violation_to_exit_2(monkeypatch, tmp_path, capsys):
 
 
 def _det_signed_by_column(matrix):
-    """multivec._det with each cofactor signed by its column alone, not by
+    """_oracles._det with each cofactor signed by its column alone, not by
     row + column: wrong whenever the expanded row has an odd index."""
     one = Poly.const(matrix[0][0].chart, matrix[0][0].space, 1)
 
@@ -126,26 +129,24 @@ def _det_signed_by_column(matrix):
     return minor(tuple(range(size)), tuple(range(size)))
 
 
-def test_wrong_metric_determinant_raises(monkeypatch, tmp_path, capsys):
+def test_wrong_metric_determinant_raises(monkeypatch, capsys):
     # With Gamma^1_11 = x1 the sparsest row of [[-2 x1 u1, 1], [1, 0]] is the
     # second, so the wrong sign gives det = +1, a nonzero constant, not -1.
+    # The library's Laplacian forms no determinant; verify's
+    # metric-determinant identity expands one per drawn Gamma.
     chart = Chart(1, 1)
     gamma = {(1, 1, 1): parse_poly("x1", chart, Space.E)}
+    assert _oracles._metric_determinant(chart, gamma) == Poly.const(chart, Space.E, -1)
+    assert verify.run_suite("laplacian", 20, 1).ok
+    monkeypatch.setattr(_oracles, "_det", _det_signed_by_column)
+    assert _oracles._metric_determinant(chart, gamma) == Poly.const(chart, Space.E, 1)
     multivec.fwl_metric_laplacian(chart, gamma)
-    monkeypatch.setattr(multivec, "_det", _det_signed_by_column)
-    with pytest.raises(InvariantViolation, match="det"):
-        multivec.fwl_metric_laplacian(chart, gamma)
-    path = tmp_path / "gamma.json"
-    path.write_text(
-        json.dumps(
-            {
-                "chart": {"base_dim": 1, "fiber_rank": 1},
-                "gamma": [{"k": 1, "i": 1, "j": 1, "coeff": "x1"}],
-            }
-        )
-    )
-    code = main(["laplacian", str(path)])
+    report = verify.run_suite("laplacian", 20, 1)
+    assert report.failures
+    assert {f["identity"] for f in report.failures} == {"metric-determinant"}
+    assert all(f["counterexample"]["gamma"] for f in report.failures)
+    code = main(["verify", "--suite", "laplacian", "--trials", "20", "--seed", "1"])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("InvariantViolation: ")
+    assert f"failures: {len(report.failures)}\n" in captured.out
+    assert ": metric-determinant\n" in captured.out

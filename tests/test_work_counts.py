@@ -7,14 +7,16 @@ coefficient recovery builds each coordinate once per call, a bracket with
 a coordinate is a table shift with no Leibniz pass, and parsing collects
 its terms in one table and reduces once, with no `Poly` per factor.  The
 unshuffle oracles of `verify` evaluate each word of an operand once per
-call.
+call.  The metric Laplacian forms no determinant and multiplies no two
+polynomials: one `Poly.sum_of_products` per entry of the metric's
+symmetric corner block on and above its diagonal.
 """
 
 import random
 
 import pytest
 
-from fwlop import verify
+from fwlop import _oracles, verify
 from fwlop._oracles import (
     _unshuffle_pair_bracket,
     _unshuffle_pair_product,
@@ -22,12 +24,13 @@ from fwlop._oracles import (
 )
 from fwlop.diffop import DiffOp, nested_values
 from fwlop.lbundle import LPair, a_inverse, a_iso, pair_bracket, pair_product
-from fwlop.multivec import SymMultivector, poisson, sym_product
+from fwlop.multivec import SymMultivector, fwl_metric_laplacian, poisson, sym_product
 from fwlop.randgen import (
     Bounds,
     rand_diffop,
     rand_fwl_op,
     rand_fwl_pair,
+    rand_gamma,
     rand_multivector,
 )
 from fwlop.symcore import Chart, Poly, Space, parse_poly, poly_to_str
@@ -124,6 +127,23 @@ def test_eval_on_functions_makes_one_leibniz_pass_per_new_node(monkeypatch):
     monkeypatch.undo()
     word = sorted([f, g], key=Poly.sort_key)
     assert values[0] == values[2] == nested_values(p.to_operator())(word)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_laplacian_is_one_sum_of_products_per_metric_entry(monkeypatch, n):
+    # The Laplacian is written from the n x n corner block of the inverse
+    # metric, symmetric, so built on and above its diagonal: no
+    # determinant, no product of matrix entries.
+    chart = Chart(n, n)
+    gamma = rand_gamma(random.Random(41 + n), chart, Bounds(n_max=n, m_max=n))
+    dets = _counting(monkeypatch, _oracles, ["_det"])
+    counts = _counting(monkeypatch, Poly, ["__mul__", "__rmul__", "sum_of_products"])
+    lap = fwl_metric_laplacian(chart, gamma)
+    assert dets == {"_det": 0}
+    assert counts == {"__mul__": 0, "__rmul__": 0, "sum_of_products": n * (n + 1) // 2}
+    monkeypatch.undo()
+    assert len(gamma) >= n and lap.is_fwl(2)
+    assert any(len(mi_f) == 2 and mi_f[0] != mi_f[1] for _, mi_f in lap.terms)
 
 
 def test_parsing_builds_one_poly(monkeypatch):
