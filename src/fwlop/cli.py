@@ -15,22 +15,23 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .diffop import (
     DiffOp,
     _is_int,
-    _unique_keys,
+    _require_keys,
     chart_from_doc,
+    diffop_dumps,
     diffop_from_doc,
     diffop_to_doc,
+    dumps_json,
+    loads_json,
 )
 from .errors import (
     DocumentError,
     FwlopError,
     InvariantViolation,
-    RequestTooLarge,
     SpaceMismatch,
     UsageError,
 )
@@ -41,36 +42,24 @@ from .lbundle import (
     lderivation_to_doc,
 )
 from .linearize import linearize_do
-from .multivec import SymMultivector, fwl_metric_laplacian, poisson
+from .multivec import (
+    SymMultivector,
+    check_laplacian_chart,
+    fwl_metric_laplacian,
+    poisson,
+)
 from .randgen import Bounds
 from .symcore import Space, parse_poly, poly_to_str
 from .verify import SUITES, run_all, run_suite
 
 
-def _dumps(doc) -> str:
-    return json.dumps(doc, separators=(", ", ": "))
-
-
 def _load_json(path: str):
-    """The JSON document at path.  Besides JSONDecodeError, `json.load`
-    raises UnicodeDecodeError for bytes that are not UTF-8, a bare
-    ValueError for an integer past Python's int/str conversion limit, and
-    RecursionError for arrays or objects nested past the recursion limit.
-    A repeated key raises DocumentError, which is not a ValueError."""
+    """The JSON document at path, read as UTF-8 text."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle, object_pairs_hook=_unique_keys)
+            return loads_json(handle, path)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DocumentError(f"invalid JSON in {path}: {exc}") from exc
-    except ValueError:
-        raise RequestTooLarge(
-            f"an integer in {path} is over Python's limit of "
-            f"{sys.get_int_max_str_digits()} digits"
-        ) from None
-    except RecursionError:
-        raise RequestTooLarge(f"{path} is nested too deeply to read") from None
 
 
 def _load_op(path: str, space: str | None = None) -> DiffOp:
@@ -91,7 +80,7 @@ def _load_multivector(path: str) -> SymMultivector:
 
 
 def _print_op(op: DiffOp):
-    print(_dumps(diffop_to_doc(op)))
+    print(diffop_dumps(op))
 
 
 def cmd_eval(args) -> int:
@@ -119,7 +108,7 @@ def cmd_grade(args) -> int:
         str(weight): diffop_to_doc(part)
         for weight, part in op.grade_decompose().items()
     }
-    print(_dumps(doc))
+    print(dumps_json(doc))
     return 0
 
 
@@ -154,7 +143,7 @@ def cmd_a_iso(args) -> int:
     doc = lderivation_to_doc(a_iso(op, args.order))
     if args.command == "ad":
         del doc["mult"]
-    print(_dumps(doc))
+    print(dumps_json(doc))
     return 0
 
 
@@ -172,15 +161,14 @@ def cmd_linearize(args) -> int:
 
 def cmd_laplacian(args) -> int:
     doc = _load_json(args.gamma)
-    if not isinstance(doc, dict) or set(doc) != {"chart", "gamma"}:
-        raise DocumentError("gamma document must have exactly the keys chart, gamma")
+    _require_keys(doc, ("chart", "gamma"), "gamma document")
     chart = chart_from_doc(doc["chart"])
+    check_laplacian_chart(chart)
     if not isinstance(doc["gamma"], list):
         raise DocumentError("gamma must be a list of entries")
     table = {}
     for entry in doc["gamma"]:
-        if not isinstance(entry, dict) or set(entry) != {"k", "i", "j", "coeff"}:
-            raise DocumentError("gamma entries need exactly the keys k, i, j, coeff")
+        _require_keys(entry, ("k", "i", "j", "coeff"), "gamma entry")
         index = (entry["k"], entry["i"], entry["j"])
         if not all(_is_int(i) for i in index):
             raise DocumentError("gamma indices k, i, j must be integers")
@@ -208,7 +196,7 @@ def cmd_verify(args) -> int:
     if args.stats:
         executed = {report.suite: report.executed for report in reports}
         vacuous = {report.suite: report.vacuous for report in reports}
-        print(_dumps({"executed": executed, "vacuous": vacuous}), file=sys.stderr)
+        print(dumps_json({"executed": executed, "vacuous": vacuous}), file=sys.stderr)
     return 0 if all(report.ok for report in reports) else 2
 
 

@@ -46,15 +46,19 @@ part, fiber-wise linear (FWL) operators of order q the weight 1-q part.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
+from math import prod
 from operator import le
 
 from .errors import (
     MAX_CHART_DIM,
+    MAX_SUB_MULTISETS,
     MAX_TABLE_KEYS,
     ChartMismatch,
     DocumentError,
     InvariantViolation,
+    RequestTooLarge,
     SpaceMismatch,
     ZeroOperator,
     refuse_over,
@@ -276,7 +280,11 @@ class DiffOp:
         often than c2's largest exponent of that variable gives d^S c2 = 0
         and is skipped unvisited; the others keep their order.  Each d^S c2
         is computed once per call: terms of self share their
-        sub-multisets S."""
+        sub-multisets S.  A key of self whose sub-multisets are over
+        MAX_SUB_MULTISETS is refused before the pass starts."""
+        for i1, b1 in self.terms:
+            if len(i1) + len(b1) > _SHORT_KEY:
+                _refuse_sub_multisets(i1, b1)
         fk = fiber_kind(self.space)
         # (index of c2's term, S base part[, S fiber part]) -> partial
         partials = {}
@@ -471,12 +479,10 @@ class DiffOp:
 
     def symbol(self):
         """Top-order coefficient table, packaged as a symmetric multivector."""
-        from .multivec import SymMultivector
-
         order = self.order()
         if order is None:
             raise ZeroOperator("the zero operator has no symbol")
-        return SymMultivector(self.chart, self.space, order, self.top_table(order))
+        return self.symbol_at(order)
 
     def symbol_at(self, q: int):
         """Level-q table as a multivector (empty when the order is below q)."""
@@ -495,6 +501,30 @@ class DiffOp:
 _set_chart = DiffOp.chart.__set__
 _set_space = DiffOp.space.__set__
 _set_terms = DiffOp.terms.__set__
+
+
+# A key part of L letters has at most 2^L sub-multisets, so a key of at
+# most 16 letters passes both checks of `_refuse_sub_multisets`.
+_SHORT_KEY = 16
+
+
+def _refuse_sub_multisets(i1: MultiIndex, b1: MultiIndex):
+    """RequestTooLarge when the sub-multisets of the key (i1, b1) are over
+    MAX_SUB_MULTISETS: in letters for one part, or in pairs of a base and a
+    fiber part; nothing is enumerated first."""
+    counts = [prod(k + 1 for k in part.multiplicities().values()) for part in (i1, b1)]
+    for part, count in zip((i1, b1), counts):
+        refuse_over(
+            f"the letter count {count} x {len(part)} of a key part's sub-multisets",
+            count * len(part),
+            MAX_SUB_MULTISETS,
+        )
+    refuse_over(
+        f"the pair count {counts[0]} x {counts[1]} of a key's base and fiber "
+        "sub-multisets",
+        counts[0] * counts[1],
+        MAX_SUB_MULTISETS,
+    )
 
 
 def _within(subs, tops):
@@ -652,7 +682,12 @@ def diffop_from_doc(doc) -> DiffOp:
 
 
 def diffop_dumps(op: DiffOp) -> str:
-    return json.dumps(diffop_to_doc(op), separators=(", ", ": "))
+    return dumps_json(diffop_to_doc(op))
+
+
+def dumps_json(doc) -> str:
+    """The one JSON rendering of every document fwlop prints."""
+    return json.dumps(doc, separators=(", ", ": "))
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -666,9 +701,27 @@ def _unique_keys(pairs: list) -> dict:
     return doc
 
 
-def diffop_loads(text: str) -> DiffOp:
+def loads_json(source, name: str = "the document"):
+    """The JSON value of `source`: text, bytes (in a JSON encoding), or a
+    text file, read whole.  Every failure is typed, and `name` says in the
+    message where the text came from.  Besides JSONDecodeError, reading
+    raises UnicodeDecodeError for bytes not in their encoding, a bare
+    ValueError for an integer past Python's int/str conversion limit, and
+    RecursionError for arrays or objects nested past the recursion limit.
+    A repeated key raises DocumentError, which is not a ValueError."""
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON: {exc}") from exc
-    return diffop_from_doc(doc)
+        text = source if isinstance(source, (str, bytes)) else source.read()
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DocumentError(f"invalid JSON in {name}: {exc}") from exc
+    except ValueError:
+        raise RequestTooLarge(
+            f"an integer in {name} is over Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
+    except RecursionError:
+        raise RequestTooLarge(f"{name} is nested too deeply to read") from None
+
+
+def diffop_loads(text: str | bytes) -> DiffOp:
+    return diffop_from_doc(loads_json(text))

@@ -117,6 +117,12 @@ MAX_VERIFY_TABLE_KEYS = 200
 # Base dimension n of the metric Laplacian's chart (n,n); a Gamma with all
 # n^3 entries nonzero takes under a second at the cap.
 MAX_LAPLACIAN_DIM = 32
+# Sub-multisets S <= J that one Leibniz pass enumerates for a term c d^J:
+# per key part, their count times the part's length (the letters they
+# hold), and the count of the base part times that of the fiber part (the
+# pairs visited per term of the other operand).  2^20 admits a part of 16
+# distinct letters, or of one letter 1000 times.
+MAX_SUB_MULTISETS = 2**20
 # Rows of a determinant in verify's oracles, expanded by cofactors over
 # nonzero entries (up to 8! products when dense).
 MAX_DET_SIZE = 8

@@ -208,13 +208,9 @@ def _summed(like: SymMultivector, q: int, pieces: dict) -> SymMultivector:
 
 
 def fwl_check_multivector(p: SymMultivector) -> bool:
-    """True iff every term has weight 1-q (fiber degree of coeff minus |B|)."""
-    if p.space is not Space.E:
-        raise SpaceMismatch("FWL classification lives on space E")
-    return all(
-        coeff.fiber_degree() == 1 - p.q + len(mi_f)
-        for (mi_b, mi_f), coeff in p.terms.items()
-    )
+    """True iff every term has weight 1-q (fiber degree of coeff minus |B|):
+    the FWL test of the order-q table."""
+    return p.to_operator().is_fwl(p.q)
 
 
 def is_core_multivector(p: SymMultivector) -> bool:
@@ -303,22 +299,31 @@ def hamiltonian_field(p: SymMultivector) -> DiffOp:
     terms = {}
     for (mi_b, mi_f), coeff in p.terms.items():
         v_mono = Poly.fiber_monomial(chart, Space.ESTAR, mi_f)
-        if len(mi_b) == 1:
+        # A FWL key has |I| <= 1: weight 1-q at |I| >= 2 needs a negative
+        # fiber degree.
+        if mi_b:
             add_into(terms, (mi_b, EMPTY_MI), coeff.with_space(Space.ESTAR) * v_mono)
-        elif len(mi_b) == 0:
+        else:
             for a in range(1, chart.fiber_rank + 1):
                 c_a = coeff.partial(Var(VarKind.FIBER, a))
                 if not c_a.is_zero():
                     piece = -c_a.with_space(Space.ESTAR) * v_mono
                     add_into(terms, (EMPTY_MI, MultiIndex([a])), piece)
-        else:
-            raise NotFWL("FWL tables cannot carry two base derivatives")
     return DiffOp._raw(chart, Space.ESTAR, terms)
 
 
 # ---------------------------------------------------------------------------
 # Laplacian of the fiber-wise linear metric built from a connection table.
 # ---------------------------------------------------------------------------
+
+
+def check_laplacian_chart(chart: Chart):
+    """RankMismatch unless the chart is (n, n), RequestTooLarge when n is
+    over MAX_LAPLACIAN_DIM."""
+    n = chart.base_dim
+    if chart.fiber_rank != n:
+        raise RankMismatch("the fiber-wise linear metric needs fiber rank = base dim")
+    refuse_over(f"the Laplacian chart dimension {n}", n, MAX_LAPLACIAN_DIM)
 
 
 def fwl_metric_laplacian(chart: Chart, gamma) -> DiffOp:
@@ -334,13 +339,11 @@ def fwl_metric_laplacian(chart: Chart, gamma) -> DiffOp:
         2 sum_i d_xi d_ui + sum_ij B_ij d_ui d_uj + sum_ij (d_ui B_ij) d_uj,
 
     checked to be FWL of order 2.  No determinant is formed: det g = (-1)^n
-    is an identity of verify's `laplacian` suite.  A chart (n, n) with n over
-    MAX_LAPLACIAN_DIM is refused before Gamma is read.
+    is an identity of verify's `laplacian` suite.  The chart is checked by
+    `check_laplacian_chart` before Gamma is read.
     """
+    check_laplacian_chart(chart)
     n = chart.base_dim
-    if chart.fiber_rank != n:
-        raise RankMismatch("the fiber-wise linear metric needs fiber rank = base dim")
-    refuse_over(f"the Laplacian chart dimension {n}", n, MAX_LAPLACIAN_DIM)
     table = {}
     for (k, i, j), coeff in dict(gamma).items():
         if not (1 <= k <= n and 1 <= i <= n and 1 <= j <= n):

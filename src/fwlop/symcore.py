@@ -446,22 +446,7 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
-        terms = {}
-        get = terms.get
-        other_items = other.terms.items()
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other_items:
-                mono = tuple(map(add, m1, m2))
-                acc = get(mono)
-                if acc is None:
-                    terms[mono] = c1 * c2
-                else:
-                    total = acc + c1 * c2
-                    if total:
-                        terms[mono] = total
-                    else:
-                        del terms[mono]
-        return Poly._reduced(self.chart, self.space, terms, self.den * other.den)
+        return Poly.sum_of_products(self.chart, self.space, [(1, self, other)])
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -1,6 +1,7 @@
 """Command-line interface: documents in, documents out, exit codes."""
 
 import json
+import sys
 import time
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from fwlop import cli, verify
 from fwlop.cli import main
 from fwlop.diffop import DiffOp
-from fwlop.errors import MAX_LAPLACIAN_DIM
+from fwlop.errors import MAX_LAPLACIAN_DIM, MAX_SUB_MULTISETS
 from fwlop.lbundle import LPair
 from fwlop.multivec import SymMultivector
 from fwlop.symcore import EMPTY_MI, Chart, Poly, Space
@@ -646,3 +647,105 @@ def test_json_load_errors_are_typed(tmp_path, capsys, raw, code, error):
     code_got, out, err = run(capsys, "symbol", str(path))
     assert (code_got, out) == (code, "")
     assert _one_error_line(err, error)
+
+
+# The same three texts read by the one JSON reader, given as files: the
+# error line names the file.
+@pytest.mark.parametrize(
+    "raw, code, line",
+    [
+        (
+            "1" * 5000,
+            1,
+            "RequestTooLarge: an integer in {path} is over Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits",
+        ),
+        ("[" * 100000 + "]" * 100000, 1, "RequestTooLarge: {path} is nested too deeply to read"),
+        (
+            b"\x80{}",
+            3,
+            "DocumentError: invalid JSON in {path}: 'utf-8' codec can't decode byte "
+            "0x80 in position 0: invalid start byte",
+        ),
+    ],
+    ids=["integer-past-the-conversion-limit", "nested-too-deeply", "not-utf8"],
+)
+def test_json_read_errors_name_the_file(tmp_path, capsys, raw, code, line):
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw if isinstance(raw, bytes) else raw.encode("utf-8"))
+    for argv in (["compose", str(path), str(path)], ["laplacian", str(path)]):
+        assert run(capsys, *argv) == (code, "", line.format(path=path) + "\n")
+
+
+def test_laplacian_checks_the_chart_before_reading_gamma(op_file, capsys):
+    # The one entry is not a polynomial, but the chart is refused first.
+    n = MAX_LAPLACIAN_DIM + 1
+    doc = {"chart": {"base_dim": n, "fiber_rank": n}, "gamma": [_entry(1, 1, 1, "x1 +")]}
+    assert run(capsys, "laplacian", op_file(doc)) == (
+        1,
+        "",
+        f"RequestTooLarge: the Laplacian chart dimension {n} exceeds the cap of "
+        f"{MAX_LAPLACIAN_DIM}\n",
+    )
+    doc["chart"] = {"base_dim": 2, "fiber_rank": 1}
+    assert run(capsys, "laplacian", op_file(doc)) == (
+        1,
+        "",
+        "RankMismatch: the fiber-wise linear metric needs fiber rank = base dim\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            dict(_gamma_doc([]), note=1),
+            "gamma document must have exactly the keys ['chart', 'gamma'], "
+            "got ['chart', 'gamma', 'note']",
+        ),
+        ([], "gamma document must be a JSON object"),
+        (
+            _gamma_doc([{"k": 1, "i": 1, "j": 1}]),
+            "gamma entry must have exactly the keys ['coeff', 'i', 'j', 'k'], "
+            "got ['i', 'j', 'k']",
+        ),
+        (_gamma_doc([[1, 1, 1, "x1"]]), "gamma entry must be a JSON object"),
+    ],
+    ids=["document-key", "document-not-object", "entry-key", "entry-not-object"],
+)
+def test_laplacian_shape_refusals(op_file, capsys, doc, message):
+    assert run(capsys, "laplacian", op_file(doc)) == (3, "", f"DocumentError: {message}\n")
+
+
+def _one_key_op(n, m, dx, du, coeff="1"):
+    chart = {"base_dim": n, "fiber_rank": m}
+    return {"chart": chart, "space": "E", "terms": [{"coeff": coeff, "dx": dx, "du": du}]}
+
+
+@pytest.mark.parametrize(
+    "dims, dx, du, message",
+    [
+        (
+            (20, 1),
+            list(range(1, 21)),
+            [],
+            "the letter count 1048576 x 20 of a key part's sub-multisets",
+        ),
+        ((1, 1), [1] * 4000, [], "the letter count 4001 x 4000 of a key part's sub-multisets"),
+        (
+            (16, 16),
+            list(range(1, 17)),
+            list(range(1, 17)),
+            "the pair count 65536 x 65536 of a key's base and fiber sub-multisets",
+        ),
+    ],
+    ids=["20-distinct-letters", "one-letter-4000-times", "16-by-16-pairs"],
+)
+def test_leibniz_pass_over_the_cap_is_refused_up_front(op_file, capsys, dims, dx, du, message):
+    big = op_file(_one_key_op(*dims, dx, du), "big.json")
+    x1 = op_file(_one_key_op(*dims, [], [], "x1"), "x1.json")
+    start = time.perf_counter()
+    got = run(capsys, "compose", big, x1)
+    assert time.perf_counter() - start < 0.5
+    line = f"RequestTooLarge: {message} exceeds the cap of {MAX_SUB_MULTISETS}\n"
+    assert got == (1, "", line)

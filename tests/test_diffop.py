@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -10,7 +11,9 @@ import pytest
 from fwlop._oracles import _recover_table
 from fwlop.diffop import (
     _ORDER_ZERO,
+    _SHORT_KEY,
     DiffOp,
+    _refuse_sub_multisets,
     diffop_dumps,
     diffop_from_doc,
     diffop_loads,
@@ -18,6 +21,7 @@ from fwlop.diffop import (
     nested_values,
 )
 from fwlop.errors import (
+    MAX_SUB_MULTISETS,
     ChartMismatch,
     DocumentError,
     InvariantViolation,
@@ -720,6 +724,55 @@ def test_recovery_refuses_an_over_cap_table():
         op.recover_coefficients()
 
 
+def test_leibniz_cap_counts_letters_per_part_and_pairs_per_key():
+    # One letter 1023 times: 1024 sub-multisets x 1023 letters fit the cap;
+    # 1024 times does not.  Ten distinct letters in each part pair 2^10 x 2^10
+    # sub-multisets, at the cap; eleven fiber letters are over it.
+    ten, eleven = MultiIndex(range(1, 11)), MultiIndex(range(1, 12))
+    _refuse_sub_multisets(MultiIndex([1] * 1023), EMPTY_MI)
+    _refuse_sub_multisets(ten, ten)
+    with pytest.raises(RequestTooLarge) as info:
+        _refuse_sub_multisets(MultiIndex([1] * 1024), EMPTY_MI)
+    assert str(info.value) == (
+        "the letter count 1025 x 1024 of a key part's sub-multisets exceeds the "
+        f"cap of {MAX_SUB_MULTISETS}"
+    )
+    with pytest.raises(RequestTooLarge) as info:
+        _refuse_sub_multisets(ten, eleven)
+    assert str(info.value) == (
+        "the pair count 1024 x 2048 of a key's base and fiber sub-multisets "
+        f"exceeds the cap of {MAX_SUB_MULTISETS}"
+    )
+    # a key no longer than _SHORT_KEY passes both checks unexamined
+    assert 2**_SHORT_KEY * _SHORT_KEY <= MAX_SUB_MULTISETS
+
+
+@pytest.mark.parametrize(
+    "chart, key",
+    [
+        (Chart(20, 1), (MultiIndex(range(1, 21)), EMPTY_MI)),
+        (Chart(1, 1), (MultiIndex([1] * 4000), EMPTY_MI)),
+        (Chart(16, 16), (MultiIndex(range(1, 17)), MultiIndex(range(1, 17)))),
+    ],
+    ids=["20-distinct-letters", "one-letter-4000-times", "16-by-16-pairs"],
+)
+def test_leibniz_pass_refuses_an_over_cap_key_before_enumerating(chart, key):
+    op = DiffOp(chart, Space.E, {key: Poly.const(chart, Space.E, 1)})
+    x1 = DiffOp.mult(Poly.var(chart, Space.E, Var(VarKind.BASE, 1)))
+    _sub_multisets(EMPTY_MI)  # the key of x1, enumerated in x1's own pass
+    cached = _sub_multisets.cache_info().currsize
+    two_x1 = x1.terms[_ORDER_ZERO].scale(2)
+    for call, arg in (
+        (op.compose, x1),
+        (op.commutator, x1),
+        (x1.commutator, op),
+        (op._function_bracket, two_x1),
+    ):
+        with pytest.raises(RequestTooLarge):
+            call(arg)
+    assert _sub_multisets.cache_info().currsize == cached
+
+
 def test_recovery_refuses_before_any_bracket(monkeypatch):
     # an order-3 operator on chart (10,10): the order-3 table has
     # C(22, 3) = 1540 keys, so the walk is refused before its first bracket
@@ -976,6 +1029,31 @@ def test_zero_terms_have_their_letters_checked():
     # an in-range zero term is dropped
     doc["terms"][1:] = [{"coeff": "x1", "dx": [1], "du": []}, {"coeff": "-x1", "dx": [1], "du": []}]
     assert diffop_from_doc(doc) == op_du(1)
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        (
+            "1" * 5000,
+            RequestTooLarge,
+            "an integer in the document is over Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits",
+        ),
+        ("[" * 100000 + "]" * 100000, RequestTooLarge, "the document is nested too deeply to read"),
+        (
+            b"\x80{}",
+            DocumentError,
+            "invalid JSON in the document: 'utf-8' codec can't decode byte 0x80 in "
+            "position 0: invalid start byte",
+        ),
+    ],
+    ids=["integer-past-the-conversion-limit", "nested-too-deeply", "not-utf8"],
+)
+def test_loads_raises_only_typed_errors(text, error, message):
+    with pytest.raises(error) as info:
+        diffop_loads(text)
+    assert str(info.value) == message
 
 
 def test_loads_refuses_a_repeated_key():

@@ -276,6 +276,13 @@ def test_fwl_check_examples():
     assert fwl_check_multivector(mixed)
 
 
+def test_fwl_check_lives_on_space_e():
+    p = SymMultivector(CH1, Space.ESTAR, 1, {(EMPTY_MI, MultiIndex([1])): PS("v1")})
+    with pytest.raises(SpaceMismatch) as info:
+        fwl_check_multivector(p)
+    assert str(info.value) == "FWL classification lives on space E"
+
+
 def test_fwl_check_against_value_conditions():
     rng = random.Random(29)
     for _ in range(25):
@@ -513,6 +520,15 @@ def test_hamiltonian_field_examples():
     h2 = hamiltonian_field(mixed)
     assert h2.terms[(MultiIndex([1]), EMPTY_MI)] == parse_poly("v1", CH1, Space.ESTAR)
     assert (EMPTY_MI, MultiIndex([1])) not in h2.terms
+
+
+def test_hamiltonian_field_refuses_a_table_that_is_not_fwl():
+    # Two base derivatives at order 2 would need fiber degree -1; a constant
+    # coefficient there is weight 0, not 1 - q = -1.
+    for key in ((MultiIndex([1, 1]), EMPTY_MI), (EMPTY_MI, MultiIndex([1, 1]))):
+        with pytest.raises(NotFWL) as info:
+            hamiltonian_field(mv(CH1, 2, {key: P("1")}))
+        assert str(info.value) == "hamiltonian fields are attached to FWL multivectors"
 
 
 def test_hamiltonian_defining_property():

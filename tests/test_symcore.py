@@ -290,6 +290,26 @@ def test_arithmetic_chart_and_space_guards():
         P("x1") * P("x1", Space.AMBIENT)
 
 
+def test_product_with_a_number_is_a_scaling():
+    p = P("3/2*x1^2*u2 - x1 + 5")
+    assert p * 3 == 3 * p == p.scale(3) == P("9/2*x1^2*u2 - 3*x1 + 15")
+    assert p * Fraction(1, 2) == Fraction(1, 2) * p == p.scale(Fraction(1, 2))
+    assert p * 0 == Poly.zero(CH, Space.E)
+    with pytest.raises(TypeError):
+        [1] * p
+
+
+def test_product_across_charts_or_spaces_is_refused():
+    with pytest.raises(ChartMismatch) as info:
+        P("x1") * parse_poly("x1", Chart(1, 1), Space.E)
+    assert str(info.value) == (
+        "Chart(base_dim=2, fiber_rank=2) vs Chart(base_dim=1, fiber_rank=1)"
+    )
+    with pytest.raises(SpaceMismatch) as info:
+        P("x1") * P("x1", Space.ESTAR)
+    assert str(info.value) == "E vs Estar"
+
+
 def test_partial_multi_equals_iterated_partials():
     rng = random.Random(4721)
     bounds = Bounds(exp_max=4)
