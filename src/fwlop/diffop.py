@@ -70,7 +70,7 @@ from .symcore import (
     Poly,
     Space,
     VarKind,
-    _sub_multisets,
+    _pass_sub_multisets,
     add_into,
     fiber_kind,
     multi_index_count,
@@ -292,9 +292,10 @@ class DiffOp:
             (n2, j2_base, j2_fib, c2, *c2.max_exponents())
             for n2, ((j2_base, j2_fib), c2) in enumerate(others)
         ]
+        memo = {}  # sub-multisets too large for the process-wide memo
         for (i1, b1), c1 in self.terms.items():
-            subs_base = _sub_multisets(i1)
-            subs_fib = _sub_multisets(b1)
+            subs_base = _pass_sub_multisets(i1, memo)
+            subs_fib = _pass_sub_multisets(b1, memo)
             for n2, j2_base, j2_fib, c2, top_base, top_fib in other_terms:
                 fibs_all = _within(subs_fib, top_fib)
                 for s_base, n_base, rest_base, _ in _within(subs_base, top_base):
@@ -322,9 +323,8 @@ class DiffOp:
 
     def _summed(self, pieces: dict) -> "DiffOp":
         """The operator of `_leibniz` pieces."""
-        return DiffOp._raw(
-            self.chart, self.space, _sum_pieces(self.chart, self.space, pieces)
-        )
+        terms = _sum_pieces(self.chart, self.space, pieces, Poly.sum_of_products)
+        return DiffOp._raw(self.chart, self.space, terms)
 
     # -- grading and classification -------------------------------------------
 
@@ -536,12 +536,13 @@ def _within(subs, tops):
     return [s for s in subs if all(map(le, s[3], tops))]
 
 
-def _sum_pieces(chart, space, pieces: dict) -> dict:
-    """{key: reduced sum of the k * a * b} of {key: [(k, a, b), ...]}, keys
-    kept in the order they first appeared, zero sums dropped."""
+def _sum_pieces(chart, space, pieces: dict, build) -> dict:
+    """{key: build(chart, space, its list)} of {key: [...]}, `build` being
+    `Poly.sum_of_products` or `Poly.from_fiber_parts`; keys kept in the
+    order they first appeared, zero sums dropped."""
     terms = {}
     for key, products in pieces.items():
-        coeff = Poly.sum_of_products(chart, space, products)
+        coeff = build(chart, space, products)
         if coeff.terms:
             terms[key] = coeff
     return terms
@@ -702,15 +703,18 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def loads_json(source, name: str = "the document"):
-    """The JSON value of `source`: text, bytes (in a JSON encoding), or a
-    text file, read whole.  Every failure is typed, and `name` says in the
-    message where the text came from.  Besides JSONDecodeError, reading
-    raises UnicodeDecodeError for bytes not in their encoding, a bare
-    ValueError for an integer past Python's int/str conversion limit, and
-    RecursionError for arrays or objects nested past the recursion limit.
-    A repeated key raises DocumentError, which is not a ValueError."""
+    """The JSON value of `source`: text, bytes (strict UTF-8, as the CLI
+    reads files), or a text file, read whole.  Every failure is typed, and
+    `name` says in the message where the text came from.  Besides
+    JSONDecodeError, reading raises UnicodeDecodeError for bytes that are
+    not UTF-8, a bare ValueError for an integer past Python's int/str
+    conversion limit, and RecursionError for arrays or objects nested past
+    the recursion limit.  A repeated key raises DocumentError, which is not
+    a ValueError."""
     try:
-        text = source if isinstance(source, (str, bytes)) else source.read()
+        if isinstance(source, bytes):
+            source = source.decode("utf-8")
+        text = source if isinstance(source, str) else source.read()
         return json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DocumentError(f"invalid JSON in {name}: {exc}") from exc

@@ -47,6 +47,7 @@ from fractions import Fraction
 from .diffop import (
     DiffOp,
     _require_keys,
+    _sum_pieces,
     chart_from_doc,
     chart_to_doc,
     nested_values,
@@ -86,7 +87,6 @@ from .symcore import (
     Space,
     Var,
     VarKind,
-    add_into,
     all_multi_indices,
     multi_index_count,
     parse_poly,
@@ -251,20 +251,17 @@ def _closed_form_mult(op: DiffOp, q: int) -> Poly:
 
     the second sum being the dual-fiber divergence of the field part.
     """
-    chart = op.chart
-    products = []
+    parts = []
     for (mi_b, mi_f), coeff in op.terms.items():
         if len(mi_b) != 0:
             continue
         if len(mi_f) == q - 1:
-            v_mono = Poly.fiber_monomial(chart, Space.ESTAR, mi_f)
-            products.append((1, coeff.with_space(Space.ESTAR), v_mono))
+            parts.append((1, coeff, mi_f))
         elif len(mi_f) == q:
             for b, mult in mi_f.multiplicities().items():
-                d_b = coeff.partial(Var(VarKind.FIBER, b)).with_space(Space.ESTAR)
-                v_mono = Poly.fiber_monomial(chart, Space.ESTAR, mi_f.remove(b))
-                products.append((-mult, d_b, v_mono))
-    return Poly.sum_of_products(chart, Space.ESTAR, products)
+                d_b = coeff.partial(Var(VarKind.FIBER, b))
+                parts.append((-mult, d_b, mi_f.remove(b)))
+    return Poly.from_fiber_parts(op.chart, Space.ESTAR, parts)
 
 
 def _check_order(q: int, chart: Chart):
@@ -340,27 +337,28 @@ def a_inverse(d: DiffOp, q: int) -> DiffOp:
     for i in range(1, chart.base_dim + 1):
         comp = d.terms.get((MultiIndex([i]), EMPTY_MI), zero)
         for mi, base_part in comp.fiber_parts(Space.E).items():
-            add_into(terms, (MultiIndex([i]), mi), base_part)
+            terms[(MultiIndex([i]), mi)] = base_part
 
-    fiber_coeffs = {}
+    # Pure-fiber coefficients: -Y_alpha u_alpha at the top, and at |mi| =
+    # q-1 the multiplication part plus the divergence correction.
+    parts, fiber_coeffs = {}, {}
     for alpha in range(1, chart.fiber_rank + 1):
         comp = d.terms.get((EMPTY_MI, MultiIndex([alpha])), zero)
         for mi, base_part in comp.fiber_parts(Space.E).items():
-            coeff = -base_part
-            fiber_coeffs[(mi, alpha)] = coeff
-            u_alpha = Poly.var(chart, Space.E, Var(VarKind.FIBER, alpha))
-            add_into(terms, (EMPTY_MI, mi), coeff * u_alpha)
+            fiber_coeffs[(mi, alpha)] = base_part
+            parts.setdefault((EMPTY_MI, mi), []).append((-1, base_part, (alpha,)))
 
     mult_parts = d.terms.get((EMPTY_MI, EMPTY_MI), zero).fiber_parts(Space.E)
     for mi in all_multi_indices(chart.fiber_rank, q - 1):
-        base_part = mult_parts.get(mi, Poly.zero(chart, Space.E))
-        correction = Poly.zero(chart, Space.E)
+        key_parts = parts.setdefault((EMPTY_MI, mi), [])
+        if mi in mult_parts:
+            key_parts.append((1, mult_parts[mi], EMPTY_MI))
         for beta in range(1, chart.fiber_rank + 1):
             top = fiber_coeffs.get((mi.concat(MultiIndex([beta])), beta))
             if top is not None:
-                correction = correction + top.scale(mi.count(beta) + 1)
-        add_into(terms, (EMPTY_MI, mi), base_part + correction)
+                key_parts.append((-(mi.count(beta) + 1), top, EMPTY_MI))
 
+    terms.update(_sum_pieces(chart, Space.E, parts, Poly.from_fiber_parts))
     return DiffOp(chart, Space.E, terms)
 
 

@@ -46,15 +46,11 @@ def linearize_function(f: Poly) -> Poly:
         raise SpaceMismatch("function linearization expects ambient data")
     if not f.restrict_fiber_zero().is_zero():
         raise NotLinearizable("function does not vanish on the submanifold")
-    chart = f.chart
-    out = Poly.zero(chart, Space.E)
-    for a in range(1, chart.fiber_rank + 1):
-        slope = f.partial(Var(VarKind.FIBER, a)).restrict_fiber_zero()
-        if not slope.is_zero():
-            out = out + slope.with_space(Space.E) * Poly.var(
-                chart, Space.E, Var(VarKind.FIBER, a)
-            )
-    return out
+    parts = [
+        (1, f.partial(Var(VarKind.FIBER, a)).restrict_fiber_zero(), (a,))
+        for a in range(1, f.chart.fiber_rank + 1)
+    ]
+    return Poly.from_fiber_parts(f.chart, Space.E, parts)
 
 
 def is_linearizable_multivector(p: SymMultivector) -> bool:

@@ -203,7 +203,7 @@ def _product_pieces(p1, p2, pieces: dict) -> dict:
 def _summed(like: SymMultivector, q: int, pieces: dict) -> SymMultivector:
     """The order-q multivector on like's chart and space whose coefficients
     are the reduced sums of pieces: canonical, so it is not re-validated."""
-    terms = _sum_pieces(like.chart, like.space, pieces)
+    terms = _sum_pieces(like.chart, like.space, pieces, Poly.sum_of_products)
     return SymMultivector._unchecked(like.chart, like.space, q, terms)
 
 
@@ -276,13 +276,12 @@ def _is_fiber_linear(p: Poly) -> bool:
 def core_to_dualpoly(p: SymMultivector) -> Poly:
     """Core multivector as a polynomial on the dual space: table transcription.
     Reads only `.chart` and `.terms`, so a sum of core operators works too."""
-    products = []
+    parts = []
     for (mi_b, mi_f), coeff in p.terms.items():
         if len(mi_b) != 0 or not coeff.is_base_only():
             raise NotCore("table has a non-core term")
-        v_mono = Poly.fiber_monomial(p.chart, Space.ESTAR, mi_f)
-        products.append((1, coeff.with_space(Space.ESTAR), v_mono))
-    return Poly.sum_of_products(p.chart, Space.ESTAR, products)
+        parts.append((1, coeff, mi_f))
+    return Poly.from_fiber_parts(p.chart, Space.ESTAR, parts)
 
 
 def hamiltonian_field(p: SymMultivector) -> DiffOp:
@@ -296,19 +295,18 @@ def hamiltonian_field(p: SymMultivector) -> DiffOp:
     if not fwl_check_multivector(p):
         raise NotFWL("hamiltonian fields are attached to FWL multivectors")
     chart = p.chart
-    terms = {}
+    parts = {}
     for (mi_b, mi_f), coeff in p.terms.items():
-        v_mono = Poly.fiber_monomial(chart, Space.ESTAR, mi_f)
         # A FWL key has |I| <= 1: weight 1-q at |I| >= 2 needs a negative
         # fiber degree.
         if mi_b:
-            add_into(terms, (mi_b, EMPTY_MI), coeff.with_space(Space.ESTAR) * v_mono)
+            parts.setdefault((mi_b, EMPTY_MI), []).append((1, coeff, mi_f))
         else:
             for a in range(1, chart.fiber_rank + 1):
                 c_a = coeff.partial(Var(VarKind.FIBER, a))
                 if not c_a.is_zero():
-                    piece = -c_a.with_space(Space.ESTAR) * v_mono
-                    add_into(terms, (EMPTY_MI, MultiIndex([a])), piece)
+                    parts.setdefault((EMPTY_MI, MultiIndex([a])), []).append((-1, c_a, mi_f))
+    terms = _sum_pieces(chart, Space.ESTAR, parts, Poly.from_fiber_parts)
     return DiffOp._raw(chart, Space.ESTAR, terms)
 
 

@@ -13,11 +13,13 @@ a space and its dual: `sum_of_products` adds up k * a * b over a list of
 products as integer numerators over one common denominator and reduces
 once; `max_exponents` gives each variable's largest exponent, past which
 a derivative is zero; `fiber_parts` splits a polynomial by the monomial
-of its fiber-type variables; `fiber_monomial` builds such a monomial from
-a multi-index.  There is no second view of the terms: polynomials are
-built by `parse_poly`, `Poly.zero`, `Poly.const`, `Poly.var`,
-`Poly.fiber_monomial` and `Poly.sum_of_products`, and read by the methods
-and `poly_to_str`.
+of its fiber-type variables into base-only parts, and `from_fiber_parts`,
+the crossing constructor, is its inverse: it moves each part's exponents
+next to a multi-index's fiber exponents, with no product.  There is no
+second view of the terms: polynomials are built by `parse_poly`,
+`Poly.zero`, `Poly.const`, `Poly.var`, `Poly.fiber_monomial` (one
+`from_fiber_parts` call), `Poly.from_fiber_parts` and
+`Poly.sum_of_products`, and read by the methods and `poly_to_str`.
 
 Variables are tagged by kind: base coordinates x1..xn, fiber coordinates
 u1..um on the total space (or transverse coordinates on an ambient chart),
@@ -43,7 +45,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, perm
+from math import comb, factorial, gcd, lcm, perm, prod
 from operator import add
 
 from .errors import (
@@ -160,7 +162,8 @@ def _sub_multisets(mi: MultiIndex) -> tuple:
     """(S, multiset binomial, remainder J - S, multiplicity vector of S) for
     all S <= J = mi, S and J - S multi-indices; the empty S comes first.
     The vector's i-th entry is the multiplicity of letter i+1 in S, up to
-    J's largest letter.  Memoised on J."""
+    J's largest letter.  Memoised on J for the process: callers go through
+    `_pass_sub_multisets`, which keeps only small ones here."""
     items = sorted(mi.multiplicities().items())
     width = mi[-1] if mi else 0
     out = []
@@ -183,6 +186,25 @@ def _sub_multisets(mi: MultiIndex) -> tuple:
             )
         )
     return tuple(out)
+
+
+# The sub-multisets of a key part are kept for the process when they hold
+# at most this many letters in all (their count times the part's length),
+# as those of every part of at most four letters do.
+_CACHED_SUB_LETTERS = 64
+
+
+def _pass_sub_multisets(mi: MultiIndex, memo: dict) -> tuple:
+    """`_sub_multisets(mi)`: from the process-wide memo when small, else
+    built once into `memo`, which the caller keeps for one pass only."""
+    if len(mi) > 4:
+        count = prod(k + 1 for k in mi.multiplicities().values())
+        if count * len(mi) > _CACHED_SUB_LETTERS:
+            subs = memo.get(mi)
+            if subs is None:
+                subs = memo[mi] = _sub_multisets.__wrapped__(mi)
+            return subs
+    return _sub_multisets(mi)
 
 
 EMPTY_MI = MultiIndex()
@@ -268,7 +290,7 @@ class Poly:
     def __init__(self, *args, **kwargs):
         raise TypeError(
             "build a Poly with parse_poly or Poly.zero, const, var, "
-            "fiber_monomial or sum_of_products"
+            "fiber_monomial, from_fiber_parts or sum_of_products"
         )
 
     def __setattr__(self, *a):
@@ -339,14 +361,42 @@ class Poly:
     def fiber_monomial(cls, chart, space, mi: MultiIndex):
         """The monomial of the fiber-type variables of `space` indexed by mi
         (u_mi or v_mi; 1 for the empty multi-index)."""
+        return cls.from_fiber_parts(chart, space, [(1, cls.const(chart, space, 1), mi)])
+
+    @classmethod
+    def from_fiber_parts(cls, chart, space, parts) -> "Poly":
+        """Sum of k * c * w^mi over the list `parts` of (k, c, mi), c a
+        base-only polynomial on chart (of any space) and w the fiber-type
+        variables of `space`: the inverse of `fiber_parts`.  Base exponents
+        join mi's over one common denominator, reduced once, with no
+        product; a part with a fiber variable is refused."""
         n, m = chart.base_dim, chart.fiber_rank
-        mono = [0] * (n + m)
-        for letter in mi:
-            if not 1 <= letter <= m:
-                v = Var(fiber_kind(space), letter)
-                raise IndexOutOfRange(f"variable {v} out of range for chart {chart}")
-            mono[n + letter - 1] += 1
-        return cls._raw(chart, space, {tuple(mono): 1})
+        den = 1
+        for _, c, _ in parts:
+            if c.chart is not chart and c.chart != chart:
+                raise ChartMismatch(f"{c.chart} vs {chart}")
+            if den % c.den:
+                den = lcm(den, c.den)
+        blank = (0,) * m
+        terms = {}
+        get = terms.get
+        for k, c, mi in parts:
+            fiber = [0] * m
+            for letter in mi:
+                if not 1 <= letter <= m:
+                    v = Var(fiber_kind(space), letter)
+                    raise IndexOutOfRange(f"variable {v} out of range for chart {chart}")
+                fiber[letter - 1] += 1
+            fiber = tuple(fiber)
+            f = k * (den // c.den)
+            for mono, coeff in c.terms.items():
+                if mono[n:] != blank:
+                    raise SpaceMismatch(f"the part at {mi!r} is not base-only")
+                mono = mono[:n] + fiber
+                terms[mono] = get(mono, 0) + coeff * f
+        if 0 in terms.values():
+            terms = {mono: c for mono, c in terms.items() if c}
+        return cls._reduced(chart, space, terms, den)
 
     @classmethod
     def sum_of_products(cls, chart, space, products) -> "Poly":

@@ -8,8 +8,8 @@ import pytest
 
 from fwlop import cli, verify
 from fwlop.cli import main
-from fwlop.diffop import DiffOp
-from fwlop.errors import MAX_LAPLACIAN_DIM, MAX_SUB_MULTISETS
+from fwlop.diffop import DiffOp, diffop_loads
+from fwlop.errors import MAX_LAPLACIAN_DIM, MAX_SUB_MULTISETS, DocumentError
 from fwlop.lbundle import LPair
 from fwlop.multivec import SymMultivector
 from fwlop.symcore import EMPTY_MI, Chart, Poly, Space
@@ -675,6 +675,24 @@ def test_json_read_errors_name_the_file(tmp_path, capsys, raw, code, line):
     path.write_bytes(raw if isinstance(raw, bytes) else raw.encode("utf-8"))
     for argv in (["compose", str(path), str(path)], ["laplacian", str(path)]):
         assert run(capsys, *argv) == (code, "", line.format(path=path) + "\n")
+
+
+def test_document_bytes_mean_utf8_on_both_routes(tmp_path, capsys):
+    # A UTF-16 document (with its byte-order mark 0xff 0xfe) is refused by
+    # the library reader as by the CLI, and UTF-8 bytes read as the text.
+    text = json.dumps(OP_CORE2)
+    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    with pytest.raises(DocumentError) as info:
+        diffop_loads(text.encode("utf-16"))
+    assert str(info.value) == f"invalid JSON in the document: {reason}"
+    path = tmp_path / "doc.json"
+    path.write_bytes(text.encode("utf-16"))
+    assert run(capsys, "symbol", str(path)) == (
+        3,
+        "",
+        f"DocumentError: invalid JSON in {path}: {reason}\n",
+    )
+    assert diffop_loads(text.encode("utf-8")) == diffop_loads(text)
 
 
 def test_laplacian_checks_the_chart_before_reading_gamma(op_file, capsys):

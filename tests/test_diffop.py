@@ -1,8 +1,10 @@
 """Operator algebra: action, composition, grading, classification, recovery."""
 
+import gc
 import json
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -771,6 +773,33 @@ def test_leibniz_pass_refuses_an_over_cap_key_before_enumerating(chart, key):
         with pytest.raises(RequestTooLarge):
             call(arg)
     assert _sub_multisets.cache_info().currsize == cached
+
+
+def test_large_sub_multisets_live_for_one_pass():
+    # dx^(1..12) has 4096 sub-multisets of 12 letters: built for the pass
+    # and dropped after it, while a small key part stays memoised
+    chart = Chart(12, 1)
+    key = MultiIndex(range(1, 13))
+    op = DiffOp(chart, Space.E, {(key, EMPTY_MI): Poly.const(chart, Space.E, 1)})
+    x1 = Poly.var(chart, Space.E, Var(VarKind.BASE, 1))
+    _sub_multisets(EMPTY_MI)  # the key's fiber part, which is small
+    cached = _sub_multisets.cache_info().currsize
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = op.compose(DiffOp.mult(x1))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20
+    assert _sub_multisets.cache_info().currsize == cached
+    one = Poly.const(chart, Space.E, 1)
+    assert got.terms == {(key, EMPTY_MI): x1, (key.remove(1), EMPTY_MI): one}
+    small = MultiIndex([1, 1, 2, 3])
+    DiffOp(chart, Space.E, {(small, EMPTY_MI): one}).compose(DiffOp.mult(x1))
+    assert _sub_multisets.cache_info().currsize > cached
 
 
 def test_recovery_refuses_before_any_bracket(monkeypatch):

@@ -14,6 +14,8 @@ from fwlop._oracles import (
 )
 from fwlop.diffop import DiffOp, nested_values
 from fwlop.errors import (
+    ChartMismatch,
+    DocumentError,
     IncompatiblePair,
     NotFWL,
     NotHomogeneous,
@@ -531,3 +533,41 @@ def test_linear_generator_matches_expected_trace():
                 Space.ESTAR
             )
     assert coeff_of(image, [], []) == trace
+
+
+def test_pair_refusals():
+    p = SymMultivector(CH1, Space.E, 2, {(EMPTY_MI, MultiIndex([1, 1])): P("u1")})
+    rho = SymMultivector.zero(CH1, Space.E, 1)
+    cases = [
+        (CH, Space.E, 1, ChartMismatch, "pair components on different charts"),
+        (CH1, Space.ESTAR, 1, SpaceMismatch, "pairs live over the total space"),
+        (CH1, Space.E, 2, IncompatiblePair, "rho must have order q-1"),
+    ]
+    for chart, space, q, error, message in cases:
+        with pytest.raises(error) as info:
+            LPair(p, SymMultivector.zero(chart, space, q))
+        assert str(info.value) == message
+    with pytest.raises(IncompatiblePair) as info:
+        LPair(p, rho).apply([P("x1"), P("u1")], P("u1"))
+    assert str(info.value) == "expected 1 function slots"
+    # u1^2 d_u1^2 has weight 0, not 1 - 2
+    not_fwl = SymMultivector(CH1, Space.E, 2, {(EMPTY_MI, MultiIndex([1, 1])): P("u1^2")})
+    with pytest.raises(IncompatiblePair) as info:
+        pair_to_lderivation(LPair(not_fwl, rho))
+    assert str(info.value) == "pair_to_lderivation needs a FWL multivector part"
+
+
+@pytest.mark.parametrize(
+    "field, mult, message",
+    [
+        ({"dx": "x1", "dv": ["0"]}, "0", "field components must be lists of polynomials"),
+        ({"dx": ["x1", "0"], "dv": ["0"]}, "0", "field component counts must match the chart"),
+        ({"dx": ["x1"], "dv": ["0"]}, 0, "mult must be a polynomial string"),
+    ],
+    ids=["not-a-list", "wrong-count", "mult-not-a-string"],
+)
+def test_lderivation_doc_refusals(field, mult, message):
+    doc = {"chart": {"base_dim": 1, "fiber_rank": 1}, "field": field, "mult": mult}
+    with pytest.raises(DocumentError) as info:
+        lderivation_from_doc(doc)
+    assert str(info.value) == message

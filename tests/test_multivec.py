@@ -13,6 +13,7 @@ from fwlop.errors import (
     MAX_LAPLACIAN_DIM,
     ArityMismatch,
     AsymmetricGamma,
+    ChartMismatch,
     NotCore,
     NotFWL,
     RankMismatch,
@@ -759,3 +760,30 @@ def test_canonical_results_equal_the_validated_ones():
             assert got.eval(*args[: got.q]) == checked.eval(*args[: got.q])
             nonzero += not got.is_zero()
     assert nonzero >= 40
+
+
+def test_multivector_refusals():
+    u1 = P("u1")
+    with pytest.raises(ArityMismatch) as info:
+        SymMultivector(CH1, Space.E, -1)
+    assert str(info.value) == "multivector order must be >= 0"
+    one = SymMultivector(CH1, Space.E, 1, {(EMPTY_MI, MultiIndex([1])): u1})
+    two = SymMultivector(CH1, Space.E, 2, {(EMPTY_MI, MultiIndex([1, 1])): u1})
+    with pytest.raises(ArityMismatch) as info:
+        one + two
+    assert str(info.value) == "can only add multivectors of equal order"
+
+
+def test_bracket_and_product_refuse_mismatched_operands():
+    one = SymMultivector(CH1, Space.E, 1, {(EMPTY_MI, MultiIndex([1])): P("u1")})
+    dual = SymMultivector(CH1, Space.ESTAR, 1, {(EMPTY_MI, MultiIndex([1])): PS("v1")})
+    wide = SymMultivector.zero(CH, Space.E, 1)
+    cases = [
+        (poisson, dual, SpaceMismatch, "poisson operands on different spaces"),
+        (sym_product, wide, ChartMismatch, "product operands on different charts"),
+        (sym_product, dual, SpaceMismatch, "product operands on different spaces"),
+    ]
+    for function, other, error, message in cases:
+        with pytest.raises(error) as info:
+            function(one, other)
+        assert str(info.value) == message

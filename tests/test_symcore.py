@@ -494,6 +494,47 @@ def test_fiber_monomial_matches_the_var_construction(space):
             _monomial_by_vars(chart, space, MultiIndex(bad))
 
 
+@pytest.mark.parametrize("space", list(Space), ids=lambda s: s.value)
+@pytest.mark.parametrize("target", list(Space), ids=lambda s: s.value)
+def test_from_fiber_parts_inverts_fiber_parts(space, target):
+    rng = random.Random(f"from-fiber-parts/{space.value}/{target.value}")
+    bounds = Bounds(n_max=3, m_max=3, terms_max=6)
+    for _ in range(60):
+        chart = rand_chart(rng, bounds)
+        p = rand_poly(rng, chart, space, bounds)
+        parts = p.fiber_parts(target)
+        got = Poly.from_fiber_parts(chart, space, [(1, c, mi) for mi, c in parts.items()])
+        assert got == p
+        # integer factors and repeated indices, against the product construction
+        weighted = [(rng.randint(-3, 3), c, mi) for mi, c in parts.items() for _ in "ab"]
+        expected = Poly.zero(chart, space)
+        for k, c, mi in weighted:
+            product = c.with_space(space) * _monomial_by_vars(chart, space, mi)
+            expected = expected + product.scale(k)
+        assert Poly.from_fiber_parts(chart, space, weighted) == expected
+
+
+def test_from_fiber_parts_refusals():
+    chart = Chart(2, 3)
+    c = P("1/2*x1 - x2", Space.E, chart)
+    with pytest.raises(ChartMismatch) as info:
+        Poly.from_fiber_parts(Chart(3, 3), Space.ESTAR, [(1, c, MultiIndex([1]))])
+    assert str(info.value) == (
+        "Chart(base_dim=2, fiber_rank=3) vs Chart(base_dim=3, fiber_rank=3)"
+    )
+    with pytest.raises(IndexOutOfRange) as info:
+        Poly.from_fiber_parts(chart, Space.ESTAR, [(1, c, MultiIndex([1, 4]))])
+    assert str(info.value) == (
+        "variable v4 out of range for chart Chart(base_dim=2, fiber_rank=3)"
+    )
+    # a fiber-linear part would lose its u exponent on the dual space
+    linear = P("x1*u2 + 1", Space.E, chart)
+    with pytest.raises(SpaceMismatch) as info:
+        Poly.from_fiber_parts(chart, Space.ESTAR, [(1, c, ()), (2, linear, MultiIndex([1]))])
+    assert str(info.value) == "the part at MultiIndex([1]) is not base-only"
+    assert Poly.from_fiber_parts(chart, Space.ESTAR, []) == Poly.zero(chart, Space.ESTAR)
+
+
 # -- sums of products ---------------------------------------------------------
 
 

@@ -9,7 +9,9 @@ its terms in one table and reduces once, with no `Poly` per factor.  The
 unshuffle oracles of `verify` evaluate each word of an operand once per
 call.  The metric Laplacian forms no determinant and multiplies no two
 polynomials: one `Poly.sum_of_products` per entry of the metric's
-symmetric corner block on and above its diagonal.
+symmetric corner block on and above its diagonal.  The crossings between
+E and the dual space, and the linearization of a function, move
+exponents through `Poly.from_fiber_parts` and multiply no polynomials.
 """
 
 import random
@@ -23,8 +25,23 @@ from fwlop._oracles import (
     _unshuffle_poisson,
 )
 from fwlop.diffop import DiffOp, nested_values
-from fwlop.lbundle import LPair, a_inverse, a_iso, pair_bracket, pair_product
-from fwlop.multivec import SymMultivector, fwl_metric_laplacian, poisson, sym_product
+from fwlop.lbundle import (
+    LPair,
+    _closed_form_mult,
+    a_inverse,
+    a_iso,
+    pair_bracket,
+    pair_product,
+)
+from fwlop.linearize import linearize_function
+from fwlop.multivec import (
+    SymMultivector,
+    core_to_dualpoly,
+    fwl_metric_laplacian,
+    hamiltonian_field,
+    poisson,
+    sym_product,
+)
 from fwlop.randgen import (
     Bounds,
     rand_diffop,
@@ -144,6 +161,35 @@ def test_laplacian_is_one_sum_of_products_per_metric_entry(monkeypatch, n):
     monkeypatch.undo()
     assert len(gamma) >= n and lap.is_fwl(2)
     assert any(len(mi_f) == 2 and mi_f[0] != mi_f[1] for _, mi_f in lap.terms)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_crossings_multiply_no_polynomials(monkeypatch, q):
+    rng = random.Random(70 + q)
+    op = rand_fwl_op(rng, CH, BOUNDS, q)
+    while not op.symbol_at(q).terms or not _closed_form_mult(op, q).terms:
+        op = rand_fwl_op(rng, CH, BOUNDS, q)
+    rho = rand_fwl_pair(rng, CH, BOUNDS, q + 1).rho
+    while rho.is_zero():
+        rho = rand_fwl_pair(rng, CH, BOUNDS, q + 1).rho
+    d = a_iso(op, q)
+    f = parse_poly("3/2*x1*u1 - u2^2*x2 + 1/3*u2 - u1*u2", CH, Space.AMBIENT)
+    names = ["__mul__", "__rmul__", "sum_of_products"]
+    counts = _counting(monkeypatch, Poly, names)
+    got = (
+        hamiltonian_field(op.symbol_at(q)),
+        core_to_dualpoly(rho),
+        _closed_form_mult(op, q),
+        a_inverse(d, q),
+        linearize_function(f),
+    )
+    assert counts == dict.fromkeys(names, 0)
+    monkeypatch.undo()
+    field, dual, mult, back, linear = got
+    assert not field.is_zero() and field + DiffOp.mult(mult) == d
+    assert not dual.is_zero() and dual.fiber_degree() == q
+    assert back == op
+    assert linear == parse_poly("3/2*x1*u1 + 1/3*u2", CH, Space.E)
 
 
 def test_parsing_builds_one_poly(monkeypatch):
