@@ -13,14 +13,19 @@ membership in the ideal generated by tangent vector fields); its
 linearization keeps one-base-derivative terms restricted to u = 0 and
 linearizes the pure-fiber coefficients.  An operator of order at most q
 linearizes through its level-q table plus the restricted nested-commutator
-values on the transverse coordinates.
+values on the transverse coordinates,
+
+    psi_C = [...[op, u_{c_1}], ..., u_{c_{q-1}}](1) restricted to u = 0,
+
+which are read off the table: a bracket with a coordinate is the shift
+c_J d^J -> mult_z(J) c_J d^(J - z) (`DiffOp._function_bracket`), so q-1
+of them leave C! c_{(),C} on the order-0 key.  On the linearized level-q
+table, whose keys all have length q, they leave nothing there.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .diffop import DiffOp, nested_values
+from .diffop import DiffOp
 from .errors import (
     InvariantViolation,
     NotLinearizable,
@@ -29,15 +34,7 @@ from .errors import (
 )
 from .lbundle import _check_basis_size
 from .multivec import SymMultivector
-from .symcore import (
-    EMPTY_MI,
-    Poly,
-    Space,
-    Var,
-    VarKind,
-    add_into,
-    all_multi_indices,
-)
+from .symcore import Poly, Space, Var, VarKind
 
 
 def linearize_function(f: Poly) -> Poly:
@@ -100,37 +97,28 @@ def linearize_do(op: DiffOp, q: int) -> DiffOp:
     """Order-q linearization: FWL operator on the normal bundle.
 
     The order-q part is the linearized level-q table.  Each order-(q-1)
-    pure-fiber coefficient is recovered from the nested commutator with
+    pure-fiber coefficient is psi_C / C!, psi_C the nested commutator with
     the canonical transverse representatives,
 
-        psi_C = [...[op, u_{c_1}], ..., u_{c_{q-1}}](1) restricted to u=0,
+        psi_C = [...[op, u_{c_1}], ..., u_{c_{q-1}}](1) restricted to u=0.
 
-    corrected by the same value of the already-built top part and divided
-    by C!.  The result is checked to be FWL of order q.
+    Each bracket with u_c shifts the table, c_J d^J -> mult_c(J) c_J
+    d^(J - c), so psi_C = C! c_{(),C} restricted to u = 0, and the term is
+    that coefficient of op, moved to E.  The definition also subtracts the
+    same value of the already-built top part; its keys all have length q,
+    q-1 shifts leave none of length 0, and that value is zero.  The result
+    is checked to be FWL of order q.  Orders whose basis multi-indices C
+    are over MAX_BASIS_INDICES are refused, as by `a_iso`, although none
+    is walked.
     """
     _check_basis_size(op.chart, q)
     if not is_order_q_linearizable(op, q):
         raise NotLinearizable(f"operator is not order-{q} linearizable")
-    chart = op.chart
-    p_lin = linearize_multivector(op.symbol_at(q))
-    value, value_top = nested_values(op), nested_values(p_lin.to_operator())
-
-    terms = dict(p_lin.terms)
-    for c_idx in all_multi_indices(chart.fiber_rank, q - 1):
-        reps = [
-            Poly.var(chart, Space.AMBIENT, Var(VarKind.FIBER, c)) for c in c_idx
-        ]
-        psi = value(reps).restrict_fiber_zero()
-        lifted = [
-            Poly.var(chart, Space.E, Var(VarKind.FIBER, c)) for c in c_idx
-        ]
-        psi_top = value_top(lifted)
-        coeff = (psi.with_space(Space.E) - psi_top).scale(
-            Fraction(1, c_idx.factorial())
-        )
-        add_into(terms, (EMPTY_MI, c_idx), coeff)
-
-    result = DiffOp(chart, Space.E, terms)
+    terms = dict(linearize_multivector(op.symbol_at(q)).terms)
+    for (mi_b, mi_f), coeff in op.terms.items():
+        if not mi_b and len(mi_f) == q - 1:
+            terms[mi_b, mi_f] = coeff.restrict_fiber_zero().with_space(Space.E)
+    result = DiffOp(op.chart, Space.E, terms)
     if not result.is_fwl(q):
         raise InvariantViolation("linearization failed the FWL postcondition")
     return result

@@ -12,14 +12,25 @@ when the compiled module has bytecode on it; a function's first line counts
 as run when the function is called.  Tracing makes the suite about four
 times slower, so this script is opt-in: its name does not match pytest's
 `test_*.py` pattern, and tier-1 does not collect it.
+
+It is also a gate.  `unexecuted_lines.json` lists the lines allowed to stay
+unexecuted, each keyed by module, enclosing function and stripped source
+text (not by line number, so the list survives edits elsewhere) and given a
+reason.  The script exits 1 when a line outside the list did not run, or
+when an entry matches no executable line any more; otherwise it exits with
+pytest's code.  `tests/test_unexecuted_lines.py` checks the entries against
+the sources in tier-1, without tracing.
 """
 
+import ast
+import json
 import os
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fwlop"
+ALLOWED = Path(__file__).resolve().parent / "unexecuted_lines.json"
 DEFAULT_ARGS = ["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 
 
@@ -33,6 +44,51 @@ def executable_lines(path: Path) -> set:
         lines.update(line for _, _, line in code.co_lines() if line)
         todo.extend(c for c in code.co_consts if isinstance(c, type(code)))
     return lines
+
+
+def line_keys(path: Path) -> dict:
+    """{line number: (module file name, enclosing function, stripped text)}
+    for the executable lines of the module at path.  The function is its
+    dotted name through enclosing classes and functions, "<module>" at
+    top level."""
+    source = path.read_text(encoding="utf-8")
+    text = source.splitlines()
+    owner = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef):
+                    for line in range(child.lineno, child.end_lineno + 1):
+                        owner[line] = name
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return {
+        line: (path.name, owner.get(line, "<module>"), text[line - 1].strip())
+        for line in executable_lines(path)
+    }
+
+
+def load_allowed() -> list:
+    """The entries of the committed list, each a dict with the keys
+    module, function, text and reason."""
+    return json.loads(ALLOWED.read_text(encoding="utf-8"))
+
+
+def entry_key(entry: dict) -> tuple:
+    return entry["module"], entry["function"], entry["text"]
+
+
+def stale_entries(entries: list) -> list:
+    """The entries that match no executable line of their module."""
+    keys = set()
+    for path in SRC.glob("*.py"):
+        keys.update(line_keys(path).values())
+    return [e for e in entries if entry_key(e) not in keys]
 
 
 def traced_run(args: list) -> tuple:
@@ -72,18 +128,28 @@ def traced_run(args: list) -> tuple:
 def main(argv: list) -> int:
     args = argv or DEFAULT_ARGS + [str(ROOT / "tests")]
     code, ran = traced_run(args)
+    entries = load_allowed()
+    allowed = {entry_key(e) for e in entries}
+    unlisted = []
     total = missed = 0
     for name in sorted(ran):
-        lines = executable_lines(Path(name))
-        unrun = sorted(lines - ran[name])
-        total += len(lines)
+        keys = line_keys(Path(name))
+        unrun = sorted(set(keys) - ran[name])
+        total += len(keys)
         missed += len(unrun)
         if unrun:
             shown = ", ".join(map(str, unrun))
-            print(f"{Path(name).name}: {len(unrun)} of {len(lines)} lines not run: {shown}")
+            print(f"{Path(name).name}: {len(unrun)} of {len(keys)} lines not run: {shown}")
+        unlisted += [(line, keys[line]) for line in unrun if keys[line] not in allowed]
     print(f"{total - missed} of {total} executable lines ran, {missed} not run")
+    for line, (module, function, text) in unlisted:
+        print(f"not run and not listed: {module}:{line} in {function}: {text}")
+    stale = stale_entries(entries)
+    for e in stale:
+        print(f"listed but matching no line: {e['module']} {e['function']}: {e['text']}")
+    if unlisted or stale:
+        return 1
     return code
-
 
 if __name__ == "__main__":
     sys.exit(main(sys.argv[1:]))

@@ -9,7 +9,7 @@ import pytest
 from fwlop import cli, verify
 from fwlop.cli import main
 from fwlop.diffop import DiffOp, diffop_loads
-from fwlop.errors import MAX_LAPLACIAN_DIM, MAX_SUB_MULTISETS, DocumentError
+from fwlop.errors import MAX_LAPLACIAN_DIM, MAX_SUB_MULTISETS, DocumentError, UnknownSuite
 from fwlop.lbundle import LPair
 from fwlop.multivec import SymMultivector
 from fwlop.symcore import EMPTY_MI, Chart, Poly, Space
@@ -767,3 +767,35 @@ def test_leibniz_pass_over_the_cap_is_refused_up_front(op_file, capsys, dims, dx
     assert time.perf_counter() - start < 0.5
     line = f"RequestTooLarge: {message} exceeds the cap of {MAX_SUB_MULTISETS}\n"
     assert got == (1, "", line)
+
+
+def test_unreadable_document_is_a_document_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "compose", "missing.json", "x.json")
+    assert (code, out) == (3, "")
+    assert err == (
+        "DocumentError: cannot read missing.json: "
+        "[Errno 2] No such file or directory: 'missing.json'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "field, value, line",
+    [
+        ("space", "F", "SpaceMismatch: unknown space 'F'\n"),
+        ("chart", {"base_dim": 0, "fiber_rank": 1}, "ChartMismatch: chart dimensions must be >= 1\n"),
+    ],
+    ids=["unknown-space", "chart-dimension-zero"],
+)
+def test_space_and_chart_refusals_exit_1(op_file, capsys, field, value, line):
+    assert run(capsys, "symbol", op_file(dict(OP_CORE2, **{field: value}))) == (1, "", line)
+
+
+def test_run_suite_refuses_an_unknown_suite():
+    with pytest.raises(UnknownSuite) as info:
+        verify.run_suite("bogus", 1, 0)
+    assert str(info.value) == (
+        "unknown suite 'bogus'; pick one of ['dual-deriv', 'exact-seq', 'iso-a', "
+        "'laplacian', 'lin-do', 'lin-fn', 'lin-mv', 'pair-bracket', 'recovery', "
+        "'stabilizer', 'symbol-bracket', 'zero-section'] or 'all'"
+    )

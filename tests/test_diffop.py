@@ -1102,3 +1102,54 @@ def test_doc_deterministic_field_order():
     doc = diffop_to_doc(op)
     assert list(doc) == ["chart", "space", "terms"]
     assert [t["du"] for t in doc["terms"]] == [[1], [1, 1]]
+
+
+def test_operator_refusals():
+    two = Poly.const(CH1, Space.E, 2)
+    cases = [
+        (lambda: DiffOp(CH1, Space.E, {_ORDER_ZERO: P("1", CH)}), ChartMismatch,
+         "coefficient chart differs from operator chart"),
+        (lambda: DiffOp(CH1, Space.E, {_ORDER_ZERO: P("1", CH1, Space.ESTAR)}), SpaceMismatch,
+         "coefficient space differs from operator space"),
+        (lambda: DiffOp.mult(two).apply(P("x1", CH)), ChartMismatch,
+         "function chart differs from operator chart"),
+        (lambda: DiffOp.mult(two).apply(P("x1", CH1, Space.AMBIENT)), SpaceMismatch,
+         "function space differs from operator space"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("space", 1, "space must be a string"),
+        ("terms", {}, "terms must be a list"),
+        ("terms", [{"coeff": 1, "dx": [], "du": []}], "coeff must be a polynomial string"),
+    ],
+    ids=["space-not-a-string", "terms-not-a-list", "coeff-not-a-string"],
+)
+def test_operator_doc_refusals(field, value, message):
+    doc = {"chart": {"base_dim": 1, "fiber_rank": 1}, "space": "E", "terms": []}
+    doc[field] = value
+    with pytest.raises(DocumentError) as info:
+        diffop_from_doc(doc)
+    assert str(info.value) == message
+
+
+def test_zero_operator_recovers_the_empty_table():
+    assert DiffOp.zero(CH, Space.E).recover_coefficients() == {}
+
+
+def test_operator_is_immutable_and_prints_its_table():
+    op = DiffOp.monomial(P("x1*u1 + 1/2"), MultiIndex([1]), MultiIndex([1, 1]))
+    op = op + DiffOp.mult(Poly.const(CH1, Space.E, 2))
+    with pytest.raises(AttributeError) as info:
+        op.terms = {}
+    assert str(info.value) == "DiffOp is immutable"
+    assert repr(op) == "DiffOp((2) + (1/2 + x1*u1) dx[1] du[1, 1])"
+    dual = DiffOp.monomial(P("x1*v1 - 3", CH1, Space.ESTAR), EMPTY_MI, MultiIndex([1]))
+    assert repr(dual) == "DiffOp((-3 + x1*v1) dv[1])"
+    assert repr(DiffOp.zero(CH1, Space.E)) == "DiffOp(0)"

@@ -571,3 +571,15 @@ def test_lderivation_doc_refusals(field, mult, message):
     with pytest.raises(DocumentError) as info:
         lderivation_from_doc(doc)
     assert str(info.value) == message
+
+
+def test_pair_is_immutable_and_prints_its_parts():
+    p = SymMultivector(CH1, Space.E, 2, {(EMPTY_MI, MultiIndex([1, 1])): P("u1")})
+    pair = LPair(p, SymMultivector.zero(CH1, Space.E, 1))
+    with pytest.raises(AttributeError) as info:
+        pair.rho = p
+    assert str(info.value) == "LPair is immutable"
+    assert repr(pair) == (
+        "LPair(P=SymMultivector(q=2, DiffOp((u1) du[1, 1])), "
+        "rho=SymMultivector(q=1, DiffOp(0)))"
+    )

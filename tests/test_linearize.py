@@ -1,11 +1,12 @@
 """Linearization around the zero locus of the transverse coordinates."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from fwlop.diffop import DiffOp, nested_values
-from fwlop.errors import NotLinearizable, OrderExceeded
+from fwlop.errors import NotLinearizable, OrderExceeded, SpaceMismatch
 from fwlop.linearize import (
     is_linearizable_multivector,
     is_order_q_linearizable,
@@ -22,6 +23,7 @@ from fwlop.randgen import (
     rand_linearizable_function,
     rand_linearizable_multivector,
     rand_order_q_linearizable_op,
+    rand_poly,
     rand_second_order_function,
 )
 from fwlop.symcore import (
@@ -32,6 +34,7 @@ from fwlop.symcore import (
     Space,
     Var,
     VarKind,
+    all_multi_indices,
     parse_poly,
 )
 
@@ -70,8 +73,6 @@ def test_linearize_function_first_order_truncation():
 
 def test_linearize_function_product_rule():
     rng = random.Random(5)
-    from fwlop.randgen import rand_poly
-
     for _ in range(40):
         chart = rand_chart(rng, BOUNDS)
         f = rand_poly(rng, chart, Space.AMBIENT, BOUNDS)
@@ -214,6 +215,42 @@ def test_representative_independence():
         assert lhs == rhs
 
 
+def test_linearize_do_matches_the_nested_commutator_definition():
+    # The definition: the coefficient at ((), C), |C| = q-1, is psi_C / C!
+    # with psi_C = [...[op, u_c1], ..., u_c(q-1)](1) at u = 0, less the same
+    # value of the linearized top part; psi_C does not depend on the
+    # representatives of the u_c modulo second-order functions.
+    rng = random.Random(37)
+    bounds = Bounds(n_max=3, m_max=3)
+    lower = 0
+    for _ in range(40):
+        chart = rand_chart(rng, bounds)
+        q = rng.randint(1, 3)
+        op = rand_order_q_linearizable_op(rng, chart, bounds, q)
+        c_top = rand_fiber_multi_index(rng, chart, q - 1)
+        coeff = rand_poly(rng, chart, Space.AMBIENT, bounds)
+        coeff = coeff + rand_poly(rng, chart, Space.AMBIENT, bounds, base_only=True)
+        op = op + DiffOp.monomial(coeff, EMPTY_MI, c_top)
+        lin = linearize_do(op, q)
+        value = nested_values(op)
+        value_top = nested_values(lin.symbol_at(q).to_operator())
+        for c_idx in all_multi_indices(chart.fiber_rank, q - 1):
+            reps = [Poly.var(chart, Space.AMBIENT, Var(VarKind.FIBER, c)) for c in c_idx]
+            psi = value(reps).restrict_fiber_zero()
+            perturbed = [rep + rand_second_order_function(rng, chart, bounds) for rep in reps]
+            assert value(perturbed).restrict_fiber_zero() == psi
+            lifted = [Poly.var(chart, Space.E, Var(VarKind.FIBER, c)) for c in c_idx]
+            assert value_top(lifted).is_zero()
+            want = psi.with_space(Space.E).scale(Fraction(1, c_idx.factorial()))
+            assert lin.terms.get((EMPTY_MI, c_idx), Poly.zero(chart, Space.E)) == want
+            lower += not want.is_zero()
+        assert all(
+            len(mi_b) + len(mi_f) == q or (not mi_b and len(mi_f) == q - 1)
+            for mi_b, mi_f in lin.terms
+        )
+    assert lower >= 40
+
+
 def test_commutator_preservation():
     rng = random.Random(29)
     for _ in range(25):
@@ -227,3 +264,25 @@ def test_commutator_preservation():
         assert linearize_do(bracket, qc) == linearize_do(d1, q1).commutator(
             linearize_do(d2, q2)
         )
+
+
+def test_linearization_refusals():
+    key = (EMPTY_MI, MultiIndex([1]))
+    ambient_top = SymMultivector(CH1, Space.AMBIENT, 1, {key: A("x1 + u1")})
+    on_e = SymMultivector(CH1, Space.E, 1, {key: E("x1 + u1")})
+    cases = [
+        (lambda: linearize_function(E("u1")), SpaceMismatch,
+         "function linearization expects ambient data"),
+        (lambda: is_linearizable_multivector(on_e), SpaceMismatch,
+         "linearizability is asked of ambient multivectors"),
+        (lambda: is_order_q_linearizable(DiffOp.mult(E("u1")), 1), SpaceMismatch,
+         "linearizability is asked of ambient operators"),
+        (lambda: linearize_multivector(ambient_top), NotLinearizable,
+         "a pure-fiber top coefficient survives at u = 0"),
+        (lambda: linearize_do(ambient_top.to_operator(), 1), NotLinearizable,
+         "operator is not order-1 linearizable"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message

@@ -787,3 +787,16 @@ def test_bracket_and_product_refuse_mismatched_operands():
         with pytest.raises(error) as info:
             function(one, other)
         assert str(info.value) == message
+
+
+def test_multivector_hash_immutability_and_repr():
+    key = (EMPTY_MI, MultiIndex([1, 1]))
+    p = SymMultivector(CH1, Space.E, 2, {key: P("x1*u1 + 1/2")})
+    same = SymMultivector(CH1, Space.E, 2, {key: P("1/2 + u1*x1")})
+    assert p == same and p is not same and hash(p) == hash(same)
+    assert len({p, same, SymMultivector.zero(CH1, Space.E, 2)}) == 2
+    with pytest.raises(AttributeError) as info:
+        p.q = 3
+    assert str(info.value) == "SymMultivector is immutable"
+    assert repr(p) == "SymMultivector(q=2, DiffOp((1/2 + x1*u1) du[1, 1]))"
+    assert repr(SymMultivector.zero(CH1, Space.E, 1)) == "SymMultivector(q=1, DiffOp(0))"

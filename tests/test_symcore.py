@@ -609,3 +609,30 @@ def test_sum_of_products_checks_every_operand():
         ):
             with pytest.raises(error):
                 Poly.sum_of_products(CH, Space.E, products)
+
+
+def test_space_and_chart_refusals():
+    with pytest.raises(SpaceMismatch) as info:
+        Space.from_name("F")
+    assert str(info.value) == "unknown space 'F'"
+    for dims in ((0, 1), (1, 0)):
+        with pytest.raises(ChartMismatch) as info:
+            Chart(*dims)
+        assert str(info.value) == "chart dimensions must be >= 1"
+
+
+def test_with_space_refuses_a_fiber_variable_of_the_other_side():
+    cases = [
+        ("x1*u2 + 1", Space.E, Space.ESTAR, "variable u2 not allowed on space Estar"),
+        ("x1*v1 - 3", Space.ESTAR, Space.AMBIENT, "variable v1 not allowed on space Ambient"),
+    ]
+    for text, space, target, message in cases:
+        with pytest.raises(UnknownVariable) as info:
+            parse_poly(text, CH, space).with_space(target)
+        assert str(info.value) == message
+    assert parse_poly("x2 + 1", CH, Space.E).with_space(Space.ESTAR).space is Space.ESTAR
+
+
+def test_poly_repr():
+    assert repr(parse_poly("u1*x1 + 1/2", CH, Space.E)) == "Poly('1/2 + x1*u1', space=E)"
+    assert repr(Poly.zero(CH, Space.AMBIENT)) == "Poly('0', space=Ambient)"

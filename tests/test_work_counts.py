@@ -12,6 +12,8 @@ polynomials: one `Poly.sum_of_products` per entry of the metric's
 symmetric corner block on and above its diagonal.  The crossings between
 E and the dual space, and the linearization of a function, move
 exponents through `Poly.from_fiber_parts` and multiply no polynomials.
+The linearization of an operator reads its table and takes no nested
+commutator.
 """
 
 import random
@@ -33,7 +35,7 @@ from fwlop.lbundle import (
     pair_bracket,
     pair_product,
 )
-from fwlop.linearize import linearize_function
+from fwlop.linearize import linearize_do, linearize_function
 from fwlop.multivec import (
     SymMultivector,
     core_to_dualpoly,
@@ -49,8 +51,18 @@ from fwlop.randgen import (
     rand_fwl_pair,
     rand_gamma,
     rand_multivector,
+    rand_order_q_linearizable_op,
+    rand_poly,
 )
-from fwlop.symcore import Chart, Poly, Space, parse_poly, poly_to_str
+from fwlop.symcore import (
+    EMPTY_MI,
+    Chart,
+    MultiIndex,
+    Poly,
+    Space,
+    parse_poly,
+    poly_to_str,
+)
 
 CH = Chart(2, 2)
 BOUNDS = Bounds(n_max=2, m_max=2, order_max=3)
@@ -190,6 +202,24 @@ def test_crossings_multiply_no_polynomials(monkeypatch, q):
     assert not dual.is_zero() and dual.fiber_degree() == q
     assert back == op
     assert linear == parse_poly("3/2*x1*u1 + 1/3*u2", CH, Space.E)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_linearize_do_takes_no_nested_commutator(monkeypatch, q):
+    rng = random.Random(80 + q)
+    ops = []
+    for letter in (1, 2):
+        op = rand_order_q_linearizable_op(rng, CH, BOUNDS, q)
+        coeff = rand_poly(rng, CH, Space.AMBIENT, BOUNDS)
+        coeff = coeff + rand_poly(rng, CH, Space.AMBIENT, BOUNDS, base_only=True)
+        ops.append(op + DiffOp.monomial(coeff, EMPTY_MI, MultiIndex([letter] * (q - 1))))
+    counts = _counting(monkeypatch, DiffOp, ["_function_bracket", "_leibniz"])
+    got = [linearize_do(op, q) for op in ops]
+    assert counts == {"_function_bracket": 0, "_leibniz": 0}
+    monkeypatch.undo()
+    for op, lin in zip(ops, got):
+        assert lin.is_fwl(q)
+        assert any(len(mi_f) == q - 1 and not mi_b for mi_b, mi_f in lin.terms)
 
 
 def test_parsing_builds_one_poly(monkeypatch):
