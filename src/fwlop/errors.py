@@ -106,8 +106,8 @@ class RequestTooLarge(FwlopError):
 
 # Base dimension and fiber rank of a document's chart.
 MAX_CHART_DIM = 64
-# Basis multi-indices C(m+q-2, q-1) that a_iso and a_inverse walk at order
-# q on fiber rank m; linearize_do keeps the refusal although it walks none.
+# Basis multi-indices C(m+q-2, q-1) that a_iso's bundle-map path walks at
+# order q on fiber rank m.
 MAX_BASIS_INDICES = 100
 # Keys C(n+m+q-1, q) of an order-q table recovered by evaluation.
 MAX_TABLE_KEYS = 1000

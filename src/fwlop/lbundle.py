@@ -81,7 +81,6 @@ from .multivec import (
 )
 from .symcore import (
     EMPTY_MI,
-    Chart,
     MultiIndex,
     Poly,
     Space,
@@ -264,23 +263,6 @@ def _closed_form_mult(op: DiffOp, q: int) -> Poly:
     return Poly.from_fiber_parts(op.chart, Space.ESTAR, parts)
 
 
-def _check_order(q: int, chart: Chart):
-    if q < 0:
-        raise ArityMismatch(f"order must be >= 0, got {q}")
-    _check_basis_size(chart, q)
-
-
-def _check_basis_size(chart: Chart, q: int):
-    """Refuse an order whose basis multi-indices C over the fiber rank,
-    |C| = q-1, are too many to walk."""
-    m = chart.fiber_rank
-    refuse_over(
-        f"the basis multi-index count C(m+q-2, q-1) at m={m}, q={q}",
-        multi_index_count(m, q - 1, MAX_BASIS_INDICES),
-        MAX_BASIS_INDICES,
-    )
-
-
 def a_iso(op: DiffOp, q: int) -> DiffOp:
     """FWL operator of order q to a derivation of the pulled-back line.
 
@@ -290,9 +272,17 @@ def a_iso(op: DiffOp, q: int) -> DiffOp:
     bundle-map path (nested commutators plus trace action) on the same
     symbol; the two are checked equal.  At q = 0 the closed form is zero
     and the bundle-map sum over |C| = -1 is empty.  The result is
-    homogeneous of degree q-1.
+    homogeneous of degree q-1.  An order whose basis multi-indices C,
+    |C| = q-1, are over MAX_BASIS_INDICES is refused before any is walked.
     """
-    _check_order(q, op.chart)
+    if q < 0:
+        raise ArityMismatch(f"order must be >= 0, got {q}")
+    m = op.chart.fiber_rank
+    refuse_over(
+        f"the basis multi-index count C(m+q-2, q-1) at m={m}, q={q}",
+        multi_index_count(m, q - 1, MAX_BASIS_INDICES),
+        MAX_BASIS_INDICES,
+    )
     if op.space is not Space.E:
         raise SpaceMismatch("the operator side lives on the total space")
     if not op.is_fwl(q):
@@ -324,12 +314,14 @@ def a_inverse(d: DiffOp, q: int) -> DiffOp:
 
     Reads the mixed top coefficients off the d/dx part, the fiber-linear
     top coefficients off the d/dv part (with a sign), and the order-(q-1)
-    pure-fiber coefficients off the multiplication part after adding back
-    the dual-fiber divergence of the field.
+    pure-fiber coefficients as the multiplication part minus the dual-fiber
+    divergence of the field, read off the same d/dv parts: no basis
+    multi-index is walked.
     """
     _require_derivation(d)
+    if q < 0:
+        raise ArityMismatch(f"order must be >= 0, got {q}")
     chart = d.chart
-    _check_order(q, chart)
     if not (d.is_zero() or d.weight() == q - 1):
         raise NotHomogeneous(f"derivation is not homogeneous of degree {q - 1}")
     zero = Poly.zero(chart, Space.ESTAR)
@@ -339,24 +331,20 @@ def a_inverse(d: DiffOp, q: int) -> DiffOp:
         for mi, base_part in comp.fiber_parts(Space.E).items():
             terms[(MultiIndex([i]), mi)] = base_part
 
-    # Pure-fiber coefficients: -Y_alpha u_alpha at the top, and at |mi| =
-    # q-1 the multiplication part plus the divergence correction.
-    parts, fiber_coeffs = {}, {}
+    # Pure-fiber coefficients: a part y of Y_alpha at mi gives -y u_alpha at
+    # the top key mi and, when alpha is in mi, its divergence term
+    # -mi[alpha] y at mi - alpha; the multiplication part adds its own.
+    parts = {}
     for alpha in range(1, chart.fiber_rank + 1):
         comp = d.terms.get((EMPTY_MI, MultiIndex([alpha])), zero)
-        for mi, base_part in comp.fiber_parts(Space.E).items():
-            fiber_coeffs[(mi, alpha)] = base_part
-            parts.setdefault((EMPTY_MI, mi), []).append((-1, base_part, (alpha,)))
-
-    mult_parts = d.terms.get((EMPTY_MI, EMPTY_MI), zero).fiber_parts(Space.E)
-    for mi in all_multi_indices(chart.fiber_rank, q - 1):
-        key_parts = parts.setdefault((EMPTY_MI, mi), [])
-        if mi in mult_parts:
-            key_parts.append((1, mult_parts[mi], EMPTY_MI))
-        for beta in range(1, chart.fiber_rank + 1):
-            top = fiber_coeffs.get((mi.concat(MultiIndex([beta])), beta))
-            if top is not None:
-                key_parts.append((-(mi.count(beta) + 1), top, EMPTY_MI))
+        for mi, y in comp.fiber_parts(Space.E).items():
+            parts.setdefault((EMPTY_MI, mi), []).append((-1, y, (alpha,)))
+            if alpha in mi:
+                lower = parts.setdefault((EMPTY_MI, mi.remove(alpha)), [])
+                lower.append((-mi.count(alpha), y, EMPTY_MI))
+    mult = d.terms.get((EMPTY_MI, EMPTY_MI), zero)
+    for mi, c in mult.fiber_parts(Space.E).items():
+        parts.setdefault((EMPTY_MI, mi), []).append((1, c, EMPTY_MI))
 
     terms.update(_sum_pieces(chart, Space.E, parts, Poly.from_fiber_parts))
     return DiffOp(chart, Space.E, terms)

@@ -32,7 +32,6 @@ from .errors import (
     OrderExceeded,
     SpaceMismatch,
 )
-from .lbundle import _check_basis_size
 from .multivec import SymMultivector
 from .symcore import Poly, Space, Var, VarKind
 
@@ -107,11 +106,8 @@ def linearize_do(op: DiffOp, q: int) -> DiffOp:
     that coefficient of op, moved to E.  The definition also subtracts the
     same value of the already-built top part; its keys all have length q,
     q-1 shifts leave none of length 0, and that value is zero.  The result
-    is checked to be FWL of order q.  Orders whose basis multi-indices C
-    are over MAX_BASIS_INDICES are refused, as by `a_iso`, although none
-    is walked.
+    is checked to be FWL of order q.
     """
-    _check_basis_size(op.chart, q)
     if not is_order_q_linearizable(op, q):
         raise NotLinearizable(f"operator is not order-{q} linearizable")
     terms = dict(linearize_multivector(op.symbol_at(q)).terms)

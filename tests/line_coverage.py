@@ -15,17 +15,20 @@ times slower, so this script is opt-in: its name does not match pytest's
 
 It is also a gate.  `unexecuted_lines.json` lists the lines allowed to stay
 unexecuted, each keyed by module, enclosing function and stripped source
-text (not by line number, so the list survives edits elsewhere) and given a
+text (not by line number, so the list survives edits elsewhere), with the
+count of the function's executable lines that carry that text and a
 reason.  The script exits 1 when a line outside the list did not run, or
-when an entry matches no executable line any more; otherwise it exits with
-pytest's code.  `tests/test_unexecuted_lines.py` checks the entries against
-the sources in tier-1, without tracing.
+when the lines of an entry left unexecuted are not exactly its count;
+otherwise it exits with pytest's code.  `tests/test_unexecuted_lines.py`
+checks the entries and their counts against the sources in tier-1, without
+tracing.
 """
 
 import ast
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,7 +78,7 @@ def line_keys(path: Path) -> dict:
 
 def load_allowed() -> list:
     """The entries of the committed list, each a dict with the keys
-    module, function, text and reason."""
+    module, function, text, count and reason."""
     return json.loads(ALLOWED.read_text(encoding="utf-8"))
 
 
@@ -83,12 +86,13 @@ def entry_key(entry: dict) -> tuple:
     return entry["module"], entry["function"], entry["text"]
 
 
-def stale_entries(entries: list) -> list:
-    """The entries that match no executable line of their module."""
-    keys = set()
+def miscounted_entries(entries: list) -> list:
+    """The entries whose count is not the number of executable lines of
+    their function that carry their text."""
+    keys = Counter()
     for path in SRC.glob("*.py"):
         keys.update(line_keys(path).values())
-    return [e for e in entries if entry_key(e) not in keys]
+    return [e for e in entries if keys[entry_key(e)] != e["count"]]
 
 
 def traced_run(args: list) -> tuple:
@@ -131,6 +135,7 @@ def main(argv: list) -> int:
     entries = load_allowed()
     allowed = {entry_key(e) for e in entries}
     unlisted = []
+    unrun_keys = Counter()
     total = missed = 0
     for name in sorted(ran):
         keys = line_keys(Path(name))
@@ -140,14 +145,18 @@ def main(argv: list) -> int:
         if unrun:
             shown = ", ".join(map(str, unrun))
             print(f"{Path(name).name}: {len(unrun)} of {len(keys)} lines not run: {shown}")
+        unrun_keys.update(keys[line] for line in unrun)
         unlisted += [(line, keys[line]) for line in unrun if keys[line] not in allowed]
     print(f"{total - missed} of {total} executable lines ran, {missed} not run")
     for line, (module, function, text) in unlisted:
         print(f"not run and not listed: {module}:{line} in {function}: {text}")
-    stale = stale_entries(entries)
-    for e in stale:
-        print(f"listed but matching no line: {e['module']} {e['function']}: {e['text']}")
-    if unlisted or stale:
+    miscounted = [e for e in entries if unrun_keys[entry_key(e)] != e["count"]]
+    for e in miscounted:
+        print(
+            f"listed with count {e['count']} but {unrun_keys[entry_key(e)]} not run: "
+            f"{e['module']} {e['function']}: {e['text']}"
+        )
+    if unlisted or miscounted:
         return 1
     return code
 

@@ -1,6 +1,7 @@
 """Command-line interface: documents in, documents out, exit codes."""
 
 import json
+import random
 import sys
 import time
 
@@ -8,10 +9,11 @@ import pytest
 
 from fwlop import cli, verify
 from fwlop.cli import main
-from fwlop.diffop import DiffOp, diffop_loads
+from fwlop.diffop import DiffOp, diffop_dumps, diffop_loads
 from fwlop.errors import MAX_LAPLACIAN_DIM, MAX_SUB_MULTISETS, DocumentError, UnknownSuite
-from fwlop.lbundle import LPair
+from fwlop.lbundle import LPair, a_inverse, lderivation_to_doc
 from fwlop.multivec import SymMultivector
+from fwlop.randgen import Bounds, rand_homogeneous_lderivation
 from fwlop.symcore import EMPTY_MI, Chart, Poly, Space
 
 OP_FWL2 = {
@@ -603,6 +605,40 @@ def test_a_inv_at_order_zero_inverts_a_iso(op_file, capsys):
     code, out, _ = run(capsys, "a-inv", "--order", "0", op_file(json.loads(out), "d.json"))
     assert code == 0
     assert json.loads(out) == op
+
+
+# Order 6 on fiber rank 5 has C(9, 5) = 126 basis multi-indices, over the
+# cap of 100 that a-iso and ad keep; linearize and a-inv walk none.
+CHART_1_5 = {"base_dim": 1, "fiber_rank": 5}
+
+
+def test_linearize_past_the_basis_cap(op_file, capsys):
+    ambient = {
+        "chart": CHART_1_5,
+        "space": "Ambient",
+        "terms": [
+            {"coeff": "u1", "dx": [], "du": [1, 1, 1, 1, 1, 1]},
+            {"coeff": "x1 + u2", "dx": [], "du": [1, 2, 3, 4, 5]},
+        ],
+    }
+    code, out, err = run(capsys, "linearize", "--order", "6", op_file(ambient))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "chart": CHART_1_5,
+        "space": "E",
+        "terms": [
+            {"coeff": "x1", "dx": [], "du": [1, 2, 3, 4, 5]},
+            {"coeff": "u1", "dx": [], "du": [1, 1, 1, 1, 1, 1]},
+        ],
+    }
+
+
+def test_a_inv_past_the_basis_cap(op_file, capsys):
+    d = rand_homogeneous_lderivation(random.Random(15), Chart(1, 5), Bounds(), 5)
+    code, out, err = run(capsys, "a-inv", "--order", "6", op_file(lderivation_to_doc(d)))
+    assert (code, err) == (0, "")
+    assert out == diffop_dumps(a_inverse(d, 6)) + "\n"
+    assert any(len(term["du"]) == 5 for term in json.loads(out)["terms"])
 
 
 ZERO_DERIVATION = {

@@ -61,6 +61,7 @@ from fwlop.symcore import (
     Space,
     Var,
     VarKind,
+    all_multi_indices,
     parse_poly,
 )
 from fwlop.verify import _rand_frame_derivation
@@ -461,6 +462,56 @@ def test_a_round_trips_randomized():
         degree = rng.randint(0, 2)
         deriv = rand_homogeneous_lderivation(rng, chart, BOUNDS, degree)
         assert a_iso(a_inverse(deriv, degree + 1), degree + 1) == deriv
+
+
+def _a_inverse_by_basis_walk(d, q):
+    """a_inverse as a walk over every basis multi-index C, |C| = q-1: the
+    order-(q-1) coefficient at C is the multiplication part at C minus
+    sum_b (C[b]+1) times the part at C + b of Y_b, the d/dv_b coefficient."""
+    chart, zero = d.chart, Poly.zero(d.chart, Space.ESTAR)
+    terms = {}
+    for i in range(1, chart.base_dim + 1):
+        comp = d.terms.get((MultiIndex([i]), EMPTY_MI), zero)
+        for mi, base_part in comp.fiber_parts(Space.E).items():
+            terms[(MultiIndex([i]), mi)] = base_part
+    parts, fiber_coeffs = {}, {}
+    for alpha in range(1, chart.fiber_rank + 1):
+        comp = d.terms.get((EMPTY_MI, MultiIndex([alpha])), zero)
+        for mi, base_part in comp.fiber_parts(Space.E).items():
+            fiber_coeffs[(mi, alpha)] = base_part
+            parts.setdefault(mi, []).append((-1, base_part, (alpha,)))
+    mult_parts = d.terms.get((EMPTY_MI, EMPTY_MI), zero).fiber_parts(Space.E)
+    for mi in all_multi_indices(chart.fiber_rank, q - 1):
+        key_parts = parts.setdefault(mi, [])
+        if mi in mult_parts:
+            key_parts.append((1, mult_parts[mi], EMPTY_MI))
+        for beta in range(1, chart.fiber_rank + 1):
+            top = fiber_coeffs.get((mi.concat(MultiIndex([beta])), beta))
+            if top is not None:
+                key_parts.append((-(mi.count(beta) + 1), top, EMPTY_MI))
+    for mi, key_parts in parts.items():
+        terms[(EMPTY_MI, mi)] = Poly.from_fiber_parts(chart, Space.E, key_parts)
+    return DiffOp(chart, Space.E, terms)
+
+
+def test_a_inverse_matches_the_basis_walk():
+    rng = random.Random(97)
+    for _ in range(60):
+        chart = Chart(rng.randint(1, 3), rng.randint(1, 3))
+        q = rng.randint(1, 4)
+        d = rand_homogeneous_lderivation(rng, chart, BOUNDS, q - 1)
+        assert a_inverse(d, q) == _a_inverse_by_basis_walk(d, q)
+    # q = 0: a field with base-only d/dv coefficients and nothing else
+    field = DiffOp(CH, Space.ESTAR, {
+        (EMPTY_MI, MultiIndex([a])): rand_poly(rng, CH, Space.ESTAR, BOUNDS, base_only=True)
+        for a in (1, 2)
+    })
+    assert a_inverse(field, 0) == _a_inverse_by_basis_walk(field, 0)
+    # C(9, 5) = 126 basis multi-indices at m = 5, q = 6: over the cap of
+    # 100 that a_iso keeps, while a_inverse reads the derivation's parts
+    for _ in range(3):
+        d = rand_homogeneous_lderivation(rng, Chart(1, 5), BOUNDS, 5)
+        assert a_inverse(d, 6) == _a_inverse_by_basis_walk(d, 6)
 
 
 def test_a_iso_lie_morphism():

@@ -13,14 +13,15 @@ symmetric corner block on and above its diagonal.  The crossings between
 E and the dual space, and the linearization of a function, move
 exponents through `Poly.from_fiber_parts` and multiply no polynomials.
 The linearization of an operator reads its table and takes no nested
-commutator.
+commutator, and the inverse of `a_iso` reads the derivation's parts and
+walks no basis multi-index.
 """
 
 import random
 
 import pytest
 
-from fwlop import _oracles, verify
+from fwlop import _oracles, lbundle, symcore, verify
 from fwlop._oracles import (
     _unshuffle_pair_bracket,
     _unshuffle_pair_product,
@@ -50,6 +51,7 @@ from fwlop.randgen import (
     rand_fwl_op,
     rand_fwl_pair,
     rand_gamma,
+    rand_homogeneous_lderivation,
     rand_multivector,
     rand_order_q_linearizable_op,
     rand_poly,
@@ -222,6 +224,16 @@ def test_linearize_do_takes_no_nested_commutator(monkeypatch, q):
         assert any(len(mi_f) == q - 1 and not mi_b for mi_b, mi_f in lin.terms)
 
 
+def test_a_inverse_walks_no_basis(monkeypatch):
+    rng = random.Random(90)
+    cases = [(rand_homogeneous_lderivation(rng, CH, BOUNDS, q - 1), q) for q in (1, 2, 3)]
+    walks = [_counting(monkeypatch, module, ["all_multi_indices"]) for module in (lbundle, symcore)]
+    got = [a_inverse(d, q) for d, q in cases]
+    assert walks == [{"all_multi_indices": 0}] * 2
+    monkeypatch.undo()
+    assert [a_iso(op, q) for op, (_, q) in zip(got, cases)] == [d for d, _ in cases]
+
+
 def test_parsing_builds_one_poly(monkeypatch):
     text = "3/4*x1^2*u2 - 5/6*u1*-2 + x2*x2*7/10 - u1 + 2/9*x1*x2*u1*u2 + -1/3"
     names = ["__mul__", "_combine", "__neg__", "_power", "const", "_reduced"]
@@ -289,8 +301,8 @@ def test_unshuffle_oracles_evaluate_each_word_once(monkeypatch, case):
     [("pair-bracket", {"eval": 6600, "apply": 2800}), ("symbol-bracket", {"eval": 1200})],
 )
 def test_oracle_suites_evaluation_counts(monkeypatch, suite, most):
-    counts = _counting(monkeypatch, SymMultivector, ["eval"])
-    counts.update(_counting(monkeypatch, LPair, ["apply"]))
+    evals = _counting(monkeypatch, SymMultivector, ["eval"])
+    applies = _counting(monkeypatch, LPair, ["apply"])
     assert verify.run_suite(suite, 50, 1).ok
-    assert counts["eval"] <= most["eval"]
-    assert counts["apply"] <= most.get("apply", 0)
+    assert evals["eval"] <= most["eval"]
+    assert applies["apply"] <= most.get("apply", 0)
