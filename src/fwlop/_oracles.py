@@ -22,8 +22,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .diffop import DiffOp, _refuse_table
-from .errors import MAX_DET_SIZE, refuse_over
+from .diffop import DiffOp
+from .errors import MAX_DET_SIZE, MAX_TABLE_KEYS, refuse_over
 from .lbundle import LPair
 from .multivec import SymMultivector
 from .symcore import (
@@ -35,6 +35,7 @@ from .symcore import (
     add_into,
     all_multi_indices,
     fiber_kind,
+    multi_index_count,
 )
 
 
@@ -77,10 +78,15 @@ def _recover_table(chart, space, q, value_fn) -> dict:
 
     value_fn(args) must return the value on the q coordinate functions of
     each key, base letters before fiber letters; division by I!B! undoes
-    the multiplicities.
+    the multiplicities.  A table of more than MAX_TABLE_KEYS keys is
+    refused before any is evaluated.
     """
     n, m = chart.base_dim, chart.fiber_rank
-    _refuse_table(n, m, q)
+    refuse_over(
+        f"the table key count C(n+m+q-1, q) at n={n}, m={m}, q={q}",
+        multi_index_count(n + m, q, MAX_TABLE_KEYS),
+        MAX_TABLE_KEYS,
+    )
     base = [Poly.var(chart, space, v) for v in chart.vars_of(VarKind.BASE)]
     fiber = [Poly.var(chart, space, v) for v in chart.vars_of(fiber_kind(space))]
     terms = {}

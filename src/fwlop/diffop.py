@@ -29,13 +29,15 @@ fk](1) in the package, from multivector evaluation to the bundle map of
 builds each once, from the one of its prefix, so a repeated word costs
 only dictionary lookups; it takes no commutator below a zero one, since
 [0, f] = 0, and reads a value off the order-0 coefficient, since
-d^J 1 = 0 for J != ∅.  Coefficient recovery reads the table only through
-these values, which makes it an independent oracle for the whole
-representation: each nested commutator still comes from its prefix by
-the Leibniz rule, specialised to f = z, and only its order-0 coefficient
-is read.  It walks the sorted words of coordinates depth first, by the
-same two rules, so a word that dies at its first letter costs one shift
-and no other key is enumerated.
+d^J 1 = 0 for J != ∅.  Coefficient recovery and the bundle-map path of
+`a_iso` take their nested commutators with coordinates from one walker,
+`_live_words`, over the sorted words of coordinates, depth first, by the
+same two rules: each node is one shift of its parent, and a word that
+dies at its first letter costs that one shift.  Recovery reads the table
+only through the order-0 coefficients of the nodes, which makes it an
+independent oracle for the whole representation.  The live words are
+sub-multisets of the operand's keys, so the walk is bounded by the
+operand and refused by the same sub-multiset rule as a Leibniz pass.
 
 The weight of a homogeneous term is (fiber degree of the coefficient)
 minus |B|; it matches the exponent picked up under conjugation by the
@@ -54,7 +56,6 @@ from operator import le
 from .errors import (
     MAX_CHART_DIM,
     MAX_SUB_MULTISETS,
-    MAX_TABLE_KEYS,
     ChartMismatch,
     DocumentError,
     InvariantViolation,
@@ -73,7 +74,6 @@ from .symcore import (
     _pass_sub_multisets,
     add_into,
     fiber_kind,
-    multi_index_count,
     parse_poly,
     poly_to_str,
 )
@@ -282,9 +282,7 @@ class DiffOp:
         is computed once per call: terms of self share their
         sub-multisets S.  A key of self whose sub-multisets are over
         MAX_SUB_MULTISETS is refused before the pass starts."""
-        for i1, b1 in self.terms:
-            if len(i1) + len(b1) > _SHORT_KEY:
-                _refuse_sub_multisets(i1, b1)
+        _refuse_long_keys(self.terms)
         fk = fiber_kind(self.space)
         # (index of c2's term, S base part[, S fiber part]) -> partial
         partials = {}
@@ -423,50 +421,28 @@ class DiffOp:
         letters z running over the I and B coordinate functions.  This is
         the independent oracle for the representation; past order 0 it
         never reads the stored table directly, only the order-0
-        coefficients of the nested commutators, each the bracket [A, z] of
-        its parent A by the Leibniz rule specialised to the coordinate z:
-        the shift c_J d^J -> mult_z(J) c_J d^(J - z).
-
-        The walk is depth first over the sorted words of length up to the
-        order, base letters before fiber letters: a node's children take
-        the letters from its last one on, and a zero nested commutator has
-        none, since [0, z] = 0.  So each nested commutator is one function
-        bracket of its parent's, and a word that dies at its first letter
-        costs that one bracket.  Every table size is refused up front,
-        before any bracket is taken.
+        coefficients of the nested commutators that `_live_words` yields
+        over all n+m coordinates, base letters before fiber letters, down
+        to the order.
         """
         order = self.order()
         if order is None:
             return {}
         chart, space = self.chart, self.space
-        n, m = chart.base_dim, chart.fiber_rank
-        for total in range(order + 1):
-            _refuse_table(n, m, total)
+        n = chart.base_dim
         coords = [
             Poly.var(chart, space, v)
             for v in chart.vars_of(VarKind.BASE) + chart.vars_of(fiber_kind(space))
         ]
         out = {}
-        # (nested commutator, base letters, fiber letters, first letter of
-        # its children), the letters numbered 0..n+m-1
-        stack = [(self, (), (), 0)]
-        while stack:
-            node, word_b, word_f, start = stack.pop()
+        for word, node in _live_words(self, coords, order):
             value = node.terms.get(_ORDER_ZERO)
             if value is not None:
-                mi_b, mi_f = MultiIndex._sorted(word_b), MultiIndex._sorted(word_f)
+                cut = sum(letter < n for letter in word)
+                mi_b = MultiIndex._sorted(tuple(i + 1 for i in word[:cut]))
+                mi_f = MultiIndex._sorted(tuple(a - n + 1 for a in word[cut:]))
                 scale = Fraction(1, mi_b.factorial() * mi_f.factorial())
                 out[(mi_b, mi_f)] = value.scale(scale)
-            if len(word_b) + len(word_f) == order:
-                continue
-            for letter in range(start, n + m):
-                child = node._function_bracket(coords[letter])
-                if not child.terms:
-                    continue
-                if letter < n:
-                    stack.append((child, word_b + (letter + 1,), word_f, letter))
-                else:
-                    stack.append((child, word_b, word_f + (letter - n + 1,), letter))
         return out
 
     def top_table(self, q: int) -> dict:
@@ -525,6 +501,13 @@ def _refuse_sub_multisets(i1: MultiIndex, b1: MultiIndex):
         counts[0] * counts[1],
         MAX_SUB_MULTISETS,
     )
+
+
+def _refuse_long_keys(keys):
+    """`_refuse_sub_multisets` on each key longer than `_SHORT_KEY`."""
+    for i1, b1 in keys:
+        if len(i1) + len(b1) > _SHORT_KEY:
+            _refuse_sub_multisets(i1, b1)
 
 
 def _within(subs, tops):
@@ -591,14 +574,25 @@ _MISSING = object()
 _ORDER_ZERO = (EMPTY_MI, EMPTY_MI)
 
 
-def _refuse_table(n, m, q):
-    """RequestTooLarge when an order-q table on chart (n, m) has more than
-    MAX_TABLE_KEYS keys."""
-    refuse_over(
-        f"the table key count C(n+m+q-1, q) at n={n}, m={m}, q={q}",
-        multi_index_count(n + m, q, MAX_TABLE_KEYS),
-        MAX_TABLE_KEYS,
-    )
+def _live_words(op: DiffOp, letters, depth: int):
+    """Yield (word, [...[op, z_w1], ..., z_wk]) depth first for the
+    non-decreasing words w of positions into the coordinate functions
+    `letters`, of length at most `depth`, whose nested commutator is
+    nonzero, the empty word first.  Each nested commutator is one
+    `DiffOp._function_bracket` of its prefix's, a table shift, and a zero
+    one is not extended, since [0, z] = 0.  A live word is a sub-multiset
+    of a key of op, so a key whose sub-multisets are over
+    MAX_SUB_MULTISETS is refused before any bracket is taken."""
+    _refuse_long_keys(op.terms)
+    stack = [((), op)] if op.terms else []
+    while stack:
+        word, node = stack.pop()
+        yield word, node
+        if len(word) < depth:
+            for letter in range(word[-1] if word else 0, len(letters)):
+                child = node._function_bracket(letters[letter])
+                if child.terms:
+                    stack.append((word + (letter,), child))
 
 
 # ---------------------------------------------------------------------------

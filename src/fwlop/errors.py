@@ -106,10 +106,8 @@ class RequestTooLarge(FwlopError):
 
 # Base dimension and fiber rank of a document's chart.
 MAX_CHART_DIM = 64
-# Basis multi-indices C(m+q-2, q-1) that a_iso's bundle-map path walks at
-# order q on fiber rank m.
-MAX_BASIS_INDICES = 100
-# Keys C(n+m+q-1, q) of an order-q table recovered by evaluation.
+# Keys C(n+m+q-1, q) of an order-q table that verify's oracles recover by
+# evaluation.
 MAX_TABLE_KEYS = 1000
 # The same key count at the verify bounds n,m,q; lower, because the suites
 # build tables up to order 2q-1.
@@ -121,7 +119,9 @@ MAX_LAPLACIAN_DIM = 32
 # per key part, their count times the part's length (the letters they
 # hold), and the count of the base part times that of the fiber part (the
 # pairs visited per term of the other operand).  2^20 admits a part of 16
-# distinct letters, or of one letter 1000 times.
+# distinct letters, or of one letter 1000 times.  The live words of a walk
+# of nested commutators with coordinates (coefficient recovery, a_iso's
+# bundle-map path) are sub-multisets of the operand's keys, refused alike.
 MAX_SUB_MULTISETS = 2**20
 # Rows of a determinant in verify's oracles, expanded by cofactors over
 # nonzero entries (up to 8! products when dense).

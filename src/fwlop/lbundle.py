@@ -18,15 +18,18 @@ Its order-1 terms ((i), ()) and ((), (a)) are the vector field W, its
 weight k (the d/dv coefficients have dual-fiber degree k+1).
 
 The central construction maps a fiber-wise linear operator of order q to
-such a derivation: its level-q table gives the vector field.  Per basis
-multi-index C the nested-commutator value with the fiber coordinates
+such a derivation: its level-q table gives the vector field.  Per word C
+of q-1 fiber letters the nested-commutator value with the fiber
+coordinates
 
     Psi(C) = [...[op, u_c_1], ..., u_c_{q-1}](1)
 
 combined with the trace action of the contracted symbol gives the
 multiplication part.  The trace reads its columns P(u_C, u_alpha) as the
 values Psi(C + alpha), since q commutators with functions kill the terms
-of order below q, so one `nested_values` table per call serves both.  An
+of order below q, so each column is one more shift of the nested
+commutator of C.  Only the words whose nested commutator is nonzero are
+walked (`diffop._live_words`); the others contribute nothing.  An
 independent closed coordinate formula computes the multiplication part
 again on every call, and the two are checked equal.  The vector field is
 the hamiltonian field of the symbol on both paths, so it is computed once
@@ -45,15 +48,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .diffop import (
+    _ORDER_ZERO,
     DiffOp,
+    _live_words,
     _require_keys,
     _sum_pieces,
     chart_from_doc,
     chart_to_doc,
-    nested_values,
 )
 from .errors import (
-    MAX_BASIS_INDICES,
     ArityMismatch,
     ChartMismatch,
     DocumentError,
@@ -63,7 +66,6 @@ from .errors import (
     NotHomogeneous,
     OrderExceeded,
     SpaceMismatch,
-    refuse_over,
 )
 from .multivec import (
     SymMultivector,
@@ -86,8 +88,6 @@ from .symcore import (
     Space,
     Var,
     VarKind,
-    all_multi_indices,
-    multi_index_count,
     parse_poly,
     poly_to_str,
 )
@@ -186,25 +186,27 @@ def pair_to_lderivation(pair: LPair) -> DiffOp:
 # ---------------------------------------------------------------------------
 
 
-def _psi(value, word) -> Poly:
-    psi = value(word)
+def _psi(node: DiffOp, zero: Poly) -> Poly:
+    """Psi(C), the value of the nested commutator `node` of C: its order-0
+    coefficient, since d^J 1 = 0 for J != ∅."""
+    psi = node.terms.get(_ORDER_ZERO, zero)
     if not psi.is_base_only():
         raise InvariantViolation("nested-commutator value is not base-only")
     return psi
 
 
-def _contract_trace(value, word, coords) -> Poly:
+def _contract_trace(node: DiffOp, coords, zero: Poly) -> Poly:
     """Multiplication part, in the Vol_u frame, of the action on the
     determinant line of the derivation P(u_C, -) of the dual bundle: minus
     the trace of its matrix.  At q = 1 that derivation is the linear field
     itself, and for the dual of a frame derivation with matrix A this is
     tr(A), which the `top-power-trace` identity checks against a sum of
-    wedge products.  For `value` the nested-commutator map of a FWL
-    operator of order q, column alpha is value(u_C + [u_alpha]) =
+    wedge products.  For `node` the nested commutator of u_C with a FWL
+    operator of order q, column alpha is the value of [node, u_alpha],
     P(u_C, u_alpha)."""
-    out = Poly.zero(coords[0].chart, Space.E)
+    out = zero
     for alpha, u_alpha in enumerate(coords, start=1):
-        column = value(word + [u_alpha])
+        column = node._function_bracket(u_alpha).terms.get(_ORDER_ZERO, zero)
         if not _is_fiber_linear(column):
             raise InvariantViolation(
                 "evaluation on fiber-linear functions is not fiber-linear"
@@ -216,25 +218,26 @@ def _contract_trace(value, word, coords) -> Poly:
 def _a_iso_pair(op: DiffOp, q: int, p: SymMultivector | None = None) -> LPair:
     """The pair (level-q symbol, bundle map) of a FWL operator.
 
-    Per basis multi-index C the multiplication part of the bundle map is
-    the trace action of the contracted symbol plus the nested-commutator
-    value Psi(C); rho stores it divided by C!.  Both come from one table of
-    nested commutators with the fiber coordinates, so the words u_C and
-    u_C + [u_alpha] share their prefixes.  `p` is the level-q symbol when
-    the caller has built and checked it; otherwise it is built and checked
-    FWL here.
+    Per word C of q-1 fiber letters the multiplication part of the bundle
+    map is the trace action of the contracted symbol plus the
+    nested-commutator value Psi(C); rho stores it divided by C!.  Both are
+    read off the nested commutator of C, which `_live_words` yields only
+    when it is nonzero.  `p` is the level-q symbol when the caller has
+    built and checked it; otherwise it is built and checked FWL here.
     """
     chart = op.chart
     if p is None:
         p = op.symbol_at(q)
         _require_fwl(p)
-    value = nested_values(op)
     coords = [Poly.var(chart, Space.E, v) for v in chart.vars_of(VarKind.FIBER)]
+    zero = Poly.zero(chart, Space.E)
     rho_terms = {}
-    for c_idx in all_multi_indices(chart.fiber_rank, q - 1):
-        word = [coords[a - 1] for a in c_idx]
-        mult = _contract_trace(value, word, coords) + _psi(value, word)
+    for word, node in _live_words(op, coords, q - 1):
+        if len(word) != q - 1:
+            continue
+        mult = _contract_trace(node, coords, zero) + _psi(node, zero)
         if mult.terms:
+            c_idx = MultiIndex._sorted(tuple(a + 1 for a in word))
             rho_terms[(EMPTY_MI, c_idx)] = mult.scale(Fraction(1, c_idx.factorial()))
     rho = SymMultivector._unchecked(chart, Space.E, q - 1, rho_terms)
     return LPair(p, rho)
@@ -272,17 +275,12 @@ def a_iso(op: DiffOp, q: int) -> DiffOp:
     bundle-map path (nested commutators plus trace action) on the same
     symbol; the two are checked equal.  At q = 0 the closed form is zero
     and the bundle-map sum over |C| = -1 is empty.  The result is
-    homogeneous of degree q-1.  An order whose basis multi-indices C,
-    |C| = q-1, are over MAX_BASIS_INDICES is refused before any is walked.
+    homogeneous of degree q-1.  The bundle-map path walks only the words
+    C, |C| = q-1, whose nested commutator is nonzero, so its work is
+    bounded by the operator's keys, not by the C(m+q-2, q-1) basis words.
     """
     if q < 0:
         raise ArityMismatch(f"order must be >= 0, got {q}")
-    m = op.chart.fiber_rank
-    refuse_over(
-        f"the basis multi-index count C(m+q-2, q-1) at m={m}, q={q}",
-        multi_index_count(m, q - 1, MAX_BASIS_INDICES),
-        MAX_BASIS_INDICES,
-    )
     if op.space is not Space.E:
         raise SpaceMismatch("the operator side lives on the total space")
     if not op.is_fwl(q):

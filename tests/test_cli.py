@@ -9,11 +9,11 @@ import pytest
 
 from fwlop import cli, verify
 from fwlop.cli import main
-from fwlop.diffop import DiffOp, diffop_dumps, diffop_loads
+from fwlop.diffop import DiffOp, diffop_dumps, diffop_loads, diffop_to_doc, dumps_json
 from fwlop.errors import MAX_LAPLACIAN_DIM, MAX_SUB_MULTISETS, DocumentError, UnknownSuite
-from fwlop.lbundle import LPair, a_inverse, lderivation_to_doc
+from fwlop.lbundle import LPair, a_inverse, a_iso, lderivation_to_doc
 from fwlop.multivec import SymMultivector
-from fwlop.randgen import Bounds, rand_homogeneous_lderivation
+from fwlop.randgen import Bounds, rand_fwl_op, rand_homogeneous_lderivation
 from fwlop.symcore import EMPTY_MI, Chart, Poly, Space
 
 OP_FWL2 = {
@@ -608,7 +608,8 @@ def test_a_inv_at_order_zero_inverts_a_iso(op_file, capsys):
 
 
 # Order 6 on fiber rank 5 has C(9, 5) = 126 basis multi-indices, over the
-# cap of 100 that a-iso and ad keep; linearize and a-inv walk none.
+# basis cap of 100 that these commands once had; none of them walks the
+# basis now.
 CHART_1_5 = {"base_dim": 1, "fiber_rank": 5}
 
 
@@ -639,6 +640,20 @@ def test_a_inv_past_the_basis_cap(op_file, capsys):
     assert (code, err) == (0, "")
     assert out == diffop_dumps(a_inverse(d, 6)) + "\n"
     assert any(len(term["du"]) == 5 for term in json.loads(out)["terms"])
+
+
+@pytest.mark.parametrize("command", ["a-iso", "ad"])
+def test_a_iso_past_the_basis_cap(op_file, capsys, command):
+    # C(44, 5), about 1.1M basis words C at m = 40, q = 6; the bundle-map
+    # path walks only the live ones
+    op = rand_fwl_op(random.Random(12), Chart(1, 40), Bounds(), 6)
+    code, out, err = run(capsys, command, "--order", "6", op_file(diffop_to_doc(op)))
+    assert (code, err) == (0, "")
+    doc = lderivation_to_doc(a_iso(op, 6))
+    assert doc["mult"] != "0"
+    if command == "ad":
+        del doc["mult"]
+    assert out == dumps_json(doc) + "\n"
 
 
 ZERO_DERIVATION = {

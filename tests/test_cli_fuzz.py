@@ -12,8 +12,8 @@ internal invariant violation), fails it.
 The argv layer is fuzzed the same way: a generated case with one usage
 defect (unknown subcommand or flag, missing or non-integer `--order`,
 missing positional) must exit 3 with one `UsageError` line, and a request
-over a size cap (chart, the basis of `a-iso` and `ad`, Laplacian or verify
-bounds) must exit 1 with one `RequestTooLarge` line in under 0.5 s.  Nothing spawns a process.
+over a size cap (chart, Laplacian or verify bounds) must exit 1 with one
+`RequestTooLarge` line in under 0.5 s.  Nothing spawns a process.
 """
 
 import contextlib
@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from fwlop import cli
 from fwlop.errors import (
-    MAX_BASIS_INDICES,
     MAX_CHART_DIM,
     MAX_LAPLACIAN_DIM,
     MAX_VERIFY_TABLE_KEYS,
@@ -324,17 +323,10 @@ def test_malformed_argv_exits_3_with_one_typed_line(case, tmp_path):
     assert err.startswith("UsageError: ") and err.count("\n") == 1
 
 
-def _first_order_over_basis_cap(m):
-    q = 1
-    while multi_index_count(m, q - 1, MAX_BASIS_INDICES) <= MAX_BASIS_INDICES:
-        q += 1
-    return q
-
-
 @st.composite
 def over_cap_cases(draw):
     """(argv, [documents]) of a request over one of the size caps."""
-    kind = draw(st.sampled_from(["basis", "chart", "laplacian", "bounds"]))
+    kind = draw(st.sampled_from(["chart", "laplacian", "bounds"]))
     if kind == "bounds":
         n, m, q = draw(
             st.tuples(st.integers(1, 300), st.integers(1, 300), st.integers(1, 40)).filter(
@@ -348,18 +340,10 @@ def over_cap_cases(draw):
         entry = {"k": 1, "i": 1, "j": n, "coeff": "x1"}
         gamma = {"chart": _chart_doc(n, n), "gamma": [entry, dict(entry, i=n, j=1)]}
         return ["laplacian", "@0"], [gamma]
-    if kind == "basis":
-        n, m = draw(st.integers(1, 3)), draw(st.integers(2, MAX_CHART_DIM))
-        low = _first_order_over_basis_cap(m)
-        q = draw(st.one_of(st.integers(low, low + 3), st.just(10**6)))
-    else:
-        big = draw(st.integers(MAX_CHART_DIM + 1, 10**9))
-        n, m = draw(st.sampled_from([(big, 1), (1, big), (big, big)]))
-        q = 1
+    big = draw(st.integers(MAX_CHART_DIM + 1, 10**9))
+    n, m = draw(st.sampled_from([(big, 1), (1, big), (big, big)]))
     command = draw(st.sampled_from(
-        ["a-iso", "ad"] if kind == "basis" else list(ORDER_COMMANDS) + [
-            "eval", "compose", "grade", "symbol", "laplacian",
-        ]
+        list(ORDER_COMMANDS) + ["eval", "compose", "grade", "symbol", "laplacian"]
     ))
     if command == "a-inv":
         # An over-cap chart is refused before the component counts are read.
@@ -373,7 +357,7 @@ def over_cap_cases(draw):
                "terms": [{"coeff": "1", "dx": [], "du": [1]}]}
     argv = [command, "@0"]
     if command in ORDER_COMMANDS:
-        argv += ["--order", str(q)]
+        argv += ["--order", "1"]
     if command == "eval":
         argv.append("--fn=1")
     if command == "compose":
@@ -399,14 +383,12 @@ def test_over_cap_requests_are_refused_quickly(case, tmp_path):
 
 
 def test_a_iso_at_order_6_on_chart_40_is_refused(tmp_path):
-    """C(44, 5), about 1.1M basis multi-indices: once minutes of work."""
+    """C(44, 5), about 1.1M basis words C at m = 40, q = 6, which a_iso no
+    longer walks: the document is not FWL at order 6, and says so at once."""
     doc = {"chart": _chart_doc(40, 40), "space": "E",
            "terms": [{"coeff": "1", "dx": [], "du": [1] * 6}]}
     start = time.perf_counter()
     code, out, err = _run(["a-iso", "--order", "6", "@0"], [doc], tmp_path)
     assert time.perf_counter() - start < 0.5
     assert (code, out) == (1, "")
-    assert err == (
-        "RequestTooLarge: the basis multi-index count C(m+q-2, q-1) at m=40, q=6 "
-        "exceeds the cap of 100\n"
-    )
+    assert err == "NotFWL: operator is not FWL of order 6\n"

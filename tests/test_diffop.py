@@ -718,12 +718,20 @@ def test_recover_coefficients_dxx():
     assert nested_values(dxx)([x1, x1]) == Poly.const(CH, Space.E, 2)
 
 
-def test_recovery_refuses_an_over_cap_table():
-    # C(61, 2) = 1830 order-2 keys on chart (30,30), over the cap of 1000.
-    chart = Chart(30, 30)
-    op = DiffOp.monomial(Poly.const(chart, Space.E, 1), MultiIndex([1]), MultiIndex([2]))
-    with pytest.raises(RequestTooLarge, match="table key count .* n=30, m=30, q=2"):
-        op.recover_coefficients()
+def test_recovery_is_exact_past_the_old_table_cap():
+    # Tables of C(61, 2) = 1830, C(22, 3) = 1540 and C(62, 4) = 595665 keys,
+    # over the cap of 1000 keys that recovery once had: the walk visits only
+    # the live words, sub-multisets of the operator's keys.
+    cases = [
+        (Chart(30, 30), "1", [1], [2]),
+        (Chart(10, 10), "1", [1, 2], [3]),
+        (Chart(1, 60), "x1*u7 + 2", [1], [2, 3, 60]),
+    ]
+    for chart, coeff, dx, du in cases:
+        op = DiffOp.monomial(
+            parse_poly(coeff, chart, Space.E), MultiIndex(dx), MultiIndex(du)
+        )
+        assert op.recover_coefficients() == op.terms
 
 
 def test_leibniz_cap_counts_letters_per_part_and_pairs_per_key():
@@ -803,19 +811,22 @@ def test_large_sub_multisets_live_for_one_pass():
 
 
 def test_recovery_refuses_before_any_bracket(monkeypatch):
-    # an order-3 operator on chart (10,10): the order-3 table has
-    # C(22, 3) = 1540 keys, so the walk is refused before its first bracket
+    # a key of 20 distinct letters has 2^20 sub-multisets, each a possible
+    # live word: the sub-multiset rule refuses the walk before its first
+    # bracket
     brackets = []
     bracket = DiffOp._function_bracket
     monkeypatch.setattr(
         DiffOp, "_function_bracket", lambda self, f: brackets.append(f) or bracket(self, f)
     )
-    chart = Chart(10, 10)
-    op = DiffOp.monomial(
-        Poly.const(chart, Space.E, 1), MultiIndex([1, 2]), MultiIndex([3])
-    )
-    with pytest.raises(RequestTooLarge, match="n=10, m=10, q=3"):
+    chart = Chart(20, 1)
+    op = DiffOp.monomial(Poly.const(chart, Space.E, 1), MultiIndex(range(1, 21)), EMPTY_MI)
+    with pytest.raises(RequestTooLarge) as info:
         op.recover_coefficients()
+    assert str(info.value) == (
+        f"the letter count {2**20} x 20 of a key part's sub-multisets exceeds the "
+        f"cap of {MAX_SUB_MULTISETS}"
+    )
     assert brackets == []
 
 

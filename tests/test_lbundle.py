@@ -2,6 +2,7 @@
 pairs, and the bijection."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -36,6 +37,7 @@ from fwlop.lbundle import (
 )
 from fwlop.multivec import (
     SymMultivector,
+    _is_fiber_linear,
     core_to_dualpoly,
     multiderivation_l,
     poisson,
@@ -387,8 +389,8 @@ def test_a_iso_work_counts(monkeypatch):
     # one whole a_iso call at chart (2,2) and q = 3, with 3 basis indices C:
     # the symbol built once and shared by the field and the bundle path, P
     # checked FWL once (by the field), no multivector evaluation, and one
-    # nested-commutator table whose words u_C and u_C + [u_alpha] share
-    # prefixes: 2 + 3 + 6 = 11 commutators
+    # walk of live words whose words u_C and u_C + [u_alpha] share
+    # prefixes: at most 2 + 3 + 6 = 11 commutators
     calls = {
         "hamiltonian_field": 0,
         "symbol_at": 0,
@@ -512,6 +514,46 @@ def test_a_inverse_matches_the_basis_walk():
     for _ in range(3):
         d = rand_homogeneous_lderivation(rng, Chart(1, 5), BOUNDS, 5)
         assert a_inverse(d, 6) == _a_inverse_by_basis_walk(d, 6)
+
+
+def _a_iso_rho_by_basis_walk(op, q):
+    """rho of the bundle-map path as a walk over every basis multi-index C,
+    |C| = q-1, through one `nested_values` table: Psi(C) plus the trace
+    action, whose column alpha is the value at u_C + [u_alpha], divided
+    by C!."""
+    chart = op.chart
+    value = nested_values(op)
+    coords = [Poly.var(chart, Space.E, v) for v in chart.vars_of(VarKind.FIBER)]
+    rho_terms = {}
+    for c_idx in all_multi_indices(chart.fiber_rank, q - 1):
+        word = [coords[a - 1] for a in c_idx]
+        mult = value(word)
+        assert mult.is_base_only()
+        for alpha, u_alpha in enumerate(coords, start=1):
+            column = value(word + [u_alpha])
+            assert _is_fiber_linear(column)
+            mult = mult - column.partial(Var(VarKind.FIBER, alpha))
+        if mult.terms:
+            rho_terms[(EMPTY_MI, c_idx)] = mult.scale(Fraction(1, c_idx.factorial()))
+    return SymMultivector._unchecked(chart, Space.E, q - 1, rho_terms)
+
+
+def test_a_iso_pair_matches_the_basis_walk():
+    rng = random.Random(98)
+    nonzero = 0
+    for _ in range(80):
+        chart = Chart(rng.randint(1, 3), rng.randint(1, 3))
+        q = rng.randint(1, 4)
+        op = rand_fwl_op(rng, chart, BOUNDS, q)
+        rho = _a_iso_pair(op, q).rho
+        assert rho == _a_iso_rho_by_basis_walk(op, q)
+        nonzero += not rho.is_zero()
+    assert nonzero >= 40
+    # C(9, 5) = 126 basis multi-indices at m = 5, q = 6: over the cap of
+    # 100 that a_iso once had
+    for _ in range(3):
+        op = rand_fwl_op(rng, Chart(1, 5), BOUNDS, 6)
+        assert _a_iso_pair(op, 6).rho == _a_iso_rho_by_basis_walk(op, 6)
 
 
 def test_a_iso_lie_morphism():
