@@ -21,8 +21,8 @@ one pass against the single coefficient f at the empty key, where every
 output key is a remainder J1 - S, already sorted.  For a coordinate z
 (`Poly.as_var`) only S = {z} stays within the largest exponents, d_z z = 1
 and binom(J, {z}) = mult_z(J), so that pass is the shift c_J d^J ->
-mult_z(J) c_J d^(J - z), and it is taken directly.  The passes collect
-their summands k c1 (d^S c2) per output key, and each coefficient is one
+mult_z(J) c_J d^(J - z), taken by `_shifts` with no pass.  The passes
+collect their summands k c1 (d^S c2) per output key, and each coefficient is one
 `Poly.sum_of_products`, reduced once.  Every value [...[op, f1], ...,
 fk](1) in the package, from multivector evaluation to the bundle map of
 `a_iso`, comes from nested function commutators.  `nested_values(op)`
@@ -32,9 +32,10 @@ only dictionary lookups; it takes no commutator below a zero one, since
 d^J 1 = 0 for J != ∅.  Coefficient recovery and the bundle-map path of
 `a_iso` take their nested commutators with coordinates from one walker,
 `_live_words`, over the sorted words of coordinates, depth first, by the
-same two rules: each node is one shift of its parent, and a word that
-dies at its first letter costs that one shift.  Recovery reads the table
-only through the order-0 coefficients of the nodes, which makes it an
+same two rules.  There every child of a node comes from one sweep of the
+node's terms (`DiffOp._shifts`), and a letter that no key of the node
+holds makes no child, so only the live nodes are built.  Recovery reads
+the table only through the order-0 coefficients of the nodes, which makes it an
 independent oracle for the whole representation.  The live words are
 sub-multisets of the operand's keys, so the walk is bounded by the
 operand and refused by the same sub-multiset rule as a Leibniz pass.
@@ -252,23 +253,46 @@ class DiffOp:
 
         For a coordinate z that pass keeps only S = {z}, where d_z z = 1
         and binom(J, {z}) is the multiplicity of z in J, so it is the
-        shift c_J d^J -> mult_z(J) c_J d^(J - z), taken directly: the
-        same values, keys and key order, and no two keys collide."""
+        shift c_J d^J -> mult_z(J) c_J d^(J - z), taken by `_shifts` with
+        z the one placed letter: the same values, keys and key order."""
         self._check_compatible(f)
         z = f.as_var()
         if z is None:
             return self._summed(self._leibniz([(_ORDER_ZERO, f)], True, 1, {}))
-        part, letter = (0 if z.kind is VarKind.BASE else 1), z.index
-        terms = {}
-        for key, coeff in self.terms.items():
-            mi = key[part]
-            mult = mi.count(letter)
-            if mult:
-                at = mi.index(letter)
-                rest = MultiIndex._sorted(mi[:at] + mi[at + 1 :])
-                shifted = (rest, key[1]) if part == 0 else (key[0], rest)
-                terms[shifted] = coeff if mult == 1 else coeff.scale(mult)
+        where = ({}, {})
+        where[0 if z.kind is VarKind.BASE else 1][z.index] = 0
+        terms = self._shifts(where, 0).get(0, {})
         return DiffOp._raw(self.chart, self.space, terms)
+
+    def _shifts(self, where, start: int) -> dict:
+        """The shifts c_J d^J -> mult_z(J) c_J d^(J - z) of self by every
+        coordinate z placed at or after `start`, from one sweep of the
+        terms.  `where` is a pair of dicts, for the base and the fiber
+        part of a key, from a letter to its place.  Each key adds its
+        shifted term to the table of each distinct placed letter it holds,
+        so the result {place: terms} has a table only for the letters that
+        some key holds, each in the order of self's terms; J -> J - z is
+        injective, so no keys collide."""
+        tables = {}
+        for key, coeff in self.terms.items():
+            for part in 0, 1:
+                mi, places = key[part], where[part]
+                previous = None
+                for at, letter in enumerate(mi):
+                    if letter == previous:
+                        continue
+                    previous = letter
+                    place = places.get(letter, -1)
+                    if place < start:
+                        continue
+                    mult = mi.count(letter)
+                    rest = MultiIndex._sorted(mi[:at] + mi[at + 1 :])
+                    shifted = (rest, key[1]) if part == 0 else (key[0], rest)
+                    table = tables.get(place)
+                    if table is None:
+                        table = tables[place] = {}
+                    table[shifted] = coeff if mult == 1 else coeff.scale(mult)
+        return tables
 
     def _leibniz(self, others, skip_empty: bool, sign: int, pieces: dict):
         """Collect sign * binom(J1, S) c1 (d^S c2) d^(J1 - S + J2) over the
@@ -348,14 +372,12 @@ class DiffOp:
         building the parts of `grade_decompose`."""
         if self.space is Space.AMBIENT:
             raise SpaceMismatch("weight grading lives on the bundle spaces")
-        weights = set()
-        for (_, mi_f), coeff in self.terms.items():
-            deg = coeff.fiber_degree()
-            if deg is None:
-                # two fiber degrees in one coefficient are two weights
-                return None
-            weights.add(deg - len(mi_f))
-        return weights.pop() if len(weights) == 1 else None
+        return _weight(self._degrees())
+
+    def _degrees(self) -> list:
+        """(key, fiber degree of its coefficient) per term, each degree
+        computed once for the shape and the weight tests."""
+        return [(key, coeff.fiber_degree()) for key, coeff in self.terms.items()]
 
     def is_core(self, q: int) -> bool:
         """Nonzero, order q, and every term is d^q/du^B with base coefficient."""
@@ -363,11 +385,13 @@ class DiffOp:
             raise SpaceMismatch("core classification lives on space E")
         if self.is_zero():
             return False
-        by_shape = self.order() == q and all(
-            len(mi_b) == 0 and len(mi_f) == q and coeff.is_base_only()
-            for (mi_b, mi_f), coeff in self.terms.items()
+        order, degrees = self.order(), self._degrees()
+        # A nonzero coefficient is base-only exactly when its fiber degree is 0.
+        by_shape = order == q and all(
+            len(mi_b) == 0 and len(mi_f) == q and deg == 0
+            for (mi_b, mi_f), deg in degrees
         )
-        by_weight = self.order() == q and self.weight() == -q
+        by_weight = order == q and _weight(degrees) == -q
         if by_shape != by_weight:
             raise InvariantViolation("core shape and weight tests disagree")
         return by_shape
@@ -389,11 +413,10 @@ class DiffOp:
             raise SpaceMismatch("FWL classification lives on space E")
         if self.is_zero():
             return True
-        order = self.order()
-        by_weight = order <= q and self.weight() == 1 - q
+        order, degrees = self.order(), self._degrees()
+        by_weight = order <= q and _weight(degrees) == 1 - q
         by_shape = order <= q and all(
-            self._fwl_term_shape(key, coeff.fiber_degree(), q)
-            for key, coeff in self.terms.items()
+            self._fwl_term_shape(key, deg, q) for key, deg in degrees
         )
         if by_weight != by_shape:
             raise InvariantViolation("FWL weight and shape tests disagree")
@@ -428,14 +451,10 @@ class DiffOp:
         order = self.order()
         if order is None:
             return {}
-        chart, space = self.chart, self.space
-        n = chart.base_dim
-        coords = [
-            Poly.var(chart, space, v)
-            for v in chart.vars_of(VarKind.BASE) + chart.vars_of(fiber_kind(space))
-        ]
+        n, m = self.chart.base_dim, self.chart.fiber_rank
+        letters = [(0, i) for i in range(1, n + 1)] + [(1, a) for a in range(1, m + 1)]
         out = {}
-        for word, node in _live_words(self, coords, order):
+        for word, node in _live_words(self, letters, order):
             value = node.terms.get(_ORDER_ZERO)
             if value is not None:
                 cut = sum(letter < n for letter in word)
@@ -531,6 +550,18 @@ def _sum_pieces(chart, space, pieces: dict, build) -> dict:
     return terms
 
 
+def _weight(degrees):
+    """The one weight (fiber degree minus |B|) of the (key, fiber degree)
+    pairs `degrees`, or None when they have several or none."""
+    weights = set()
+    for (_, mi_f), deg in degrees:
+        if deg is None:
+            # two fiber degrees in one coefficient are two weights
+            return None
+        weights.add(deg - len(mi_f))
+    return weights.pop() if len(weights) == 1 else None
+
+
 def _term_key(item):
     (mi_b, mi_f), _ = item
     return (len(mi_b) + len(mi_f), mi_b, mi_f)
@@ -576,23 +607,30 @@ _ORDER_ZERO = (EMPTY_MI, EMPTY_MI)
 
 def _live_words(op: DiffOp, letters, depth: int):
     """Yield (word, [...[op, z_w1], ..., z_wk]) depth first for the
-    non-decreasing words w of positions into the coordinate functions
-    `letters`, of length at most `depth`, whose nested commutator is
-    nonzero, the empty word first.  Each nested commutator is one
-    `DiffOp._function_bracket` of its prefix's, a table shift, and a zero
-    one is not extended, since [0, z] = 0.  A live word is a sub-multiset
-    of a key of op, so a key whose sub-multisets are over
-    MAX_SUB_MULTISETS is refused before any bracket is taken."""
+    non-decreasing words w of positions into the coordinates `letters`,
+    given as (key part, index) with part 0 for the base and 1 for the
+    fiber, of length at most `depth`, whose nested commutator is nonzero,
+    the empty word first.  The children of a node, one per letter at or
+    after the word's last letter, come from one sweep of its terms
+    (`DiffOp._shifts`): a letter that no key holds makes no child and
+    costs nothing, so only live nodes are built, and a zero nested
+    commutator is never extended, since [0, z] = 0.  A live word is a
+    sub-multiset of a key of op, so a key whose sub-multisets are over
+    MAX_SUB_MULTISETS is refused before any node is built."""
     _refuse_long_keys(op.terms)
+    where = ({}, {})
+    for place, (part, index) in enumerate(letters):
+        where[part][index] = place
+    chart, space = op.chart, op.space
     stack = [((), op)] if op.terms else []
     while stack:
         word, node = stack.pop()
         yield word, node
         if len(word) < depth:
-            for letter in range(word[-1] if word else 0, len(letters)):
-                child = node._function_bracket(letters[letter])
-                if child.terms:
-                    stack.append((word + (letter,), child))
+            tables = node._shifts(where, word[-1] if word else 0)
+            for place in sorted(tables):
+                child = DiffOp._raw(chart, space, tables[place])
+                stack.append((word + (place,), child))
 
 
 # ---------------------------------------------------------------------------

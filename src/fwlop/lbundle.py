@@ -27,9 +27,11 @@ coordinates
 combined with the trace action of the contracted symbol gives the
 multiplication part.  The trace reads its columns P(u_C, u_alpha) as the
 values Psi(C + alpha), since q commutators with functions kill the terms
-of order below q, so each column is one more shift of the nested
-commutator of C.  Only the words whose nested commutator is nonzero are
-walked (`diffop._live_words`); the others contribute nothing.  An
+of order below q; the shift by u_alpha takes only the key (∅, (alpha,))
+of the nested commutator of C to order 0, so each column is that
+coefficient, read off the node with no further shift.  Only the words
+whose nested commutator is nonzero are walked (`diffop._live_words`);
+the others contribute nothing.  An
 independent closed coordinate formula computes the multiplication part
 again on every call, and the two are checked equal.  The vector field is
 the hamiltonian field of the symbol on both paths, so it is computed once
@@ -195,24 +197,31 @@ def _psi(node: DiffOp, zero: Poly) -> Poly:
     return psi
 
 
-def _contract_trace(node: DiffOp, coords, zero: Poly) -> Poly:
-    """Multiplication part, in the Vol_u frame, of the action on the
-    determinant line of the derivation P(u_C, -) of the dual bundle: minus
-    the trace of its matrix.  At q = 1 that derivation is the linear field
-    itself, and for the dual of a frame derivation with matrix A this is
-    tr(A), which the `top-power-trace` identity checks against a sum of
-    wedge products.  For `node` the nested commutator of u_C with a FWL
-    operator of order q, column alpha is the value of [node, u_alpha],
-    P(u_C, u_alpha)."""
-    out = zero
-    for alpha, u_alpha in enumerate(coords, start=1):
-        column = node._function_bracket(u_alpha).terms.get(_ORDER_ZERO, zero)
+def _contract_trace(node: DiffOp, psi: Poly) -> Poly:
+    """Multiplication part of the bundle map at the nested commutator
+    `node` of C: `psi`, the value Psi(C), minus the trace of the matrix of
+    the derivation P(u_C, -) of the dual bundle.  Minus that trace is the
+    multiplication part, in the Vol_u frame, of the derivation's action on
+    the determinant line.  At q = 1 that derivation is the linear field
+    itself, and for the dual of a frame derivation with matrix A minus the
+    trace is tr(A), which the `top-power-trace` identity checks against a
+    sum of wedge products.  For `node` the nested commutator of u_C with a
+    FWL operator of order q, column alpha, P(u_C, u_alpha), is the value
+    of [node, u_alpha], which is node's coefficient at (∅, (alpha,)): the
+    shift by u_alpha takes only that key to order 0.  Its diagonal entry
+    is d/du_alpha of the column, and psi and the diagonal entries are
+    summed in one `Poly.from_fiber_parts`."""
+    parts = [(1, psi, EMPTY_MI)]
+    for alpha in range(1, node.chart.fiber_rank + 1):
+        column = node.terms.get((EMPTY_MI, (alpha,)))
+        if column is None:
+            continue
         if not _is_fiber_linear(column):
             raise InvariantViolation(
                 "evaluation on fiber-linear functions is not fiber-linear"
             )
-        out = out - column.partial(Var(VarKind.FIBER, alpha))
-    return out
+        parts.append((-1, column.partial(Var(VarKind.FIBER, alpha)), EMPTY_MI))
+    return Poly.from_fiber_parts(node.chart, Space.E, parts)
 
 
 def _a_iso_pair(op: DiffOp, q: int, p: SymMultivector | None = None) -> LPair:
@@ -221,21 +230,22 @@ def _a_iso_pair(op: DiffOp, q: int, p: SymMultivector | None = None) -> LPair:
     Per word C of q-1 fiber letters the multiplication part of the bundle
     map is the trace action of the contracted symbol plus the
     nested-commutator value Psi(C); rho stores it divided by C!.  Both are
-    read off the nested commutator of C, which `_live_words` yields only
-    when it is nonzero.  `p` is the level-q symbol when the caller has
-    built and checked it; otherwise it is built and checked FWL here.
+    read off the table of the nested commutator of C, which `_live_words`
+    yields, over the fiber letters, only when it is nonzero; no bracket is
+    taken past it.  `p` is the level-q symbol when the caller has built
+    and checked it; otherwise it is built and checked FWL here.
     """
     chart = op.chart
     if p is None:
         p = op.symbol_at(q)
         _require_fwl(p)
-    coords = [Poly.var(chart, Space.E, v) for v in chart.vars_of(VarKind.FIBER)]
+    letters = [(1, a) for a in range(1, chart.fiber_rank + 1)]
     zero = Poly.zero(chart, Space.E)
     rho_terms = {}
-    for word, node in _live_words(op, coords, q - 1):
+    for word, node in _live_words(op, letters, q - 1):
         if len(word) != q - 1:
             continue
-        mult = _contract_trace(node, coords, zero) + _psi(node, zero)
+        mult = _contract_trace(node, _psi(node, zero))
         if mult.terms:
             c_idx = MultiIndex._sorted(tuple(a + 1 for a in word))
             rho_terms[(EMPTY_MI, c_idx)] = mult.scale(Fraction(1, c_idx.factorial()))
@@ -260,9 +270,12 @@ def _closed_form_mult(op: DiffOp, q: int) -> Poly:
         if len(mi_f) == q - 1:
             parts.append((1, coeff, mi_f))
         elif len(mi_f) == q:
+            # D^B is fiber-linear: d/du_b of it is its part at (b,).
+            fiber = coeff.fiber_parts(Space.E)
             for b, mult in mi_f.multiplicities().items():
-                d_b = coeff.partial(Var(VarKind.FIBER, b))
-                parts.append((-mult, d_b, mi_f.remove(b)))
+                d_b = fiber.get((b,))
+                if d_b is not None:
+                    parts.append((-mult, d_b, mi_f.remove(b)))
     return Poly.from_fiber_parts(op.chart, Space.ESTAR, parts)
 
 

@@ -302,10 +302,10 @@ def hamiltonian_field(p: SymMultivector) -> DiffOp:
         if mi_b:
             parts.setdefault((mi_b, EMPTY_MI), []).append((1, coeff, mi_f))
         else:
-            for a in range(1, chart.fiber_rank + 1):
-                c_a = coeff.partial(Var(VarKind.FIBER, a))
-                if not c_a.is_zero():
-                    parts.setdefault((EMPTY_MI, MultiIndex([a])), []).append((-1, c_a, mi_f))
+            # The coefficient is fiber-linear, sum_a c_a u^a: d/du^a is its
+            # part at (a,).
+            for mi_a, c_a in coeff.fiber_parts(Space.E).items():
+                parts.setdefault((EMPTY_MI, mi_a), []).append((-1, c_a, mi_f))
     terms = _sum_pieces(chart, Space.ESTAR, parts, Poly.from_fiber_parts)
     return DiffOp._raw(chart, Space.ESTAR, terms)
 

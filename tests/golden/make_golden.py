@@ -122,6 +122,22 @@ def _fixtures():
             ("9/10", [], [1]),
         ],
     )
+    # FWL of order 4 at chart (2,2): every order-3 key repeats a fiber
+    # letter, so the bundle map divides by C! = 2 or 6.
+    yield "fwl4_hand.json", _op_doc(
+        Chart(2, 2),
+        "E",
+        [
+            ("3/5*x1 - 1", [1], [1, 1, 2]),
+            ("-2/7*x2^2", [2], [2, 2, 2]),
+            ("2/3*u1 - 5/4*x2*u2", [], [1, 1, 2, 2]),
+            ("7/9*x1*u2", [], [1, 1, 1, 1]),
+            ("-1/6*u1 + u2", [], [1, 2, 2, 2]),
+            ("5/8*x1^2 - 1/3", [], [1, 1, 2]),
+            ("4/11*x2", [], [2, 2, 2]),
+            ("1/2", [], [1, 1, 1]),
+        ],
+    )
     yield "ambient_hand.json", _op_doc(
         Chart(1, 1),
         "Ambient",
@@ -254,6 +270,8 @@ def _cases():
     yield "ad_q0_22", ["ad", "--order", "0", "fwl_q0_22.json"]
     yield "a_iso_q3_33", ["a-iso", "--order", "3", "fwl_q3_33.json"]
     yield "a_iso_hand_q2", ["a-iso", "--order", "2", "fwl2_hand.json"]
+    yield "a_iso_hand_q4", ["a-iso", "--order", "4", "fwl4_hand.json"]
+    yield "ad_hand_q4", ["ad", "--order", "4", "fwl4_hand.json"]
     yield "a_iso_not_fwl", ["a-iso", "--order", "2", "op_e_hand.json"]
     yield "a_inv_rand_q1", ["a-inv", "--order", "1", "deriv_rand_q1.json"]
     yield "a_inv_rand_q2", ["a-inv", "--order", "2", "deriv_rand_q2.json"]

@@ -15,6 +15,7 @@ from fwlop.diffop import (
     _ORDER_ZERO,
     _SHORT_KEY,
     DiffOp,
+    _live_words,
     _refuse_sub_multisets,
     diffop_dumps,
     diffop_from_doc,
@@ -528,9 +529,23 @@ def _prunes(x, y):
     return False
 
 
+def _counting_sweeps(monkeypatch):
+    """Record (node, tables) for each `DiffOp._shifts` sweep."""
+    sweeps = []
+    shifts = DiffOp._shifts
+
+    def counting(self, where, start):
+        tables = shifts(self, where, start)
+        sweeps.append((self, tables))
+        return tables
+
+    monkeypatch.setattr(DiffOp, "_shifts", counting)
+    return sweeps
+
+
 def test_no_commutator_is_taken_below_a_zero_nested_commutator(monkeypatch):
     # [d/dx1, x2] = 0, so every word that starts with x2 costs only that one
-    # commutator; recovery never takes a commutator of the zero operator
+    # commutator; recovery sweeps no zero node and builds no zero child
     taken = []
     bracket = DiffOp._function_bracket
 
@@ -546,13 +561,16 @@ def test_no_commutator_is_taken_below_a_zero_nested_commutator(monkeypatch):
     assert value([x1]) == P("1", CH) and len(taken) == 2
     assert nested_values(DiffOp.zero(CH, Space.E))([x1, u1]).is_zero()
     assert len(taken) == 2
+    sweeps = _counting_sweeps(monkeypatch)
     rng = random.Random(89)
     for space in SPACES:
         for _ in range(6):
             chart = rand_chart(rng, Bounds())
             op = rand_diffop(rng, chart, space, Bounds(), order=3)
             assert op.recover_coefficients() == op.terms
-    assert len(taken) > 100 and not any(nested.is_zero() for nested in taken)
+    assert len(taken) == 2 and len(sweeps) > 50
+    assert not any(node.is_zero() for node, _ in sweeps)
+    assert all(table for _, tables in sweeps for table in tables.values())
 
 
 def test_letters_below_a_zero_nested_commutator_are_still_checked():
@@ -830,36 +848,68 @@ def test_recovery_refuses_before_any_bracket(monkeypatch):
     assert brackets == []
 
 
-def test_recovery_walk_takes_the_brackets_of_per_key_enumeration(monkeypatch):
-    # the depth-first walk over sorted words takes exactly the function
-    # brackets that evaluating every key's word through one nested_values
-    # map takes, each as often
+def _per_letter_walk(op, letters, depth):
+    """Reference for `_live_words`: the same depth-first walk, but each
+    child is its own pruned Leibniz pass of the parent with one coordinate,
+    tried for every letter from the word's last letter on, and a zero child
+    is dropped."""
+    kinds = (VarKind.BASE, fiber_kind(op.space))
+    coords = [Poly.var(op.chart, op.space, Var(kinds[part], i)) for part, i in letters]
+    stack = [((), op)] if op.terms else []
+    while stack:
+        word, node = stack.pop()
+        yield word, node
+        if len(word) < depth:
+            for place in range(word[-1] if word else 0, len(coords)):
+                pieces = node._leibniz([(_ORDER_ZERO, coords[place])], True, 1, {})
+                child = node._summed(pieces)
+                if child.terms:
+                    stack.append((word + (place,), child))
+
+
+def _all_letters(chart):
+    base = [(0, i) for i in range(1, chart.base_dim + 1)]
+    return base + [(1, a) for a in range(1, chart.fiber_rank + 1)]
+
+
+SIXTY = DiffOp.monomial(
+    P("x1*u7 + 2", Chart(1, 60)), MultiIndex([1]), MultiIndex([2, 3, 60])
+)
+
+
+def test_recovery_walk_yields_the_nodes_of_the_per_letter_walk():
+    # one sweep per node gives the per-letter walk's (word, node) sequence,
+    # each node with the same keys in the same order: on random operators
+    # over all letters (and recovery agrees with per-key enumeration), on
+    # FWL operators over the fiber letters as a_iso walks them, and on a
+    # one-term operator at fiber rank 60
     rng = random.Random(107)
-    taken = []
-    bracket = DiffOp._function_bracket
-    monkeypatch.setattr(
-        DiffOp,
-        "_function_bracket",
-        lambda self, f: taken.append((self, f)) or bracket(self, f),
-    )
-    total = 0
+    cases = []
     for k in range(90):
         space = SPACES[k % 3]
         chart = rand_chart(rng, Bounds())
         op = rand_diffop(rng, chart, space, Bounds(), order=3)
-        taken.clear()
-        walked = op.recover_coefficients()
-        by_walk = Counter(taken)
-        taken.clear()
         value = nested_values(op)
         by_key = {}
         for q in range((op.order() or 0) + 1):
             by_key.update(_recover_table(chart, space, q, value))
-        assert walked == by_key == op.terms
-        assert by_walk == Counter(taken)
-        assert max(by_walk.values(), default=1) == 1
-        total += len(taken)
-    assert total >= 600
+        assert op.recover_coefficients() == by_key == op.terms
+        cases.append((op, _all_letters(chart), op.order() or 0))
+    for k in range(24):
+        chart, q = rand_chart(rng, Bounds()), k % 4 + 1
+        fiber = [(1, a) for a in range(1, chart.fiber_rank + 1)]
+        cases.append((rand_fwl_op(rng, chart, Bounds(), q), fiber, q - 1))
+    cases.append((SIXTY, _all_letters(SIXTY.chart), 4))
+    nodes = repeated = 0
+    for op, letters, depth in cases:
+        got = list(_live_words(op, letters, depth))
+        ref = list(_per_letter_walk(op, letters, depth))
+        assert [word for word, _ in got] == [word for word, _ in ref]
+        for (_, node), (_, want) in zip(got, ref):
+            assert list(node.terms.items()) == list(want.terms.items())
+        nodes += len(got)
+        repeated += any(len(set(word)) < len(word) for word, _ in got)
+    assert nodes >= 500 and repeated >= 40
 
 
 def test_recover_identity():
@@ -915,22 +965,18 @@ def test_nested_values_equal_a_plain_commutator_loop():
 
 
 def test_recovery_shares_nested_commutator_prefixes(monkeypatch):
-    # order 3 on chart (3,3): 84 keys, each at most one commutator past the
-    # key of its first letters, and none below a zero nested commutator:
-    # 35 in all (83 with zero prefixes expanded, 216 if every key rebuilt
-    # its chain)
+    # order 3 on chart (3,3), whose tables up to order 3 have 84 keys: the
+    # walk yields 13 live nodes, each built once from its prefix, and takes
+    # one sweep of the terms for each of the 11 shorter than the order, and
+    # no bracket (the per-letter walk took 35 brackets, and 216 if every
+    # key rebuilt its chain)
     op = rand_diffop(random.Random(0), Chart(3, 3), Space.E, Bounds(), order=3)
     assert op.order() == 3
-    calls = []
-    bracket = DiffOp._function_bracket
-
-    def counting(self, f):
-        calls.append(f)
-        return bracket(self, f)
-
-    monkeypatch.setattr(DiffOp, "_function_bracket", counting)
+    words = [word for word, _ in _live_words(op, _all_letters(op.chart), 3)]
+    assert len(words) == 13 and sum(len(word) < 3 for word in words) == 11
+    sweeps = _counting_sweeps(monkeypatch)
     assert op.recover_coefficients() == op.terms
-    assert len(calls) == 35
+    assert len(sweeps) == 11
 
 
 def test_symbol_extracts_top_order():

@@ -389,14 +389,16 @@ def test_a_iso_work_counts(monkeypatch):
     # one whole a_iso call at chart (2,2) and q = 3, with 3 basis indices C:
     # the symbol built once and shared by the field and the bundle path, P
     # checked FWL once (by the field), no multivector evaluation, and one
-    # walk of live words whose words u_C and u_C + [u_alpha] share
-    # prefixes: at most 2 + 3 + 6 = 11 commutators
+    # walk of live words u_C that sweeps the root and the live words of one
+    # letter (at most 1 + 2 = 3 sweeps) and reads each trace column off its
+    # leaf: no commutator
     calls = {
         "hamiltonian_field": 0,
         "symbol_at": 0,
         "fwl_check": 0,
         "eval": 0,
         "commutator": 0,
+        "sweep": 0,
     }
 
     def counting(key, fn):
@@ -419,13 +421,15 @@ def test_a_iso_work_counts(monkeypatch):
     monkeypatch.setattr(
         DiffOp, "_function_bracket", counting("commutator", DiffOp._function_bracket)
     )
+    monkeypatch.setattr(DiffOp, "_shifts", counting("sweep", DiffOp._shifts))
     op = rand_fwl_op(random.Random(5), CH, BOUNDS, 3)
     a_iso(op, 3)
     assert calls["hamiltonian_field"] == 1
     assert calls["symbol_at"] == 1
     assert calls["fwl_check"] == 1
     assert calls["eval"] == 0
-    assert calls["commutator"] <= 11
+    assert calls["commutator"] == 0
+    assert calls["sweep"] == 3
 
 
 def test_a_inverse_examples():

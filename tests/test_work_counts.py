@@ -2,9 +2,12 @@
 
 Bracket, product and commutator sums go through `Poly.sum_of_products`, one
 reduced sum per output coefficient, so they make no `Poly` product, scaling
-or addition per summand.  A commutator reads each operand's order once,
-coefficient recovery builds each coordinate once per call, a bracket with
-a coordinate is a table shift with no Leibniz pass, and parsing collects
+or addition per summand.  A commutator reads each operand's order once.
+Coefficient recovery and the bundle-map path of `a_iso` build no
+coordinate and take no bracket: each live node's children come from one
+sweep of its terms, and only live nodes are built.  A fiber-linear
+coefficient is split once, not differentiated per fiber letter, and the
+FWL and core tests read one fiber degree per coefficient.  Parsing collects
 its terms in one table and reduces once, with no `Poly` per factor.  The
 unshuffle oracles of `verify` evaluate each word of an operand once per
 call.  The metric Laplacian forms no determinant and multiplies no two
@@ -21,7 +24,7 @@ import random
 
 import pytest
 
-from fwlop import _oracles, lbundle, symcore, verify
+from fwlop import _oracles, lbundle, multivec, symcore, verify
 from fwlop._oracles import (
     _unshuffle_pair_bracket,
     _unshuffle_pair_product,
@@ -47,6 +50,7 @@ from fwlop.multivec import (
 )
 from fwlop.randgen import (
     Bounds,
+    rand_core_op,
     rand_diffop,
     rand_fwl_op,
     rand_fwl_pair,
@@ -120,29 +124,93 @@ def test_commutator_reads_each_order_once(monkeypatch):
     assert counts == {"order": 3}
 
 
-def test_recovery_builds_each_coordinate_once_per_order(monkeypatch):
+def test_recovery_builds_no_coordinate_polynomial(monkeypatch):
     op = rand_diffop(random.Random(0), Chart(3, 3), Space.E, Bounds(), order=3)
-    counts = _counting(monkeypatch, Poly, ["var"])
+    counts = _counting(monkeypatch, Poly, ["var", "as_var"])
     assert op.recover_coefficients() == op.terms
-    # one x1..x3, u1..u3 set for the whole walk
-    assert counts == {"var": 6}
+    # the walk takes its letters as (key part, index)
+    assert counts == {"var": 0, "as_var": 0}
 
 
 def test_coordinate_brackets_make_no_leibniz_pass(monkeypatch):
-    # recovery and the bundle-map path of a_iso take brackets only with
-    # coordinates, each a table shift
+    # recovery and the bundle-map path of a_iso take no bracket at all:
+    # every node's children come from one sweep of its terms, and a_iso
+    # still builds its symbol once and checks it FWL once per call
     rng = random.Random(5)
     ops = [rand_diffop(rng, Chart(3, 3), space, Bounds(), order=3) for space in Space]
     fwl = [(rand_fwl_op(rng, CH, BOUNDS, q), q) for q in (1, 2, 3)]
-    counts = _counting(monkeypatch, DiffOp, ["_leibniz", "_function_bracket"])
+    names = ["_leibniz", "_function_bracket", "_shifts", "symbol_at"]
+    counts = _counting(monkeypatch, DiffOp, names)
+    # the field checks the symbol in multivec; lbundle imported the name too
+    checks = [
+        _counting(monkeypatch, module, ["fwl_check_multivector"])
+        for module in (lbundle, multivec)
+    ]
     for op in ops:
         assert op.recover_coefficients() == op.terms
+    recovery_sweeps = counts["_shifts"]
     derivations = [a_iso(op, q) for op, q in fwl]
-    assert counts["_leibniz"] == 0 and counts["_function_bracket"] > 50
+    assert counts["_leibniz"] == counts["_function_bracket"] == 0
+    assert recovery_sweeps > 20 and counts["_shifts"] > recovery_sweeps
+    assert counts["symbol_at"] == len(fwl)
+    assert sum(check["fwl_check_multivector"] for check in checks) == len(fwl)
     monkeypatch.undo()
     assert [a_inverse(d, q) for d, (_, q) in zip(derivations, fwl)] == [
         op for op, _ in fwl
     ]
+
+
+def test_recovery_builds_only_the_live_nodes(monkeypatch):
+    # (x1*u7 + 2) dx[1] du[2,3,60] has 16 live words, the sub-multisets of
+    # its key: the walk builds the 15 below the root, sweeping each node
+    # shorter than the order once (the per-letter walk tried all 61
+    # letters at every such node: 479 brackets, 15 of them nonzero)
+    chart = Chart(1, 60)
+    op = DiffOp.monomial(
+        parse_poly("x1*u7 + 2", chart, Space.E), MultiIndex([1]), MultiIndex([2, 3, 60])
+    )
+    built = []
+    shifts = DiffOp._shifts
+
+    def sweeping(self, where, start):
+        tables = shifts(self, where, start)
+        built.extend(tables.values())
+        return tables
+
+    monkeypatch.setattr(DiffOp, "_shifts", sweeping)
+    counts = _counting(monkeypatch, DiffOp, ["_shifts", "_function_bracket", "_leibniz"])
+    assert op.recover_coefficients() == op.terms
+    assert counts == {"_shifts": 15, "_function_bracket": 0, "_leibniz": 0}
+    assert len(built) == 15 and all(built)
+
+
+def test_fiber_linear_coefficients_are_split_once(monkeypatch):
+    # the d/du_a of a fiber-linear top coefficient is its part at (a,):
+    # neither the hamiltonian field nor the closed form differentiates
+    rng = random.Random(75)
+    ops = [rand_fwl_op(rng, CH, BOUNDS, q) for q in (1, 2, 3, 3)]
+    counts = _counting(monkeypatch, Poly, ["partial", "fiber_parts"])
+    fields = [hamiltonian_field(op.symbol_at(q)) for op, q in zip(ops, (1, 2, 3, 3))]
+    mults = [_closed_form_mult(op, q) for op, q in zip(ops, (1, 2, 3, 3))]
+    assert counts["partial"] == 0 and counts["fiber_parts"] > 0
+    monkeypatch.undo()
+    assert any(key[1] for field in fields for key in field.terms if not key[0])
+    for op, q, field, mult in zip(ops, (1, 2, 3, 3), fields, mults):
+        assert field + DiffOp.mult(mult) == a_iso(op, q)
+
+
+def test_classification_reads_one_fiber_degree_per_coefficient(monkeypatch):
+    rng = random.Random(76)
+    fwl = rand_fwl_op(rng, CH, BOUNDS, 3)
+    core = rand_core_op(rng, CH, BOUNDS, 2)
+    counts = _counting(monkeypatch, Poly, ["fiber_degree", "is_base_only"])
+    assert fwl.is_fwl(3) and not fwl.is_fwl(2)
+    assert core.is_core(2) and not core.is_core(3)
+    # one fiber degree per coefficient and call, feeding both tests
+    assert counts == {
+        "fiber_degree": 2 * len(fwl.terms) + 2 * len(core.terms),
+        "is_base_only": 0,
+    }
 
 
 def test_eval_on_functions_makes_one_leibniz_pass_per_new_node(monkeypatch):
