@@ -22,15 +22,18 @@ output key is a remainder J1 - S, already sorted.  For a coordinate z
 (`Poly.as_var`) only S = {z} stays within the largest exponents, d_z z = 1
 and binom(J, {z}) = mult_z(J), so that pass is the shift c_J d^J ->
 mult_z(J) c_J d^(J - z), taken by `_shifts` with no pass.  The passes
-collect their summands k c1 (d^S c2) per output key, and each coefficient is one
-`Poly.sum_of_products`, reduced once.  Every value [...[op, f1], ...,
-fk](1) in the package, from multivector evaluation to the bundle map of
-`a_iso`, comes from nested function commutators.  `nested_values(op)`
-builds each once, from the one of its prefix, so a repeated word costs
-only dictionary lookups; it takes no commutator below a zero one, since
-[0, f] = 0, and reads a value off the order-0 coefficient, since
-d^J 1 = 0 for J != ∅.  Coefficient recovery and the bundle-map path of
-`a_iso` take their nested commutators with coordinates from one walker,
+collect their summands k c1 (d^S c2) per output key, each d^S c2 a term
+list (`symcore._term_partial`) taken once per term of the other operand
+and S, and each coefficient is one sum of the summation kernel
+`symcore._sum_products`, reduced once, as is each value of `apply`.
+Every value [...[op, f1], ..., fk](1) in the package, from multivector
+evaluation to the bundle map of `a_iso`, comes from nested function
+commutators.  `nested_values(op)` builds each once, from the one of its
+prefix, so a repeated word costs only dictionary lookups; it takes no
+commutator below a zero one, since [0, f] = 0, and reads a value off
+the order-0 coefficient, since d^J 1 = 0 for J != ∅.  Coefficient
+recovery and the bundle-map path of `a_iso` take their nested
+commutators with coordinates from one walker,
 `_live_words`, over the sorted words of coordinates, depth first, by the
 same two rules.  There every child of a node comes from one sweep of the
 node's terms (`DiffOp._shifts`), and a letter that no key of the node
@@ -73,8 +76,9 @@ from .symcore import (
     Space,
     VarKind,
     _pass_sub_multisets,
+    _sum_products,
+    _term_partial,
     add_into,
-    fiber_kind,
     parse_poly,
     poly_to_str,
 )
@@ -216,13 +220,18 @@ class DiffOp:
             raise ChartMismatch("function chart differs from operator chart")
         if f.space != self.space:
             raise SpaceMismatch("function space differs from operator space")
-        fk = fiber_kind(self.space)
+        # One term-list partial per key, its slots read off the key, which
+        # the constructor checked.
+        n = self.chart.base_dim
+        f_terms = f.terms.items()
         products = []
         for (mi_b, mi_f), coeff in self.terms.items():
-            g = f.partial_multi(mi_b, VarKind.BASE).partial_multi(mi_f, fk)
-            if not g.is_zero():
-                products.append((1, coeff, g))
-        return Poly.sum_of_products(self.chart, self.space, products)
+            counts = [(i - 1, k) for i, k in mi_b.multiplicities().items()]
+            counts += [(n + a - 1, k) for a, k in mi_f.multiplicities().items()]
+            g = _term_partial(f_terms, counts)
+            if g:
+                products.append((1, coeff.terms.items(), coeff.den, g, f.den))
+        return _sum_products(self.chart, self.space, products)
 
     def compose(self, other: "DiffOp") -> "DiffOp":
         """self after other; derivatives expand past coefficients by the
@@ -297,55 +306,56 @@ class DiffOp:
     def _leibniz(self, others, skip_empty: bool, sign: int, pieces: dict):
         """Collect sign * binom(J1, S) c1 (d^S c2) d^(J1 - S + J2) over the
         terms c1 d^J1 of self, the (J2, c2) pairs of `others` and S <= J1,
-        leaving out S = ∅ if skip_empty, into pieces: {key: [(integer
-        factor, c1, d^S c2), ...]}; returns pieces.  Each part of a key is
-        the remainder J1 - S as it is when J2's part is empty, and the
-        sorted J1 - S + J2 otherwise.  An S that takes some letter more
-        often than c2's largest exponent of that variable gives d^S c2 = 0
-        and is skipped unvisited; the others keep their order.  Each d^S c2
-        is computed once per call: terms of self share their
+        leaving out S = ∅ if skip_empty, into pieces: {key: [products of
+        `symcore._sum_products`]}, each product (integer factor, c1's
+        terms, c1's denominator, d^S c2 as a term list, c2's denominator);
+        returns pieces.  Each part of a key is the remainder J1 - S as it
+        is when J2's part is empty, and the sorted J1 - S + J2 otherwise.
+        An S that takes some letter more often than c2's largest exponent
+        of that variable gives d^S c2 = 0 and is skipped unvisited; the
+        others keep their order.  Each d^S c2 is one `_term_partial` per
+        (term of others, S) per call, its base and fiber slots read in one
+        pass off the multiplicity vectors of S: terms of self share their
         sub-multisets S.  A key of self whose sub-multisets are over
         MAX_SUB_MULTISETS is refused before the pass starts."""
         _refuse_long_keys(self.terms)
-        fk = fiber_kind(self.space)
-        # (index of c2's term, S base part[, S fiber part]) -> partial
+        n = self.chart.base_dim
+        # (index of c2's term, S base part, S fiber part) -> d^S c2
         partials = {}
         other_terms = [
-            (n2, j2_base, j2_fib, c2, *c2.max_exponents())
+            (n2, j2_base, j2_fib, c2.terms.items(), c2.den, *c2.max_exponents())
             for n2, ((j2_base, j2_fib), c2) in enumerate(others)
         ]
         memo = {}  # sub-multisets too large for the process-wide memo
         for (i1, b1), c1 in self.terms.items():
             subs_base = _pass_sub_multisets(i1, memo)
             subs_fib = _pass_sub_multisets(b1, memo)
-            for n2, j2_base, j2_fib, c2, top_base, top_fib in other_terms:
+            c1_terms, c1_den = c1.terms.items(), c1.den
+            for n2, j2_base, j2_fib, c2_terms, c2_den, top_base, top_fib in other_terms:
                 fibs_all = _within(subs_fib, top_fib)
-                for s_base, n_base, rest_base, _ in _within(subs_base, top_base):
-                    at_base = (n2, s_base)
-                    dc = partials.get(at_base)
-                    if dc is None:
-                        dc = partials[at_base] = c2.partial_multi(s_base, VarKind.BASE)
-                    if dc.is_zero():
-                        continue
+                for s_base, n_base, rest_base, v_base in _within(subs_base, top_base):
                     key_base = MultiIndex(rest_base + j2_base) if j2_base else rest_base
                     fibs = fibs_all
                     if skip_empty and not s_base:
                         fibs = fibs[1:]
-                    for s_fib, n_fib, rest_fib, _ in fibs:
+                    for s_fib, n_fib, rest_fib, v_fib in fibs:
                         at = (n2, s_base, s_fib)
-                        dcf = partials.get(at)
-                        if dcf is None:
-                            dcf = partials[at] = dc.partial_multi(s_fib, fk)
-                        if dcf.is_zero():
+                        dc = partials.get(at)
+                        if dc is None:
+                            counts = [(i, k) for i, k in enumerate(v_base) if k]
+                            counts += [(n + a, k) for a, k in enumerate(v_fib) if k]
+                            dc = partials[at] = _term_partial(c2_terms, counts)
+                        if not dc:
                             continue
                         key_fib = MultiIndex(rest_fib + j2_fib) if j2_fib else rest_fib
-                        piece = (sign * n_base * n_fib, c1, dcf)
+                        piece = (sign * n_base * n_fib, c1_terms, c1_den, dc, c2_den)
                         pieces.setdefault((key_base, key_fib), []).append(piece)
         return pieces
 
     def _summed(self, pieces: dict) -> "DiffOp":
-        """The operator of `_leibniz` pieces."""
-        terms = _sum_pieces(self.chart, self.space, pieces, Poly.sum_of_products)
+        """The operator of `_leibniz` pieces, one `symcore._sum_products`
+        per key."""
+        terms = _sum_pieces(self.chart, self.space, pieces, _sum_products)
         return DiffOp._raw(self.chart, self.space, terms)
 
     # -- grading and classification -------------------------------------------
@@ -540,8 +550,9 @@ def _within(subs, tops):
 
 def _sum_pieces(chart, space, pieces: dict, build) -> dict:
     """{key: build(chart, space, its list)} of {key: [...]}, `build` being
-    `Poly.sum_of_products` or `Poly.from_fiber_parts`; keys kept in the
-    order they first appeared, zero sums dropped."""
+    the summation kernel `symcore._sum_products` or
+    `Poly.from_fiber_parts`; keys kept in the order they first appeared,
+    zero sums dropped."""
     terms = {}
     for key, products in pieces.items():
         coeff = build(chart, space, products)

@@ -43,10 +43,10 @@ from .symcore import (
     MultiIndex,
     Poly,
     Space,
-    Var,
     VarKind,
+    _sum_products,
+    _term_partial,
     add_into,
-    fiber_kind,
 )
 
 
@@ -162,22 +162,35 @@ def poisson(p1: SymMultivector, p2: SymMultivector) -> SymMultivector:
 
 
 def _poisson_pieces(p1, p2, sign: int, pieces: dict) -> dict:
-    """Collect the summands (k, c1, d_z c2) of sign * {p1, p2} by key into
-    pieces, for operands already checked compatible; returns pieces."""
-    fk = fiber_kind(p1.space)
+    """Collect the summands of sign * {p1, p2} by key into pieces, for
+    operands already checked compatible; returns pieces.  A summand
+    J1[z] c1 d_z c2 is the product (integer factor, c1's terms, c1's
+    denominator, d_z c2 as a term list, c2's denominator) of the summation
+    kernel `symcore._sum_products`, and each d_z c2 is one `_term_partial`
+    per (term of the second operand, letter z) per call."""
+    n = p1.chart.base_dim
     for a, b, s in ((p1, p2, sign), (p2, p1, -sign)):
+        # (J2, c2's terms, c2's denominator, {slot of z: d_z c2})
+        b_terms = [(j2, c2.terms.items(), c2.den, {}) for j2, c2 in b.terms.items()]
         for (ia, ba), ca in a.terms.items():
-            for (ib, bb), cb in b.terms.items():
-                for z, mult in ia.multiplicities().items():
-                    dz = cb.partial(Var(VarKind.BASE, z))
-                    if not dz.is_zero():
-                        key = (ia.remove(z).concat(ib), ba.concat(bb))
-                        pieces.setdefault(key, []).append((s * mult, ca, dz))
-                for z, mult in ba.multiplicities().items():
-                    dz = cb.partial(Var(fk, z))
-                    if not dz.is_zero():
-                        key = (ia.concat(ib), ba.remove(z).concat(bb))
-                        pieces.setdefault(key, []).append((s * mult, ca, dz))
+            ca_terms, ca_den = ca.terms.items(), ca.den
+            # (slot of z, factor, J1 - z) for the x letters, then the fiber ones
+            shifts = [
+                (z - 1, s * mult, (ia.remove(z), ba))
+                for z, mult in ia.multiplicities().items()
+            ]
+            shifts += [
+                (n + z - 1, s * mult, (ia, ba.remove(z)))
+                for z, mult in ba.multiplicities().items()
+            ]
+            for (ib, bb), cb_terms, cb_den, partials in b_terms:
+                for slot, k, (ra, rb) in shifts:
+                    dz = partials.get(slot)
+                    if dz is None:
+                        dz = partials[slot] = _term_partial(cb_terms, ((slot, 1),))
+                    if dz:
+                        key = (ra.concat(ib), rb.concat(bb))
+                        pieces.setdefault(key, []).append((k, ca_terms, ca_den, dz, cb_den))
     return pieces
 
 
@@ -191,19 +204,24 @@ def sym_product(p1: SymMultivector, p2: SymMultivector) -> SymMultivector:
 
 
 def _product_pieces(p1, p2, pieces: dict) -> dict:
-    """Collect the summands (1, c1, c2) of p1 p2 by key into pieces, for
-    operands already checked compatible; returns pieces."""
+    """Collect the summands c1 c2 of p1 p2 by key into pieces, each the
+    product (1, c1's terms, c1's denominator, c2's terms, c2's
+    denominator) of `symcore._sum_products`, for operands already checked
+    compatible; returns pieces."""
+    b_terms = [(j2, c2.terms.items(), c2.den) for j2, c2 in p2.terms.items()]
     for (i1, b1), c1 in p1.terms.items():
-        for (i2, b2), c2 in p2.terms.items():
+        c1_terms, c1_den = c1.terms.items(), c1.den
+        for (i2, b2), c2_terms, c2_den in b_terms:
             key = (i1.concat(i2), b1.concat(b2))
-            pieces.setdefault(key, []).append((1, c1, c2))
+            pieces.setdefault(key, []).append((1, c1_terms, c1_den, c2_terms, c2_den))
     return pieces
 
 
 def _summed(like: SymMultivector, q: int, pieces: dict) -> SymMultivector:
     """The order-q multivector on like's chart and space whose coefficients
-    are the reduced sums of pieces: canonical, so it is not re-validated."""
-    terms = _sum_pieces(like.chart, like.space, pieces, Poly.sum_of_products)
+    are the sums of pieces, one `symcore._sum_products` per key: reduced
+    and canonical, so it is not re-validated."""
+    terms = _sum_pieces(like.chart, like.space, pieces, _sum_products)
     return SymMultivector._unchecked(like.chart, like.space, q, terms)
 
 

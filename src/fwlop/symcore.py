@@ -7,19 +7,30 @@ of the polynomial's space, so multiplication adds tuples slot by slot and
 a partial derivative decrements one slot.  The denominator is positive and
 shares no factor with every numerator; the zero polynomial stores no terms
 over 1.  This exact canonical form makes every identity test in the package
-a literal comparison.  Only `Poly` reads the layout: other code uses its
-methods.  Four of them serve the table algebra and the crossings between
-a space and its dual: `sum_of_products` adds up k * a * b over a list of
-products as integer numerators over one common denominator and reduces
-once; `max_exponents` gives each variable's largest exponent, past which
-a derivative is zero; `fiber_parts` splits a polynomial by the monomial
-of its fiber-type variables into base-only parts, and `from_fiber_parts`,
+a literal comparison.  Only this module reads the terms: other code uses
+`Poly`'s methods, or hands a polynomial's `terms.items()` and `den`
+unread to the two private kernels of the table algebra, naming a
+variable by its slot (x_i at i - 1, fiber letter a at n + a - 1).
+`_term_partial`
+takes a derivative as a list of (monomial, numerator) pairs over the
+polynomial's own denominator, with no `Poly` and no gcd; `_sum_products`,
+the one summation kernel, adds up k * a * b over a list of products of
+such term lists as integer numerators over one common denominator and
+reduces once.  Every Leibniz, bracket and product sum goes through it:
+composition, commutators and `DiffOp.apply`, the Poisson bracket and the
+symmetric product, and the bracket and product of line-bundle pairs.
+`Poly.sum_of_products` is its checked public wrapper.  Three more methods
+serve the table algebra and the crossings between a space and its dual:
+`max_exponents` gives each variable's largest exponent, past which a
+derivative is zero; `fiber_parts` splits a polynomial by the monomial of
+its fiber-type variables into base-only parts, and `from_fiber_parts`,
 the crossing constructor, is its inverse: it moves each part's exponents
 next to a multi-index's fiber exponents, with no product.  There is no
 second view of the terms: polynomials are built by `parse_poly`,
 `Poly.zero`, `Poly.const`, `Poly.var`, `Poly.fiber_monomial` (one
-`from_fiber_parts` call), `Poly.from_fiber_parts` and
-`Poly.sum_of_products`, and read by the methods and `poly_to_str`.
+`from_fiber_parts` call), `Poly.from_fiber_parts`,
+`Poly.sum_of_products` and `_sum_products`, and read by the methods and
+`poly_to_str`.
 
 Variables are tagged by kind: base coordinates x1..xn, fiber coordinates
 u1..um on the total space (or transverse coordinates on an ambient chart),
@@ -372,7 +383,9 @@ class Poly:
         product; a part with a fiber variable is refused."""
         n, m = chart.base_dim, chart.fiber_rank
         den = 1
-        for _, c, _ in parts:
+        for k, c, _ in parts:
+            if not isinstance(k, int):
+                raise TypeError(f"a part's factor must be an int, not {k!r}")
             if c.chart is not chart and c.chart != chart:
                 raise ChartMismatch(f"{c.chart} vs {chart}")
             if den % c.den:
@@ -401,14 +414,13 @@ class Poly:
     @classmethod
     def sum_of_products(cls, chart, space, products) -> "Poly":
         """Sum of k * a * b over the list `products` of (k, a, b), k an
-        integer and a, b polynomials on chart/space.
-
-        Every product is scaled onto the least common denominator of the
-        products' denominators, so the numerators add up as integers in one
-        table, and the sum is reduced once: no polynomial is built per
-        product or per partial sum."""
-        den = 1
-        for _, a, b in products:
+        integer and a, b polynomials on chart/space: the checked wrapper
+        of the summation kernel `_sum_products`, which gets each operand's
+        terms and denominator as they are stored."""
+        lists = []
+        for k, a, b in products:
+            if not isinstance(k, int):
+                raise TypeError(f"a product's factor must be an int, not {k!r}")
             if (a.chart is not chart and a.chart != chart) or (
                 b.chart is not chart and b.chart != chart
             ):
@@ -417,33 +429,8 @@ class Poly:
                 raise SpaceMismatch(
                     f"{a.space.value} * {b.space.value} vs {space.value}"
                 )
-            d = a.den * b.den
-            if den % d:
-                den = lcm(den, d)
-        terms = {}
-        get = terms.get
-        unit = (0,) * (chart.base_dim + chart.fiber_rank)
-        for k, a, b in products:
-            f = k * (den // (a.den * b.den))
-            a_terms, b_terms = a.terms, b.terms
-            # A constant factor adds its multiple of the other's numerators
-            # at their own monomials.
-            if len(b_terms) == 1 and unit in b_terms:
-                a_terms, b_terms = b_terms, a_terms
-            if len(a_terms) == 1 and unit in a_terms:
-                f *= a_terms[unit]
-                for mono, c in b_terms.items():
-                    terms[mono] = get(mono, 0) + c * f
-                continue
-            b_items = b_terms.items()
-            for m1, c1 in a_terms.items():
-                c1 *= f
-                for m2, c2 in b_items:
-                    mono = tuple(map(add, m1, m2))
-                    terms[mono] = get(mono, 0) + c1 * c2
-        if 0 in terms.values():
-            terms = {mono: c for mono, c in terms.items() if c}
-        return cls._reduced(chart, space, terms, den)
+            lists.append((k, a.terms.items(), a.den, b.terms.items(), b.den))
+        return _sum_products(chart, space, lists)
 
     def _check_compatible(self, other: "Poly"):
         if self.chart is not other.chart and self.chart != other.chart:
@@ -496,7 +483,8 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
-        return Poly.sum_of_products(self.chart, self.space, [(1, self, other)])
+        product = (1, self.terms.items(), self.den, other.terms.items(), other.den)
+        return _sum_products(self.chart, self.space, [product])
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -555,19 +543,14 @@ class Poly:
                 f"cannot differentiate by {v} on space {self.space.value}"
             )
         slot = _slot(self.chart, self.space, v)
-        terms = {}
-        for mono, c in self.terms.items():
-            e = mono[slot]
-            if e:
-                terms[mono[:slot] + (e - 1,) + mono[slot + 1 :]] = c * e
-        return Poly._reduced(self.chart, self.space, terms, self.den)
+        terms = _term_partial(self.terms.items(), ((slot, 1),))
+        return Poly._reduced(self.chart, self.space, dict(terms), self.den)
 
     def partial_multi(self, mi: MultiIndex, kind: VarKind) -> "Poly":
-        """d^mi by the variables of `kind`, in one pass over the terms: a
-        term keeps the falling factorials of its exponents, or drops out
-        when some letter comes more often than its exponent.  The empty
-        multi-index returns self unchecked; otherwise the letters are
-        checked in order as `partial` checks one."""
+        """d^mi by the variables of `kind`, one `_term_partial` pass over
+        the terms, reduced once.  The empty multi-index returns self
+        unchecked; otherwise the letters are checked in order as `partial`
+        checks one."""
         if not mi:
             return self
         chart = self.chart
@@ -585,19 +568,8 @@ class Poly:
                 v = Var(kind, letter)
                 raise IndexOutOfRange(f"variable {v} out of range for chart {chart}")
         counts = [(offset + letter - 1, k) for letter, k in mi.multiplicities().items()]
-        terms = {}
-        for mono, c in self.terms.items():
-            for slot, k in counts:
-                if mono[slot] < k:
-                    break
-            else:
-                shifted = list(mono)
-                for slot, k in counts:
-                    e = shifted[slot]
-                    c *= perm(e, k)
-                    shifted[slot] = e - k
-                terms[tuple(shifted)] = c
-        return Poly._reduced(chart, self.space, terms, self.den)
+        terms = _term_partial(self.terms.items(), counts)
+        return Poly._reduced(chart, self.space, dict(terms), self.den)
 
     def max_exponents(self) -> tuple:
         """(base, fiber): the largest exponent of x1..xn and of each
@@ -707,6 +679,70 @@ _set_space = Poly.space.__set__
 _set_terms = Poly.terms.__set__
 _set_den = Poly.den.__set__
 _set_hash = Poly._hash.__set__
+
+
+def _term_partial(terms, counts) -> list:
+    """d^S of a polynomial given by its (monomial, numerator) pairs
+    `terms`, as such a list over the same denominator, unreduced; `counts`
+    holds (slot, k) for each variable that S takes k > 0 times.  One pass:
+    a term keeps the falling factorials of its exponents, or drops out
+    when S takes some variable more often than its exponent, so no
+    numerator of the result is zero.  Nothing is checked: the slots come
+    from canonical keys."""
+    out = []
+    for mono, c in terms:
+        for slot, k in counts:
+            if mono[slot] < k:
+                break
+        else:
+            shifted = list(mono)
+            for slot, k in counts:
+                e = shifted[slot]
+                c *= perm(e, k)
+                shifted[slot] = e - k
+            out.append((tuple(shifted), c))
+    return out
+
+
+def _sum_products(chart, space, products) -> Poly:
+    """The summation kernel: the sum of k * a * b over the list `products`
+    of (k, a's terms, a's denominator, b's terms, b's denominator), k an
+    integer and the terms sized iterables of (monomial, numerator) pairs
+    on chart/space, such as a `Poly`'s `terms.items()` or a
+    `_term_partial` list.
+
+    Every product is scaled onto the least common denominator of the
+    products' denominators, so the numerators add up as integers in one
+    table, and the sum is reduced once: no polynomial is built per
+    product, per partial or per partial sum.  Nothing is checked;
+    `Poly.sum_of_products` is the checked wrapper."""
+    den = 1
+    for _, _, da, _, db in products:
+        d = da * db
+        if den % d:
+            den = lcm(den, d)
+    terms = {}
+    get = terms.get
+    unit = (0,) * (chart.base_dim + chart.fiber_rank)
+    for k, a, da, b, db in products:
+        f = k * (den // (da * db))
+        # A constant factor adds its multiple of the other's numerators at
+        # their own monomials.
+        if len(b) == 1 and next(iter(b))[0] == unit:
+            a, b = b, a
+        if len(a) == 1 and next(iter(a))[0] == unit:
+            f *= next(iter(a))[1]
+            for mono, c in b:
+                terms[mono] = get(mono, 0) + c * f
+            continue
+        for m1, c1 in a:
+            c1 *= f
+            for m2, c2 in b:
+                mono = tuple(map(add, m1, m2))
+                terms[mono] = get(mono, 0) + c1 * c2
+    if 0 in terms.values():
+        terms = {mono: c for mono, c in terms.items() if c}
+    return Poly._reduced(chart, space, terms, den)
 
 
 def add_into(table: dict, key, coeff) -> None:

@@ -23,6 +23,7 @@ from fwlop.diffop import (
     diffop_to_doc,
     nested_values,
 )
+from fwlop import diffop
 from fwlop.errors import (
     MAX_SUB_MULTISETS,
     ChartMismatch,
@@ -315,27 +316,25 @@ def test_leibniz_takes_each_partial_once_per_pass(monkeypatch):
     }
     assert len(subsets) == 9
     calls = []
-    partial_multi = Poly.partial_multi
+    term_partial = diffop._term_partial
 
-    def counting(self, mi, kind):
-        calls.append(kind)
-        return partial_multi(self, mi, kind)
+    def counting(terms, counts):
+        calls.append((id(terms), tuple(counts)))
+        return term_partial(terms, counts)
 
     for skip_empty in (False, True):
         expected = _plain_leibniz(a, b, skip_empty)
         calls.clear()
-        monkeypatch.setattr(Poly, "partial_multi", counting)
+        monkeypatch.setattr(diffop, "_term_partial", counting)
         got = a._summed(a._leibniz(b.terms.items(), skip_empty, 1, {}))
-        monkeypatch.setattr(Poly, "partial_multi", partial_multi)
+        monkeypatch.undo()
         assert got == expected
-        # one base partial per (term of b, S base part), one fiber partial
-        # per (term of b, S), the empty S left out when skipped; the second
+        # one term-list partial per (term of b, S), its base and fiber
+        # parts together, the empty S left out when skipped; the second
         # term of b is linear in u1, so its 3 pairs with S fiber part
         # (u1, u1) are pruned unvisited
         pairs = len(b.terms) * (len(subsets) - skip_empty) - 3
-        base_parts = {s_b for s_b, _ in subsets}
-        assert calls.count(VarKind.BASE) == len(b.terms) * len(base_parts)
-        assert calls.count(VarKind.FIBER) == pairs
+        assert len(calls) == len(set(calls)) == pairs
 
 
 def test_pruned_leibniz_matches_the_plain_expansion():
@@ -359,6 +358,26 @@ def test_pruned_leibniz_matches_the_plain_expansion():
                         assert got == _plain_leibniz(x, y, skip_empty)
                     pruned += _prunes(x, y)
     assert pruned >= 50
+
+
+def test_compose_and_commutator_match_the_plain_expansion():
+    # the term-list partials and the summation kernel against the
+    # expansion with a reduced `Poly` per partial and per summand, on
+    # every space, charts up to (3,3) and fractional coefficients
+    rng = random.Random(2806)
+    bounds = Bounds(n_max=3, m_max=3, exp_max=3)
+    fractional = 0
+    for space in SPACES:
+        for chart in (Chart(1, 2), Chart(2, 2), Chart(3, 2), Chart(3, 3)):
+            for _ in range(3):
+                a = rand_diffop(rng, chart, space, bounds, max_keys=4)
+                b = rand_diffop(rng, chart, space, bounds, max_keys=4)
+                got = a.compose(b)
+                assert got == _plain_leibniz(a, b, False)
+                bracket = a.commutator(b)
+                assert bracket == _plain_leibniz(a, b, True) - _plain_leibniz(b, a, True)
+                fractional += any(c.den != 1 for c in bracket.terms.values())
+    assert fractional >= 10
 
 
 def test_function_bracket_matches_the_plain_expansion():
@@ -614,7 +633,8 @@ def test_nested_values_make_no_apply_call(monkeypatch):
 
 def test_function_commutator_keeps_the_order_bound_check(monkeypatch):
     # a Leibniz result of order 3 breaks the bound 2 + 0 - 1 for [d^2/du^2, u1]
-    cubic = {(EMPTY_MI, MultiIndex([1, 1, 1])): [(1, P("1", CH1), P("1", CH1))]}
+    one = P("1", CH1).terms.items()
+    cubic = {(EMPTY_MI, MultiIndex([1, 1, 1])): [(1, one, 1, one, 1)]}
     monkeypatch.setattr(DiffOp, "_leibniz", lambda self, other, *rest: cubic)
     with pytest.raises(InvariantViolation, match="order bound"):
         op_du(2).commutator(DiffOp.mult(P("u1")))

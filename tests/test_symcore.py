@@ -611,6 +611,23 @@ def test_sum_of_products_checks_every_operand():
                 Poly.sum_of_products(CH, Space.E, products)
 
 
+@pytest.mark.parametrize("k", [Fraction(1, 2), 0.5, Fraction(2, 1), 2.0])
+def test_sum_of_products_refuses_a_factor_that_is_not_an_int(k):
+    # a Fraction or float factor would be stored as a numerator as it is:
+    # (1/2, x1, u1) would read {(1, 1): 1/2} over 1, unequal to x1*u1/2
+    x1, u1 = P("x1"), P("u1")
+    with pytest.raises(TypeError, match="must be an int"):
+        Poly.sum_of_products(CH, Space.E, [(1, x1, u1), (k, x1, u1)])
+
+
+@pytest.mark.parametrize("k", [Fraction(1, 2), 0.5, Fraction(2, 1), 2.0])
+def test_from_fiber_parts_refuses_a_factor_that_is_not_an_int(k):
+    # the same for a crossing: (1/2, x1, u1) would store x1*u1 over 1 as 1/2
+    x1 = P("x1")
+    with pytest.raises(TypeError, match="must be an int"):
+        Poly.from_fiber_parts(CH, Space.E, [(1, x1, MultiIndex()), (k, x1, MultiIndex([1]))])
+
+
 def test_space_and_chart_refusals():
     with pytest.raises(SpaceMismatch) as info:
         Space.from_name("F")

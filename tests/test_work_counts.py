@@ -1,8 +1,13 @@
 """Work-count guards: the kernel calls that the table algebra must not make.
 
-Bracket, product and commutator sums go through `Poly.sum_of_products`, one
-reduced sum per output coefficient, so they make no `Poly` product, scaling
-or addition per summand.  A commutator reads each operand's order once.
+Composition, commutators, `DiffOp.apply`, the Poisson bracket, the
+symmetric product and the bracket and product of line-bundle pairs sum
+through the summation kernel `symcore._sum_products`, one reduced sum per
+output coefficient, so they make no `Poly` product, scaling or addition
+per summand.  Their partials are term lists (`symcore._term_partial`), so
+they make no `Poly.partial` or `Poly.partial_multi` call either, and
+their sums skip the checks of the wrapper `Poly.sum_of_products`.  A
+commutator reads each operand's order once.
 Coefficient recovery and the bundle-map path of `a_iso` build no
 coordinate and take no bracket: each live node's children come from one
 sweep of its terms, and only live nodes are built.  A fiber-linear
@@ -100,20 +105,37 @@ def _operators(seed, order):
 
 
 ARITHMETIC = ["__mul__", "__rmul__", "scale", "__add__", "__sub__", "__neg__"]
+# every summand reaches the summation kernel as term lists: no partial is
+# a `Poly` and no sum goes through the checked wrapper
+POLY_SUMS = ["partial", "partial_multi", "sum_of_products"]
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_table_algebra_makes_no_poly_arithmetic_per_summand(monkeypatch, order):
     a, b = _operators(900 + order, order)
-    counts = _counting(monkeypatch, Poly, ARITHMETIC)
+    rng = random.Random(920 + order)
+    f = rand_poly(rng, CH, Space.E, BOUNDS)
+    while a.apply(f).is_zero():
+        f = rand_poly(rng, CH, Space.E, BOUNDS)
+    while True:
+        p1, p2 = (rand_fwl_pair(rng, CH, BOUNDS, q) for q in (order, order + 1))
+        if pair_bracket(p1, p2).rho.terms and pair_product(p1, p2).rho.terms:
+            break
+    counts = _counting(monkeypatch, Poly, ARITHMETIC + POLY_SUMS)
+    composed = a.compose(b)
     got = a.commutator(b)
     bracket = poisson(a.symbol(), b.symbol())
     product = sym_product(a.symbol(), b.symbol())
-    assert counts == dict.fromkeys(ARITHMETIC, 0)
+    pairs = pair_bracket(p1, p2), pair_product(p1, p2)
+    applied = a.apply(f)
+    assert counts == dict.fromkeys(ARITHMETIC + POLY_SUMS, 0)
     monkeypatch.undo()
-    assert not got.is_zero() and got == a.compose(b) - b.compose(a)
+    assert not got.is_zero() and got == composed - b.compose(a)
     assert not bracket.is_zero() and bracket == got.symbol_at(2 * order - 1)
-    assert not product.is_zero() and product == a.compose(b).symbol_at(2 * order)
+    assert not product.is_zero() and product == composed.symbol_at(2 * order)
+    assert all(pair.rho.terms for pair in pairs)
+    assert not applied.is_zero() and composed.apply(f) == a.apply(b.apply(f))
+    assert applied == a.compose(DiffOp.mult(f)).apply(Poly.const(CH, Space.E, 1))
 
 
 def test_commutator_reads_each_order_once(monkeypatch):
