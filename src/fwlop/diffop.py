@@ -11,15 +11,17 @@ in the Vol_u frame (see `fwlop.lbundle`).  The representation is unique
 once multi-indices are canonical, so equality is table equality.
 Composition expands derivative-past-coefficient by the multiset Leibniz
 rule, in one kernel, `_leibniz`, which takes the other operand as its
-(key, coefficient) pairs and builds `MultiIndex` keys; a pass visits only
+(key, coefficient) pairs and builds `MultiIndex` keys; a pass lists only
 the S that stay within the largest exponents of c2 (`Poly.max_exponents`),
-because d^S c2 = 0 for the others.  A commutator [A, B] is two passes of
-the same expansion, of A∘B and of B∘A, each without its S = ∅ terms
-c1·c2 d^(J1+J2), which are equal on both sides and cancel; when B has
-order 0 its pass is empty.  So a commutator [A, f] with a function is
+because d^S c2 = 0 for the others: all of them when J fits, else those
+within the caps min(J, exponents) per letter.  A commutator [A, B] is two
+passes of the same expansion, of A∘B and of B∘A, each without its S = ∅
+terms c1·c2 d^(J1+J2), which are equal on both sides and cancel; when B
+has order 0 its pass is empty.  So a commutator [A, f] with a function is
 one pass against the single coefficient f at the empty key, where every
-output key is a remainder J1 - S, already sorted.  For a coordinate z
-(`Poly.as_var`) only S = {z} stays within the largest exponents, d_z z = 1
+output key is a remainder J1 - S, already sorted, and [A, 0] = 0 takes no
+pass.  For a coordinate z (`Poly.as_var`) only S = {z} stays within the
+largest exponents, d_z z = 1
 and binom(J, {z}) = mult_z(J), so that pass is the shift c_J d^J ->
 mult_z(J) c_J d^(J - z), taken by `_shifts` with no pass.  The passes
 collect their summands k c1 (d^S c2) per output key, each d^S c2 a term
@@ -60,6 +62,7 @@ from operator import le
 from .errors import (
     MAX_CHART_DIM,
     MAX_SUB_MULTISETS,
+    ArityMismatch,
     ChartMismatch,
     DocumentError,
     InvariantViolation,
@@ -75,6 +78,7 @@ from .symcore import (
     Poly,
     Space,
     VarKind,
+    _letter_counts,
     _pass_sub_multisets,
     _sum_products,
     _term_partial,
@@ -263,8 +267,11 @@ class DiffOp:
         For a coordinate z that pass keeps only S = {z}, where d_z z = 1
         and binom(J, {z}) is the multiplicity of z in J, so it is the
         shift c_J d^J -> mult_z(J) c_J d^(J - z), taken by `_shifts` with
-        z the one placed letter: the same values, keys and key order."""
+        z the one placed letter: the same values, keys and key order.
+        [self, 0] = 0 takes no pass."""
         self._check_compatible(f)
+        if not f.terms:
+            return DiffOp._raw(self.chart, self.space, {})
         z = f.as_var()
         if z is None:
             return self._summed(self._leibniz([(_ORDER_ZERO, f)], True, 1, {}))
@@ -312,8 +319,10 @@ class DiffOp:
         returns pieces.  Each part of a key is the remainder J1 - S as it
         is when J2's part is empty, and the sorted J1 - S + J2 otherwise.
         An S that takes some letter more often than c2's largest exponent
-        of that variable gives d^S c2 = 0 and is skipped unvisited; the
-        others keep their order.  Each d^S c2 is one `_term_partial` per
+        of that variable gives d^S c2 = 0 and is never listed: when J1 fits
+        within those exponents every S does, and otherwise only the S
+        within the caps min(J1, exponents) are enumerated; the others keep
+        their order.  Each d^S c2 is one `_term_partial` per
         (term of others, S) per call, its base and fiber slots read in one
         pass off the multiplicity vectors of S: terms of self share their
         sub-multisets S.  A key of self whose sub-multisets are over
@@ -328,12 +337,21 @@ class DiffOp:
         ]
         memo = {}  # sub-multisets too large for the process-wide memo
         for (i1, b1), c1 in self.terms.items():
-            subs_base = _pass_sub_multisets(i1, memo)
-            subs_fib = _pass_sub_multisets(b1, memo)
+            counts_base, counts_fib = _letter_counts(i1), _letter_counts(b1)
+            whole_base = whole_fib = None  # all sub-multisets, on first use
             c1_terms, c1_den = c1.terms.items(), c1.den
             for n2, j2_base, j2_fib, c2_terms, c2_den, top_base, top_fib in other_terms:
-                fibs_all = _within(subs_fib, top_fib)
-                for s_base, n_base, rest_base, v_base in _within(subs_base, top_base):
+                if all(map(le, counts_fib, top_fib)):
+                    fibs_all = whole_fib = whole_fib or _pass_sub_multisets(b1, memo)
+                else:
+                    caps = tuple(map(min, counts_fib, top_fib))
+                    fibs_all = _pass_sub_multisets(b1, memo, caps)
+                if all(map(le, counts_base, top_base)):
+                    bases = whole_base = whole_base or _pass_sub_multisets(i1, memo)
+                else:
+                    caps = tuple(map(min, counts_base, top_base))
+                    bases = _pass_sub_multisets(i1, memo, caps)
+                for s_base, n_base, rest_base, v_base in bases:
                     key_base = MultiIndex(rest_base + j2_base) if j2_base else rest_base
                     fibs = fibs_all
                     if skip_empty and not s_base:
@@ -490,10 +508,14 @@ class DiffOp:
         return self.symbol_at(order)
 
     def symbol_at(self, q: int):
-        """Level-q table as a multivector (empty when the order is below q)."""
+        """Level-q table as a multivector (empty when the order is below q).
+        The level-q table of a canonical operator is canonical, so it is
+        not checked again; only a negative q is refused."""
         from .multivec import SymMultivector
 
-        return SymMultivector(self.chart, self.space, q, self.top_table(q))
+        if q < 0:
+            raise ArityMismatch("multivector order must be >= 0")
+        return SymMultivector._unchecked(self.chart, self.space, q, self.top_table(q))
 
     def with_space(self, space: Space) -> "DiffOp":
         return DiffOp(
@@ -537,15 +559,6 @@ def _refuse_long_keys(keys):
     for i1, b1 in keys:
         if len(i1) + len(b1) > _SHORT_KEY:
             _refuse_sub_multisets(i1, b1)
-
-
-def _within(subs, tops):
-    """The entries of `_sub_multisets` whose S takes no letter more often
-    than `tops` allows, in order; the empty S is always among them.  The
-    last S is the whole multi-index: when it fits, every S does."""
-    if all(map(le, subs[-1][3], tops)):
-        return subs
-    return [s for s in subs if all(map(le, s[3], tops))]
 
 
 def _sum_pieces(chart, space, pieces: dict, build) -> dict:

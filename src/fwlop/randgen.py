@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import MAX_VERIFY_TABLE_KEYS, DocumentError, refuse_over
 from .lbundle import LPair
@@ -57,13 +58,19 @@ class Bounds:
         return cls(n_max=n, m_max=m, order_max=q)
 
 
-def rand_fraction(rng: random.Random, bounds: Bounds, nonzero=False) -> Fraction:
+def _rand_ratio(rng: random.Random, top: int, nonzero: bool) -> tuple:
+    """(numerator, denominator) of a random coefficient, unreduced: the
+    numerator within [-top, top], drawn again while zero if `nonzero`,
+    then the denominator within [1, top]."""
     # randrange(a, b + 1) is the draw randint(a, b) makes, without its call
-    top = bounds.coeff_max
     numer = rng.randrange(-top, top + 1)
     while nonzero and numer == 0:
         numer = rng.randrange(-top, top + 1)
-    return Fraction(numer, rng.randrange(1, top + 1))
+    return numer, rng.randrange(1, top + 1)
+
+
+def rand_fraction(rng: random.Random, bounds: Bounds, nonzero=False) -> Fraction:
+    return Fraction(*_rand_ratio(rng, bounds.coeff_max, nonzero))
 
 
 def rand_chart(rng: random.Random, bounds: Bounds) -> Chart:
@@ -81,10 +88,13 @@ def rand_poly(
     """Random polynomial; `fiber_degree` forces every monomial's degree in
     the fiber-type variables.  Exponents are drawn x1..xn first, then the
     fiber-type variables, straight into the packed exponent tuples; a
-    repeated tuple adds its coefficients."""
+    repeated tuple adds its coefficients as integer (numerator,
+    denominator) pairs.  The polynomial is built over the lcm of the
+    denominators and reduced once, with no Fraction per term."""
     n, m = chart.base_dim, chart.fiber_rank
     randrange = rng.randrange
     exp_stop = bounds.exp_max + 1
+    top = bounds.coeff_max
     terms = {}
     for _ in range(randrange(1, bounds.terms_max + 1)):
         exps = [randrange(exp_stop) for _ in range(n)] + [0] * m
@@ -95,11 +105,15 @@ def rand_poly(
             else:
                 for _ in range(fiber_degree):
                     exps[n + randrange(m)] += 1
-        coeff = rand_fraction(rng, bounds, nonzero=True)
+        numer, denom = _rand_ratio(rng, top, True)
         key = tuple(exps)
         old = terms.get(key)
-        terms[key] = coeff if old is None else old + coeff
-    return Poly._from_fractions(chart, space, terms)
+        if old is not None:
+            numer, denom = old[0] * denom + numer * old[1], old[1] * denom
+        terms[key] = numer, denom
+    den = lcm(*(d for _, d in terms.values()))
+    terms = {mono: c * (den // d) for mono, (c, d) in terms.items() if c}
+    return Poly._reduced(chart, space, terms, den)
 
 
 def rand_base_multi_index(rng, chart, length) -> MultiIndex:

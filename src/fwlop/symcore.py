@@ -7,7 +7,9 @@ of the polynomial's space, so multiplication adds tuples slot by slot and
 a partial derivative decrements one slot.  The denominator is positive and
 shares no factor with every numerator; the zero polynomial stores no terms
 over 1.  This exact canonical form makes every identity test in the package
-a literal comparison.  Only this module reads the terms: other code uses
+a literal comparison.  A zero operand costs no arithmetic: `+`, `-` and
+`*` check chart and space, then return the other operand, its negative or
+zero.  Only this module reads the terms: other code uses
 `Poly`'s methods, or hands a polynomial's `terms.items()` and `den`
 unread to the two private kernels of the table algebra, naming a
 variable by its slot (x_i at i - 1, fiber letter a at n + a - 1).
@@ -169,16 +171,20 @@ class MultiIndex(tuple):
 
 
 @functools.cache
-def _sub_multisets(mi: MultiIndex) -> tuple:
+def _sub_multisets(mi: MultiIndex, caps: tuple = None) -> tuple:
     """(S, multiset binomial, remainder J - S, multiplicity vector of S) for
     all S <= J = mi, S and J - S multi-indices; the empty S comes first.
     The vector's i-th entry is the multiplicity of letter i+1 in S, up to
-    J's largest letter.  Memoised on J for the process: callers go through
-    `_pass_sub_multisets`, which keeps only small ones here."""
+    J's largest letter.  With `caps`, a vector of that length, only the S
+    that take letter i+1 at most caps[i] times are listed, in the same
+    order; binomials and remainders still come from J.  Memoised on (J,
+    caps) for the process: callers go through `_pass_sub_multisets`, which
+    keeps only small ones here."""
     items = sorted(mi.multiplicities().items())
     width = mi[-1] if mi else 0
     out = []
-    for picks in itertools.product(*(range(mult + 1) for _, mult in items)):
+    tops = (mult if caps is None else caps[letter - 1] for letter, mult in items)
+    for picks in itertools.product(*(range(top + 1) for top in tops)):
         coeff = 1
         chosen = []
         rest = []
@@ -199,23 +205,35 @@ def _sub_multisets(mi: MultiIndex) -> tuple:
     return tuple(out)
 
 
-# The sub-multisets of a key part are kept for the process when they hold
-# at most this many letters in all (their count times the part's length),
-# as those of every part of at most four letters do.
+# The sub-multisets of a key part are kept for the process when all of them
+# hold at most this many letters in all (their count times the part's
+# length), as those of every part of at most four letters do.
 _CACHED_SUB_LETTERS = 64
 
 
-def _pass_sub_multisets(mi: MultiIndex, memo: dict) -> tuple:
-    """`_sub_multisets(mi)`: from the process-wide memo when small, else
-    built once into `memo`, which the caller keeps for one pass only."""
+def _pass_sub_multisets(mi: MultiIndex, memo: dict, caps: tuple = None) -> tuple:
+    """`_sub_multisets(mi, caps)`: from the process-wide memo when all the
+    sub-multisets of mi are few, else built once into `memo`, which the
+    caller keeps for one pass only."""
     if len(mi) > 4:
         count = prod(k + 1 for k in mi.multiplicities().values())
         if count * len(mi) > _CACHED_SUB_LETTERS:
-            subs = memo.get(mi)
+            subs = memo.get((mi, caps))
             if subs is None:
-                subs = memo[mi] = _sub_multisets.__wrapped__(mi)
+                subs = memo[mi, caps] = _sub_multisets.__wrapped__(mi, caps)
             return subs
-    return _sub_multisets(mi)
+    # The whole list is asked for as `_sub_multisets(mi)`, its one memo key.
+    return _sub_multisets(mi) if caps is None else _sub_multisets(mi, caps)
+
+
+@functools.cache
+def _letter_counts(mi: MultiIndex) -> tuple:
+    """The multiplicity vector of mi: the i-th entry is the multiplicity of
+    letter i+1, up to mi's largest letter."""
+    counts = [0] * (mi[-1] if mi else 0)
+    for letter in mi:
+        counts[letter - 1] += 1
+    return tuple(counts)
 
 
 EMPTY_MI = MultiIndex()
@@ -321,17 +339,6 @@ class Poly:
         _set_terms(self, terms)
         _set_den(self, den)
         return self
-
-    @classmethod
-    def _from_fractions(cls, chart, space, coeffs):
-        """Build from {exponent tuple: Fraction} (internal); zero entries
-        drop out and the order of the others is kept."""
-        coeffs = {mono: c for mono, c in coeffs.items() if c}
-        den = lcm(*(c.denominator for c in coeffs.values()))
-        terms = {
-            mono: c.numerator * (den // c.denominator) for mono, c in coeffs.items()
-        }
-        return cls._raw(chart, space, terms, den)
 
     @classmethod
     def _reduced(cls, chart, space, terms, den):
@@ -450,8 +457,13 @@ class Poly:
     # -- ring structure ----------------------------------------------------
 
     def _combine(self, other: "Poly", sign: int) -> "Poly":
-        """self + sign * other over the least common denominator."""
+        """self + sign * other over the least common denominator; a zero
+        operand costs no arithmetic."""
         self._check_compatible(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other if sign == 1 else -other
         d1, d2 = self.den, other.den
         if d1 == d2:
             terms = dict(self.terms)
@@ -483,6 +495,8 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
+        if not self.terms or not other.terms:
+            return Poly._raw(self.chart, self.space, {})
         product = (1, self.terms.items(), self.den, other.terms.items(), other.den)
         return _sum_products(self.chart, self.space, [product])
 

@@ -26,6 +26,7 @@ from fwlop.diffop import (
 from fwlop import diffop
 from fwlop.errors import (
     MAX_SUB_MULTISETS,
+    ArityMismatch,
     ChartMismatch,
     DocumentError,
     InvariantViolation,
@@ -34,7 +35,7 @@ from fwlop.errors import (
     ZeroOperator,
 )
 from fwlop.lbundle import a_inverse, a_iso
-from fwlop.multivec import hamiltonian_field, poisson, sym_product
+from fwlop.multivec import SymMultivector, hamiltonian_field, poisson, sym_product
 from fwlop.randgen import (
     Bounds,
     rand_chart,
@@ -449,13 +450,40 @@ def test_near_coordinates_take_the_leibniz_pass(monkeypatch):
         u = "v1" if space is Space.ESTAR else "u1"
         a = rand_diffop(rng, CH, space, Bounds(), max_keys=5, order=3)
         near = [f"2*{u}", f"1/2*{u}", f"-{u}", f"{u} + 1", f"x1*{u}", f"{u}^2"]
-        for text in near + ["1", "0"]:
+        for text in near + ["1"]:
             f = P(text, CH, space)
             assert f.as_var() is None
             passes.clear()
             got = a._function_bracket(f)
             assert passes == [a]
             assert got == a.compose(DiffOp.mult(f)) - DiffOp.mult(f).compose(a)
+
+
+def test_zero_function_takes_no_leibniz_pass(monkeypatch):
+    # [A, 0] = 0: the bracket returns the zero operator without a pass,
+    # and still refuses a zero of another chart or space
+    passes = []
+    leibniz = DiffOp._leibniz
+
+    def counting(self, *args):
+        passes.append(self)
+        return leibniz(self, *args)
+
+    monkeypatch.setattr(DiffOp, "_leibniz", counting)
+    rng = random.Random(311)
+    for space in SPACES:
+        a = rand_diffop(rng, CH, space, Bounds(), max_keys=5, order=3)
+        zero = Poly.zero(CH, space)
+        passes.clear()
+        got = a._function_bracket(zero)
+        assert passes == []
+        assert got.is_zero() and (got.chart, got.space) == (CH, space)
+        assert got == a.compose(DiffOp.mult(zero)) - DiffOp.mult(zero).compose(a)
+        other = Space.ESTAR if space is Space.E else Space.E
+        with pytest.raises(ChartMismatch):
+            a._function_bracket(Poly.zero(CH1, space))
+        with pytest.raises(SpaceMismatch):
+            a._function_bracket(Poly.zero(CH, other))
 
 
 def test_plain_tuple_keys_become_multi_indices():
@@ -1014,6 +1042,26 @@ def test_symbol_of_vector_field():
 def test_symbol_of_zero_raises():
     with pytest.raises(ZeroOperator):
         DiffOp.zero(CH, Space.E).symbol()
+
+
+def test_symbol_at_equals_the_checked_multivector():
+    # the level-q table of a canonical operator is built unchecked; it must
+    # equal what the checking constructor builds, and a negative q is
+    # refused with the constructor's message
+    rng = random.Random(62)
+    bounds = Bounds()
+    for space in SPACES:
+        for _ in range(10):
+            chart = rand_chart(rng, bounds)
+            op = rand_diffop(rng, chart, space, bounds, order=3)
+            for q in range(5):
+                got = op.symbol_at(q)
+                checked = SymMultivector(chart, space, q, op.top_table(q))
+                assert got == checked and got.terms == checked.terms
+                assert (got.chart, got.space, got.q) == (chart, space, q)
+    with pytest.raises(ArityMismatch) as info:
+        op.symbol_at(-1)
+    assert str(info.value) == "multivector order must be >= 0"
 
 
 def test_symbol_satisfies_recovery_at_top():

@@ -15,6 +15,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -154,7 +155,16 @@ def _reference_rand_poly(rng, chart, space, bounds, base_only=False, fiber_degre
         coeff = Fraction(numer, rng.randint(1, bounds.coeff_max))
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + coeff
-    return Poly._from_fractions(chart, space, terms)
+    return _from_fractions(chart, space, terms)
+
+
+def _from_fractions(chart, space, coeffs):
+    """The polynomial of {exponent tuple: Fraction}: zero entries drop out
+    and the others keep their order, over the lcm of their denominators."""
+    coeffs = {mono: c for mono, c in coeffs.items() if c}
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    terms = {mono: c.numerator * (den // c.denominator) for mono, c in coeffs.items()}
+    return Poly._raw(chart, space, terms, den)
 
 
 MODES = [{}, {"base_only": True}, {"fiber_degree": 1}, {"fiber_degree": 2}]

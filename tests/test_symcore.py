@@ -1,9 +1,11 @@
 """Polynomial core: arithmetic, calculus, grading, parse/print."""
 
+import itertools
 import random
 import re
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
+from operator import add, le, mul, sub
 
 import pytest
 
@@ -24,6 +26,7 @@ from fwlop.symcore import (
     Var,
     VarKind,
     _sub_multisets,
+    _sum_products,
     add_into,
     all_multi_indices,
     fiber_kind,
@@ -227,6 +230,18 @@ def test_sub_multiset_vectors_count_each_letter():
             assert MultiIndex(sub + rest) == MultiIndex(entries)
 
 
+def test_capped_sub_multisets_are_the_full_list_filtered():
+    # the S within caps, listed directly, are the full list's entries whose
+    # vector stays within the caps, in the same order, with J's binomials
+    # and remainders
+    for entries in [(1,), (2, 2), (1, 1, 3), (1, 2, 2, 3), (1, 1, 1, 2, 2)]:
+        mi = MultiIndex(entries)
+        whole = _sub_multisets(mi)
+        for caps in itertools.product(*(range(k + 1) for k in whole[-1][3])):
+            want = tuple(s for s in whole if all(map(le, s[3], caps)))
+            assert _sub_multisets(mi, caps) == want
+
+
 @pytest.mark.parametrize("space", list(Space), ids=lambda s: s.value)
 def test_max_exponents_match_the_var_reading(space):
     rng = random.Random(f"max-exponents/{space.value}")
@@ -288,6 +303,61 @@ def test_arithmetic_chart_and_space_guards():
         P("x1") + other_chart
     with pytest.raises(SpaceMismatch):
         P("x1") * P("x1", Space.AMBIENT)
+
+
+def _general_combine(a, b, sign):
+    """a + sign * b term by term over the lcm of the denominators, reduced
+    once: the general path of `Poly._combine`."""
+    den = lcm(a.den, b.den)
+    terms = {mono: c * (den // a.den) for mono, c in a.terms.items()}
+    for mono, c in b.terms.items():
+        terms[mono] = terms.get(mono, 0) + sign * c * (den // b.den)
+    terms = {mono: c for mono, c in terms.items() if c}
+    return Poly._reduced(a.chart, a.space, terms, den)
+
+
+def _general_product(a, b):
+    product = (1, a.terms.items(), a.den, b.terms.items(), b.den)
+    return _sum_products(a.chart, a.space, [product])
+
+
+@pytest.mark.parametrize("space", list(Space), ids=lambda s: s.value)
+def test_zero_operands_match_the_general_path(space):
+    # a zero operand returns at once: the result equals the general path's,
+    # term order and denominator included, on both sides of + - *
+    rng = random.Random(f"zero-operands/{space.value}")
+    bounds = Bounds()
+    fractional = 0
+    for _ in range(40):
+        chart = rand_chart(rng, bounds)
+        zero = Poly.zero(chart, space)
+        for p in (rand_poly(rng, chart, space, bounds), zero):
+            fractional += p.den != 1
+            for a, b in ((p, zero), (zero, p)):
+                cases = [
+                    (a + b, _general_combine(a, b, 1)),
+                    (a - b, _general_combine(a, b, -1)),
+                    (a * b, _general_product(a, b)),
+                ]
+                for got, want in cases:
+                    assert list(got.terms.items()) == list(want.terms.items())
+                    assert got.den == want.den
+                    assert (got.chart, got.space) == (chart, space)
+    assert fractional >= 20
+
+
+@pytest.mark.parametrize("op", [add, sub, mul], ids=["add", "sub", "mul"])
+def test_zero_operands_still_check_chart_and_space(op):
+    p = P("3/2*x1*u1 - 1")
+    other = Space.ESTAR
+    for zero in (Poly.zero(CH, other), Poly.zero(Chart(1, 1), Space.E)):
+        error = SpaceMismatch if zero.space is other else ChartMismatch
+        for a, b in ((p, zero), (zero, p)):
+            with pytest.raises(error):
+                op(a, b)
+    zero = Poly.zero(CH, Space.E)
+    with pytest.raises(SpaceMismatch):
+        op(zero, Poly.zero(CH, Space.AMBIENT))
 
 
 def test_product_with_a_number_is_a_scaling():

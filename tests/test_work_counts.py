@@ -7,7 +7,9 @@ output coefficient, so they make no `Poly` product, scaling or addition
 per summand.  Their partials are term lists (`symcore._term_partial`), so
 they make no `Poly.partial` or `Poly.partial_multi` call either, and
 their sums skip the checks of the wrapper `Poly.sum_of_products`.  A
-commutator reads each operand's order once.
+commutator reads each operand's order once.  A Leibniz pass lists only the
+sub-multisets within the other coefficient's largest exponents, and a
+commutator with the zero function takes no pass.
 Coefficient recovery and the bundle-map path of `a_iso` build no
 coordinate and take no bracket: each live node's children come from one
 sweep of its terms, and only live nodes are built.  A fiber-linear
@@ -29,7 +31,7 @@ import random
 
 import pytest
 
-from fwlop import _oracles, lbundle, multivec, symcore, verify
+from fwlop import _oracles, diffop, lbundle, multivec, symcore, verify
 from fwlop._oracles import (
     _unshuffle_pair_bracket,
     _unshuffle_pair_product,
@@ -71,6 +73,8 @@ from fwlop.symcore import (
     MultiIndex,
     Poly,
     Space,
+    Var,
+    VarKind,
     parse_poly,
     poly_to_str,
 )
@@ -180,6 +184,51 @@ def test_coordinate_brackets_make_no_leibniz_pass(monkeypatch):
     assert [a_inverse(d, q) for d, (_, q) in zip(derivations, fwl)] == [
         op for op, _ in fwl
     ]
+
+
+def test_leibniz_lists_only_the_sub_multisets_within_the_caps(monkeypatch):
+    # dx[1..16] has 65536 sub-multisets, but x1 admits only S within {x1}:
+    # the pass lists the 2 of them (the caps are min(J, tops) per letter)
+    # and never the whole list
+    chart = Chart(16, 1)
+    key = MultiIndex(range(1, 17))
+    one = Poly.const(chart, Space.E, 1)
+    op = DiffOp.monomial(one, key, EMPTY_MI)
+    x1 = Poly.var(chart, Space.E, Var(VarKind.BASE, 1))
+    listed = []
+    pass_sub_multisets = diffop._pass_sub_multisets
+
+    def listing(*args):
+        subs = pass_sub_multisets(*args)
+        listed.append(len(subs))
+        return subs
+
+    monkeypatch.setattr(diffop, "_pass_sub_multisets", listing)
+    got = op.compose(DiffOp.mult(x1))
+    assert listed and max(listed) <= 2
+    assert got.terms == {(key, EMPTY_MI): x1, (key.remove(1), EMPTY_MI): one}
+
+
+def test_pair_bracket_suite_takes_no_pass_against_a_zero_function(monkeypatch):
+    # [A, 0] = 0 returns at once: the suite's oracles ask for such brackets,
+    # and none of them runs a Leibniz pass
+    zero_brackets, zero_passes = [0], []
+    bracket, leibniz = DiffOp._function_bracket, DiffOp._leibniz
+
+    def bracketing(self, f):
+        zero_brackets[0] += f.is_zero()
+        return bracket(self, f)
+
+    def passing(self, others, *rest):
+        others = list(others)
+        zero_passes.extend(c for _, c in others if c.is_zero())
+        return leibniz(self, others, *rest)
+
+    monkeypatch.setattr(DiffOp, "_function_bracket", bracketing)
+    monkeypatch.setattr(DiffOp, "_leibniz", passing)
+    assert verify.run_suite("pair-bracket", 50, 1).ok
+    assert zero_brackets[0] > 0
+    assert zero_passes == []
 
 
 def test_recovery_builds_only_the_live_nodes(monkeypatch):
