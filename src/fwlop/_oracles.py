@@ -15,6 +15,9 @@ functions, transcribe the dual derivation (minus the transposed matrix)
 term by term, and expand the top-power action as a sum of wedge products,
 each a determinant, where the library reads a trace.  The split metric's
 determinant, which the library's Laplacian never forms, is one too.
+
+The normal-form shape tests of the FWL and core classes read each term's
+key lengths and fiber degree, where the library reads one weight.
 """
 
 from __future__ import annotations
@@ -281,3 +284,22 @@ def _wedge_coefficient(d: DiffOp, slot: int) -> Poly:
     v_slot = Poly.var(chart, Space.ESTAR, Var(VarKind.DUAL_FIBER, slot + 1))
     image = _components(d.apply(v_slot))
     return _det([image if i == slot else basis[i] for i in range(m)])
+
+
+def _fwl_shape(op: DiffOp, q: int) -> bool:
+    """Every term of op has a FWL normal-form shape of order q: d_x d^(q-1)/du
+    or d^(q-1)/du with a base-only coefficient, or d^q/du with a
+    fiber-linear one.  The zero operator passes."""
+    shapes = {(1, q - 1): 0, (0, q): 1, (0, q - 1): 0}
+    return all(
+        shapes.get((len(mi_b), len(mi_f)), -1) == coeff.fiber_degree()
+        for (mi_b, mi_f), coeff in op.terms.items()
+    )
+
+
+def _core_shape(op: DiffOp, q: int) -> bool:
+    """op is nonzero and every term is d^q/du with a base-only coefficient."""
+    return bool(op.terms) and all(
+        not mi_b and len(mi_f) == q and coeff.is_base_only()
+        for (mi_b, mi_f), coeff in op.terms.items()
+    )

@@ -3,8 +3,8 @@
 Each subcommand reads operator or derivation documents (JSON), runs one
 library construction, and prints a canonical document on standard output.
 Exit codes: 0 success, 1 domain error or a request over a size cap,
-2 verification failure or broken internal invariant, 3 parse, document or
-usage error.  Every nonzero exit prints one `ErrorType: message` line on
+2 verification failure or disagreeing paths of `a_iso`, 3 parse, document
+or usage error.  Every nonzero exit prints one `ErrorType: message` line on
 standard error; `-h`/`--help` prints help and exits 0.
 
 The argument parser is built on the first `main` call and reused by every
@@ -115,7 +115,7 @@ def cmd_grade(args) -> int:
 def cmd_classify(args) -> int:
     op = _load_op(args.operator, args.space)
     q = args.order
-    if not op.is_zero() and op.is_core(q):
+    if op.is_core(q):
         print(f"core(q={q}), weight={-q}")
     elif op.is_fwl(q):
         print(f"FWL(q={q}), weight={1 - q}")

@@ -96,7 +96,7 @@ class UnknownSuite(FwlopError):
 
 
 class InvariantViolation(FwlopError):
-    """An internal consistency check failed: a defect in fwlop, not in the
+    """The two paths of `a_iso` disagree: a defect in fwlop, not in the
     input.  Raised explicitly, so it survives `python -O`."""
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from .diffop import DiffOp
 from .errors import (
-    InvariantViolation,
     NotLinearizable,
     OrderExceeded,
     SpaceMismatch,
@@ -106,7 +105,7 @@ def linearize_do(op: DiffOp, q: int) -> DiffOp:
     that coefficient of op, moved to E.  The definition also subtracts the
     same value of the already-built top part; its keys all have length q,
     q-1 shifts leave none of length 0, and that value is zero.  The result
-    is checked to be FWL of order q.
+    is FWL of order q, which verify's `linearization-fwl` checks.
     """
     if not is_order_q_linearizable(op, q):
         raise NotLinearizable(f"operator is not order-{q} linearizable")
@@ -114,7 +113,4 @@ def linearize_do(op: DiffOp, q: int) -> DiffOp:
     for (mi_b, mi_f), coeff in op.terms.items():
         if not mi_b and len(mi_f) == q - 1:
             terms[mi_b, mi_f] = coeff.restrict_fiber_zero().with_space(Space.E)
-    result = DiffOp(op.chart, Space.E, terms)
-    if not result.is_fwl(q):
-        raise InvariantViolation("linearization failed the FWL postcondition")
-    return result
+    return DiffOp(op.chart, Space.E, terms)

@@ -30,7 +30,6 @@ from .errors import (
     ArityMismatch,
     AsymmetricGamma,
     ChartMismatch,
-    InvariantViolation,
     NotCore,
     NotFWL,
     RankMismatch,
@@ -244,17 +243,14 @@ def is_core_multivector(p: SymMultivector) -> bool:
 
 def multiderivation_D(p: SymMultivector, *ells: Poly) -> Poly:
     """D_P(phi_1, ..., phi_q) = P(ell_1, ..., ell_q) for q sections of E*
-    given as their fiber-linear functions on E; fiber-linear again."""
+    given as their fiber-linear functions on E; fiber-linear again, and
+    `multiderivation_l`'s value is base-only, which verify's
+    `multiderivation-classes` checks."""
     _require_fwl(p)
     if len(ells) != p.q:
         raise ArityMismatch(f"expected {p.q} sections, got {len(ells)}")
     _require_sections(ells)
-    value = p.eval(*ells)
-    if not _is_fiber_linear(value):
-        raise InvariantViolation(
-            "evaluation on fiber-linear functions is not fiber-linear"
-        )
-    return value
+    return p.eval(*ells)
 
 
 def multiderivation_l(p: SymMultivector, *args: Poly) -> Poly:
@@ -267,10 +263,7 @@ def multiderivation_l(p: SymMultivector, *args: Poly) -> Poly:
     _require_sections(ells)
     if not f.is_base_only():
         raise SpaceMismatch("the function argument must be fiber-independent")
-    value = p.eval(*ells, f.with_space(Space.E))
-    if not value.is_base_only():
-        raise InvariantViolation("symbol value is not a base function")
-    return value
+    return p.eval(*ells, f.with_space(Space.E))
 
 
 def _require_fwl(p: SymMultivector):
@@ -348,15 +341,15 @@ def fwl_metric_laplacian(chart: Chart, gamma) -> DiffOp:
     `gamma` maps (k, i, j) to base-only polynomials, symmetric in (i, j);
     missing entries are zero.  With the convention a(.)b = a(x)b + b(x)a the
     metric in the (x, u) coordinates is g = [[A, I], [I, 0]], A = -2*Gamma.u,
-    and g^-1 = [[0, I], [I, B]] with B = -A, checked blockwise: g g^-1 =
-    [[I, A + B], [0, I]].  The constant-determinant Laplacian
+    and g^-1 = [[0, I], [I, B]] with B = -A, since g g^-1 = [[I, A + B],
+    [0, I]].  The constant-determinant Laplacian
     sum g^{mu nu} d_mu d_nu + sum (d_mu g^{mu nu}) d_nu is then
 
         2 sum_i d_xi d_ui + sum_ij B_ij d_ui d_uj + sum_ij (d_ui B_ij) d_uj,
 
-    checked to be FWL of order 2.  No determinant is formed: det g = (-1)^n
-    is an identity of verify's `laplacian` suite.  The chart is checked by
-    `check_laplacian_chart` before Gamma is read.
+    FWL of order 2.  No determinant is formed.  That the result is FWL and
+    that det g = (-1)^n are identities of verify's `laplacian` suite.  The
+    chart is checked by `check_laplacian_chart` before Gamma is read.
     """
     check_laplacian_chart(chart)
     n = chart.base_dim
@@ -385,8 +378,6 @@ def fwl_metric_laplacian(chart: Chart, gamma) -> DiffOp:
             ]
             a_ij = Poly.sum_of_products(chart, Space.E, products)
             b[i, j] = b[j, i] = -a_ij
-            if not (a_ij + b[i, j]).is_zero():
-                raise InvariantViolation("blockwise inverse failed verification")
 
     two = Poly.const(chart, Space.E, 2)
     terms = {}
@@ -399,8 +390,5 @@ def fwl_metric_laplacian(chart: Chart, gamma) -> DiffOp:
             if i <= j:
                 terms[(EMPTY_MI, MultiIndex([i, j]))] = b[i, j] if i == j else b[i, j].scale(2)
             add_into(terms, (EMPTY_MI, MultiIndex([j])), b[i, j].partial(fiber[i - 1]))
-    result = DiffOp(chart, Space.E, terms)
-    if not result.is_fwl(2):
-        raise InvariantViolation("metric Laplacian failed the FWL postcondition")
-    return result
+    return DiffOp(chart, Space.E, terms)
 

@@ -15,7 +15,9 @@ from fractions import Fraction
 
 from . import randgen as rg
 from ._oracles import (
+    _core_shape,
     _dual,
+    _fwl_shape,
     _metric_determinant,
     _pairing,
     _unshuffle_pair_bracket,
@@ -41,6 +43,7 @@ from .linearize import (
 )
 from .multivec import (
     SymMultivector,
+    _is_fiber_linear,
     _require_fwl,
     core_to_dualpoly,
     fwl_check_multivector,
@@ -226,6 +229,12 @@ def _suite_symbol_bracket(s: _Session, trials: int):
         if q1 is None or q2 is None:
             continue
         bracket = d1.commutator(d2)
+        s.check(
+            "commutator-order-bound",
+            bracket.is_zero() or bracket.order() <= q1 + q2 - 1,
+            d1=d1,
+            d2=d2,
+        )
         sym1, sym2 = d1.symbol(), d2.symbol()
         lhs = poisson(sym1, sym2)
         oracle = _unshuffle_poisson(sym1, sym2)
@@ -300,10 +309,24 @@ def _suite_stabilizer(s: _Session, trials: int):
             any(not bad.commutator(F).is_core_sum() for F in witnesses),
             op=bad,
         )
+        s.check(
+            "fwl-weight-shape",
+            op.is_fwl(q) and all(t.is_fwl(q) == _fwl_shape(t, q) for t in (op, bad)),
+            op=op,
+            bad=bad,
+        )
 
-        f1 = rg.rand_core_op(rng, chart, bounds, rng.randint(1, bounds.order_max))
-        f2 = rg.rand_core_op(rng, chart, bounds, rng.randint(1, bounds.order_max))
+        p1 = rng.randint(1, bounds.order_max)
+        f1 = rg.rand_core_op(rng, chart, bounds, p1)
+        p2 = rng.randint(1, bounds.order_max)
+        f2 = rg.rand_core_op(rng, chart, bounds, p2)
         s.check("core-abelian", f1.commutator(f2).is_zero(), f1=f1, f2=f2)
+        s.check(
+            "core-weight-shape",
+            all(f.is_core(p) and _core_shape(f, p) for f, p in ((f1, p1), (f2, p2))),
+            f1=f1,
+            f2=f2,
+        )
 
         s.check("fwl-generation", _regenerate_fwl(chart, op, q) == op, op=op)
 
@@ -424,7 +447,10 @@ def _suite_iso_a(s: _Session, trials: int):
         q = rng.randint(1, bounds.order_max)
         op = rg.rand_fwl_op(rng, chart, bounds, q)
         image = a_iso(op, q)
-        s.check("round-trip-operator", a_inverse(image, q) == op, op=op)
+        # a_inverse refuses an image that is not homogeneous of degree q-1
+        homogeneous = image.is_zero() or image.weight() == q - 1
+        s.check("image-homogeneous", homogeneous, op=op)
+        s.check("round-trip-operator", homogeneous and a_inverse(image, q) == op, op=op)
 
         degree = rng.randint(0, 2)
         deriv = rg.rand_homogeneous_lderivation(rng, chart, bounds, degree)
@@ -564,6 +590,12 @@ def _suite_pair_bracket(s: _Session, trials: int):
         symbol = multiderivation_l(pd, *phis[:-1], f)
         rhs = f * first + symbol * phis[-1]
         s.check("multiderivation-leibniz", lhs == rhs, p=pd, f=f)
+        s.check(
+            "multiderivation-classes",
+            _is_fiber_linear(first) and symbol.is_base_only(),
+            p=pd,
+            f=f,
+        )
 
 
 def _suite_dual_deriv(s: _Session, trials: int):
@@ -752,6 +784,7 @@ def _suite_lin_do(s: _Session, trials: int):
         s.check("representative-independence", psi_c == psi_p, op=op)
 
         lin = linearize_do(op, q)
+        s.check("linearization-fwl", lin.is_fwl(q), op=op)
         s.check(
             "symbol-consistency",
             lin.symbol_at(q) == linearize_multivector(op.symbol_at(q)),

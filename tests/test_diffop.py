@@ -23,13 +23,12 @@ from fwlop.diffop import (
     diffop_to_doc,
     nested_values,
 )
-from fwlop import diffop
+from fwlop import diffop, verify
 from fwlop.errors import (
     MAX_SUB_MULTISETS,
     ArityMismatch,
     ChartMismatch,
     DocumentError,
-    InvariantViolation,
     RequestTooLarge,
     SpaceMismatch,
     ZeroOperator,
@@ -659,13 +658,22 @@ def test_nested_values_make_no_apply_call(monkeypatch):
         assert got == _plain_nested_value(op, word)
 
 
-def test_function_commutator_keeps_the_order_bound_check(monkeypatch):
-    # a Leibniz result of order 3 breaks the bound 2 + 0 - 1 for [d^2/du^2, u1]
-    one = P("1", CH1).terms.items()
-    cubic = {(EMPTY_MI, MultiIndex([1, 1, 1])): [(1, one, 1, one, 1)]}
-    monkeypatch.setattr(DiffOp, "_leibniz", lambda self, other, *rest: cubic)
-    with pytest.raises(InvariantViolation, match="order bound"):
-        op_du(2).commutator(DiffOp.mult(P("u1")))
+def test_symbol_bracket_suite_checks_the_commutator_order_bound(monkeypatch):
+    # a Leibniz pass that adds d^3/du1^3 breaks the bound q + r - 1 of every
+    # commutator of orders q + r <= 3; the library takes the result as it is
+    # and verify's `commutator-order-bound` names it
+    leibniz = DiffOp._leibniz
+
+    def cubic(self, others, skip_empty, sign, pieces):
+        leibniz(self, others, skip_empty, sign, pieces)
+        one = list(Poly.const(self.chart, self.space, 1).terms.items())
+        pieces.setdefault((EMPTY_MI, MultiIndex([1, 1, 1])), []).append((1, one, 1, one, 1))
+        return pieces
+
+    monkeypatch.setattr(DiffOp, "_leibniz", cubic)
+    assert op_du(2).commutator(DiffOp.mult(P("u1"))).order() == 3
+    report = verify.run_suite("symbol-bracket", 10, 1)
+    assert "commutator-order-bound" in {f["identity"] for f in report.failures}
 
 
 def test_sub_multisets_returns_pairs():

@@ -1,4 +1,6 @@
-"""Internal invariants raise InvariantViolation, which survives `python -O`."""
+"""The library's one internal invariant, the agreement of `a_iso`'s two
+paths, raises InvariantViolation, which survives `python -O`.  Every other
+cross-check is a verify identity, which a planted fault makes fail."""
 
 import ast
 import json
@@ -6,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from fwlop import _oracles, lbundle, multivec, verify
+from fwlop import _oracles, diffop, lbundle, linearize, multivec, verify
 from fwlop.cli import main
-from fwlop.diffop import diffop_from_doc
+from fwlop.diffop import DiffOp, diffop_from_doc
 from fwlop.errors import FwlopError, InvariantViolation
 from fwlop.symcore import Chart, Poly, Space, parse_poly
 
@@ -44,11 +46,15 @@ def test_no_assert_or_assertion_error_in_the_package(path):
 # table formulas, kept in the oracle module that only verify imports; a
 # second recovery path in the library would duplicate them.
 # The same holds for the cofactor determinant: the library's Laplacian
-# forms none, and verify expands the split metric's.
+# forms none, and verify expands the split metric's; and for the
+# normal-form shape tests, which the library's classification, a weight
+# test, does not repeat.
 REFERENCE_HOMES = {
     "_det": {"_oracles.py"},
     "unshuffles": {"_oracles.py"},
     "_recover_table": {"_oracles.py"},
+    "_fwl_shape": {"_oracles.py", "verify.py"},
+    "_core_shape": {"_oracles.py", "verify.py"},
 }
 
 
@@ -71,6 +77,19 @@ def test_recovery_helpers_are_referenced_only_from_their_homes(path):
         if name in names and path.name not in homes
     ]
     assert strays == []
+
+
+def test_invariant_violation_is_raised_only_by_a_iso():
+    raises = [
+        (path.name, node.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Raise)
+        and "InvariantViolation" in ast.unparse(inner.exc or ast.Constant(None))
+    ]
+    assert raises == [("lbundle.py", "a_iso")]
 
 
 def _wrong_closed_form(monkeypatch, name="_closed_form_mult"):
@@ -150,3 +169,62 @@ def test_wrong_metric_determinant_raises(monkeypatch, capsys):
     assert code == 2
     assert f"failures: {len(report.failures)}\n" in captured.out
     assert ": metric-determinant\n" in captured.out
+
+
+def _weight_of_homogeneous(degrees):
+    """diffop._weight reading only the homogeneous coefficients."""
+    weights = {deg - len(mi_f) for (_, mi_f), deg in degrees if deg is not None}
+    return weights.pop() if len(weights) == 1 else None
+
+
+def _weight_negated(degrees, _weight=diffop._weight):
+    """diffop._weight with |B| minus the fiber degree."""
+    weight = _weight(degrees)
+    return None if weight is None else -weight
+
+
+def _plus(module, name, extra):
+    """module.<name> with extra(result) added to its result."""
+    right = getattr(module, name)
+
+    def wrong(*args):
+        value = right(*args)
+        return value + extra(value)
+
+    return wrong
+
+
+def _unit_field(d):
+    return DiffOp.mult(Poly.const(d.chart, d.space, 1))
+
+
+def _unit(value):
+    return Poly.const(value.chart, value.space, 1)
+
+
+def _unrestricted(p):
+    """The level-q table kept as it is, fiber terms and all."""
+    return p.to_operator().with_space(Space.E).symbol_at(p.q)
+
+
+# identity -> (suite, module, name, planted fault)
+PLANTED = {
+    "fwl-weight-shape": ("stabilizer", diffop, "_weight", _weight_of_homogeneous),
+    "core-weight-shape": ("stabilizer", diffop, "_weight", _weight_negated),
+    "image-homogeneous": (
+        "iso-a", lbundle, "hamiltonian_field", _plus(lbundle, "hamiltonian_field", _unit_field)
+    ),
+    "multiderivation-classes": (
+        "pair-bracket", verify, "multiderivation_D", _plus(verify, "multiderivation_D", _unit)
+    ),
+    "linearization-fwl": ("lin-do", linearize, "linearize_multivector", _unrestricted),
+}
+
+
+@pytest.mark.parametrize("identity", sorted(PLANTED))
+def test_a_planted_fault_fails_its_verify_identity(monkeypatch, identity):
+    suite, module, name, fault = PLANTED[identity]
+    assert verify.run_suite(suite, 20, 1).ok
+    monkeypatch.setattr(module, name, fault)
+    report = verify.run_suite(suite, 20, 1)
+    assert identity in {f["identity"] for f in report.failures}

@@ -7,14 +7,16 @@ output coefficient, so they make no `Poly` product, scaling or addition
 per summand.  Their partials are term lists (`symcore._term_partial`), so
 they make no `Poly.partial` or `Poly.partial_multi` call either, and
 their sums skip the checks of the wrapper `Poly.sum_of_products`.  A
-commutator reads each operand's order once.  A Leibniz pass lists only the
+commutator reads one order, its second operand's.  A Leibniz pass lists only the
 sub-multisets within the other coefficient's largest exponents, and a
 commutator with the zero function takes no pass.
 Coefficient recovery and the bundle-map path of `a_iso` build no
 coordinate and take no bracket: each live node's children come from one
 sweep of its terms, and only live nodes are built.  A fiber-linear
 coefficient is split once, not differentiated per fiber letter, and the
-FWL and core tests read one fiber degree per coefficient.  Parsing collects
+FWL and core tests read at most one fiber degree per coefficient.  The
+linearization, the Laplacian and `a_iso` test no class of their own
+results.  Parsing collects
 its terms in one table and reduces once, with no `Poly` per factor.  The
 unshuffle oracles of `verify` evaluate each word of an operand once per
 call.  The metric Laplacian forms no determinant and multiplies no two
@@ -146,8 +148,9 @@ def test_commutator_reads_each_order_once(monkeypatch):
     a, b = _operators(903, 3)
     counts = _counting(monkeypatch, DiffOp, ["order"])
     a.commutator(b)
-    # self, other and the result for the order bound q + r - 1
-    assert counts == {"order": 3}
+    # other's, to skip the pass of other∘self for an order-0 operand; the
+    # order bound q + r - 1 is verify's `commutator-order-bound`
+    assert counts == {"order": 1}
 
 
 def test_recovery_builds_no_coordinate_polynomial(monkeypatch):
@@ -277,11 +280,49 @@ def test_classification_reads_one_fiber_degree_per_coefficient(monkeypatch):
     counts = _counting(monkeypatch, Poly, ["fiber_degree", "is_base_only"])
     assert fwl.is_fwl(3) and not fwl.is_fwl(2)
     assert core.is_core(2) and not core.is_core(3)
-    # one fiber degree per coefficient and call, feeding both tests
+    # one fiber degree per coefficient for the weight of a call that passes
+    # the order test, none for a call that fails it
     assert counts == {
-        "fiber_degree": 2 * len(fwl.terms) + 2 * len(core.terms),
+        "fiber_degree": len(fwl.terms) + len(core.terms),
         "is_base_only": 0,
     }
+
+
+def _receivers(monkeypatch, cls, names):
+    """Wrap cls.<name> for each name; return the receivers of the calls by
+    name."""
+    calls = {name: [] for name in names}
+    for name in names:
+        original = getattr(cls, name)
+
+        def wrapper(self, *args, _name=name, _original=original):
+            calls[_name].append(self)
+            return _original(self, *args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+    return calls
+
+
+def test_constructions_classify_no_result(monkeypatch):
+    rng = random.Random(77)
+    fwl = [(rand_fwl_op(rng, CH, BOUNDS, q), q) for q in (1, 2, 3)]
+    ambient = [(rand_order_q_linearizable_op(rng, CH, BOUNDS, q), q) for q in (1, 2, 3)]
+    gamma = rand_gamma(rng, CH, BOUNDS)
+    calls = _receivers(monkeypatch, DiffOp, ["is_fwl", "weight"])
+    lins = [linearize_do(op, q) for op, q in ambient]
+    lap = fwl_metric_laplacian(CH, gamma)
+    assert calls == {"is_fwl": [], "weight": []}
+    images = [a_iso(op, q) for op, q in fwl]
+    # one FWL test of the operand, its precondition, and the hamiltonian
+    # field's test of the symbol's table; the image's weight is not read
+    assert [r for r in calls["is_fwl"] if any(r is op for op, _ in fwl)] == [
+        op for op, _ in fwl
+    ]
+    assert len(calls["is_fwl"]) == 2 * len(fwl)
+    assert all(r.space is Space.E for r in calls["weight"])
+    monkeypatch.undo()
+    assert all(lin.is_fwl(q) for lin, (_, q) in zip(lins, ambient)) and lap.is_fwl(2)
+    assert all(d.weight() == q - 1 for d, (_, q) in zip(images, fwl) if d.terms)
 
 
 def test_eval_on_functions_makes_one_leibniz_pass_per_new_node(monkeypatch):
