@@ -71,13 +71,13 @@ from .errors import (
 )
 from .multivec import (
     SymMultivector,
+    _hamiltonian_field,
     _poisson_pieces,
     _product_pieces,
     _require_fwl,
     _summed,
     core_to_dualpoly,
     fwl_check_multivector,
-    hamiltonian_field,
     is_core_multivector,
     poisson,
     sym_product,
@@ -140,9 +140,6 @@ class LPair:
     def __repr__(self):
         return f"LPair(P={self.p!r}, rho={self.rho!r})"
 
-    def is_fwl_pair(self) -> bool:
-        return fwl_check_multivector(self.p) and is_core_multivector(self.rho)
-
     def apply(self, fs, g: Poly) -> Poly:
         """Coefficient of D(f_1, ..., f_{q-1} | g Vol_u)."""
         if len(fs) != self.q - 1:
@@ -179,7 +176,7 @@ def pair_to_lderivation(pair: LPair) -> DiffOp:
         raise IncompatiblePair("pair_to_lderivation needs a FWL multivector part")
     if not is_core_multivector(pair.rho):
         raise IncompatiblePair("pair_to_lderivation needs a core rho part")
-    return hamiltonian_field(pair.p) + DiffOp.mult(core_to_dualpoly(pair.rho))
+    return _hamiltonian_field(pair.p) + DiffOp.mult(core_to_dualpoly(pair.rho))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +268,8 @@ def a_iso(op: DiffOp, q: int) -> DiffOp:
     """FWL operator of order q to a derivation of the pulled-back line.
 
     The vector field is the hamiltonian field of the level-q symbol, which
-    is built once and checked FWL there.  The multiplication part is
+    is built once and not checked again: the symbol of an operator that
+    passed the FWL test is FWL.  The multiplication part is
     computed by the closed coordinate formula and, for q >= 1, again by the
     bundle-map path (nested commutators plus trace action) on the same
     symbol; the two are checked equal, the one comparison of two answers
@@ -289,7 +287,7 @@ def a_iso(op: DiffOp, q: int) -> DiffOp:
     if not op.is_fwl(q):
         raise NotFWL(f"operator is not FWL of order {q}")
     p = op.symbol_at(q)
-    field = hamiltonian_field(p)
+    field = _hamiltonian_field(p)
     mult = _closed_form_mult(op, q)
     if q >= 1 and core_to_dualpoly(_a_iso_pair(op, q, p).rho) != mult:
         raise InvariantViolation(

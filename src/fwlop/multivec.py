@@ -305,6 +305,11 @@ def hamiltonian_field(p: SymMultivector) -> DiffOp:
     """
     if not fwl_check_multivector(p):
         raise NotFWL("hamiltonian fields are attached to FWL multivectors")
+    return _hamiltonian_field(p)
+
+
+def _hamiltonian_field(p: SymMultivector) -> DiffOp:
+    """`hamiltonian_field` of a table its caller has already checked FWL."""
     chart = p.chart
     parts = {}
     for (mi_b, mi_f), coeff in p.terms.items():

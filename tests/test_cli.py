@@ -196,15 +196,14 @@ def test_verify_stats_count_checks_with_a_zero_operand(capsys, monkeypatch):
     order_zero = SymMultivector(chart, Space.E, 0, {(EMPTY_MI, EMPTY_MI): one})
     zero_p = SymMultivector.zero(chart, Space.E, 1)
 
-    def hand_made(s, trials):
-        for s.trial in range(trials):
-            s.check("nonzero", True, op=DiffOp.identity(chart, Space.E), f=one)
-            s.check("zero-op", True, op=DiffOp.zero(chart, Space.E), f=one)
-            s.check("zero-poly", False, f=Poly.zero(chart, Space.E))
-            s.check("zero-multivector", True, p=zero_p, q=1)
-            s.check("half-zero-pair", True, pair=LPair(zero_p, order_zero))
-            s.check("zero-pair", True, pair=LPair(zero_p, order_zero.scale(0)))
-            s.check("no-operand", True, chart=str(chart))
+    def hand_made(s, rng, bounds):
+        s.check("nonzero", True, op=DiffOp.identity(chart, Space.E), f=one)
+        s.check("zero-op", True, op=DiffOp.zero(chart, Space.E), f=one)
+        s.check("zero-poly", False, f=Poly.zero(chart, Space.E))
+        s.check("zero-multivector", True, p=zero_p, q=1)
+        s.check("half-zero-pair", True, pair=LPair(zero_p, order_zero))
+        s.check("zero-pair", True, pair=LPair(zero_p, order_zero.scale(0)))
+        s.check("no-operand", True, chart=str(chart))
 
     monkeypatch.setitem(verify.SUITES, "recovery", hand_made)
     code, out, err = run(

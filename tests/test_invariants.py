@@ -1,6 +1,7 @@
 """The library's one internal invariant, the agreement of `a_iso`'s two
 paths, raises InvariantViolation, which survives `python -O`.  Every other
-cross-check is a verify identity, which a planted fault makes fail."""
+cross-check is a verify identity, which a planted fault makes fail; a
+planted fault that makes a verify trial raise is a reported failure."""
 
 import ast
 import json
@@ -12,7 +13,7 @@ from fwlop import _oracles, diffop, lbundle, linearize, multivec, verify
 from fwlop.cli import main
 from fwlop.diffop import DiffOp, diffop_from_doc
 from fwlop.errors import FwlopError, InvariantViolation
-from fwlop.symcore import Chart, Poly, Space, parse_poly
+from fwlop.symcore import EMPTY_MI, Chart, MultiIndex, Poly, Space, add_into, parse_poly
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fwlop"
 
@@ -90,6 +91,40 @@ def test_invariant_violation_is_raised_only_by_a_iso():
         and "InvariantViolation" in ast.unparse(inner.exc or ast.Constant(None))
     ]
     assert raises == [("lbundle.py", "a_iso")]
+
+
+def test_run_suite_owns_the_one_trial_loop():
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for trial in verify.SUITES.values():
+        node = functions[trial.__name__]
+        assert "trials" not in [arg.arg for arg in node.args.args + node.args.kwonlyargs]
+        loops = [inner for inner in ast.walk(node) if isinstance(inner, ast.For)]
+        assert not any(
+            isinstance(loop.target, ast.Attribute) and loop.target.attr == "trial"
+            for loop in loops
+        ), trial.__name__
+    sets = [
+        (path.name, node.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Attribute)
+        and inner.attr == "trial"
+        and isinstance(inner.ctx, ast.Store)
+    ]
+    assert sets == [("verify.py", "run_suite")]
+    # a_inverse refuses a non-homogeneous image, so round-trip-operator
+    # reads the image-homogeneous verdict first
+    checks = [
+        ast.unparse(call.args[1])
+        for call in ast.walk(functions["_trial_iso_a"])
+        if isinstance(call, ast.Call)
+        and ast.unparse(call.func) == "s.check"
+        and ast.literal_eval(call.args[0]) == "round-trip-operator"
+    ]
+    assert checks == ["homogeneous and a_inverse(image, q) == op"]
 
 
 def _wrong_closed_form(monkeypatch, name="_closed_form_mult"):
@@ -212,7 +247,7 @@ PLANTED = {
     "fwl-weight-shape": ("stabilizer", diffop, "_weight", _weight_of_homogeneous),
     "core-weight-shape": ("stabilizer", diffop, "_weight", _weight_negated),
     "image-homogeneous": (
-        "iso-a", lbundle, "hamiltonian_field", _plus(lbundle, "hamiltonian_field", _unit_field)
+        "iso-a", lbundle, "_hamiltonian_field", _plus(lbundle, "_hamiltonian_field", _unit_field)
     ),
     "multiderivation-classes": (
         "pair-bracket", verify, "multiderivation_D", _plus(verify, "multiderivation_D", _unit)
@@ -228,3 +263,53 @@ def test_a_planted_fault_fails_its_verify_identity(monkeypatch, identity):
     monkeypatch.setattr(module, name, fault)
     report = verify.run_suite(suite, 20, 1)
     assert identity in {f["identity"] for f in report.failures}
+
+
+# Faults on the bundle-map path of a_iso that make a trial raise: each puts
+# a part that is not base-only into `Poly.from_fiber_parts`, which refuses
+# it with SpaceMismatch.  Every trial of the suites that call a_iso raises.
+def _psi_plus_u1(node, psi, right=lbundle._contract_trace):
+    """Psi(C) + u1."""
+    return right(node, psi + parse_poly("u1", node.chart, Space.E))
+
+
+def _column_plus_u1_squared(node, psi, right=lbundle._contract_trace):
+    """The trace column at u1 + u1^2: its d/du1 is not base-only."""
+    terms = dict(node.terms)
+    add_into(terms, (EMPTY_MI, MultiIndex([1])), parse_poly("u1^2", node.chart, Space.E))
+    return right(DiffOp(node.chart, Space.E, terms), psi)
+
+
+RAISED = {"error": "SpaceMismatch: the part at MultiIndex([]) is not base-only"}
+
+
+@pytest.mark.parametrize(
+    "fault", [_psi_plus_u1, _column_plus_u1_squared], ids=["psi", "trace-column"]
+)
+def test_a_trial_that_raises_is_a_reported_failure(monkeypatch, fault):
+    monkeypatch.setattr(lbundle, "_contract_trace", fault)
+    report = verify.run_suite("iso-a", 50, 1)
+    assert [f["trial"] for f in report.failures] == list(range(50))
+    assert all(
+        f["identity"] == "raised" and f["counterexample"] == RAISED
+        for f in report.failures
+    )
+    # trial 0 raised, and the trials after it still made their checks
+    assert report.executed["raised"] == 50 and report.executed["image-homogeneous"] > 0
+
+
+def test_a_run_with_raising_trials_reports_every_suite(monkeypatch, capsys):
+    monkeypatch.setattr(lbundle, "_contract_trace", _psi_plus_u1)
+    reports = verify.run_all(50, 1)
+    assert [report.suite for report in reports] == list(verify.SUITES)
+    failing = {
+        report.suite: {f["identity"] for f in report.failures}
+        for report in reports
+        if not report.ok
+    }
+    assert failing == dict.fromkeys(["exact-seq", "iso-a", "dual-deriv"], {"raised"})
+    code = main(["verify", "--suite", "all", "--trials", "50", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.splitlines() == [line for r in reports for line in r.lines()]
+    assert captured.err == ""
