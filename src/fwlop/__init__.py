@@ -5,7 +5,6 @@ from .symcore import (
     Chart,
     MultiIndex,
     Poly,
-    Rational,
     Space,
     Var,
     VarKind,
@@ -45,7 +44,6 @@ __all__ = [
     "Chart",
     "MultiIndex",
     "Poly",
-    "Rational",
     "Space",
     "Var",
     "VarKind",

@@ -17,7 +17,12 @@ each a determinant, where the library reads a trace.  The split metric's
 determinant, which the library's Laplacian never forms, is one too.
 
 The normal-form shape tests of the FWL and core classes read each term's
-key lengths and fiber degree, where the library reads one weight.
+key lengths and fiber degree, where the library reads one weight.  The
+fiber rescaling u -> t*u, which multiplies the part of each fiber
+monomial u^B by t^|B|, is the definition of the fiber degree and of an
+operator's weight that verify checks the library's readings against.
+`all_multi_indices` enumerates the basis words that the table recovery
+and verify's symbol test walk, where the library walks only live ones.
 """
 
 from __future__ import annotations
@@ -26,20 +31,39 @@ import itertools
 from fractions import Fraction
 
 from .diffop import DiffOp
-from .errors import MAX_DET_SIZE, MAX_TABLE_KEYS, refuse_over
+from .errors import MAX_DET_SIZE, MAX_TABLE_KEYS, multi_index_count, refuse_over
 from .lbundle import LPair
 from .multivec import SymMultivector
 from .symcore import (
     EMPTY_MI,
+    MultiIndex,
     Poly,
     Space,
     Var,
     VarKind,
     add_into,
-    all_multi_indices,
     fiber_kind,
-    multi_index_count,
 )
+
+
+def all_multi_indices(alphabet_size: int, length: int):
+    """All sorted words of the given length over 1..alphabet_size (none
+    when the length is negative)."""
+    if length < 0:
+        return
+    for combo in itertools.combinations_with_replacement(
+        range(1, alphabet_size + 1), length
+    ):
+        yield MultiIndex(combo)
+
+
+def _scale_fiber(p: Poly, t) -> Poly:
+    """p with u -> t*u substituted (the fiber-rescaling pull-back on
+    functions): the part of each fiber monomial u^B scaled by t^|B|."""
+    t = Fraction(t)
+    parts = p.fiber_parts(p.space)
+    scaled = [(1, c.scale(t ** len(mi)), mi) for mi, c in parts.items()]
+    return Poly.from_fiber_parts(p.chart, p.space, scaled)
 
 
 def unshuffles(k: int, h: int):

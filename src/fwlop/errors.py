@@ -7,8 +7,10 @@ InvariantViolation (exit code 2).
 
 The size caps at the end bound the enumerations a request can start; an
 over-cap request raises RequestTooLarge (exit code 1) before it enumerates
-anything.  Each cap sits above every input of the tests, the golden corpus,
-the verify defaults and the benchmark.
+anything.  `refuse_over` makes that refusal, and `multi_index_count` counts
+a table's keys for it without listing them.  Each cap sits above every
+input of the tests, the golden corpus, the verify defaults and the
+benchmark.
 """
 
 
@@ -131,3 +133,24 @@ MAX_DET_SIZE = 8
 def refuse_over(what: str, count: int, cap: int):
     if count > cap:
         raise RequestTooLarge(f"{what} exceeds the cap of {cap}")
+
+
+def multi_index_count(alphabet_size: int, length: int, limit: int) -> int:
+    """The number of multi-indices of the given length over 1..alphabet_size,
+    C(alphabet_size+length-1, length), or limit + 1 when that is more than
+    limit; 0 when the length is negative.
+
+    With M = max(length, alphabet_size-1) the count is built as the running
+    product C(M+i, i), i = 1..min(length, alphabet_size-1), which only
+    grows; it stops once past the limit, so huge arguments cost a step or
+    two.
+    """
+    if length < 0:
+        return 0
+    big = max(length, alphabet_size - 1)
+    count = 1
+    for i in range(1, min(length, alphabet_size - 1) + 1):
+        count = count * (big + i) // i
+        if count > limit:
+            return limit + 1
+    return count

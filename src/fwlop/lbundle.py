@@ -74,7 +74,6 @@ from .multivec import (
     _hamiltonian_field,
     _poisson_pieces,
     _product_pieces,
-    _require_fwl,
     _summed,
     core_to_dualpoly,
     fwl_check_multivector,
@@ -208,7 +207,7 @@ def _contract_trace(node: DiffOp, psi: Poly) -> Poly:
     return Poly.from_fiber_parts(node.chart, Space.E, parts)
 
 
-def _a_iso_pair(op: DiffOp, q: int, p: SymMultivector | None = None) -> LPair:
+def _a_iso_pair(op: DiffOp, q: int, p: SymMultivector) -> LPair:
     """The pair (level-q symbol, bundle map) of a FWL operator.
 
     Per word C of q-1 fiber letters the multiplication part of the bundle
@@ -217,13 +216,10 @@ def _a_iso_pair(op: DiffOp, q: int, p: SymMultivector | None = None) -> LPair:
     d^J 1 = 0 for J != ∅; rho stores it divided by C!.  Both are read off
     the table of the nested commutator of C, which `_live_words` yields,
     over the fiber letters, only when it is nonzero; no bracket is taken
-    past it.  `p` is the level-q symbol when the caller has built
-    and checked it; otherwise it is built and checked FWL here.
+    past it.  `p` is the level-q symbol, which the caller has built from
+    an operator it checked FWL.
     """
     chart = op.chart
-    if p is None:
-        p = op.symbol_at(q)
-        _require_fwl(p)
     letters = [(1, a) for a in range(1, chart.fiber_rank + 1)]
     zero = Poly.zero(chart, Space.E)
     rho_terms = {}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import MAX_VERIFY_TABLE_KEYS, DocumentError, refuse_over
+from .errors import MAX_VERIFY_TABLE_KEYS, DocumentError, multi_index_count, refuse_over
 from .lbundle import LPair
 from .diffop import DiffOp
 from .multivec import SymMultivector
@@ -27,7 +27,6 @@ from .symcore import (
     VarKind,
     add_into,
     fiber_kind,
-    multi_index_count,
 )
 
 

@@ -29,8 +29,7 @@ its fiber-type variables into base-only parts, and `from_fiber_parts`,
 the crossing constructor, is its inverse: it moves each part's exponents
 next to a multi-index's fiber exponents, with no product.  There is no
 second view of the terms: polynomials are built by `parse_poly`,
-`Poly.zero`, `Poly.const`, `Poly.var`, `Poly.fiber_monomial` (one
-`from_fiber_parts` call), `Poly.from_fiber_parts`,
+`Poly.zero`, `Poly.const`, `Poly.var`, `Poly.from_fiber_parts`,
 `Poly.sum_of_products` and `_sum_products`, and read by the methods and
 `poly_to_str`.
 
@@ -69,9 +68,6 @@ from .errors import (
     SpaceMismatch,
     UnknownVariable,
 )
-
-Rational = Fraction  # always lowest terms, positive denominator
-
 
 class VarKind(IntEnum):
     BASE = 0
@@ -239,37 +235,6 @@ def _letter_counts(mi: MultiIndex) -> tuple:
 EMPTY_MI = MultiIndex()
 
 
-def all_multi_indices(alphabet_size: int, length: int):
-    """All sorted words of the given length over 1..alphabet_size (none
-    when the length is negative)."""
-    if length < 0:
-        return
-    for combo in itertools.combinations_with_replacement(
-        range(1, alphabet_size + 1), length
-    ):
-        yield MultiIndex(combo)
-
-
-def multi_index_count(alphabet_size: int, length: int, limit: int) -> int:
-    """How many words all_multi_indices yields, C(alphabet_size+length-1,
-    length), or limit + 1 when that is more than limit.
-
-    With M = max(length, alphabet_size-1) the count is built as the running
-    product C(M+i, i), i = 1..min(length, alphabet_size-1), which only
-    grows; it stops once past the limit, so huge arguments cost a step or
-    two.
-    """
-    if length < 0:
-        return 0
-    big = max(length, alphabet_size - 1)
-    count = 1
-    for i in range(1, min(length, alphabet_size - 1) + 1):
-        count = count * (big + i) // i
-        if count > limit:
-            return limit + 1
-    return count
-
-
 Monomial = tuple  # exponents of x1..xn, then of the space's fiber-type variables
 
 
@@ -319,7 +284,7 @@ class Poly:
     def __init__(self, *args, **kwargs):
         raise TypeError(
             "build a Poly with parse_poly or Poly.zero, const, var, "
-            "fiber_monomial, from_fiber_parts or sum_of_products"
+            "from_fiber_parts or sum_of_products"
         )
 
     def __setattr__(self, *a):
@@ -367,19 +332,9 @@ class Poly:
 
     @classmethod
     def var(cls, chart, space, v: Var):
-        return cls._power(chart, space, _slot(chart, space, v), 1)
-
-    @classmethod
-    def _power(cls, chart, space, slot: int, exp: int):
         mono = [0] * (chart.base_dim + chart.fiber_rank)
-        mono[slot] = exp
+        mono[_slot(chart, space, v)] = 1
         return cls._raw(chart, space, {tuple(mono): 1})
-
-    @classmethod
-    def fiber_monomial(cls, chart, space, mi: MultiIndex):
-        """The monomial of the fiber-type variables of `space` indexed by mi
-        (u_mi or v_mi; 1 for the empty multi-index)."""
-        return cls.from_fiber_parts(chart, space, [(1, cls.const(chart, space, 1), mi)])
 
     @classmethod
     def from_fiber_parts(cls, chart, space, parts) -> "Poly":
@@ -655,20 +610,6 @@ class Poly:
         n = self.chart.base_dim
         terms = {mono: c for mono, c in self.terms.items() if not any(mono[n:])}
         return Poly._reduced(self.chart, self.space, terms, self.den)
-
-    def scale_fiber(self, t) -> "Poly":
-        """Substitute u -> t*u (the fiber-rescaling pull-back on functions)."""
-        t = Fraction(t)
-        n = self.chart.base_dim
-        degs = {mono: sum(mono[n:]) for mono in self.terms}
-        top = max(degs.values(), default=0)
-        numer, denom = t.numerator, t.denominator
-        terms = {}
-        for mono, c in self.terms.items():
-            scaled = c * numer ** degs[mono] * denom ** (top - degs[mono])
-            if scaled:
-                terms[mono] = scaled
-        return Poly._reduced(self.chart, self.space, terms, self.den * denom**top)
 
     def is_base_only(self) -> bool:
         n = self.chart.base_dim

@@ -6,9 +6,9 @@ the draws and checks of one trial; `run_suite` calls it once per trial on
 one seeded generator.  A failure names its identity and, as JSON
 documents, the operands that identity documents; a trial that raises a
 `FwlopError` is a failure of identity `raised`, with the error's
-`Type: message`.  Reports are deterministic functions of (suite, trials,
-seed, bounds).  The suite <-> invariant mapping is documented in the
-README.
+`Type: message`.  A `RequestTooLarge` is not: a size refusal ends the
+run.  Reports are deterministic functions of (suite, trials, seed,
+bounds).  The suite <-> invariant mapping is documented in the README.
 """
 
 from __future__ import annotations
@@ -24,10 +24,12 @@ from ._oracles import (
     _fwl_shape,
     _metric_determinant,
     _pairing,
+    _scale_fiber,
     _unshuffle_pair_bracket,
     _unshuffle_pair_product,
     _unshuffle_poisson,
     _wedge_coefficient,
+    all_multi_indices,
 )
 from .diffop import DiffOp, diffop_to_doc, nested_values
 from .lbundle import (
@@ -58,7 +60,7 @@ from .multivec import (
     poisson,
     sym_product,
 )
-from .errors import FwlopError, NotLinearizable, UnknownSuite
+from .errors import FwlopError, NotLinearizable, RequestTooLarge, UnknownSuite
 from .symcore import (
     EMPTY_MI,
     Chart,
@@ -68,7 +70,7 @@ from .symcore import (
     Var,
     VarKind,
     add_into,
-    all_multi_indices,
+    fiber_kind,
     parse_poly,
     poly_to_str,
 )
@@ -169,9 +171,7 @@ def _trial_recovery(s: _Session, rng, bounds):
     s.check("ring-associativity", (a + b) + c == a + (b + c), a=a, b=b, c=c)
     s.check("ring-commutativity", a * b == b * a, a=a, b=b)
     s.check("ring-distributivity", a * (b + c) == a * b + a * c, a=a, b=b, c=c)
-    variables = chart.vars_of(VarKind.BASE) + chart.vars_of(
-        rg.fiber_kind(space)
-    )
+    variables = chart.vars_of(VarKind.BASE) + chart.vars_of(fiber_kind(space))
     v, w = rng.choice(variables), rng.choice(variables)
     s.check(
         "partials-commute",
@@ -191,7 +191,7 @@ def _trial_recovery(s: _Session, rng, bounds):
         total = total + part
         if part.fiber_degree() != deg:
             homogeneous = False
-        if part.scale_fiber(5) != part.scale(Fraction(5) ** deg):
+        if _scale_fiber(part, 5) != part.scale(Fraction(5) ** deg):
             homogeneous = False
     s.check("decompose-sums", total == a, a=a)
     s.check("decompose-homogeneous", homogeneous, a=a)
@@ -210,7 +210,7 @@ def _trial_recovery(s: _Session, rng, bounds):
     conjugation = True
     for k, part in grades.items():
         regrouped = regrouped + part
-        lhs = part.apply(f.scale_fiber(1 / t)).scale_fiber(t)
+        lhs = _scale_fiber(part.apply(_scale_fiber(f, 1 / t)), t)
         rhs = part.apply(f).scale(t**k)
         if lhs != rhs:
             conjugation = False
@@ -813,6 +813,9 @@ def run_suite(name: str, trials: int, seed: int, bounds=None) -> VerifyReport:
     for session.trial in range(trials):
         try:
             SUITES[name](session, rng, bounds)
+        except RequestTooLarge:
+            # a size refusal is the request's, not a failing identity
+            raise
         except FwlopError as exc:
             # a domain error ends this trial, not the run; the next trial
             # draws on from wherever the generator stopped

@@ -559,6 +559,27 @@ def test_verify_accepts_small_bounds(capsys):
     assert "failures: 0" in out
 
 
+@pytest.mark.parametrize(
+    "suite, message",
+    [
+        ("dual-deriv", "the determinant size 15 exceeds the cap of 8"),
+        (
+            "pair-bracket",
+            "the table key count C(n+m+q-1, q) at n=1, m=10, q=4 exceeds the cap of 1000",
+        ),
+    ],
+)
+def test_verify_refuses_a_trial_over_an_oracle_cap(capsys, suite, message):
+    # bounds under the verify cap can still draw an oracle input over its own
+    # cap: that refuses the request (exit 1), not a failing identity (exit 2)
+    code, out, err = run(
+        capsys, "verify", "--suite", suite, "--trials", "2", "--seed", "1",
+        "--bounds", "1,20,1",
+    )
+    assert (code, out) == (1, "")
+    assert err == f"RequestTooLarge: {message}\n"
+
+
 # Inputs the CLI fuzz test found escaping `main` as Python exceptions.
 
 

@@ -29,8 +29,8 @@ from fwlop.errors import (
     MAX_CHART_DIM,
     MAX_LAPLACIAN_DIM,
     MAX_VERIFY_TABLE_KEYS,
+    multi_index_count,
 )
-from fwlop.symcore import multi_index_count
 
 # Values that break a document field of any type.
 BAD_VALUES = [None, True, False, -1, 0, 7, 1.5, "x", "", [], {}, [True], "x1 +", "w1"]

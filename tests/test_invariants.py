@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import fwlop
 from fwlop import _oracles, diffop, lbundle, linearize, multivec, verify
 from fwlop.cli import main
 from fwlop.diffop import DiffOp, diffop_from_doc
@@ -49,13 +50,17 @@ def test_no_assert_or_assertion_error_in_the_package(path):
 # The same holds for the cofactor determinant: the library's Laplacian
 # forms none, and verify expands the split metric's; and for the
 # normal-form shape tests, which the library's classification, a weight
-# test, does not repeat.
+# test, does not repeat; for the fiber rescaling, against which verify
+# checks fiber degrees and weights; and for the basis enumeration, where
+# the library walks only live words.
 REFERENCE_HOMES = {
     "_det": {"_oracles.py"},
     "unshuffles": {"_oracles.py"},
     "_recover_table": {"_oracles.py"},
     "_fwl_shape": {"_oracles.py", "verify.py"},
     "_core_shape": {"_oracles.py", "verify.py"},
+    "_scale_fiber": {"_oracles.py", "verify.py"},
+    "all_multi_indices": {"_oracles.py", "verify.py"},
 }
 
 
@@ -78,6 +83,44 @@ def test_recovery_helpers_are_referenced_only_from_their_homes(path):
         if name in names and path.name not in homes
     ]
     assert strays == []
+
+
+# The modules of the constructions and the CLI: a symcore name that none of
+# them references is not the library's.
+CONSTRUCTIONS = ["symcore", "diffop", "multivec", "lbundle", "linearize", "cli"]
+# symcore names kept without such a caller, each with its reason.
+UNCALLED_IN_SYMCORE = {
+    # bench/spans.py wraps it by name for the symcore.partial span
+    "Poly.partial_multi",
+}
+
+
+def test_symcore_holds_only_what_the_constructions_call():
+    """Every top-level function and method that symcore defines (dunders
+    aside, which Python calls) is referenced from a construction module or
+    the CLI, or exported in `fwlop.__all__`.  A method counts as referenced
+    when any attribute of its name is."""
+    referenced = set()
+    for name in CONSTRUCTIONS:
+        text = (SRC / f"{name}.py").read_text(encoding="utf-8")
+        referenced.update(_referenced_names(ast.parse(text)))
+    defined = []
+    for node in ast.parse((SRC / "symcore.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef):
+            defined.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            defined.extend(
+                f"{node.name}.{inner.name}"
+                for inner in node.body
+                if isinstance(inner, ast.FunctionDef)
+                and not (inner.name.startswith("__") and inner.name.endswith("__"))
+            )
+    uncalled = {
+        name
+        for name in defined
+        if name.rpartition(".")[2] not in referenced and name not in fwlop.__all__
+    }
+    assert uncalled == UNCALLED_IN_SYMCORE
 
 
 def test_invariant_violation_is_raised_only_by_a_iso():

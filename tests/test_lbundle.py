@@ -12,6 +12,7 @@ from fwlop._oracles import (
     _unshuffle_pair_bracket,
     _unshuffle_pair_product,
     _wedge_coefficient,
+    all_multi_indices,
 )
 from fwlop.diffop import DiffOp, nested_values
 from fwlop.errors import (
@@ -65,7 +66,6 @@ from fwlop.symcore import (
     Space,
     Var,
     VarKind,
-    all_multi_indices,
     parse_poly,
 )
 from fwlop.verify import _rand_frame_derivation
@@ -327,7 +327,8 @@ def test_pair_derivation_bijection():
     # a derivation goes back to its pair through a_inverse and the
     # bundle-map path of a_iso
     def to_pair(d, q):
-        return _a_iso_pair(a_inverse(d, q), q)
+        op = a_inverse(d, q)
+        return _a_iso_pair(op, q, op.symbol_at(q))
 
     rng = random.Random(53)
     for _ in range(20):
@@ -386,8 +387,6 @@ def test_a_iso_work_counts(monkeypatch):
     import fwlop.lbundle as lb
     import fwlop.multivec as mv
 
-    with pytest.raises(NotFWL):
-        lb._a_iso_pair(DiffOp.monomial(P("1"), EMPTY_MI, MultiIndex([1, 1])), 2)
     # one whole a_iso call at chart (2,2) and q = 3, with 3 basis indices C:
     # the symbol built once and shared by the field and the bundle path, P
     # not checked FWL again (the operand's FWL test covers it), no
@@ -552,7 +551,7 @@ def test_a_iso_pair_matches_the_basis_walk():
         chart = Chart(rng.randint(1, 3), rng.randint(1, 3))
         q = rng.randint(1, 4)
         op = rand_fwl_op(rng, chart, BOUNDS, q)
-        rho = _a_iso_pair(op, q).rho
+        rho = _a_iso_pair(op, q, op.symbol_at(q)).rho
         assert rho == _a_iso_rho_by_basis_walk(op, q)
         nonzero += not rho.is_zero()
     assert nonzero >= 40
@@ -560,7 +559,7 @@ def test_a_iso_pair_matches_the_basis_walk():
     # 100 that a_iso once had
     for _ in range(3):
         op = rand_fwl_op(rng, Chart(1, 5), BOUNDS, 6)
-        assert _a_iso_pair(op, 6).rho == _a_iso_rho_by_basis_walk(op, 6)
+        assert _a_iso_pair(op, 6, op.symbol_at(6)).rho == _a_iso_rho_by_basis_walk(op, 6)
 
 
 def test_a_iso_lie_morphism():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from fwlop._oracles import all_multi_indices
 from fwlop.diffop import DiffOp, nested_values
 from fwlop.errors import NotLinearizable, OrderExceeded, SpaceMismatch
 from fwlop.linearize import (
@@ -34,7 +35,6 @@ from fwlop.symcore import (
     Space,
     Var,
     VarKind,
-    all_multi_indices,
     parse_poly,
 )
 

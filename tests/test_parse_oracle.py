@@ -2,7 +2,8 @@
 replaced.
 
 `_Parser` below is the earlier `fwlop.symcore` parser, kept verbatim as the
-reference.  On seeded strings (printed random polynomials with one random
+reference but for `_power`, which builds the power of one variable that it
+reads.  On seeded strings (printed random polynomials with one random
 edit, and random strings over the grammar's characters mixed with Unicode
 spaces and digits) both parsers must give the same polynomial, or the same
 error type, message and offset.  Where the reference escapes with a bare
@@ -27,6 +28,14 @@ from fwlop.symcore import (
     parse_poly,
     poly_to_str,
 )
+
+
+def _power(chart, space, slot: int, exp: int) -> Poly:
+    """The monomial of one variable, given by its slot, to the power exp."""
+    mono = [0] * (chart.base_dim + chart.fiber_rank)
+    mono[slot] = exp
+    return Poly._raw(chart, space, {tuple(mono): 1})
+
 
 class _Parser:
     def __init__(self, text: str, chart: Chart, space: Space):
@@ -105,7 +114,7 @@ class _Parser:
             exp = 1
             if self.take("^"):
                 exp = self.nat()
-            return Poly._power(self.chart, self.space, slot, exp)
+            return _power(self.chart, self.space, slot, exp)
         if ch.isdigit() or ch == "-":
             negate = self.take("-")
             numer = self.digits()

@@ -9,13 +9,14 @@ from operator import add, le, mul, sub
 
 import pytest
 
-from fwlop._oracles import unshuffles
+from fwlop._oracles import _scale_fiber, all_multi_indices, unshuffles
 from fwlop.errors import (
     ChartMismatch,
     IndexOutOfRange,
     PolySyntaxError,
     SpaceMismatch,
     UnknownVariable,
+    multi_index_count,
 )
 from fwlop.randgen import Bounds, rand_chart, rand_poly
 from fwlop.symcore import (
@@ -28,9 +29,7 @@ from fwlop.symcore import (
     _sub_multisets,
     _sum_products,
     add_into,
-    all_multi_indices,
     fiber_kind,
-    multi_index_count,
     parse_poly,
     poly_to_str,
 )
@@ -280,8 +279,8 @@ def test_multi_index_count_matches_the_enumeration():
 
 def test_scale_fiber():
     p = P("x1 + u1*x2 + u1*u2")
-    assert p.scale_fiber(2) == P("x1 + 2*u1*x2 + 4*u1*u2")
-    assert p.scale_fiber(0) == P("x1")
+    assert _scale_fiber(p, 2) == P("x1 + 2*u1*x2 + 4*u1*u2")
+    assert _scale_fiber(p, 0) == P("x1")
 
 
 def test_substitute():
@@ -465,7 +464,7 @@ def test_decomposition_randomized():
             total = total + part
             assert part.fiber_degree() == deg
             for t in (Fraction(2), Fraction(-1, 3)):
-                assert part.scale_fiber(t) == part.scale(t**deg)
+                assert _scale_fiber(part, t) == part.scale(t**deg)
         assert total == a
 
 
@@ -504,8 +503,13 @@ def _split_by_vars(p, space):
     return out
 
 
+def _fiber_monomial(chart, space, mi):
+    """The fiber monomial u_mi (v_mi on Estar): one `from_fiber_parts` call."""
+    return Poly.from_fiber_parts(chart, space, [(1, Poly.const(chart, space, 1), mi)])
+
+
 def _monomial_by_vars(chart, space, mi):
-    """The Var/Fraction construction that `fiber_monomial` replaced."""
+    """The Var/Fraction construction of the fiber monomial u_mi."""
     mono = tuple((Var(fiber_kind(space), a), e) for a, e in mi.multiplicities().items())
     return from_vars(chart, space, {mono: 1})
 
@@ -525,7 +529,7 @@ def test_fiber_parts_match_the_var_reading(space, target):
         assert all(c.is_base_only() and c.space is target for c in parts.values())
         total = Poly.zero(chart, space)
         for mi, c in parts.items():
-            total = total + c.with_space(space) * Poly.fiber_monomial(chart, space, mi)
+            total = total + c.with_space(space) * _fiber_monomial(chart, space, mi)
         assert total == p
 
 
@@ -552,14 +556,14 @@ def test_fiber_monomial_matches_the_var_construction(space):
     chart = Chart(2, 3)
     for length in range(4):
         for mi in all_multi_indices(chart.fiber_rank, length):
-            mono = Poly.fiber_monomial(chart, space, mi)
+            mono = _fiber_monomial(chart, space, mi)
             assert mono == _monomial_by_vars(chart, space, mi)
             assert mono.fiber_degree() == length and mono.space is space
     one = Poly.const(chart, space, 1)
-    assert Poly.fiber_monomial(chart, space, MultiIndex()) == one
+    assert _fiber_monomial(chart, space, MultiIndex()) == one
     for bad in ([4], [1, 4], [0]):
         with pytest.raises(IndexOutOfRange):
-            Poly.fiber_monomial(chart, space, MultiIndex(bad))
+            _fiber_monomial(chart, space, MultiIndex(bad))
         with pytest.raises(IndexOutOfRange):
             _monomial_by_vars(chart, space, MultiIndex(bad))
 
