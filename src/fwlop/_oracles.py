@@ -22,7 +22,9 @@ fiber rescaling u -> t*u, which multiplies the part of each fiber
 monomial u^B by t^|B|, is the definition of the fiber degree and of an
 operator's weight that verify checks the library's readings against.
 `all_multi_indices` enumerates the basis words that the table recovery
-and verify's symbol test walk, where the library walks only live ones.
+and verify's symbol test walk, where the library walks only live ones, and
+`vars_of` lists a chart's coordinates of one kind, which the recovery and
+verify's draws evaluate on, where the library names a variable by its slot.
 """
 
 from __future__ import annotations
@@ -55,6 +57,13 @@ def all_multi_indices(alphabet_size: int, length: int):
         range(1, alphabet_size + 1), length
     ):
         yield MultiIndex(combo)
+
+
+def vars_of(chart, kind: VarKind) -> list:
+    """The coordinates of `kind` on chart: x1..xn, or the fiber-type
+    u1..um or v1..vm."""
+    bound = chart.base_dim if kind is VarKind.BASE else chart.fiber_rank
+    return [Var(kind, i) for i in range(1, bound + 1)]
 
 
 def _scale_fiber(p: Poly, t) -> Poly:
@@ -114,8 +123,8 @@ def _recover_table(chart, space, q, value_fn) -> dict:
         multi_index_count(n + m, q, MAX_TABLE_KEYS),
         MAX_TABLE_KEYS,
     )
-    base = [Poly.var(chart, space, v) for v in chart.vars_of(VarKind.BASE)]
-    fiber = [Poly.var(chart, space, v) for v in chart.vars_of(fiber_kind(space))]
+    base = [Poly.var(chart, space, v) for v in vars_of(chart, VarKind.BASE)]
+    fiber = [Poly.var(chart, space, v) for v in vars_of(chart, fiber_kind(space))]
     terms = {}
     for nb in range(q + 1):
         for mi_b in all_multi_indices(n, nb):

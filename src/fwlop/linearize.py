@@ -32,20 +32,18 @@ from .errors import (
     SpaceMismatch,
 )
 from .multivec import SymMultivector
-from .symcore import Poly, Space, Var, VarKind
+from .symcore import EMPTY_MI, Poly, Space
 
 
 def linearize_function(f: Poly) -> Poly:
     """First-order transverse part of a function vanishing on {u = 0}."""
     if f.space is not Space.AMBIENT:
         raise SpaceMismatch("function linearization expects ambient data")
-    if not f.restrict_fiber_zero().is_zero():
+    parts = f.fiber_parts(Space.E)
+    if EMPTY_MI in parts:
         raise NotLinearizable("function does not vanish on the submanifold")
-    parts = [
-        (1, f.partial(Var(VarKind.FIBER, a)).restrict_fiber_zero(), (a,))
-        for a in range(1, f.chart.fiber_rank + 1)
-    ]
-    return Poly.from_fiber_parts(f.chart, Space.E, parts)
+    linear = [(1, c, mi) for mi, c in parts.items() if len(mi) == 1]
+    return Poly.from_fiber_parts(f.chart, Space.E, linear)
 
 
 def is_linearizable_multivector(p: SymMultivector) -> bool:
@@ -67,28 +65,37 @@ def linearize_multivector(p: SymMultivector) -> SymMultivector:
     """
     if not is_linearizable_multivector(p):
         raise NotLinearizable("a pure-fiber top coefficient survives at u = 0")
+    return SymMultivector(p.chart, Space.E, p.q, _linearized_terms(p))
+
+
+def _linearized_terms(p: SymMultivector) -> dict:
+    """`linearize_multivector`'s table of a multivector its caller has
+    already found linearizable; zero coefficients are left for the
+    constructor to drop."""
     terms = {}
     for key, coeff in p.terms.items():
         if len(key[0]) == 1:
             terms[key] = coeff.restrict_fiber_zero().with_space(Space.E)
         elif len(key[0]) == 0:
             terms[key] = linearize_function(coeff)
-    return SymMultivector(p.chart, Space.E, p.q, terms)
+    return terms
+
+
+def _checked_order(op: DiffOp, q: int):
+    """The order of an ambient operator of order at most q."""
+    if op.space is not Space.AMBIENT:
+        raise SpaceMismatch("linearizability is asked of ambient operators")
+    order = op.order()
+    if order is not None and order > q:
+        raise OrderExceeded(f"operator has order {order} > {q}")
+    return order
 
 
 def is_order_q_linearizable(op: DiffOp, q: int) -> bool:
     """Operators of order below q always pass; at order q the level-q
     table must be a linearizable multivector."""
-    if op.space is not Space.AMBIENT:
-        raise SpaceMismatch("linearizability is asked of ambient operators")
-    order = op.order()
-    if order is None:
-        return True
-    if order > q:
-        raise OrderExceeded(f"operator has order {order} > {q}")
-    if order < q:
-        return True
-    return is_linearizable_multivector(op.symbol_at(q))
+    order = _checked_order(op, q)
+    return order is None or order < q or is_linearizable_multivector(op.symbol_at(q))
 
 
 def linearize_do(op: DiffOp, q: int) -> DiffOp:
@@ -107,9 +114,11 @@ def linearize_do(op: DiffOp, q: int) -> DiffOp:
     q-1 shifts leave none of length 0, and that value is zero.  The result
     is FWL of order q, which verify's `linearization-fwl` checks.
     """
-    if not is_order_q_linearizable(op, q):
+    _checked_order(op, q)
+    symbol = op.symbol_at(q)
+    if not is_linearizable_multivector(symbol):
         raise NotLinearizable(f"operator is not order-{q} linearizable")
-    terms = dict(linearize_multivector(op.symbol_at(q)).terms)
+    terms = _linearized_terms(symbol)
     for (mi_b, mi_f), coeff in op.terms.items():
         if not mi_b and len(mi_f) == q - 1:
             terms[mi_b, mi_f] = coeff.restrict_fiber_zero().with_space(Space.E)

@@ -42,10 +42,8 @@ from .symcore import (
     MultiIndex,
     Poly,
     Space,
-    VarKind,
     _sum_products,
     _term_partial,
-    add_into,
 )
 
 
@@ -352,9 +350,12 @@ def fwl_metric_laplacian(chart: Chart, gamma) -> DiffOp:
 
         2 sum_i d_xi d_ui + sum_ij B_ij d_ui d_uj + sum_ij (d_ui B_ij) d_uj,
 
-    FWL of order 2.  No determinant is formed.  That the result is FWL and
-    that det g = (-1)^n are identities of verify's `laplacian` suite.  The
-    chart is checked by `check_laplacian_chart` before Gamma is read.
+    FWL of order 2.  Its coefficients are read off Gamma's table as fiber
+    parts: B_ij = 2 sum_k Gamma^k_ij u_k and d_ui B_ij = 2 Gamma^i_ij, one
+    `Poly.from_fiber_parts` per key, with no product, no derivative and no
+    determinant.  That the result is FWL and that det g = (-1)^n are
+    identities of verify's `laplacian` suite.  The chart is checked by
+    `check_laplacian_chart` before Gamma is read.
     """
     check_laplacian_chart(chart)
     n = chart.base_dim
@@ -371,29 +372,19 @@ def fwl_metric_laplacian(chart: Chart, gamma) -> DiffOp:
         if table.get((k, j, i), zero) != coeff:
             raise AsymmetricGamma(f"Gamma^{k}_{{{i}{j}}} != Gamma^{k}_{{{j}{i}}}")
 
-    # A and B are symmetric with Gamma: one sum of products per entry of A
-    # on and above the diagonal.
-    fiber = chart.vars_of(VarKind.FIBER)
-    u = [Poly.var(chart, Space.E, v) for v in fiber]
-    b = {}
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            products = [
-                (-2, table[k, i, j], u[k - 1]) for k in range(1, n + 1) if (k, i, j) in table
-            ]
-            a_ij = Poly.sum_of_products(chart, Space.E, products)
-            b[i, j] = b[j, i] = -a_ij
-
+    # B = 2 Gamma.u, symmetric with Gamma: an entry at i <= j is a part of
+    # the d_ui d_uj coefficient B_ij (twice that off the diagonal), and an
+    # entry at k = i one of d/du_i B_ij = 2 Gamma^i_ij, that of d_uj.
+    pieces = {}
+    for (k, i, j), coeff in table.items():
+        if i <= j:
+            key = (EMPTY_MI, MultiIndex._sorted((i, j)))
+            pieces.setdefault(key, []).append((2 if i == j else 4, coeff, (k,)))
+        if k == i:
+            key = (EMPTY_MI, MultiIndex._sorted((j,)))
+            pieces.setdefault(key, []).append((2, coeff, EMPTY_MI))
     two = Poly.const(chart, Space.E, 2)
-    terms = {}
-    for i in range(1, n + 1):
-        mi = MultiIndex([i])
-        terms[(mi, mi)] = two
-        for j in range(1, n + 1):
-            if not b[i, j].terms:
-                continue
-            if i <= j:
-                terms[(EMPTY_MI, MultiIndex([i, j]))] = b[i, j] if i == j else b[i, j].scale(2)
-            add_into(terms, (EMPTY_MI, MultiIndex([j])), b[i, j].partial(fiber[i - 1]))
-    return DiffOp(chart, Space.E, terms)
+    terms = {(MultiIndex([i]), MultiIndex([i])): two for i in range(1, n + 1)}
+    terms.update(_sum_pieces(chart, Space.E, pieces, Poly.from_fiber_parts))
+    return DiffOp._raw(chart, Space.E, terms)
 

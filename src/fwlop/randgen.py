@@ -26,7 +26,6 @@ from .symcore import (
     Var,
     VarKind,
     add_into,
-    fiber_kind,
 )
 
 
@@ -198,12 +197,11 @@ def rand_section(rng, chart, bounds, space=Space.E) -> Poly:
     """A section of E* (on E) or of E (on the dual space) as its
     fiber-linear function there: base-only components, drawn in frame
     order, times the fiber-type coordinates."""
-    kind = fiber_kind(space)
-    products = []
-    for a in range(1, chart.fiber_rank + 1):
-        comp = rand_poly(rng, chart, space, bounds, base_only=True)
-        products.append((1, comp, Poly.var(chart, space, Var(kind, a))))
-    return Poly.sum_of_products(chart, space, products)
+    parts = [
+        (1, rand_poly(rng, chart, space, bounds, base_only=True), (a,))
+        for a in range(1, chart.fiber_rank + 1)
+    ]
+    return Poly.from_fiber_parts(chart, space, parts)
 
 
 def rand_fwl_pair(rng, chart, bounds, q: int) -> LPair:

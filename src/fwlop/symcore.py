@@ -20,18 +20,18 @@ the one summation kernel, adds up k * a * b over a list of products of
 such term lists as integer numerators over one common denominator and
 reduces once.  Every Leibniz, bracket and product sum goes through it:
 composition, commutators and `DiffOp.apply`, the Poisson bracket and the
-symmetric product, and the bracket and product of line-bundle pairs.
-`Poly.sum_of_products` is its checked public wrapper.  Three more methods
-serve the table algebra and the crossings between a space and its dual:
-`max_exponents` gives each variable's largest exponent, past which a
-derivative is zero; `fiber_parts` splits a polynomial by the monomial of
-its fiber-type variables into base-only parts, and `from_fiber_parts`,
-the crossing constructor, is its inverse: it moves each part's exponents
-next to a multi-index's fiber exponents, with no product.  There is no
-second view of the terms: polynomials are built by `parse_poly`,
-`Poly.zero`, `Poly.const`, `Poly.var`, `Poly.from_fiber_parts`,
-`Poly.sum_of_products` and `_sum_products`, and read by the methods and
-`poly_to_str`.
+symmetric product, the bracket and product of line-bundle pairs, and
+`Poly * Poly`.  Three more methods serve the table algebra and the
+crossings between a space and its dual: `max_exponents` gives each
+variable's largest exponent, past which a derivative is zero;
+`fiber_parts` splits a polynomial by the monomial of its fiber-type
+variables into base-only parts, and `from_fiber_parts`, the one
+constructor of a sum of base-only parts times fiber monomials, is its
+inverse: it moves each part's exponents next to a multi-index's fiber
+exponents, with no product.  There is no second view of the terms:
+polynomials are built by `parse_poly`, `Poly.zero`, `Poly.const`,
+`Poly.var`, `Poly.from_fiber_parts` and `_sum_products`, and read by the
+methods and `poly_to_str`.
 
 Variables are tagged by kind: base coordinates x1..xn, fiber coordinates
 u1..um on the total space (or transverse coordinates on an ambient chart),
@@ -117,10 +117,6 @@ class Chart:
     def __post_init__(self):
         if self.base_dim < 1 or self.fiber_rank < 1:
             raise ChartMismatch("chart dimensions must be >= 1")
-
-    def vars_of(self, kind: VarKind):
-        bound = self.base_dim if kind is VarKind.BASE else self.fiber_rank
-        return [Var(kind, i) for i in range(1, bound + 1)]
 
 
 class MultiIndex(tuple):
@@ -283,8 +279,8 @@ class Poly:
 
     def __init__(self, *args, **kwargs):
         raise TypeError(
-            "build a Poly with parse_poly or Poly.zero, const, var, "
-            "from_fiber_parts or sum_of_products"
+            "build a Poly with parse_poly or Poly.zero, const, var "
+            "or from_fiber_parts"
         )
 
     def __setattr__(self, *a):
@@ -372,27 +368,6 @@ class Poly:
         if 0 in terms.values():
             terms = {mono: c for mono, c in terms.items() if c}
         return cls._reduced(chart, space, terms, den)
-
-    @classmethod
-    def sum_of_products(cls, chart, space, products) -> "Poly":
-        """Sum of k * a * b over the list `products` of (k, a, b), k an
-        integer and a, b polynomials on chart/space: the checked wrapper
-        of the summation kernel `_sum_products`, which gets each operand's
-        terms and denominator as they are stored."""
-        lists = []
-        for k, a, b in products:
-            if not isinstance(k, int):
-                raise TypeError(f"a product's factor must be an int, not {k!r}")
-            if (a.chart is not chart and a.chart != chart) or (
-                b.chart is not chart and b.chart != chart
-            ):
-                raise ChartMismatch(f"{a.chart} * {b.chart} vs {chart}")
-            if a.space is not space or b.space is not space:
-                raise SpaceMismatch(
-                    f"{a.space.value} * {b.space.value} vs {space.value}"
-                )
-            lists.append((k, a.terms.items(), a.den, b.terms.items(), b.den))
-        return _sum_products(chart, space, lists)
 
     def _check_compatible(self, other: "Poly"):
         if self.chart is not other.chart and self.chart != other.chart:
@@ -669,8 +644,8 @@ def _sum_products(chart, space, products) -> Poly:
     Every product is scaled onto the least common denominator of the
     products' denominators, so the numerators add up as integers in one
     table, and the sum is reduced once: no polynomial is built per
-    product, per partial or per partial sum.  Nothing is checked;
-    `Poly.sum_of_products` is the checked wrapper."""
+    product, per partial or per partial sum.  Nothing is checked: the
+    callers pass the terms of operands they have already checked."""
     den = 1
     for _, _, da, _, db in products:
         d = da * db

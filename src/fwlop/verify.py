@@ -30,6 +30,7 @@ from ._oracles import (
     _unshuffle_poisson,
     _wedge_coefficient,
     all_multi_indices,
+    vars_of,
 )
 from .diffop import DiffOp, diffop_to_doc, nested_values
 from .lbundle import (
@@ -78,6 +79,8 @@ from .symcore import (
 
 @dataclass
 class VerifyReport:
+    """One suite run: what it has checked so far and what failed."""
+
     suite: str
     trials: int
     seed: int
@@ -86,10 +89,25 @@ class VerifyReport:
     executed: dict = field(default_factory=dict)
     # {identity: how many of those checks had a zero operand}, same keys
     vacuous: dict = field(default_factory=dict)
+    # the trial being run, which `run_suite` sets and a failure records
+    trial: int = 0
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    def check(self, identity: str, ok: bool, **docs):
+        self.executed[identity] = self.executed.get(identity, 0) + 1
+        zero = any(map(_is_zero, docs.values()))
+        self.vacuous[identity] = self.vacuous.get(identity, 0) + zero
+        if not ok:
+            self.failures.append(
+                {
+                    "trial": self.trial,
+                    "identity": identity,
+                    "counterexample": {k: _doc(v) for k, v in sorted(docs.items())},
+                }
+            )
 
     def lines(self):
         import json
@@ -105,28 +123,6 @@ class VerifyReport:
             doc = json.dumps(failure["counterexample"], sort_keys=True)
             out.append(f"    counterexample: {doc}")
         return out
-
-
-class _Session:
-    """What one suite run has checked so far; `run_suite` sets `trial`."""
-
-    def __init__(self):
-        self.failures = []
-        self.executed = {}
-        self.vacuous = {}
-
-    def check(self, identity: str, ok: bool, **docs):
-        self.executed[identity] = self.executed.get(identity, 0) + 1
-        zero = any(map(_is_zero, docs.values()))
-        self.vacuous[identity] = self.vacuous.get(identity, 0) + zero
-        if not ok:
-            self.failures.append(
-                {
-                    "trial": self.trial,
-                    "identity": identity,
-                    "counterexample": {k: _doc(v) for k, v in sorted(docs.items())},
-                }
-            )
 
 
 def _is_zero(obj) -> bool:
@@ -161,7 +157,7 @@ def _doc(obj):
 # ---------------------------------------------------------------------------
 
 
-def _trial_recovery(s: _Session, rng, bounds):
+def _trial_recovery(s: VerifyReport, rng, bounds):
     """Operator table recovery, polynomial ring axioms, grading coherence."""
     chart = rg.rand_chart(rng, bounds)
     space = rng.choice([Space.E, Space.ESTAR, Space.AMBIENT])
@@ -171,7 +167,7 @@ def _trial_recovery(s: _Session, rng, bounds):
     s.check("ring-associativity", (a + b) + c == a + (b + c), a=a, b=b, c=c)
     s.check("ring-commutativity", a * b == b * a, a=a, b=b)
     s.check("ring-distributivity", a * (b + c) == a * b + a * c, a=a, b=b, c=c)
-    variables = chart.vars_of(VarKind.BASE) + chart.vars_of(fiber_kind(space))
+    variables = vars_of(chart, VarKind.BASE) + vars_of(chart, fiber_kind(space))
     v, w = rng.choice(variables), rng.choice(variables)
     s.check(
         "partials-commute",
@@ -218,7 +214,7 @@ def _trial_recovery(s: _Session, rng, bounds):
     s.check("grade-conjugation", conjugation, op=graded, f=f, t=t)
 
 
-def _trial_symbol_bracket(s: _Session, rng, bounds):
+def _trial_symbol_bracket(s: VerifyReport, rng, bounds):
     """Symbol/Poisson compatibility, commutator and bracket Jacobi laws."""
     chart = rg.rand_chart(rng, bounds)
     space = rng.choice([Space.E, Space.ESTAR])
@@ -285,7 +281,7 @@ def _trial_symbol_bracket(s: _Session, rng, bounds):
     s.check("hamiltonian-lie-morphism", lhs == rhs, p1=pa, p2=pb)
 
 
-def _trial_stabilizer(s: _Session, rng, bounds):
+def _trial_stabilizer(s: VerifyReport, rng, bounds):
     """Stabilizer characterization, abelian core, generation of FWL operators."""
     chart = rg.rand_chart(rng, bounds)
     q = rng.randint(1, bounds.order_max)
@@ -357,7 +353,7 @@ def _regenerate_fwl(chart: Chart, op: DiffOp, q: int) -> DiffOp:
     return out
 
 
-def _trial_exact_seq(s: _Session, rng, bounds):
+def _trial_exact_seq(s: VerifyReport, rng, bounds):
     """Kernel/core identification, surjectivity onto homogeneous fields,
     and the multivector exact-sequence shape."""
     chart = rg.rand_chart(rng, bounds)
@@ -425,8 +421,8 @@ def _symbol_vanishes(p: SymMultivector) -> bool:
     """l_P is zero on every tuple of dual basis sections u_C and coordinate."""
     _require_fwl(p)
     chart = p.chart
-    u = [Poly.var(chart, Space.E, v) for v in chart.vars_of(VarKind.FIBER)]
-    xs = [Poly.var(chart, Space.E, v) for v in chart.vars_of(VarKind.BASE)]
+    u = [Poly.var(chart, Space.E, v) for v in vars_of(chart, VarKind.FIBER)]
+    xs = [Poly.var(chart, Space.E, v) for v in vars_of(chart, VarKind.BASE)]
     return all(
         multiderivation_l(p, *(u[a - 1] for a in c_idx), x).is_zero()
         for c_idx in all_multi_indices(chart.fiber_rank, p.q - 1)
@@ -434,7 +430,7 @@ def _symbol_vanishes(p: SymMultivector) -> bool:
     )
 
 
-def _trial_iso_a(s: _Session, rng, bounds):
+def _trial_iso_a(s: VerifyReport, rng, bounds):
     """Round trips, bracket and module morphisms, anchor, generator cases."""
     chart = rg.rand_chart(rng, bounds)
     q = rng.randint(1, bounds.order_max)
@@ -496,7 +492,7 @@ def _trial_iso_a(s: _Session, rng, bounds):
     phi = rg.rand_section(rng, chart, bounds)
     expected = {
         (EMPTY_MI, MultiIndex([a])): -phi.partial(u).with_space(Space.ESTAR)
-        for a, u in enumerate(chart.vars_of(VarKind.FIBER), start=1)
+        for a, u in enumerate(vars_of(chart, VarKind.FIBER), start=1)
     }
     s.check(
         "generator-function",
@@ -523,7 +519,7 @@ def _trial_iso_a(s: _Session, rng, bounds):
     s.check("generator-field", a_iso(lin, 1) == expected, op=lin)
 
 
-def _trial_pair_bracket(s: _Session, rng, bounds):
+def _trial_pair_bracket(s: VerifyReport, rng, bounds):
     """Rank-1 bundle multivector Poisson algebra and its two projections."""
     chart = rg.rand_chart(rng, bounds)
     q1, q2 = rng.randint(1, 2), rng.randint(1, 2)
@@ -589,7 +585,7 @@ def _trial_pair_bracket(s: _Session, rng, bounds):
     )
 
 
-def _trial_dual_deriv(s: _Session, rng, bounds):
+def _trial_dual_deriv(s: VerifyReport, rng, bounds):
     """Frame derivation duality, top-power action, derivation commutators.
 
     A frame derivation is its linear vector field on the dual space, so it
@@ -645,7 +641,7 @@ def _rand_frame_derivation(rng, chart, bounds) -> DiffOp:
     for i in range(1, chart.base_dim + 1):
         x_i = rg.rand_poly(rng, chart, Space.ESTAR, bounds, base_only=True)
         add_into(terms, (MultiIndex([i]), EMPTY_MI), x_i)
-    v = [Poly.var(chart, Space.ESTAR, w) for w in chart.vars_of(VarKind.DUAL_FIBER)]
+    v = [Poly.var(chart, Space.ESTAR, w) for w in vars_of(chart, VarKind.DUAL_FIBER)]
     for v_a in v:
         for b in range(1, chart.fiber_rank + 1):
             a_ab = rg.rand_poly(rng, chart, Space.ESTAR, bounds, base_only=True)
@@ -653,7 +649,7 @@ def _rand_frame_derivation(rng, chart, bounds) -> DiffOp:
     return DiffOp(chart, Space.ESTAR, terms)
 
 
-def _trial_laplacian(s: _Session, rng, bounds):
+def _trial_laplacian(s: VerifyReport, rng, bounds):
     """Split-metric determinant and the FWL classification of its Laplacian;
     the fixed flat case is trial 0's first check, made before any draw."""
     if s.trial == 0:
@@ -672,7 +668,7 @@ def _trial_laplacian(s: _Session, rng, bounds):
     s.check("metric-determinant", det == unit, gamma=gamma, n=n)
 
 
-def _trial_lin_fn(s: _Session, rng, bounds):
+def _trial_lin_fn(s: VerifyReport, rng, bounds):
     """Function linearization: linearity, the product rule, error cases."""
     chart = rg.rand_chart(rng, bounds)
     f = rg.rand_linearizable_function(rng, chart, bounds)
@@ -703,7 +699,7 @@ def _trial_lin_fn(s: _Session, rng, bounds):
         pass
 
 
-def _trial_lin_mv(s: _Session, rng, bounds):
+def _trial_lin_mv(s: VerifyReport, rng, bounds):
     """Multivector linearization: defining identity and bracket preservation."""
     chart = rg.rand_chart(rng, bounds)
     q = rng.randint(1, 2)
@@ -732,7 +728,7 @@ def _trial_lin_mv(s: _Session, rng, bounds):
     )
 
 
-def _trial_lin_do(s: _Session, rng, bounds):
+def _trial_lin_do(s: VerifyReport, rng, bounds):
     """Operator linearization: commutator preservation, representative
     independence, symbol consistency."""
     chart = rg.rand_chart(rng, bounds)
@@ -775,7 +771,7 @@ def _trial_lin_do(s: _Session, rng, bounds):
     )
 
 
-def _trial_zero_section(s: _Session, rng, bounds):
+def _trial_zero_section(s: VerifyReport, rng, bounds):
     """FWL operators are fixed points of their own linearization."""
     chart = rg.rand_chart(rng, bounds)
     q = rng.randint(1, bounds.order_max)
@@ -809,21 +805,19 @@ def run_suite(name: str, trials: int, seed: int, bounds=None) -> VerifyReport:
         raise UnknownSuite(f"unknown suite {name!r}; pick one of {sorted(SUITES)} or 'all'")
     bounds = bounds or rg.Bounds()
     rng = random.Random(f"{seed}/{name}")
-    session = _Session()
-    for session.trial in range(trials):
+    report = VerifyReport(name, trials, seed)
+    for report.trial in range(trials):
         try:
-            SUITES[name](session, rng, bounds)
+            SUITES[name](report, rng, bounds)
         except RequestTooLarge:
             # a size refusal is the request's, not a failing identity
             raise
         except FwlopError as exc:
             # a domain error ends this trial, not the run; the next trial
             # draws on from wherever the generator stopped
-            session.check("raised", False, error=f"{type(exc).__name__}: {exc}")
-    session.failures.sort(key=lambda f: (f["trial"], f["identity"]))
-    return VerifyReport(
-        name, trials, seed, session.failures, session.executed, session.vacuous
-    )
+            report.check("raised", False, error=f"{type(exc).__name__}: {exc}")
+    report.failures.sort(key=lambda f: (f["trial"], f["identity"]))
+    return report
 
 
 def run_all(trials: int, seed: int, bounds=None):

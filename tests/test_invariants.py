@@ -61,6 +61,7 @@ REFERENCE_HOMES = {
     "_core_shape": {"_oracles.py", "verify.py"},
     "_scale_fiber": {"_oracles.py", "verify.py"},
     "all_multi_indices": {"_oracles.py", "verify.py"},
+    "vars_of": {"_oracles.py", "verify.py"},
 }
 
 
@@ -85,27 +86,42 @@ def test_recovery_helpers_are_referenced_only_from_their_homes(path):
     assert strays == []
 
 
-# The modules of the constructions and the CLI: a symcore name that none of
-# them references is not the library's.
+# The modules of the constructions and the CLI: a name of a library module
+# that none of them references is not the library's.
 CONSTRUCTIONS = ["symcore", "diffop", "multivec", "lbundle", "linearize", "cli"]
-# symcore names kept without such a caller, each with its reason.
-UNCALLED_IN_SYMCORE = {
-    # bench/spans.py wraps it by name for the symcore.partial span
-    "Poly.partial_multi",
+# names kept without such a caller, each with its reason
+UNCALLED = {
+    "symcore": {
+        # bench/spans.py wraps it by name for the symcore.partial span
+        "Poly.partial_multi",
+        # the documented constructor of a coordinate, which bench/workloads.py,
+        # verify and randgen call
+        "Poly.var",
+    },
+    "diffop": {
+        # a bench operation, and verify's recovery oracle
+        "DiffOp.recover_coefficients",
+        # constructors that verify, randgen and the tests use
+        "DiffOp.identity",
+        "DiffOp.monomial",
+    },
+    "multivec": set(),
+    "lbundle": set(),
+    "linearize": set(),
 }
 
 
-def test_symcore_holds_only_what_the_constructions_call():
-    """Every top-level function and method that symcore defines (dunders
-    aside, which Python calls) is referenced from a construction module or
-    the CLI, or exported in `fwlop.__all__`.  A method counts as referenced
-    when any attribute of its name is."""
+def _uncalled(module: str) -> set:
+    """The top-level functions and methods that `module` defines (dunders
+    aside, which Python calls) that no construction module or the CLI
+    references and `fwlop.__all__` does not export.  A method counts as
+    referenced when any attribute of its name is."""
     referenced = set()
     for name in CONSTRUCTIONS:
         text = (SRC / f"{name}.py").read_text(encoding="utf-8")
         referenced.update(_referenced_names(ast.parse(text)))
     defined = []
-    for node in ast.parse((SRC / "symcore.py").read_text(encoding="utf-8")).body:
+    for node in ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8")).body:
         if isinstance(node, ast.FunctionDef):
             defined.append(node.name)
         elif isinstance(node, ast.ClassDef):
@@ -115,12 +131,20 @@ def test_symcore_holds_only_what_the_constructions_call():
                 if isinstance(inner, ast.FunctionDef)
                 and not (inner.name.startswith("__") and inner.name.endswith("__"))
             )
-    uncalled = {
+    return {
         name
         for name in defined
         if name.rpartition(".")[2] not in referenced and name not in fwlop.__all__
     }
-    assert uncalled == UNCALLED_IN_SYMCORE
+
+
+def test_symcore_holds_only_what_the_constructions_call():
+    assert _uncalled("symcore") == UNCALLED["symcore"]
+
+
+@pytest.mark.parametrize("module", ["diffop", "multivec", "lbundle", "linearize"])
+def test_construction_module_holds_only_what_the_constructions_call(module):
+    assert _uncalled(module) == UNCALLED[module]
 
 
 def test_invariant_violation_is_raised_only_by_a_iso():
@@ -282,7 +306,7 @@ def _unit(value):
 
 def _unrestricted(p):
     """The level-q table kept as it is, fiber terms and all."""
-    return p.to_operator().with_space(Space.E).symbol_at(p.q)
+    return dict(p.to_operator().with_space(Space.E).terms)
 
 
 # identity -> (suite, module, name, planted fault)
@@ -295,7 +319,7 @@ PLANTED = {
     "multiderivation-classes": (
         "pair-bracket", verify, "multiderivation_D", _plus(verify, "multiderivation_D", _unit)
     ),
-    "linearization-fwl": ("lin-do", linearize, "linearize_multivector", _unrestricted),
+    "linearization-fwl": ("lin-do", linearize, "_linearized_terms", _unrestricted),
 }
 
 

@@ -13,6 +13,7 @@ from fwlop._oracles import (
     _unshuffle_pair_product,
     _wedge_coefficient,
     all_multi_indices,
+    vars_of,
 )
 from fwlop.diffop import DiffOp, nested_values
 from fwlop.errors import (
@@ -529,7 +530,7 @@ def _a_iso_rho_by_basis_walk(op, q):
     by C!."""
     chart = op.chart
     value = nested_values(op)
-    coords = [Poly.var(chart, Space.E, v) for v in chart.vars_of(VarKind.FIBER)]
+    coords = [Poly.var(chart, Space.E, v) for v in vars_of(chart, VarKind.FIBER)]
     rho_terms = {}
     for c_idx in all_multi_indices(chart.fiber_rank, q - 1):
         word = [coords[a - 1] for a in c_idx]

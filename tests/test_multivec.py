@@ -8,7 +8,14 @@ from fractions import Fraction
 import pytest
 
 from fwlop.diffop import DiffOp, nested_values
-from fwlop._oracles import _det, _pairing, _recover_table, _unshuffle_poisson, unshuffles
+from fwlop._oracles import (
+    _det,
+    _pairing,
+    _recover_table,
+    _unshuffle_poisson,
+    unshuffles,
+    vars_of,
+)
 from fwlop.errors import (
     MAX_LAPLACIAN_DIM,
     ArityMismatch,
@@ -697,7 +704,7 @@ def _dense_laplacian(chart, gamma):
     """sum g^{mu nu} d_mu d_nu + (d_mu g^{mu nu}) d_nu over every one of the
     (2n)^2 entries of g^-1 = [[0, I], [I, 2 Gamma.u]], zero ones included."""
     n = chart.base_dim
-    coords = chart.vars_of(VarKind.BASE) + chart.vars_of(VarKind.FIBER)
+    coords = vars_of(chart, VarKind.BASE) + vars_of(chart, VarKind.FIBER)
     zero, one = Poly.zero(chart, Space.E), Poly.const(chart, Space.E, 1)
     ginv = [[zero] * (2 * n) for _ in range(2 * n)]
     for i in range(n):

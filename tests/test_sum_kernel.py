@@ -5,11 +5,11 @@ Every Leibniz, bracket and product sum passes its summands to
 numerator) list over its own denominator, and each derivative is one
 `symcore._term_partial`, with no `Poly` per summand.  The references below
 build those summands the earlier way, each partial a checked, reduced
-`Poly` (`Poly.partial`, `Poly.partial_multi`) and each sum one
-`Poly.sum_of_products`.  The seeded draws cover E, Estar and Ambient,
-charts up to (3,3) and fractional coefficients, and the new paths must
-give the same summands per key, the same keys in the same order and the
-same coefficients.
+`Poly` (`Poly.partial`, `Poly.partial_multi`), and add them up one `Poly`
+product and one `Poly` sum at a time.  The seeded draws cover E, Estar
+and Ambient, charts up to (3,3) and fractional coefficients, and the new
+paths must give the same summands per key, the same keys in the same
+order and the same coefficients.
 """
 
 import random
@@ -65,21 +65,30 @@ def _ref_product_pieces(p1, p2, pieces):
     return pieces
 
 
+def _poly_sum(chart, space, products):
+    """The sum of k * a * b over the (k, a, b) in `products`, each product
+    and each partial sum a `Poly`."""
+    out = Poly.zero(chart, space)
+    for k, a, b in products:
+        out = out + (a * b).scale(k)
+    return out
+
+
 def _ref_apply(op, f):
-    """op(f) as one `Poly.sum_of_products` of the coefficients times two
-    chained `Poly.partial_multi` calls per key."""
+    """op(f) as the `_poly_sum` of the coefficients times two chained
+    `Poly.partial_multi` calls per key."""
     fk = fiber_kind(op.space)
     products = []
     for (mi_b, mi_f), coeff in op.terms.items():
         g = f.partial_multi(mi_b, VarKind.BASE).partial_multi(mi_f, fk)
         if not g.is_zero():
             products.append((1, coeff, g))
-    return Poly.sum_of_products(op.chart, op.space, products)
+    return _poly_sum(op.chart, op.space, products)
 
 
 def _ref_summed(like, pieces):
     """[(key, coefficient)] of `Poly`-level pieces, in key order."""
-    return list(_sum_pieces(like.chart, like.space, pieces, Poly.sum_of_products).items())
+    return list(_sum_pieces(like.chart, like.space, pieces, _poly_sum).items())
 
 
 def _poly(like, terms, den):

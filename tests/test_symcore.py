@@ -9,7 +9,7 @@ from operator import add, le, mul, sub
 
 import pytest
 
-from fwlop._oracles import _scale_fiber, all_multi_indices, unshuffles
+from fwlop._oracles import _scale_fiber, all_multi_indices, unshuffles, vars_of
 from fwlop.errors import (
     ChartMismatch,
     IndexOutOfRange,
@@ -248,13 +248,13 @@ def test_max_exponents_match_the_var_reading(space):
     for _ in range(60):
         chart = rand_chart(rng, bounds)
         p = rand_poly(rng, chart, space, bounds)
-        tops = {v: 0 for kind in (VarKind.BASE, fiber_kind(space)) for v in chart.vars_of(kind)}
+        tops = {v: 0 for kind in (VarKind.BASE, fiber_kind(space)) for v in vars_of(chart, kind)}
         for mono in by_vars(p):
             for v, e in mono:
                 tops[v] = max(tops[v], e)
         base, fiber = p.max_exponents()
-        assert base == tuple(tops[v] for v in chart.vars_of(VarKind.BASE))
-        assert fiber == tuple(tops[v] for v in chart.vars_of(fiber_kind(space)))
+        assert base == tuple(tops[v] for v in vars_of(chart, VarKind.BASE))
+        assert fiber == tuple(tops[v] for v in vars_of(chart, fiber_kind(space)))
     assert P("0").max_exponents() == ((0, 0), (0, 0))
     assert P("x1^3*u2 - 2*x1*u1^2").max_exponents() == ((3, 0), (2, 1))
 
@@ -445,7 +445,7 @@ def test_partials_commute_and_leibniz_randomized():
         chart = rand_chart(rng, bounds)
         a = rand_poly(rng, chart, Space.E, bounds)
         b = rand_poly(rng, chart, Space.E, bounds)
-        variables = chart.vars_of(VarKind.BASE) + chart.vars_of(VarKind.FIBER)
+        variables = vars_of(chart, VarKind.BASE) + vars_of(chart, VarKind.FIBER)
         v, w = rng.choice(variables), rng.choice(variables)
         assert a.partial(v).partial(w) == a.partial(w).partial(v)
         assert (a * b).partial(v) == a.partial(v) * b + a * b.partial(v)
@@ -619,6 +619,13 @@ def _naive_sum(chart, space, products):
     return out
 
 
+def _kernel_sum(chart, space, products):
+    """The summation kernel's sum of the (k, a, b) in `products`, each
+    operand's terms and denominator passed as they are stored."""
+    lists = [(k, a.terms.items(), a.den, b.terms.items(), b.den) for k, a, b in products]
+    return _sum_products(chart, space, lists)
+
+
 def test_sum_of_products_matches_the_naive_sum():
     rng = random.Random(4711)
     bounds = Bounds(n_max=3, m_max=2, coeff_max=12)
@@ -633,7 +640,7 @@ def test_sum_of_products_matches_the_naive_sum():
             )
             for _ in range(rng.randint(0, 4))
         ]
-        got = Poly.sum_of_products(chart, space, products)
+        got = _kernel_sum(chart, space, products)
         assert got == _naive_sum(chart, space, products)
         assert got.den > 0 and gcd(got.den, *got.terms.values()) == 1
 
@@ -653,7 +660,7 @@ def test_sum_of_products_with_constant_factors_matches_the_naive_sum():
             return rand_poly(rng, chart, space, bounds)
 
         products = [(rng.randint(-3, 3), operand(), operand()) for _ in range(rng.randint(1, 4))]
-        got = Poly.sum_of_products(chart, space, products)
+        got = _kernel_sum(chart, space, products)
         assert got == _naive_sum(chart, space, products)
         assert got.den > 0 and gcd(got.den, *got.terms.values()) == 1
 
@@ -661,42 +668,21 @@ def test_sum_of_products_with_constant_factors_matches_the_naive_sum():
 def test_sum_of_products_mixed_denominators_and_cancellation():
     a, b, c = P("1/2*x1"), P("1/3*u1 + 1/6"), P("3/4*x1*u1 - 5/8")
     mixed = [(1, a, b), (-2, c, b), (3, a, c)]
-    got = Poly.sum_of_products(CH, Space.E, mixed)
+    got = _kernel_sum(CH, Space.E, mixed)
     assert got == _naive_sum(CH, Space.E, mixed)
     assert got.den == 48
     # full cancellation, the denominators included, leaves the zero {} / 1
     cancelling = [(1, a, b), (-1, b, a), (2, c, a), (-1, c, a.scale(2))]
-    gone = Poly.sum_of_products(CH, Space.E, cancelling)
+    gone = _kernel_sum(CH, Space.E, cancelling)
     assert gone.is_zero() and gone.den == 1 and gone == Poly.zero(CH, Space.E)
-    assert Poly.sum_of_products(CH, Space.E, []) == Poly.zero(CH, Space.E)
-    assert Poly.sum_of_products(CH, Space.E, [(0, a, b)]).is_zero()
-
-
-def test_sum_of_products_checks_every_operand():
-    good, estar = P("x1 + u1"), P("v1", Space.ESTAR)
-    small = parse_poly("x1", Chart(1, 1), Space.E)
-    for bad, error in ((estar, SpaceMismatch), (small, ChartMismatch)):
-        for products in (
-            [(1, bad, good)],
-            [(1, good, bad)],
-            [(1, good, good), (-1, good, bad)],
-        ):
-            with pytest.raises(error):
-                Poly.sum_of_products(CH, Space.E, products)
-
-
-@pytest.mark.parametrize("k", [Fraction(1, 2), 0.5, Fraction(2, 1), 2.0])
-def test_sum_of_products_refuses_a_factor_that_is_not_an_int(k):
-    # a Fraction or float factor would be stored as a numerator as it is:
-    # (1/2, x1, u1) would read {(1, 1): 1/2} over 1, unequal to x1*u1/2
-    x1, u1 = P("x1"), P("u1")
-    with pytest.raises(TypeError, match="must be an int"):
-        Poly.sum_of_products(CH, Space.E, [(1, x1, u1), (k, x1, u1)])
+    assert _kernel_sum(CH, Space.E, []) == Poly.zero(CH, Space.E)
+    assert _kernel_sum(CH, Space.E, [(0, a, b)]).is_zero()
 
 
 @pytest.mark.parametrize("k", [Fraction(1, 2), 0.5, Fraction(2, 1), 2.0])
 def test_from_fiber_parts_refuses_a_factor_that_is_not_an_int(k):
-    # the same for a crossing: (1/2, x1, u1) would store x1*u1 over 1 as 1/2
+    # a Fraction or float factor would be stored as a numerator as it is:
+    # (1/2, x1, u1) would store x1*u1 over 1 as 1/2
     x1 = P("x1")
     with pytest.raises(TypeError, match="must be an int"):
         Poly.from_fiber_parts(CH, Space.E, [(1, x1, MultiIndex()), (k, x1, MultiIndex([1]))])

@@ -5,8 +5,7 @@ symmetric product and the bracket and product of line-bundle pairs sum
 through the summation kernel `symcore._sum_products`, one reduced sum per
 output coefficient, so they make no `Poly` product, scaling or addition
 per summand.  Their partials are term lists (`symcore._term_partial`), so
-they make no `Poly.partial` or `Poly.partial_multi` call either, and
-their sums skip the checks of the wrapper `Poly.sum_of_products`.  A
+they make no `Poly.partial` or `Poly.partial_multi` call either.  A
 commutator reads one order, its second operand's.  A Leibniz pass lists only the
 sub-multisets within the other coefficient's largest exponents, and a
 commutator with the zero function takes no pass.
@@ -19,13 +18,14 @@ linearization, the Laplacian and `a_iso` test no class of their own
 results.  Parsing collects
 its terms in one table and reduces once, with no `Poly` per factor.  The
 unshuffle oracles of `verify` evaluate each word of an operand once per
-call.  The metric Laplacian forms no determinant and multiplies no two
-polynomials: one `Poly.sum_of_products` per entry of the metric's
-symmetric corner block on and above its diagonal.  The crossings between
-E and the dual space, and the linearization of a function, move
-exponents through `Poly.from_fiber_parts` and multiply no polynomials.
-The linearization of an operator reads its table and takes no nested
-commutator, the inverse of `a_iso` reads the derivation's parts, and
+call.  The metric Laplacian forms no determinant, builds no coordinate,
+multiplies no two polynomials and takes no partial: it is one
+`Poly.from_fiber_parts` per key of its fiber-derivative part.  The
+crossings between E and the dual space, and the linearization of a
+function, move exponents through `Poly.from_fiber_parts` and multiply or
+differentiate no polynomials.  The linearization of an operator reads its
+table, takes no nested commutator, and builds and tests its level-q
+symbol once; the inverse of `a_iso` reads the derivation's parts, and
 neither `a_iso` nor its inverse walks the basis multi-indices.
 """
 
@@ -33,7 +33,7 @@ import random
 
 import pytest
 
-from fwlop import _oracles, diffop, lbundle, multivec, verify
+from fwlop import _oracles, diffop, lbundle, linearize, multivec, verify
 from fwlop._oracles import (
     _unshuffle_pair_bracket,
     _unshuffle_pair_product,
@@ -112,8 +112,8 @@ def _operators(seed, order):
 
 ARITHMETIC = ["__mul__", "__rmul__", "scale", "__add__", "__sub__", "__neg__"]
 # every summand reaches the summation kernel as term lists: no partial is
-# a `Poly` and no sum goes through the checked wrapper
-POLY_SUMS = ["partial", "partial_multi", "sum_of_products"]
+# a `Poly`
+POLY_SUMS = ["partial", "partial_multi"]
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -343,20 +343,24 @@ def test_eval_on_functions_makes_one_leibniz_pass_per_new_node(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_laplacian_is_one_sum_of_products_per_metric_entry(monkeypatch, n):
-    # The Laplacian is written from the n x n corner block of the inverse
-    # metric, symmetric, so built on and above its diagonal: no
-    # determinant, no product of matrix entries.
+def test_laplacian_is_one_fiber_parts_sum_per_key(monkeypatch, n):
+    # The Laplacian is a transcription of Gamma's table: each coefficient
+    # of a d_u key is summed from Gamma's entries as fiber parts, with no
+    # determinant, no coordinate, no product and no partial.
     chart = Chart(n, n)
     gamma = rand_gamma(random.Random(41 + n), chart, Bounds(n_max=n, m_max=n))
     dets = _counting(monkeypatch, _oracles, ["_det"])
-    counts = _counting(monkeypatch, Poly, ["__mul__", "__rmul__", "sum_of_products"])
+    names = ["__mul__", "__rmul__", "var", "partial", "from_fiber_parts"]
+    counts = _counting(monkeypatch, Poly, names)
     lap = fwl_metric_laplacian(chart, gamma)
     assert dets == {"_det": 0}
-    assert counts == {"__mul__": 0, "__rmul__": 0, "sum_of_products": n * (n + 1) // 2}
+    fiber_keys = [mi_f for mi_b, mi_f in lap.terms if not mi_b]
+    none = dict.fromkeys(["__mul__", "__rmul__", "var", "partial"], 0)
+    assert counts == {**none, "from_fiber_parts": len(fiber_keys)}
     monkeypatch.undo()
     assert len(gamma) >= n and lap.is_fwl(2)
-    assert any(len(mi_f) == 2 and mi_f[0] != mi_f[1] for _, mi_f in lap.terms)
+    assert any(len(mi_f) == 2 and mi_f[0] != mi_f[1] for mi_f in fiber_keys)
+    assert any(len(mi_f) == 1 for mi_f in fiber_keys)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
@@ -370,7 +374,8 @@ def test_crossings_multiply_no_polynomials(monkeypatch, q):
         rho = rand_fwl_pair(rng, CH, BOUNDS, q + 1).rho
     d = a_iso(op, q)
     f = parse_poly("3/2*x1*u1 - u2^2*x2 + 1/3*u2 - u1*u2", CH, Space.AMBIENT)
-    names = ["__mul__", "__rmul__", "sum_of_products"]
+    # nor does a crossing, or the linearization of a function, take a partial
+    names = ["__mul__", "__rmul__", "partial"]
     counts = _counting(monkeypatch, Poly, names)
     got = (
         hamiltonian_field(op.symbol_at(q)),
@@ -404,6 +409,19 @@ def test_linearize_do_takes_no_nested_commutator(monkeypatch, q):
     for op, lin in zip(ops, got):
         assert lin.is_fwl(q)
         assert any(len(mi_f) == q - 1 and not mi_b for mi_b, mi_f in lin.terms)
+
+
+def test_linearize_do_builds_and_tests_its_level_symbol_once(monkeypatch):
+    rng = random.Random(90)
+    ops = [(rand_order_q_linearizable_op(rng, CH, BOUNDS, q), q) for q in (1, 2, 3) * 10]
+    symbols = _counting(monkeypatch, DiffOp, ["symbol_at"])
+    tests = _counting(monkeypatch, linearize, ["is_linearizable_multivector"])
+    got = [linearize_do(op, q) for op, q in ops]
+    assert symbols == {"symbol_at": len(ops)}
+    assert tests == {"is_linearizable_multivector": len(ops)}
+    monkeypatch.undo()
+    assert all(lin.is_fwl(q) for lin, (_, q) in zip(got, ops))
+    assert sum(op.order() == q for op, q in ops) >= 20
 
 
 def _counting_basis_walks(monkeypatch):
