@@ -14,7 +14,9 @@ X + sum A_ab v_a d/dv_b on the dual space.  They read components off those
 functions, transcribe the dual derivation (minus the transposed matrix)
 term by term, and expand the top-power action as a sum of wedge products,
 each a determinant, where the library reads a trace.  The split metric's
-determinant, which the library's Laplacian never forms, is one too.
+determinant, which the library's Laplacian never forms, is one too, and
+the Laplacian itself is assembled densely from g^-1 and its partials,
+where the library reads its coefficients off Gamma's table.
 
 The normal-form shape tests of the FWL and core classes read each term's
 key lengths and fiber degree, where the library reads one weight.  The
@@ -68,10 +70,15 @@ def vars_of(chart, kind: VarKind) -> list:
 
 def _scale_fiber(p: Poly, t) -> Poly:
     """p with u -> t*u substituted (the fiber-rescaling pull-back on
-    functions): the part of each fiber monomial u^B scaled by t^|B|."""
+    functions): the part of each fiber monomial u^B scaled by t^|B|, as
+    the integer factor numer(t)^|B| over p's denominator times
+    denom(t)^|B|."""
     t = Fraction(t)
-    parts = p.fiber_parts(p.space)
-    scaled = [(1, c.scale(t ** len(mi)), mi) for mi, c in parts.items()]
+    numer, denom = t.numerator, t.denominator
+    scaled = [
+        (numer ** len(mi), c, p.den * denom ** len(mi), mi)
+        for mi, c in p.fiber_parts().items()
+    ]
     return Poly.from_fiber_parts(p.chart, p.space, scaled)
 
 
@@ -252,14 +259,16 @@ def _dual(d: DiffOp) -> DiffOp:
     kept, and X + sum M_ab w_a d/dw_b becomes X - sum M_ab w'_b d/dw'_a,
     the matrix minus its transpose."""
     space = Space.E if d.space is Space.ESTAR else Space.ESTAR
-    terms = {}
+    terms, parts = {}, {}
     for (mi_b, mi_f), coeff in d.terms.items():
         if not mi_f:
             terms[(mi_b, mi_f)] = coeff.with_space(space)
             continue
-        w_b = Poly.var(d.chart, space, Var(fiber_kind(space), mi_f[0]))
-        for mi_a, m_ab in coeff.fiber_parts(space).items():
-            add_into(terms, (EMPTY_MI, mi_a), -m_ab * w_b)
+        # the part M_ab at w_a of the d/dw_b coefficient gives -M_ab w'_b
+        for mi_a, m_ab in coeff.fiber_parts().items():
+            parts.setdefault((EMPTY_MI, mi_a), []).append((-1, m_ab, coeff.den, mi_f))
+    for key, key_parts in parts.items():
+        terms[key] = Poly.from_fiber_parts(d.chart, space, key_parts)
     return DiffOp(d.chart, space, terms)
 
 
@@ -304,6 +313,35 @@ def _metric_determinant(chart, gamma) -> Poly:
         u_k = Poly.var(chart, Space.E, Var(VarKind.FIBER, k))
         g[i - 1][j - 1] = g[i - 1][j - 1] - (coeff * u_k).scale(2)
     return _det(g)
+
+
+def _dense_laplacian(chart, gamma) -> DiffOp:
+    """sum g^{mu nu} d_mu d_nu + (d_mu g^{mu nu}) d_nu over every one of the
+    (2n)^2 entries of g^-1 = [[0, I], [I, 2 Gamma.u]] for a connection
+    table on chart (n, n), zero ones included: each entry assembled from
+    coordinate products and each derivative a `Poly.partial`, where the
+    library reads its coefficients off Gamma's table as fiber parts."""
+    n = chart.base_dim
+    coords = vars_of(chart, VarKind.BASE) + vars_of(chart, VarKind.FIBER)
+    zero, one = Poly.zero(chart, Space.E), Poly.const(chart, Space.E, 1)
+    ginv = [[zero] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        ginv[i][n + i] = ginv[n + i][i] = one
+    for (k, i, j), coeff in gamma.items():
+        u_k = Poly.var(chart, Space.E, coords[n + k - 1])
+        ginv[n + i - 1][n + j - 1] += (coeff.with_space(Space.E) * u_k).scale(2)
+
+    def key(*slots):
+        """The table key of the derivative by the coordinates at slots."""
+        base = [s + 1 for s in slots if s < n]
+        return MultiIndex(base), MultiIndex(s - n + 1 for s in slots if s >= n)
+
+    terms = {}
+    for mu, row in enumerate(ginv):
+        for nu, entry in enumerate(row):
+            add_into(terms, key(mu, nu), entry)
+            add_into(terms, key(nu), entry.partial(coords[mu]))
+    return DiffOp(chart, Space.E, terms)
 
 
 def _wedge_coefficient(d: DiffOp, slot: int) -> Poly:

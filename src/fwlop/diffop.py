@@ -11,7 +11,9 @@ in the Vol_u frame (see `fwlop.lbundle`).  The representation is unique
 once multi-indices are canonical, so equality is table equality.
 Composition expands derivative-past-coefficient by the multiset Leibniz
 rule, in one kernel, `_leibniz`, which takes the other operand as its
-(key, coefficient) pairs and builds `MultiIndex` keys; a pass lists only
+(key, coefficient) pairs and builds `MultiIndex` keys, each part the join
+of a remainder J1 - S with J2, sorted only when both are nonempty
+(`MultiIndex.concat`); a pass lists only
 the S that stay within the largest exponents of c2 (`Poly.max_exponents`),
 because d^S c2 = 0 for the others: all of them when J fits, else those
 within the caps min(J, exponents) per letter.  A commutator [A, B] is two
@@ -30,7 +32,9 @@ and S, and each coefficient is one sum of the summation kernel
 `symcore._sum_products`, reduced once, as is each value of `apply`.
 Every value [...[op, f1], ..., fk](1) in the package, from multivector
 evaluation to the bundle map of `a_iso`, comes from nested function
-commutators.  `nested_values(op)` builds each once, from the one of its
+commutators, and every crossing to the dual space sums term lists
+through `Poly.from_fiber_parts` (`_sum_pieces`), one polynomial per key.
+`nested_values(op)` builds each once, from the one of its
 prefix, so a repeated word costs only dictionary lookups; it takes no
 commutator below a zero one, since [0, f] = 0, and reads a value off
 the order-0 coefficient, since d^J 1 = 0 for J != ∅.  Coefficient
@@ -310,8 +314,9 @@ class DiffOp:
         leaving out S = ∅ if skip_empty, into pieces: {key: [products of
         `symcore._sum_products`]}, each product (integer factor, c1's
         terms, c1's denominator, d^S c2 as a term list, c2's denominator);
-        returns pieces.  Each part of a key is the remainder J1 - S as it
-        is when J2's part is empty, and the sorted J1 - S + J2 otherwise.
+        returns pieces.  Each part of a key is the join J1 - S + J2
+        (`MultiIndex.concat`), which sorts only when both sides are
+        nonempty and otherwise is the nonempty side itself.
         An S that takes some letter more often than c2's largest exponent
         of that variable gives d^S c2 = 0 and is never listed: when J1 fits
         within those exponents every S does, and otherwise only the S
@@ -346,7 +351,7 @@ class DiffOp:
                     caps = tuple(map(min, counts_base, top_base))
                     bases = _pass_sub_multisets(i1, memo, caps)
                 for s_base, n_base, rest_base, v_base in bases:
-                    key_base = MultiIndex(rest_base + j2_base) if j2_base else rest_base
+                    key_base = rest_base.concat(j2_base)
                     fibs = fibs_all
                     if skip_empty and not s_base:
                         fibs = fibs[1:]
@@ -359,7 +364,7 @@ class DiffOp:
                             dc = partials[at] = _term_partial(c2_terms, counts)
                         if not dc:
                             continue
-                        key_fib = MultiIndex(rest_fib + j2_fib) if j2_fib else rest_fib
+                        key_fib = rest_fib.concat(j2_fib)
                         piece = (sign * n_base * n_fib, c1_terms, c1_den, dc, c2_den)
                         pieces.setdefault((key_base, key_fib), []).append(piece)
         return pieces

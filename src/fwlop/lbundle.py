@@ -31,10 +31,15 @@ of order below q; the shift by u_alpha takes only the key (∅, (alpha,))
 of the nested commutator of C to order 0, so each column is that
 coefficient, read off the node with no further shift.  Only the words
 whose nested commutator is nonzero are walked (`diffop._live_words`);
-the others contribute nothing.  An
-independent closed coordinate formula computes the multiplication part
-again on every call, and the two are checked equal.  The vector field is
-the hamiltonian field of the symbol on both paths, so it is computed once
+the others contribute nothing.  Each word's node gives its parts at v^C
+(`_bundle_map_parts`, the path's one per-node step): Psi(C) and minus
+each column's d/du_alpha as term lists, with C! folded into their
+denominators, and the whole path is one `Poly.from_fiber_parts` on the
+dual space, the multiplication part of the pair (level-q symbol, rho)
+whose rho stores the value at C divided by C!.  An independent closed
+coordinate formula computes the multiplication part again on every
+call, and the two are checked equal.  The vector field is the
+hamiltonian field of the symbol on both paths, so it is computed once
 and not compared.
 
 Rank-1 bundle multivectors are pairs (P, rho) of symmetric multivectors of
@@ -46,8 +51,6 @@ formulas on evaluations are the oracles of the `verify` suites.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .diffop import (
     _ORDER_ZERO,
@@ -86,8 +89,7 @@ from .symcore import (
     MultiIndex,
     Poly,
     Space,
-    Var,
-    VarKind,
+    _term_partial,
     parse_poly,
     poly_to_str,
 )
@@ -183,55 +185,49 @@ def pair_to_lderivation(pair: LPair) -> DiffOp:
 # ---------------------------------------------------------------------------
 
 
-def _contract_trace(node: DiffOp, psi: Poly) -> Poly:
-    """Multiplication part of the bundle map at the nested commutator
-    `node` of C: `psi`, the value Psi(C), minus the trace of the matrix of
-    the derivation P(u_C, -) of the dual bundle.  Minus that trace is the
-    multiplication part, in the Vol_u frame, of the derivation's action on
-    the determinant line.  At q = 1 that derivation is the linear field
-    itself, and for the dual of a frame derivation with matrix A minus the
-    trace is tr(A), which the `top-power-trace` identity checks against a
-    sum of wedge products.  For `node` the nested commutator of u_C with a
-    FWL operator of order q, column alpha, P(u_C, u_alpha), is the value
-    of [node, u_alpha], which is node's coefficient at (∅, (alpha,)): the
-    shift by u_alpha takes only that key to order 0.  Its diagonal entry
-    is d/du_alpha of the column, and psi and the diagonal entries are
-    summed in one `Poly.from_fiber_parts`, which refuses psi or a diagonal
-    entry that is not base-only."""
-    parts = [(1, psi, EMPTY_MI)]
+def _bundle_map_parts(node: DiffOp, c_idx: MultiIndex) -> list:
+    """The parts at v^C of the bundle map's multiplication part, for `node`
+    the nested commutator of u_C with a FWL operator of order q, |C| = q-1:
+    Psi(C), node's order-0 coefficient since d^J 1 = 0 for J != ∅, and
+    minus the trace of the matrix of the derivation P(u_C, -) of the dual
+    bundle.  Minus that trace is the multiplication part, in the Vol_u
+    frame, of the derivation's action on the determinant line.  At q = 1
+    that derivation is the linear field itself, and for the dual of a frame
+    derivation with matrix A minus the trace is tr(A), which the
+    `top-power-trace` identity checks against a sum of wedge products.
+    Column alpha, P(u_C, u_alpha), is the value of [node, u_alpha], which
+    is node's coefficient at (∅, (alpha,)): the shift by u_alpha takes only
+    that key to order 0.  Its diagonal entry is d/du_alpha of the column,
+    a `_term_partial` list.  Each part is a term list over its
+    denominator times C!, as the pair's rho stores the value divided by
+    C!; `Poly.from_fiber_parts` refuses Psi(C) or a diagonal entry that is
+    not base-only."""
+    n, scale = node.chart.base_dim, c_idx.factorial()
+    psi = node.terms.get(_ORDER_ZERO)
+    parts = [] if psi is None else [(1, psi.terms.items(), psi.den * scale, c_idx)]
     for alpha in range(1, node.chart.fiber_rank + 1):
         column = node.terms.get((EMPTY_MI, (alpha,)))
-        if column is None:
-            continue
-        parts.append((-1, column.partial(Var(VarKind.FIBER, alpha)), EMPTY_MI))
-    return Poly.from_fiber_parts(node.chart, Space.E, parts)
+        if column is not None:
+            diagonal = _term_partial(column.terms.items(), ((n + alpha - 1, 1),))
+            parts.append((-1, diagonal, column.den * scale, c_idx))
+    return parts
 
 
-def _a_iso_pair(op: DiffOp, q: int, p: SymMultivector) -> LPair:
-    """The pair (level-q symbol, bundle map) of a FWL operator.
-
-    Per word C of q-1 fiber letters the multiplication part of the bundle
-    map is the trace action of the contracted symbol plus the
-    nested-commutator value Psi(C), the node's order-0 coefficient, since
-    d^J 1 = 0 for J != ∅; rho stores it divided by C!.  Both are read off
-    the table of the nested commutator of C, which `_live_words` yields,
-    over the fiber letters, only when it is nonzero; no bracket is taken
-    past it.  `p` is the level-q symbol, which the caller has built from
-    an operator it checked FWL.
-    """
-    chart = op.chart
-    letters = [(1, a) for a in range(1, chart.fiber_rank + 1)]
-    zero = Poly.zero(chart, Space.E)
-    rho_terms = {}
+def _bundle_map_mult(op: DiffOp, q: int) -> Poly:
+    """The multiplication part by the bundle map, on the dual space: the sum
+    over the words C of q-1 fiber letters of the parts at v^C of
+    `_bundle_map_parts`, one `Poly.from_fiber_parts` in all.  The nested
+    commutators of C come from `_live_words`, over the fiber letters, only
+    when they are nonzero; no bracket is taken past them.  This is the
+    multiplication part of `pair_to_lderivation` of the pair (level-q
+    symbol, rho), rho's table at (∅, C) being this polynomial's part at
+    v^C."""
+    letters = [(1, a) for a in range(1, op.chart.fiber_rank + 1)]
+    parts = []
     for word, node in _live_words(op, letters, q - 1):
-        if len(word) != q - 1:
-            continue
-        mult = _contract_trace(node, node.terms.get(_ORDER_ZERO, zero))
-        if mult.terms:
-            c_idx = MultiIndex._sorted(tuple(a + 1 for a in word))
-            rho_terms[(EMPTY_MI, c_idx)] = mult.scale(Fraction(1, c_idx.factorial()))
-    rho = SymMultivector._unchecked(chart, Space.E, q - 1, rho_terms)
-    return LPair(p, rho)
+        if len(word) == q - 1:
+            parts += _bundle_map_parts(node, MultiIndex._sorted(tuple(a + 1 for a in word)))
+    return Poly.from_fiber_parts(op.chart, Space.ESTAR, parts)
 
 
 def _closed_form_mult(op: DiffOp, q: int) -> Poly:
@@ -249,14 +245,14 @@ def _closed_form_mult(op: DiffOp, q: int) -> Poly:
         if len(mi_b) != 0:
             continue
         if len(mi_f) == q - 1:
-            parts.append((1, coeff, mi_f))
+            parts.append((1, coeff.terms.items(), coeff.den, mi_f))
         elif len(mi_f) == q:
             # D^B is fiber-linear: d/du_b of it is its part at (b,).
-            fiber = coeff.fiber_parts(Space.E)
+            fiber = coeff.fiber_parts()
             for b, mult in mi_f.multiplicities().items():
                 d_b = fiber.get((b,))
                 if d_b is not None:
-                    parts.append((-mult, d_b, mi_f.remove(b)))
+                    parts.append((-mult, d_b, coeff.den, mi_f.remove(b)))
     return Poly.from_fiber_parts(op.chart, Space.ESTAR, parts)
 
 
@@ -267,14 +263,15 @@ def a_iso(op: DiffOp, q: int) -> DiffOp:
     is built once and not checked again: the symbol of an operator that
     passed the FWL test is FWL.  The multiplication part is
     computed by the closed coordinate formula and, for q >= 1, again by the
-    bundle-map path (nested commutators plus trace action) on the same
-    symbol; the two are checked equal, the one comparison of two answers
-    that the library makes.  At q = 0 the closed form is zero and the
-    bundle-map sum over |C| = -1 is empty.  The result is homogeneous of
-    degree q-1, which verify's `image-homogeneous` checks.  The bundle-map
-    path walks only the words C, |C| = q-1, whose nested commutator is
-    nonzero, so its work is bounded by the operator's keys, not by the
-    C(m+q-2, q-1) basis words.
+    bundle-map path (nested commutators plus trace action); the two are
+    checked equal, the one comparison of two answers that the library
+    makes.  Each path is one `Poly.from_fiber_parts` over the dual space,
+    and neither builds a `Fraction`.  At q = 0 the closed form is zero and
+    the bundle-map sum over |C| = -1 is empty.  The result is homogeneous
+    of degree q-1, which verify's `image-homogeneous` checks.  The
+    bundle-map path walks only the words C, |C| = q-1, whose nested
+    commutator is nonzero, so its work is bounded by the operator's keys,
+    not by the C(m+q-2, q-1) basis words.
     """
     if q < 0:
         raise ArityMismatch(f"order must be >= 0, got {q}")
@@ -282,10 +279,9 @@ def a_iso(op: DiffOp, q: int) -> DiffOp:
         raise SpaceMismatch("the operator side lives on the total space")
     if not op.is_fwl(q):
         raise NotFWL(f"operator is not FWL of order {q}")
-    p = op.symbol_at(q)
-    field = _hamiltonian_field(p)
+    field = _hamiltonian_field(op.symbol_at(q))
     mult = _closed_form_mult(op, q)
-    if q >= 1 and core_to_dualpoly(_a_iso_pair(op, q, p).rho) != mult:
+    if q >= 1 and _bundle_map_mult(op, q) != mult:
         raise InvariantViolation(
             "bundle-map path and closed coordinate path disagree"
         )
@@ -308,7 +304,8 @@ def a_inverse(d: DiffOp, q: int) -> DiffOp:
     top coefficients off the d/dv part (with a sign), and the order-(q-1)
     pure-fiber coefficients as the multiplication part minus the dual-fiber
     divergence of the field, read off the same d/dv parts: no basis
-    multi-index is walked.
+    multi-index is walked.  Every part is a `Poly.fiber_parts` term list,
+    and each output coefficient is one `Poly.from_fiber_parts`.
     """
     _require_derivation(d)
     if q < 0:
@@ -316,30 +313,27 @@ def a_inverse(d: DiffOp, q: int) -> DiffOp:
     chart = d.chart
     if not (d.is_zero() or d.weight() == q - 1):
         raise NotHomogeneous(f"derivation is not homogeneous of degree {q - 1}")
-    zero = Poly.zero(chart, Space.ESTAR)
-    terms = {}
-    for i in range(1, chart.base_dim + 1):
-        comp = d.terms.get((MultiIndex([i]), EMPTY_MI), zero)
-        for mi, base_part in comp.fiber_parts(Space.E).items():
-            terms[(MultiIndex([i]), mi)] = base_part
-
-    # Pure-fiber coefficients: a part y of Y_alpha at mi gives -y u_alpha at
-    # the top key mi and, when alpha is in mi, its divergence term
-    # -mi[alpha] y at mi - alpha; the multiplication part adds its own.
+    # A part c at mi of the d/dx_i coefficient is the top coefficient at
+    # ((i), mi).  A part y of Y_alpha, the d/dv_alpha coefficient, at mi
+    # gives -y u_alpha at the top key mi and, when alpha is in mi, its
+    # divergence term -mi[alpha] y at mi - alpha; the multiplication part
+    # adds its own.
     parts = {}
-    for alpha in range(1, chart.fiber_rank + 1):
-        comp = d.terms.get((EMPTY_MI, MultiIndex([alpha])), zero)
-        for mi, y in comp.fiber_parts(Space.E).items():
-            parts.setdefault((EMPTY_MI, mi), []).append((-1, y, (alpha,)))
-            if alpha in mi:
-                lower = parts.setdefault((EMPTY_MI, mi.remove(alpha)), [])
-                lower.append((-mi.count(alpha), y, EMPTY_MI))
-    mult = d.terms.get((EMPTY_MI, EMPTY_MI), zero)
-    for mi, c in mult.fiber_parts(Space.E).items():
-        parts.setdefault((EMPTY_MI, mi), []).append((1, c, EMPTY_MI))
-
-    terms.update(_sum_pieces(chart, Space.E, parts, Poly.from_fiber_parts))
-    return DiffOp(chart, Space.E, terms)
+    for (mi_b, mi_f), comp in d.terms.items():
+        for mi, c in comp.fiber_parts().items():
+            part = (1, c, comp.den, EMPTY_MI)
+            if mi_b:
+                parts[(mi_b, mi)] = [part]
+            elif not mi_f:
+                parts.setdefault((EMPTY_MI, mi), []).append(part)
+            else:
+                (alpha,) = mi_f
+                parts.setdefault((EMPTY_MI, mi), []).append((-1, c, comp.den, mi_f))
+                if alpha in mi:
+                    lower = parts.setdefault((EMPTY_MI, mi.remove(alpha)), [])
+                    lower.append((-mi.count(alpha), c, comp.den, EMPTY_MI))
+    terms = _sum_pieces(chart, Space.E, parts, Poly.from_fiber_parts)
+    return DiffOp._raw(chart, Space.E, terms)
 
 
 # ---------------------------------------------------------------------------

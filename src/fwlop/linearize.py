@@ -39,10 +39,10 @@ def linearize_function(f: Poly) -> Poly:
     """First-order transverse part of a function vanishing on {u = 0}."""
     if f.space is not Space.AMBIENT:
         raise SpaceMismatch("function linearization expects ambient data")
-    parts = f.fiber_parts(Space.E)
+    parts = f.fiber_parts()
     if EMPTY_MI in parts:
         raise NotLinearizable("function does not vanish on the submanifold")
-    linear = [(1, c, mi) for mi, c in parts.items() if len(mi) == 1]
+    linear = [(1, c, f.den, mi) for mi, c in parts.items() if len(mi) == 1]
     return Poly.from_fiber_parts(f.chart, Space.E, linear)
 
 

@@ -289,7 +289,7 @@ def core_to_dualpoly(p: SymMultivector) -> Poly:
     for (mi_b, mi_f), coeff in p.terms.items():
         if len(mi_b) != 0 or not coeff.is_base_only():
             raise NotCore("table has a non-core term")
-        parts.append((1, coeff, mi_f))
+        parts.append((1, coeff.terms.items(), coeff.den, mi_f))
     return Poly.from_fiber_parts(p.chart, Space.ESTAR, parts)
 
 
@@ -314,12 +314,13 @@ def _hamiltonian_field(p: SymMultivector) -> DiffOp:
         # A FWL key has |I| <= 1: weight 1-q at |I| >= 2 needs a negative
         # fiber degree.
         if mi_b:
-            parts.setdefault((mi_b, EMPTY_MI), []).append((1, coeff, mi_f))
+            part = (1, coeff.terms.items(), coeff.den, mi_f)
+            parts.setdefault((mi_b, EMPTY_MI), []).append(part)
         else:
             # The coefficient is fiber-linear, sum_a c_a u^a: d/du^a is its
             # part at (a,).
-            for mi_a, c_a in coeff.fiber_parts(Space.E).items():
-                parts.setdefault((EMPTY_MI, mi_a), []).append((-1, c_a, mi_f))
+            for mi_a, c_a in coeff.fiber_parts().items():
+                parts.setdefault((EMPTY_MI, mi_a), []).append((-1, c_a, coeff.den, mi_f))
     terms = _sum_pieces(chart, Space.ESTAR, parts, Poly.from_fiber_parts)
     return DiffOp._raw(chart, Space.ESTAR, terms)
 
@@ -377,12 +378,13 @@ def fwl_metric_laplacian(chart: Chart, gamma) -> DiffOp:
     # entry at k = i one of d/du_i B_ij = 2 Gamma^i_ij, that of d_uj.
     pieces = {}
     for (k, i, j), coeff in table.items():
+        part = coeff.terms.items(), coeff.den
         if i <= j:
             key = (EMPTY_MI, MultiIndex._sorted((i, j)))
-            pieces.setdefault(key, []).append((2 if i == j else 4, coeff, (k,)))
+            pieces.setdefault(key, []).append((2 if i == j else 4, *part, (k,)))
         if k == i:
             key = (EMPTY_MI, MultiIndex._sorted((j,)))
-            pieces.setdefault(key, []).append((2, coeff, EMPTY_MI))
+            pieces.setdefault(key, []).append((2, *part, EMPTY_MI))
     two = Poly.const(chart, Space.E, 2)
     terms = {(MultiIndex([i]), MultiIndex([i])): two for i in range(1, n + 1)}
     terms.update(_sum_pieces(chart, Space.E, pieces, Poly.from_fiber_parts))

@@ -197,10 +197,10 @@ def rand_section(rng, chart, bounds, space=Space.E) -> Poly:
     """A section of E* (on E) or of E (on the dual space) as its
     fiber-linear function there: base-only components, drawn in frame
     order, times the fiber-type coordinates."""
-    parts = [
-        (1, rand_poly(rng, chart, space, bounds, base_only=True), (a,))
-        for a in range(1, chart.fiber_rank + 1)
-    ]
+    parts = []
+    for a in range(1, chart.fiber_rank + 1):
+        c = rand_poly(rng, chart, space, bounds, base_only=True)
+        parts.append((1, c.terms.items(), c.den, (a,)))
     return Poly.from_fiber_parts(chart, space, parts)
 
 

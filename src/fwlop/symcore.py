@@ -25,13 +25,17 @@ symmetric product, the bracket and product of line-bundle pairs, and
 crossings between a space and its dual: `max_exponents` gives each
 variable's largest exponent, past which a derivative is zero;
 `fiber_parts` splits a polynomial by the monomial of its fiber-type
-variables into base-only parts, and `from_fiber_parts`, the one
-constructor of a sum of base-only parts times fiber monomials, is its
-inverse: it moves each part's exponents next to a multi-index's fiber
-exponents, with no product.  There is no second view of the terms:
-polynomials are built by `parse_poly`, `Poly.zero`, `Poly.const`,
-`Poly.var`, `Poly.from_fiber_parts` and `_sum_products`, and read by the
-methods and `poly_to_str`.
+variables into base-only term lists over its own denominator, with no
+gcd and no `Poly` per part, and `from_fiber_parts`, the one constructor
+of a sum of base-only parts times fiber monomials, is its inverse: it
+takes parts (k, term list, denominator, multi-index), shaped like the
+products of `_sum_products`, and moves each term's exponents next to the
+multi-index's fiber exponents over one common denominator, with no
+product.  So a crossing builds one `Poly` per output coefficient and
+nothing per part.  There is no second view of the terms: polynomials are
+built by `parse_poly`, `Poly.zero`, `Poly.const`, `Poly.var`,
+`Poly.from_fiber_parts` and `_sum_products`, and read by the methods and
+`poly_to_str`.
 
 Variables are tagged by kind: base coordinates x1..xn, fiber coordinates
 u1..um on the total space (or transverse coordinates on an ambient chart),
@@ -44,7 +48,8 @@ polynomial may contain is decided by its `space` tag:
 
 A multi-index is a word modulo letter permutations, and `MultiIndex` is
 the sorted tuple of its letters: tables, the Leibniz kernel and documents
-all read that one value.  Multi-indices index iterated partial
+all read that one value.  A join sorts only when both sides are nonempty,
+and removing a letter never sorts.  Multi-indices index iterated partial
 derivatives everywhere downstream.
 """
 
@@ -154,12 +159,18 @@ class MultiIndex(tuple):
         return out
 
     def concat(self, other: "MultiIndex") -> "MultiIndex":
+        """The join of both words; when one side is empty it returns the
+        other operand itself, with no sort."""
+        if not (self and other):
+            return self or other
         return MultiIndex(self + other)
 
     def remove(self, letter: int) -> "MultiIndex":
-        entries = list(self)
-        entries.remove(letter)
-        return MultiIndex(entries)
+        """The word without one `letter` (ValueError when it has none):
+        the sorted tuple minus that entry, still sorted, so nothing is
+        sorted; a one-letter index that loses its letter is `EMPTY_MI`."""
+        at = self.index(letter)
+        return EMPTY_MI if len(self) == 1 else MultiIndex._sorted(self[:at] + self[at + 1 :])
 
 
 @functools.cache
@@ -334,24 +345,25 @@ class Poly:
 
     @classmethod
     def from_fiber_parts(cls, chart, space, parts) -> "Poly":
-        """Sum of k * c * w^mi over the list `parts` of (k, c, mi), c a
-        base-only polynomial on chart (of any space) and w the fiber-type
-        variables of `space`: the inverse of `fiber_parts`.  Base exponents
-        join mi's over one common denominator, reduced once, with no
-        product; a part with a fiber variable is refused."""
+        """Sum of k * c / d * w^mi over the list `parts` of (k, c, d, mi),
+        shaped like the products of `_sum_products`: k an integer, c a
+        base-only term list on chart, such as a `Poly`'s `terms.items()`
+        or a value of `fiber_parts`, d its positive denominator, and w the
+        fiber-type variables of `space`.  The inverse of `fiber_parts`:
+        base exponents join mi's over one common denominator, reduced
+        once, with no product and no `Poly` per part.  A part with a
+        fiber exponent is refused."""
         n, m = chart.base_dim, chart.fiber_rank
         den = 1
-        for k, c, _ in parts:
+        for k, _, d, _ in parts:
             if not isinstance(k, int):
                 raise TypeError(f"a part's factor must be an int, not {k!r}")
-            if c.chart is not chart and c.chart != chart:
-                raise ChartMismatch(f"{c.chart} vs {chart}")
-            if den % c.den:
-                den = lcm(den, c.den)
+            if den % d:
+                den = lcm(den, d)
         blank = (0,) * m
         terms = {}
         get = terms.get
-        for k, c, mi in parts:
+        for k, c, d, mi in parts:
             fiber = [0] * m
             for letter in mi:
                 if not 1 <= letter <= m:
@@ -359,8 +371,8 @@ class Poly:
                     raise IndexOutOfRange(f"variable {v} out of range for chart {chart}")
                 fiber[letter - 1] += 1
             fiber = tuple(fiber)
-            f = k * (den // c.den)
-            for mono, coeff in c.terms.items():
+            f = k * (den // d)
+            for mono, coeff in c:
                 if mono[n:] != blank:
                     raise SpaceMismatch(f"the part at {mi!r} is not base-only")
                 mono = mono[:n] + fiber
@@ -542,21 +554,23 @@ class Poly:
             return Var(VarKind.BASE, slot + 1)
         return Var(fiber_kind(self.space), slot - n + 1)
 
-    def fiber_parts(self, space: Space) -> dict:
+    def fiber_parts(self) -> dict:
         """Split by the monomial of the fiber-type variables: {fiber
-        multi-index B: base-only part c_B, re-tagged onto `space`}, so that
-        self is the sum of c_B times the fiber monomial of B.  Keys are in
-        the order of their first term; zero maps to {}."""
-        n, chart, den = self.chart.base_dim, self.chart, self.den
-        blank = (0,) * chart.fiber_rank
+        multi-index B: base-only term list c_B}, each a list of (monomial,
+        numerator) pairs over self's own denominator `den`, unreduced, so
+        that self is the sum of c_B / den times the fiber monomial of B.
+        No gcd is taken and no `Poly` built per part.  Keys are in the
+        order of their first term; zero maps to {}."""
+        n, m = self.chart.base_dim, self.chart.fiber_rank
+        blank = (0,) * m
         groups = {}
         for mono, c in self.terms.items():
-            groups.setdefault(mono[n:], {})[mono[:n] + blank] = c
+            groups.setdefault(mono[n:], []).append((mono[:n] + blank, c))
         return {
-            MultiIndex(
-                [a for a, e in enumerate(fiber, start=1) for _ in range(e)]
-            ): Poly._reduced(chart, space, terms, den)
-            for fiber, terms in groups.items()
+            MultiIndex._sorted(
+                tuple(a for a, e in enumerate(fiber, start=1) for _ in range(e))
+            ): group
+            for fiber, group in groups.items()
         }
 
     def fiber_degree_decompose(self) -> dict:

@@ -20,6 +20,7 @@ from fractions import Fraction
 from . import randgen as rg
 from ._oracles import (
     _core_shape,
+    _dense_laplacian,
     _dual,
     _fwl_shape,
     _metric_determinant,
@@ -650,8 +651,9 @@ def _rand_frame_derivation(rng, chart, bounds) -> DiffOp:
 
 
 def _trial_laplacian(s: VerifyReport, rng, bounds):
-    """Split-metric determinant and the FWL classification of its Laplacian;
-    the fixed flat case is trial 0's first check, made before any draw."""
+    """The Laplacian's FWL classification and its coefficients against a
+    dense assembly from g^-1, and the split-metric determinant; the fixed
+    flat case is trial 0's first check, made before any draw."""
     if s.trial == 0:
         flat = fwl_metric_laplacian(Chart(1, 1), {})
         expected = DiffOp.monomial(
@@ -663,6 +665,7 @@ def _trial_laplacian(s: VerifyReport, rng, bounds):
     gamma = rg.rand_gamma(rng, chart, bounds)
     lap = fwl_metric_laplacian(chart, gamma)
     s.check("laplacian-fwl", lap.is_fwl(2), op=lap)
+    s.check("laplacian-dense", lap == _dense_laplacian(chart, gamma), gamma=gamma, n=n)
     det = _metric_determinant(chart, gamma)
     unit = Poly.const(chart, Space.E, (-1) ** n)
     s.check("metric-determinant", det == unit, gamma=gamma, n=n)

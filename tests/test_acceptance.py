@@ -12,7 +12,8 @@ from fractions import Fraction
 from fwlop._oracles import _scale_fiber, vars_of
 from fwlop.diffop import DiffOp, nested_values
 from fwlop.lbundle import (
-    _a_iso_pair,
+    LPair,
+    _bundle_map_mult,
     _closed_form_mult,
     a_inverse,
     a_iso,
@@ -28,6 +29,7 @@ from fwlop.linearize import (
     linearize_multivector,
 )
 from fwlop.multivec import (
+    SymMultivector,
     core_to_dualpoly,
     fwl_metric_laplacian,
     hamiltonian_field,
@@ -43,6 +45,7 @@ from fwlop.symcore import (
     Var,
     VarKind,
 )
+from var_reading import part_polys
 
 BOUNDS = rg.Bounds()
 CH22 = Chart(2, 2)
@@ -181,7 +184,10 @@ def test_criterion_06_a_iso_internal_redundancy():
         chart = rg.rand_chart(rng, BOUNDS)
         q = rng.randint(1, 3)
         op = rg.rand_fwl_op(rng, chart, BOUNDS, q)
-        via_pair = pair_to_lderivation(_a_iso_pair(op, q, op.symbol_at(q)))
+        # rho's table at (∅, C) is the bundle-map polynomial's part at v^C
+        parts = part_polys(_bundle_map_mult(op, q), Space.E)
+        rho = SymMultivector(chart, Space.E, q - 1, {(EMPTY_MI, mi): c for mi, c in parts.items()})
+        via_pair = pair_to_lderivation(LPair(op.symbol_at(q), rho))
         closed = hamiltonian_field(op.symbol_at(q)) + DiffOp.mult(
             _closed_form_mult(op, q)
         )

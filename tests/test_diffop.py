@@ -539,7 +539,7 @@ def test_every_table_path_keys_by_exact_sorted_multi_indices():
             _check_keys(seen, "function bracket", a._function_bracket(f).terms)
             _check_keys(seen, "recover", a.recover_coefficients())
             _check_keys(seen, "document", diffop_from_doc(doc).terms)
-            _check_keys(seen, "fiber parts", ((mi,) for mi in f.fiber_parts(space)))
+            _check_keys(seen, "fiber parts", ((mi,) for mi in f.fiber_parts()))
             if space is not Space.AMBIENT:
                 for part in a.grade_decompose().values():
                     _check_keys(seen, "grade", part.terms)

@@ -5,6 +5,7 @@ planted fault that makes a verify trial raise is a reported failure."""
 
 import ast
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -92,7 +93,9 @@ CONSTRUCTIONS = ["symcore", "diffop", "multivec", "lbundle", "linearize", "cli"]
 # names kept without such a caller, each with its reason
 UNCALLED = {
     "symcore": {
-        # bench/spans.py wraps it by name for the symcore.partial span
+        # bench/spans.py wraps both by name for the symcore.partial span,
+        # and verify calls `partial` (partials-commute, leibniz)
+        "Poly.partial",
         "Poly.partial_multi",
         # the documented constructor of a coordinate, which bench/workloads.py,
         # verify and randgen call
@@ -196,7 +199,7 @@ def test_run_suite_owns_the_one_trial_loop():
 
 def _wrong_closed_form(monkeypatch, name="_closed_form_mult"):
     """Add 1 to what one path of a_iso's multiplication part computes: the
-    closed formula, or the trace action on the bundle-map path."""
+    closed formula, or the bundle-map sum."""
     right = getattr(lbundle, name)
 
     def wrong(*args):
@@ -206,7 +209,7 @@ def _wrong_closed_form(monkeypatch, name="_closed_form_mult"):
     monkeypatch.setattr(lbundle, name, wrong)
 
 
-@pytest.mark.parametrize("name", ["_closed_form_mult", "_contract_trace"])
+@pytest.mark.parametrize("name", ["_closed_form_mult", "_bundle_map_mult"])
 def test_a_iso_path_disagreement_raises(monkeypatch, name):
     op = diffop_from_doc(OP_FWL2)
     lbundle.a_iso(op, 2)
@@ -332,41 +335,55 @@ def test_a_planted_fault_fails_its_verify_identity(monkeypatch, identity):
     assert identity in {f["identity"] for f in report.failures}
 
 
-# Faults on the bundle-map path of a_iso that make a trial raise: each puts
-# a part that is not base-only into `Poly.from_fiber_parts`, which refuses
-# it with SpaceMismatch.  Every trial of the suites that call a_iso raises.
-def _psi_plus_u1(node, psi, right=lbundle._contract_trace):
-    """Psi(C) + u1."""
-    return right(node, psi + parse_poly("u1", node.chart, Space.E))
+# Faults at the per-node seam of a_iso's bundle-map path that make a trial
+# raise: each puts a part at v^C that is not base-only into
+# `Poly.from_fiber_parts`, which refuses it with SpaceMismatch.  Every
+# trial of the suites that call a_iso raises.
+def _plus_at(key, text):
+    """`lbundle._bundle_map_parts` on the node with `text` added to its
+    coefficient at key."""
+    right = lbundle._bundle_map_parts
+
+    def wrong(node, c_idx):
+        terms = dict(node.terms)
+        add_into(terms, key, parse_poly(text, node.chart, Space.E))
+        return right(DiffOp(node.chart, Space.E, terms), c_idx)
+
+    return wrong
 
 
-def _column_plus_u1_squared(node, psi, right=lbundle._contract_trace):
-    """The trace column at u1 + u1^2: its d/du1 is not base-only."""
-    terms = dict(node.terms)
-    add_into(terms, (EMPTY_MI, MultiIndex([1])), parse_poly("u1^2", node.chart, Space.E))
-    return right(DiffOp(node.chart, Space.E, terms), psi)
+# Psi(C) + u1, and the trace column at u1 + u1^2, whose d/du1 is not
+# base-only
+_psi_plus_u1 = _plus_at((EMPTY_MI, EMPTY_MI), "u1")
+_column_plus_u1_squared = _plus_at((EMPTY_MI, MultiIndex([1])), "u1^2")
 
-
-RAISED = {"error": "SpaceMismatch: the part at MultiIndex([]) is not base-only"}
+# the part's multi-index is the word C of the node that raised
+RAISED = re.compile(r"SpaceMismatch: the part at MultiIndex\(\[[\d, ]*\]\) is not base-only")
 
 
 @pytest.mark.parametrize(
     "fault", [_psi_plus_u1, _column_plus_u1_squared], ids=["psi", "trace-column"]
 )
 def test_a_trial_that_raises_is_a_reported_failure(monkeypatch, fault):
-    monkeypatch.setattr(lbundle, "_contract_trace", fault)
+    monkeypatch.setattr(lbundle, "_bundle_map_parts", fault)
     report = verify.run_suite("iso-a", 50, 1)
     assert [f["trial"] for f in report.failures] == list(range(50))
     assert all(
-        f["identity"] == "raised" and f["counterexample"] == RAISED
+        f["identity"] == "raised"
+        and list(f["counterexample"]) == ["error"]
+        and RAISED.fullmatch(f["counterexample"]["error"])
         for f in report.failures
     )
+    # words C of several lengths raised, the empty one among them
+    errors = {f["counterexample"]["error"] for f in report.failures}
+    assert "SpaceMismatch: the part at MultiIndex([]) is not base-only" in errors
+    assert len(errors) > 1
     # trial 0 raised, and the trials after it still made their checks
     assert report.executed["raised"] == 50 and report.executed["image-homogeneous"] > 0
 
 
 def test_a_run_with_raising_trials_reports_every_suite(monkeypatch, capsys):
-    monkeypatch.setattr(lbundle, "_contract_trace", _psi_plus_u1)
+    monkeypatch.setattr(lbundle, "_bundle_map_parts", _psi_plus_u1)
     reports = verify.run_all(50, 1)
     assert [report.suite for report in reports] == list(verify.SUITES)
     failing = {

@@ -27,7 +27,7 @@ from fwlop.errors import (
 )
 from fwlop.lbundle import (
     LPair,
-    _a_iso_pair,
+    _bundle_map_mult,
     a_inverse,
     a_iso,
     lderiv_commutator,
@@ -70,6 +70,7 @@ from fwlop.symcore import (
     parse_poly,
 )
 from fwlop.verify import _rand_frame_derivation
+from var_reading import part_polys
 
 CH1 = Chart(1, 1)
 CH = Chart(2, 2)
@@ -328,8 +329,7 @@ def test_pair_derivation_bijection():
     # a derivation goes back to its pair through a_inverse and the
     # bundle-map path of a_iso
     def to_pair(d, q):
-        op = a_inverse(d, q)
-        return _a_iso_pair(op, q, op.symbol_at(q))
+        return _bundle_map_pair(a_inverse(d, q), q)
 
     rng = random.Random(53)
     for _ in range(20):
@@ -473,6 +473,15 @@ def test_a_round_trips_randomized():
         assert a_iso(a_inverse(deriv, degree + 1), degree + 1) == deriv
 
 
+def _bundle_map_pair(op, q):
+    """The pair (level-q symbol, rho) of a FWL operator on the bundle-map
+    path: rho's table at (∅, C) is the part at v^C of the bundle map's
+    multiplication part."""
+    parts = part_polys(_bundle_map_mult(op, q), Space.E)
+    rho = SymMultivector(op.chart, Space.E, q - 1, {(EMPTY_MI, mi): c for mi, c in parts.items()})
+    return LPair(op.symbol_at(q), rho)
+
+
 def _a_inverse_by_basis_walk(d, q):
     """a_inverse as a walk over every basis multi-index C, |C| = q-1: the
     order-(q-1) coefficient at C is the multiplication part at C minus
@@ -481,15 +490,15 @@ def _a_inverse_by_basis_walk(d, q):
     terms = {}
     for i in range(1, chart.base_dim + 1):
         comp = d.terms.get((MultiIndex([i]), EMPTY_MI), zero)
-        for mi, base_part in comp.fiber_parts(Space.E).items():
+        for mi, base_part in part_polys(comp, Space.E).items():
             terms[(MultiIndex([i]), mi)] = base_part
     parts, fiber_coeffs = {}, {}
     for alpha in range(1, chart.fiber_rank + 1):
         comp = d.terms.get((EMPTY_MI, MultiIndex([alpha])), zero)
-        for mi, base_part in comp.fiber_parts(Space.E).items():
+        for mi, base_part in part_polys(comp, Space.E).items():
             fiber_coeffs[(mi, alpha)] = base_part
             parts.setdefault(mi, []).append((-1, base_part, (alpha,)))
-    mult_parts = d.terms.get((EMPTY_MI, EMPTY_MI), zero).fiber_parts(Space.E)
+    mult_parts = part_polys(d.terms.get((EMPTY_MI, EMPTY_MI), zero), Space.E)
     for mi in all_multi_indices(chart.fiber_rank, q - 1):
         key_parts = parts.setdefault(mi, [])
         if mi in mult_parts:
@@ -499,7 +508,8 @@ def _a_inverse_by_basis_walk(d, q):
             if top is not None:
                 key_parts.append((-(mi.count(beta) + 1), top, EMPTY_MI))
     for mi, key_parts in parts.items():
-        terms[(EMPTY_MI, mi)] = Poly.from_fiber_parts(chart, Space.E, key_parts)
+        lists = [(k, c.terms.items(), c.den, at) for k, c, at in key_parts]
+        terms[(EMPTY_MI, mi)] = Poly.from_fiber_parts(chart, Space.E, lists)
     return DiffOp(chart, Space.E, terms)
 
 
@@ -552,7 +562,7 @@ def test_a_iso_pair_matches_the_basis_walk():
         chart = Chart(rng.randint(1, 3), rng.randint(1, 3))
         q = rng.randint(1, 4)
         op = rand_fwl_op(rng, chart, BOUNDS, q)
-        rho = _a_iso_pair(op, q, op.symbol_at(q)).rho
+        rho = _bundle_map_pair(op, q).rho
         assert rho == _a_iso_rho_by_basis_walk(op, q)
         nonzero += not rho.is_zero()
     assert nonzero >= 40
@@ -560,7 +570,7 @@ def test_a_iso_pair_matches_the_basis_walk():
     # 100 that a_iso once had
     for _ in range(3):
         op = rand_fwl_op(rng, Chart(1, 5), BOUNDS, 6)
-        assert _a_iso_pair(op, 6, op.symbol_at(6)).rho == _a_iso_rho_by_basis_walk(op, 6)
+        assert _bundle_map_pair(op, 6).rho == _a_iso_rho_by_basis_walk(op, 6)
 
 
 def test_a_iso_lie_morphism():

@@ -33,7 +33,7 @@ from fwlop.symcore import (
     parse_poly,
     poly_to_str,
 )
-from var_reading import by_vars, from_vars, substitute
+from var_reading import by_vars, from_vars, part_polys, substitute
 
 CH = Chart(2, 2)
 
@@ -505,7 +505,8 @@ def _split_by_vars(p, space):
 
 def _fiber_monomial(chart, space, mi):
     """The fiber monomial u_mi (v_mi on Estar): one `from_fiber_parts` call."""
-    return Poly.from_fiber_parts(chart, space, [(1, Poly.const(chart, space, 1), mi)])
+    one = Poly.const(chart, space, 1)
+    return Poly.from_fiber_parts(chart, space, [(1, one.terms.items(), one.den, mi)])
 
 
 def _monomial_by_vars(chart, space, mi):
@@ -522,10 +523,16 @@ def test_fiber_parts_match_the_var_reading(space, target):
     for _ in range(60):
         chart = rand_chart(rng, bounds)
         p = rand_poly(rng, chart, space, bounds)
-        parts = p.fiber_parts(target)
+        lists = p.fiber_parts()
+        # base-only term lists over p's own denominator, every term once
+        n = chart.base_dim
+        assert all(not any(mono[n:]) for part in lists.values() for mono, _ in part)
+        numerators = sorted(c for part in lists.values() for _, c in part)
+        assert numerators == sorted(p.terms.values())
+        parts = part_polys(p, target)
         expected = _split_by_vars(p, target)
         assert parts == expected
-        assert list(parts) == list(expected)
+        assert list(parts) == list(lists) == list(expected)
         assert all(c.is_base_only() and c.space is target for c in parts.values())
         total = Poly.zero(chart, space)
         for mi, c in parts.items():
@@ -535,17 +542,23 @@ def test_fiber_parts_match_the_var_reading(space, target):
 
 def test_fiber_parts_of_zero_and_constants():
     zero = P("0", Space.ESTAR)
-    assert zero.fiber_parts(Space.E) == _split_by_vars(zero, Space.E) == {}
+    assert zero.fiber_parts() == part_polys(zero, Space.E) == _split_by_vars(zero, Space.E) == {}
     const = P("-3/4", Space.ESTAR)
-    assert const.fiber_parts(Space.E) == {MultiIndex(): P("-3/4")}
-    assert const.fiber_parts(Space.E) == _split_by_vars(const, Space.E)
+    assert const.fiber_parts() == {MultiIndex(): [((0, 0, 0, 0), -3)]}
+    assert part_polys(const, Space.E) == {MultiIndex(): P("-3/4")}
+    assert part_polys(const, Space.E) == _split_by_vars(const, Space.E)
     dual = P("2*x1*v1^2*v2 - x2*v1^2*v2 + 1/3*v2", Space.ESTAR)
-    assert dual.fiber_parts(Space.E) == {
+    # over the polynomial's denominator 3, with no gcd per part
+    assert dual.fiber_parts() == {
+        MultiIndex([1, 1, 2]): [((1, 0, 0, 0), 6), ((0, 1, 0, 0), -3)],
+        MultiIndex([2]): [((0, 0, 0, 0), 1)],
+    }
+    assert part_polys(dual, Space.E) == {
         MultiIndex([1, 1, 2]): P("2*x1 - x2"),
         MultiIndex([2]): P("1/3"),
     }
     ambient = P("x1*u2 + u2 + x2", Space.AMBIENT)
-    assert ambient.fiber_parts(Space.AMBIENT) == {
+    assert part_polys(ambient, Space.AMBIENT) == {
         MultiIndex([2]): P("x1 + 1", Space.AMBIENT),
         MultiIndex(): P("x2", Space.AMBIENT),
     }
@@ -576,35 +589,41 @@ def test_from_fiber_parts_inverts_fiber_parts(space, target):
     for _ in range(60):
         chart = rand_chart(rng, bounds)
         p = rand_poly(rng, chart, space, bounds)
-        parts = p.fiber_parts(target)
-        got = Poly.from_fiber_parts(chart, space, [(1, c, mi) for mi, c in parts.items()])
+        parts = p.fiber_parts()
+        got = Poly.from_fiber_parts(chart, space, [(1, c, p.den, mi) for mi, c in parts.items()])
         assert got == p
-        # integer factors and repeated indices, against the product construction
-        weighted = [(rng.randint(-3, 3), c, mi) for mi, c in parts.items() for _ in "ab"]
+        # integer factors, repeated indices and each part reduced over its
+        # own denominator, against the product construction
+        views = part_polys(p, target)
+        weighted = [(rng.randint(-3, 3), views[mi], mi) for mi in parts for _ in "ab"]
         expected = Poly.zero(chart, space)
         for k, c, mi in weighted:
             product = c.with_space(space) * _monomial_by_vars(chart, space, mi)
             expected = expected + product.scale(k)
-        assert Poly.from_fiber_parts(chart, space, weighted) == expected
+        lists = [(k, c.terms.items(), c.den, mi) for k, c, mi in weighted]
+        assert Poly.from_fiber_parts(chart, space, lists) == expected
 
 
 def test_from_fiber_parts_refusals():
     chart = Chart(2, 3)
     c = P("1/2*x1 - x2", Space.E, chart)
-    with pytest.raises(ChartMismatch) as info:
-        Poly.from_fiber_parts(Chart(3, 3), Space.ESTAR, [(1, c, MultiIndex([1]))])
-    assert str(info.value) == (
-        "Chart(base_dim=2, fiber_rank=3) vs Chart(base_dim=3, fiber_rank=3)"
-    )
+    part = (c.terms.items(), c.den)
+    # a term list carries no chart: the terms of a chart of another width
+    # put x2's exponent in a fiber slot of Chart(1, 3)
+    with pytest.raises(SpaceMismatch) as info:
+        Poly.from_fiber_parts(Chart(1, 3), Space.ESTAR, [(1, *part, MultiIndex([1]))])
+    assert str(info.value) == "the part at MultiIndex([1]) is not base-only"
     with pytest.raises(IndexOutOfRange) as info:
-        Poly.from_fiber_parts(chart, Space.ESTAR, [(1, c, MultiIndex([1, 4]))])
+        Poly.from_fiber_parts(chart, Space.ESTAR, [(1, *part, MultiIndex([1, 4]))])
     assert str(info.value) == (
         "variable v4 out of range for chart Chart(base_dim=2, fiber_rank=3)"
     )
     # a fiber-linear part would lose its u exponent on the dual space
     linear = P("x1*u2 + 1", Space.E, chart)
     with pytest.raises(SpaceMismatch) as info:
-        Poly.from_fiber_parts(chart, Space.ESTAR, [(1, c, ()), (2, linear, MultiIndex([1]))])
+        Poly.from_fiber_parts(
+            chart, Space.ESTAR, [(1, *part, ()), (2, linear.terms.items(), 1, MultiIndex([1]))]
+        )
     assert str(info.value) == "the part at MultiIndex([1]) is not base-only"
     assert Poly.from_fiber_parts(chart, Space.ESTAR, []) == Poly.zero(chart, Space.ESTAR)
 
@@ -685,7 +704,8 @@ def test_from_fiber_parts_refuses_a_factor_that_is_not_an_int(k):
     # (1/2, x1, u1) would store x1*u1 over 1 as 1/2
     x1 = P("x1")
     with pytest.raises(TypeError, match="must be an int"):
-        Poly.from_fiber_parts(CH, Space.E, [(1, x1, MultiIndex()), (k, x1, MultiIndex([1]))])
+        parts = [(1, x1.terms.items(), 1, MultiIndex()), (k, x1.terms.items(), 1, MultiIndex([1]))]
+        Poly.from_fiber_parts(CH, Space.E, parts)
 
 
 def test_space_and_chart_refusals():

@@ -26,10 +26,15 @@ function, move exponents through `Poly.from_fiber_parts` and multiply or
 differentiate no polynomials.  The linearization of an operator reads its
 table, takes no nested commutator, and builds and tests its level-q
 symbol once; the inverse of `a_iso` reads the derivation's parts, and
-neither `a_iso` nor its inverse walks the basis multi-indices.
+neither `a_iso` nor its inverse walks the basis multi-indices.  Each
+crossing builds one `Poly` per output coefficient and none per part:
+`a_inverse`, the hamiltonian field, the closed form and the bundle-map
+path of `a_iso`, which builds no `Fraction` either.  A join of
+multi-indices with an empty side returns the other side itself.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -42,6 +47,7 @@ from fwlop._oracles import (
 from fwlop.diffop import DiffOp, nested_values
 from fwlop.lbundle import (
     LPair,
+    _bundle_map_mult,
     _closed_form_mult,
     a_inverse,
     a_iso,
@@ -532,3 +538,76 @@ def test_oracle_suites_evaluation_counts(monkeypatch, suite, most):
     assert verify.run_suite(suite, 50, 1).ok
     assert evals["eval"] <= most["eval"]
     assert applies["apply"] <= most.get("apply", 0)
+
+
+def test_crossings_build_one_poly_per_output_key(monkeypatch):
+    # the parts are term lists: a_inverse, the hamiltonian field and the
+    # closed form build each output coefficient once, and the bundle-map
+    # path builds nothing per node and one polynomial in all (its walk's
+    # shifts scale coefficients, which is the walk's business)
+    rng = random.Random(79)
+    fwl = [(rand_fwl_op(rng, CH, BOUNDS, q), q) for q in (1, 2, 3, 3)]
+    derivations = [(rand_homogeneous_lderivation(rng, CH, BOUNDS, q - 1), q) for q in (1, 2, 3)]
+    symbols = [op.symbol_at(q) for op, q in fwl]
+    built = _counting(monkeypatch, Poly, ["_raw", "from_fiber_parts"])
+    per_node = []
+    parts = lbundle._bundle_map_parts
+
+    def node_parts(node, c_idx):
+        before = built["_raw"]
+        out = parts(node, c_idx)
+        per_node.append(built["_raw"] - before)
+        return out
+
+    monkeypatch.setattr(lbundle, "_bundle_map_parts", node_parts)
+
+    def made(fn, *args):
+        built.update(_raw=0, from_fiber_parts=0)
+        return fn(*args), built["_raw"], built["from_fiber_parts"]
+
+    inverses = [made(a_inverse, d, q) for d, q in derivations]
+    fields = [made(multivec._hamiltonian_field, p) for p in symbols]
+    closed = [made(_closed_form_mult, op, q) for op, q in fwl]
+    bundle = [made(_bundle_map_mult, op, q)[2] for op, q in fwl]
+    monkeypatch.undo()
+    for value, polys, sums in inverses + fields:
+        assert polys == sums == len(value.terms) > 0
+    assert [(polys, sums) for _, polys, sums in closed] == [(1, 1)] * len(fwl)
+    assert bundle == [1] * len(fwl)
+    assert len(per_node) >= len(fwl) and set(per_node) == {0}
+    for (op, q), (mult, _, _) in zip(fwl, closed):
+        assert _bundle_map_mult(op, q) == mult
+
+
+def test_a_iso_builds_no_fraction(monkeypatch):
+    rng = random.Random(92)
+    cases = [(rand_fwl_op(rng, CH, BOUNDS, q), q) for q in (1, 2, 3, 4)]
+    made = [0]
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    got = [a_iso(op, q) for op, q in cases]
+    assert made == [0]
+    monkeypatch.undo()
+    assert [a_inverse(d, q) for d, (_, q) in zip(got, cases)] == [op for op, _ in cases]
+    assert any(d.terms.get((EMPTY_MI, EMPTY_MI)) for d in got)
+
+
+def test_a_join_with_an_empty_side_returns_its_other_operand():
+    word = MultiIndex([2, 1, 2])
+    assert word.concat(EMPTY_MI) is word and EMPTY_MI.concat(word) is word
+    assert word.concat(MultiIndex([1])) == (1, 1, 2, 2)
+    assert MultiIndex([3]).remove(3) is EMPTY_MI
+    assert word.remove(2) == (1, 2) and type(word.remove(1)) is MultiIndex
+    with pytest.raises(ValueError):
+        word.remove(3)
+    # a Leibniz pass past an order-0 operand keeps the other's key parts
+    x1 = Poly.var(CH, Space.E, Var(VarKind.BASE, 1))
+    op = DiffOp.monomial(x1, MultiIndex([1, 2]), MultiIndex([2]))
+    ((key, _),) = DiffOp.mult(x1).compose(op).terms.items()
+    ((stored, _),) = op.terms.items()
+    assert key[0] is stored[0] and key[1] is stored[1]

@@ -4,13 +4,14 @@
 printer's grammar, so it does not depend on how `Poly` stores its terms.
 `from_vars` builds a polynomial back from such terms through `Poly.const`
 and `Poly.var` products, and `substitute` replaces each variable by a
-polynomial.
+polynomial.  `part_polys` views the term lists of `Poly.fiber_parts` as
+base-only polynomials.
 """
 
 import re
 from fractions import Fraction
 
-from fwlop.symcore import Poly, Var, VarKind, poly_to_str
+from fwlop.symcore import EMPTY_MI, Poly, Var, VarKind, poly_to_str
 
 _FACTOR = re.compile(r"(\d+)(?:/(\d+))?|([xuv])(\d+)(?:\^(\d+))?")
 _KIND = {"x": VarKind.BASE, "u": VarKind.FIBER, "v": VarKind.DUAL_FIBER}
@@ -55,3 +56,13 @@ def substitute(p: Poly, mapping: dict) -> Poly:
     the chart and space of the mapping's values."""
     some = next(iter(mapping.values()))
     return from_vars(some.chart, some.space, by_vars(p), mapping)
+
+
+def part_polys(p: Poly, space) -> dict:
+    """{fiber multi-index B: the part of p at B as a base-only polynomial
+    on space}: each term list of `p.fiber_parts()`, over p's denominator,
+    as one `Poly.from_fiber_parts` at the empty multi-index."""
+    return {
+        mi: Poly.from_fiber_parts(p.chart, space, [(1, c, p.den, EMPTY_MI)])
+        for mi, c in p.fiber_parts().items()
+    }
